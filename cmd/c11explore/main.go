@@ -56,7 +56,7 @@ func main() {
 		por     = flag.Bool("por", true,
 			"partial-order reduction: explore commuting interleavings once (sleep sets + persistent-set heuristic)")
 		checkFP = flag.Bool("checkcollisions", false,
-			"deduplicate by exact canonical signatures (slow path) and audit the 128-bit fingerprints against them")
+			"audit the 128-bit fingerprints against the exact canonical signatures of every configuration reached (slow)")
 		checkInc = flag.Bool("checkincremental", false,
 			"recompute the model's incrementally maintained structures from scratch at each configuration and count disagreements")
 		checkPOR = flag.Bool("checkpor", false,
@@ -173,6 +173,9 @@ func main() {
 	fmt.Println(cli.Describe(res))
 	if *checkFP {
 		fmt.Printf("fingerprint collisions: %d\n", res.FingerprintCollisions)
+		if res.FingerprintCollisions > 0 {
+			cli.Exit(cli.ExitViolation)
+		}
 	}
 	if *checkInc {
 		fmt.Printf("closure mismatches: %d\n", res.ClosureMismatches)

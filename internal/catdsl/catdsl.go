@@ -3,8 +3,18 @@
 // the same artefact the paper submits to Memalloy in Appendix E. The
 // two model files of the paper (c11_rar.cat, its eco-based coherence
 // axioms, and the simplified canonical model) ship as constants and
-// are compared for equivalence by the test suite and cmd/c11equiv,
-// reproducing the paper's "no differences up to size 7" check.
+// are compared for equivalence by the test suite, reproducing the
+// paper's "no differences up to size 7" check.
+//
+// The library's definitions of the two models are the hand-coded
+// predicates in internal/axiomatic (Exec.CoherentDef42 and
+// Exec.WeakCanonicalConsistent), chosen by measured speed: on the
+// Appendix E candidates of the repository benchmark
+// (perfbench/trajectory.json, per-layer figures) they cost 5.7 µs and
+// 6.0 µs per candidate against 40.4 µs for evaluating both cat models
+// here. This package is the cat-text cross-check of those
+// predicates, used by its tests and by the benchmark; no command
+// depends on it.
 //
 // Supported syntax:
 //

@@ -53,27 +53,6 @@ func (c Config) AppendSuccessors(out []Config) []Config {
 	return out
 }
 
-// Expand is the boxed form of AppendSuccessors for the model.Config
-// seam (traces, unknown-backend fallback); the engine's hot path uses
-// the typed form.
-func (c Config) Expand(out []model.Config) []model.Config {
-	succ := c.AppendSuccessors(nil)
-	for _, s := range succ {
-		out = append(out, s)
-	}
-	return out
-}
-
-// ExpandStep is the boxed form of AppendStepSuccessors — one successor
-// per observable write the RA semantics lets the step see.
-func (c Config) ExpandStep(out []model.Config, ps lang.ProgStep) []model.Config {
-	succ := c.AppendStepSuccessors(nil, ps)
-	for _, s := range succ {
-		out = append(out, s)
-	}
-	return out
-}
-
 // Discard hands back a successor the explorer proved it will never
 // use again — a fingerprint duplicate or a bound-suppressed successor
 // — so its state can be recycled. c is the configuration succ was

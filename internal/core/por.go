@@ -92,10 +92,9 @@ var tagBufPool = sync.Pool{New: func() any { b := make([]event.Tag, 0, 16); retu
 // hot path: it constructs the successor configurations directly into a
 // concrete-typed slice, skipping the Succ metadata (observed write,
 // event, thread) the engine never reads and drawing the observed-write
-// candidates into a pooled buffer. The monomorphised explorer calls
-// this (and AppendSuccessors) instead of the boxed model.Config
-// expansion, so the states themselves are the only allocations — no
-// interface box per successor.
+// candidates into a pooled buffer. The monomorphised explorer expands
+// through this and AppendSuccessors, so the states themselves are the
+// only allocations — no interface box per successor.
 func (c Config) AppendStepSuccessors(out []Config, ps lang.ProgStep) []Config {
 	t, s := ps.T, ps.S
 	if s.Kind == lang.StepSilent {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/event"
 	"repro/internal/lang"
-	"repro/internal/model"
 )
 
 // snapshotProg exercises every replayed step kind: relaxed and
@@ -31,14 +30,14 @@ func snapshotProg() (lang.Prog, map[event.Var]event.Val) {
 
 // collectConfigs explores breadth-first (unreduced) up to limit
 // configurations, deduplicating by fingerprint.
-func collectConfigs(root model.Config, limit int) []model.Config {
+func collectConfigs(root Config, limit int) []Config {
 	seen := map[string]bool{root.Key(): true}
-	queue := []model.Config{root}
-	out := []model.Config{root}
+	queue := []Config{root}
+	out := []Config{root}
 	for len(queue) > 0 && len(out) < limit {
 		c := queue[0]
 		queue = queue[1:]
-		for _, s := range c.Expand(nil) {
+		for _, s := range c.AppendSuccessors(nil) {
 			if k := s.Key(); !seen[k] {
 				seen[k] = true
 				out = append(out, s)
@@ -51,8 +50,7 @@ func collectConfigs(root model.Config, limit int) []model.Config {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	p, vars := snapshotProg()
-	root := Model.New(p, vars)
-	cfgs := collectConfigs(root, 400)
+	cfgs := collectConfigs(NewConfig(p, vars), 400)
 	if len(cfgs) < 30 {
 		t.Fatalf("exploration too small to be meaningful: %d configs", len(cfgs))
 	}
@@ -81,18 +79,17 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // reconstructs observability, not just the fingerprinted structure.
 func TestSnapshotRoundTripSuccessors(t *testing.T) {
 	p, vars := snapshotProg()
-	root := Model.New(p, vars)
-	for i, c := range collectConfigs(root, 60) {
+	for i, c := range collectConfigs(NewConfig(p, vars), 60) {
 		r, err := Model.Restore(c.AppendSnapshot(nil))
 		if err != nil {
 			t.Fatalf("config %d: restore: %v", i, err)
 		}
 		want := map[string]int{}
-		for _, s := range c.Expand(nil) {
+		for _, s := range c.AppendSuccessors(nil) {
 			want[s.Key()]++
 		}
 		got := map[string]int{}
-		for _, s := range r.Expand(nil) {
+		for _, s := range r.(Config).AppendSuccessors(nil) {
 			got[s.Key()]++
 		}
 		if len(got) != len(want) {
@@ -108,8 +105,8 @@ func TestSnapshotRoundTripSuccessors(t *testing.T) {
 
 func TestSnapshotRejectsCorruption(t *testing.T) {
 	p, vars := snapshotProg()
-	c := Model.New(p, vars)
-	for _, s := range c.Expand(nil) {
+	c := NewConfig(p, vars)
+	for _, s := range c.AppendSuccessors(nil) {
 		c = s // one step in, so the blob has a replayed event
 		break
 	}

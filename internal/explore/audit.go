@@ -97,6 +97,40 @@ func (c *fpCollector) observe(fp fingerprint.FP, terminated bool) {
 	c.mu.Unlock()
 }
 
+// keyAudit is the CheckCollisions collector: it maps every fingerprint
+// the search computes to the first exact canonical key seen with it,
+// and collects the distinct keys that later arrive under a fingerprint
+// already holding another. It has its own lock and sits beside the
+// seen-set, so the audited search keeps the one seen-set shape — and
+// checkpoints and resumes like any other.
+type keyAudit struct {
+	mu        sync.Mutex
+	keyOf     map[fingerprint.FP]string
+	colliding map[string]bool
+}
+
+func newKeyAudit() *keyAudit {
+	return &keyAudit{keyOf: map[fingerprint.FP]string{}, colliding: map[string]bool{}}
+}
+
+func (a *keyAudit) observe(fp fingerprint.FP, key string) {
+	a.mu.Lock()
+	if prev, ok := a.keyOf[fp]; !ok {
+		a.keyOf[fp] = key
+	} else if prev != key {
+		a.colliding[key] = true
+	}
+	a.mu.Unlock()
+}
+
+// collisions counts the colliding keys; zero when the audit is off.
+func (a *keyAudit) collisions() int {
+	if a == nil {
+		return 0
+	}
+	return len(a.colliding)
+}
+
 // WorkersAudit is the result of auditing the engine's serial/parallel
 // equivalence contract on one workload (CheckWorkers): at quiescence
 // the sharded engine's results are documented to be independent of the

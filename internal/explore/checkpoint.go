@@ -228,11 +228,9 @@ func PeekExtra(path string) ([]byte, error) {
 // verified against their recorded fingerprints, so a checkpoint from a
 // different backend or a corrupted file fails loudly. Resuming a
 // finished checkpoint is idempotent; resuming a violated one returns
-// the violated result immediately.
+// the violated result immediately. m must be one of the repository's
+// backends (rar or sc); any other model is an error.
 func Resume(path string, m model.Model, opts Options) (Result, error) {
-	if opts.CheckCollisions {
-		return Result{}, fmt.Errorf("explore: CheckCollisions is incompatible with checkpointing")
-	}
 	ck, err := loadCheckpointFile(path)
 	if err != nil {
 		return Result{}, err
@@ -244,20 +242,20 @@ func Resume(path string, m model.Model, opts Options) (Result, error) {
 	opts.POR = ck.POR
 	// Monomorphise like Run: the backend's name picks the concrete
 	// instantiation (the restored frontier configurations are verified
-	// to unbox to it), anything else runs boxed.
+	// to be of its configuration type).
 	switch m.Name() {
 	case "rar":
 		return resumeAs(path, ck, m, opts, coreOps(opts))
 	case "sc":
 		return resumeAs(path, ck, m, opts, scOps(opts))
 	default:
-		return resumeAs(path, ck, m, opts, boxedOps(opts))
+		return Result{}, fmt.Errorf("explore: checkpoint %s: unsupported model %q", path, m.Name())
 	}
 }
 
 // resumeAs restores the checkpointed seen-set and frontier into one
 // engine instantiation and continues the search.
-func resumeAs[C model.Base](path string, ck *checkpointFile, m model.Model, opts Options, bk ops[C]) (Result, error) {
+func resumeAs[C model.Config](path string, ck *checkpointFile, m model.Model, opts Options, bk ops[C]) (Result, error) {
 	r := newRun[C](opts, bk)
 	r.nInit = ck.NInit
 	nTerm := 0
@@ -299,7 +297,7 @@ func resumeAs[C model.Base](path string, ck *checkpointFile, m model.Model, opts
 		if err != nil {
 			return Result{}, fmt.Errorf("explore: checkpoint %s frontier: %w", path, err)
 		}
-		c, ok := r.ops.unbox(mc)
+		c, ok := mc.(C)
 		if !ok {
 			return Result{}, fmt.Errorf("explore: checkpoint %s frontier: %s restored a %T, not the backend's configuration type",
 				path, m.Name(), mc)

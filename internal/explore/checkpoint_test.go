@@ -291,11 +291,8 @@ func TestResumeErrors(t *testing.T) {
 		t.Fatal("RAR checkpoint resumed under the SC backend")
 	}
 
-	if _, err := Resume(path, core.Model, Options{CheckCollisions: true}); err == nil {
-		t.Fatal("CheckCollisions resume succeeded")
-	}
-	if res := Run(mpConfig(), Options{CheckCollisions: true, CheckpointPath: path}); res.CheckpointErr == nil {
-		t.Fatal("CheckCollisions run with a checkpoint path succeeded")
+	if _, err := Resume(path, otherModel{core.Model}, Options{Workers: 1}); err == nil {
+		t.Fatal("checkpoint resumed under a model outside the backends")
 	}
 
 	if err := CheckpointInterval("", time.Second); err == nil {
@@ -326,4 +323,46 @@ func TestResumeLargerBudget(t *testing.T) {
 	// The MaxConfigs cut marked Truncated; the flag is sticky across
 	// the resume (the cut really happened), so only the state counts
 	// are compared above.
+}
+
+// otherModel renames a backend, standing in for a model the engine
+// cannot dispatch on.
+type otherModel struct{ model.Model }
+
+func (otherModel) Name() string { return "other" }
+
+// TestCheckCollisionsCheckpointResume: the collision audit sits beside
+// the seen-set, so an audited search checkpoints like any other, and
+// resuming it (audited again) reaches the uninterrupted fixpoint with
+// no collisions, under both backends.
+func TestCheckCollisionsCheckpointResume(t *testing.T) {
+	p, vars := petersonProg()
+	for _, m := range []model.Model{core.Model, sc.Model} {
+		t.Run(m.Name(), func(t *testing.T) {
+			base := Options{MaxEvents: 9, Workers: 1, Property: mutualExclusion, CheckCollisions: true}
+			want := Run(m.New(p, vars), base)
+			if want.FingerprintCollisions != 0 {
+				t.Fatalf("uninterrupted run: %d collisions", want.FingerprintCollisions)
+			}
+			path := filepath.Join(t.TempDir(), "audit.ckpt")
+			cut := base
+			cut.MaxConfigs = want.Explored / 3
+			cut.CheckpointPath = path
+			res := Run(m.New(p, vars), cut)
+			if res.Stop != StopMaxConfigs || res.CheckpointErr != nil {
+				t.Fatalf("cut run: stop=%v checkpoint err=%v", res.Stop, res.CheckpointErr)
+			}
+			if res.FingerprintCollisions != 0 {
+				t.Fatalf("cut run: %d collisions", res.FingerprintCollisions)
+			}
+			got, err := Resume(path, m, base)
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			if got.Explored != want.Explored || got.Verdict != want.Verdict || got.FingerprintCollisions != 0 {
+				t.Fatalf("resumed audit: explored=%d verdict=%v collisions=%d, want explored=%d verdict=%v collisions=0",
+					got.Explored, got.Verdict, got.FingerprintCollisions, want.Explored, want.Verdict)
+			}
+		})
+	}
 }

@@ -2,25 +2,26 @@ package explore
 
 // Dispatch from the boxed model.Config seam into the monomorphised
 // engine. Run type-switches on the concrete configuration type and
-// instantiates the generic engine at it, so the two shipped backends
-// explore with zero interface boxing on the successor path; any other
-// model.Config implementation falls back to an instantiation at the
-// boxed interface itself, which behaves exactly like the pre-generic
-// engine. The switch is explicit — mirroring internal/model/backends —
-// so the dependency from the engine to the backends stays visible in
-// the imports (neither backend imports explore, so the edge is
-// acyclic).
+// instantiates the generic engine at it, so both backends explore with
+// zero interface boxing on the successor path. The switch is
+// exhaustive over the backends of internal/model/backends: a
+// model.Config is built by one of them (its methods mention internal
+// types, so no package outside this module can supply one), and
+// anything else is a programming error. The explicit switch keeps the dependency from the
+// engine to the backends visible in the imports (neither backend
+// imports explore, so the edge is acyclic).
 
 import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/lang"
 	"repro/internal/model"
 	"repro/internal/sc"
 )
 
-// Run explores the state space of c under the given options.
+// Run explores the state space of c under the given options. c must
+// come from one of the repository's backends (rar or sc); any other
+// configuration type panics.
 func Run(c model.Config, opts Options) Result {
 	switch cc := c.(type) {
 	case core.Config:
@@ -28,7 +29,7 @@ func Run(c model.Config, opts Options) Result {
 	case sc.Config:
 		return runAs(cc, opts, scOps(opts))
 	default:
-		return runAs(c, opts, boxedOps(opts))
+		panic(fmt.Sprintf("explore: unsupported configuration type %T", c))
 	}
 }
 
@@ -36,7 +37,7 @@ func Run(c model.Config, opts Options) Result {
 // TypedProperty when set (and of the right type — anything else is a
 // loud programming error), otherwise the boxed Property wrapped in a
 // per-call boxing adapter, otherwise nil.
-func typedProperty[C model.Base](opts Options) func(C) bool {
+func typedProperty[C model.Config](opts Options) func(C) bool {
 	if opts.TypedProperty != nil {
 		p, ok := opts.TypedProperty.(func(C) bool)
 		if !ok {
@@ -49,56 +50,22 @@ func typedProperty[C model.Base](opts Options) func(C) bool {
 		return nil
 	}
 	p := opts.Property
-	return func(c C) bool { return p(any(c).(model.Config)) }
+	return func(c C) bool { return p(c) }
 }
 
 func coreOps(opts Options) ops[core.Config] {
 	return ops[core.Config]{
-		expand: func(c core.Config, out []core.Config) []core.Config {
-			return c.AppendSuccessors(out)
-		},
-		expandStep: func(c core.Config, out []core.Config, ps lang.ProgStep) []core.Config {
-			return c.AppendStepSuccessors(out, ps)
-		},
-		property: typedProperty[core.Config](opts),
-		box:      func(c core.Config) model.Config { return c },
-		unbox: func(mc model.Config) (core.Config, bool) {
-			c, ok := mc.(core.Config)
-			return c, ok
-		},
-		discard: core.Config.Discard,
+		expand:     core.Config.AppendSuccessors,
+		expandStep: core.Config.AppendStepSuccessors,
+		property:   typedProperty[core.Config](opts),
+		discard:    core.Config.Discard,
 	}
 }
 
 func scOps(opts Options) ops[sc.Config] {
 	return ops[sc.Config]{
-		expand: func(c sc.Config, out []sc.Config) []sc.Config {
-			return c.AppendSuccessors(out)
-		},
-		expandStep: func(c sc.Config, out []sc.Config, ps lang.ProgStep) []sc.Config {
-			return c.AppendStepSuccessors(out, ps)
-		},
-		property: typedProperty[sc.Config](opts),
-		box:      func(c sc.Config) model.Config { return c },
-		unbox: func(mc model.Config) (sc.Config, bool) {
-			c, ok := mc.(sc.Config)
-			return c, ok
-		},
-	}
-}
-
-// boxedOps is the fallback instantiation at the boxed interface, for
-// model.Config implementations outside this repository's backends.
-func boxedOps(opts Options) ops[model.Config] {
-	return ops[model.Config]{
-		expand: func(c model.Config, out []model.Config) []model.Config {
-			return c.Expand(out)
-		},
-		expandStep: func(c model.Config, out []model.Config, ps lang.ProgStep) []model.Config {
-			return c.ExpandStep(out, ps)
-		},
-		property: typedProperty[model.Config](opts),
-		box:      func(c model.Config) model.Config { return c },
-		unbox:    func(mc model.Config) (model.Config, bool) { return mc, true },
+		expand:     sc.Config.AppendSuccessors,
+		expandStep: sc.Config.AppendStepSuccessors,
+		property:   typedProperty[sc.Config](opts),
 	}
 }

@@ -10,9 +10,9 @@ package explore
 // reporting, checkpoint restore, trace output), which are cold.
 //
 // The operations whose signatures mention the configuration type
-// itself (expansion, property, boxing) cannot live on model.Base, so
-// each instantiation carries them as an ops[C] value; the methods that
-// don't mention it are called directly through the model.Base
+// itself (expansion, the typed property) cannot live on model.Config,
+// so each instantiation carries them as an ops[C] value; the methods
+// that don't mention it are called directly through the model.Config
 // constraint.
 
 import (
@@ -29,22 +29,16 @@ import (
 )
 
 // ops carries one backend's typed operations: the expansion methods,
-// the (optional) monomorphised property, the conversions across the
-// boxed seam, and the (optional) discard hook that recycles successor
-// state the engine proves dead (fingerprint duplicates, bound-
-// suppressed successors).
-type ops[C model.Base] struct {
+// the (optional) monomorphised property, and the (optional) discard
+// hook that recycles successor state the engine proves dead
+// (fingerprint duplicates, bound-suppressed successors).
+type ops[C model.Config] struct {
 	// expand appends every enabled transition's target to out.
 	expand func(c C, out []C) []C
 	// expandStep appends the targets of one enabled program step.
 	expandStep func(c C, out []C, ps lang.ProgStep) []C
 	// property is the per-state safety check; nil when none.
 	property func(C) bool
-	// box crosses into the boxed seam (violations, checkpoints).
-	box func(C) model.Config
-	// unbox crosses back (checkpoint resume); reports failure when the
-	// boxed configuration is not a C.
-	unbox func(model.Config) (C, bool)
 	// discard, when non-nil, is told about successors the engine will
 	// never use again: a successor that deduplicated against the seen
 	// set without being re-queued, was suppressed by the progress
@@ -94,29 +88,16 @@ const numShards = 64
 type shard struct {
 	mu   sync.Mutex
 	byFP map[fingerprint.FP]*entry
-	// Collision-check mode state (nil otherwise).
-	byKey map[string]*entry
-	fpOf  map[fingerprint.FP]string
 }
 
-// lookup returns the seen-set entry for the given identity (nil if
-// absent). The caller must hold the shard lock.
-func (sh *shard) lookup(fp fingerprint.FP, key string, checkCollisions bool) *entry {
-	if checkCollisions {
-		return sh.byKey[key]
-	}
-	return sh.byFP[fp]
-}
-
-type item[C model.Base] struct {
+type item[C model.Config] struct {
 	cfg C
 	fp  fingerprint.FP
-	key string // only set under CheckCollisions
 }
 
 // pool is the shared work pool: a FIFO of discovered configurations
 // plus the in-flight counter that detects quiescence.
-type pool[C model.Base] struct {
+type pool[C model.Config] struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	queue   []item[C]
@@ -193,7 +174,7 @@ func (p *pool[C]) resume() {
 	p.mu.Unlock()
 }
 
-type run[C model.Base] struct {
+type run[C model.Config] struct {
 	opts     Options
 	ops      ops[C]
 	nInit    int
@@ -207,7 +188,6 @@ type run[C model.Base] struct {
 	explored   atomic.Int64
 	terminated atomic.Int64
 	truncated  atomic.Bool
-	collisions atomic.Int64
 	mismatches atomic.Int64
 	violation  atomic.Pointer[model.Config]
 
@@ -228,11 +208,15 @@ type run[C model.Base] struct {
 	tel    *telemetry.Registry
 	tracer *telemetry.Tracer
 
+	// keys is the CheckCollisions collector (nil otherwise); it sits
+	// beside the seen-set, never in it.
+	keys *keyAudit
+
 	ckErr error
 }
 
 // newRun builds the engine state for opts without admitting anything.
-func newRun[C model.Base](opts Options, bk ops[C]) *run[C] {
+func newRun[C model.Config](opts Options, bk ops[C]) *run[C] {
 	r := &run[C]{
 		opts:   opts,
 		ops:    bk,
@@ -245,31 +229,24 @@ func newRun[C model.Base](opts Options, bk ops[C]) *run[C] {
 	r.pool.cond = sync.NewCond(&r.pool.mu)
 	r.pool.tel = opts.Metrics
 	for i := range r.shards {
-		if opts.CheckCollisions {
-			r.shards[i].byKey = make(map[string]*entry)
-			r.shards[i].fpOf = make(map[fingerprint.FP]string)
-		} else {
-			r.shards[i].byFP = make(map[fingerprint.FP]*entry)
-		}
+		r.shards[i].byFP = make(map[fingerprint.FP]*entry)
+	}
+	if opts.CheckCollisions {
+		r.keys = newKeyAudit()
 	}
 	return r
 }
 
 // runAs explores the state space of c through one backend's typed
 // operations. Run (dispatch.go) picks the instantiation.
-func runAs[C model.Base](c C, opts Options, bk ops[C]) Result {
-	if opts.CheckCollisions && opts.CheckpointPath != "" {
-		// The exact-key seen-set is not serialised; fail loudly rather
-		// than write a checkpoint that cannot restore the debug mode.
-		return Result{CheckpointErr: fmt.Errorf("explore: CheckCollisions is incompatible with checkpointing")}
-	}
+func runAs[C model.Config](c C, opts Options, bk ops[C]) Result {
 	r := newRun[C](opts, bk)
 	r.nInit = c.Progress()
 	if r.tracer != nil {
 		r.tracer.Emit(telemetry.Record{Type: "begin", Name: "search", Worker: -1,
 			Args: map[string]any{"workers": opts.workers(), "max_events": r.maxEv, "por": opts.POR}})
 	}
-	r.admit(r.tel.Cell(0), c, 0, 0)
+	r.admit(r.tel.Cell(0), c, fingerprint.FP{}, 0, 0)
 	r.execute()
 	res := r.finalize()
 	if r.tracer != nil {
@@ -284,8 +261,9 @@ func (r *run[C]) shardOf(fp fingerprint.FP) *shard {
 	return &r.shards[fp.Lo%numShards]
 }
 
-// admit deduplicates and registers cfg at depth d with sleep mask
-// sleep, updating counters and queueing it when expandable.
+// admit deduplicates and registers cfg, reached from the configuration
+// with fingerprint parent, at depth d with sleep mask sleep, updating
+// counters and queueing it when expandable.
 // Re-discoveries at a shorter depth or with a smaller sleep mask relax
 // the recorded values and re-queue already-expanded entries so the
 // improvements propagate. cont=false means the caller must stop
@@ -296,21 +274,20 @@ func (r *run[C]) shardOf(fp fingerprint.FP) *shard {
 // re-queued, or was rejected) and the caller may recycle it. cell is
 // the calling worker's telemetry cell (nil when metrics are
 // disabled).
-func (r *run[C]) admit(cell *telemetry.Cell, cfg C, d int32, sleep threadMask) (cont, retained bool) {
+func (r *run[C]) admit(cell *telemetry.Cell, cfg C, parent fingerprint.FP, d int32, sleep threadMask) (cont, retained bool) {
 	// Everything that calls into model code runs outside the shard
 	// lock: model methods may be expensive, and under fault injection
 	// they may panic — a panic below never wedges a shard mutex.
 	fp := cfg.Fingerprint()
-	var key string
-	if r.opts.CheckCollisions {
-		key = cfg.Key()
+	if r.keys != nil {
+		r.keys.observe(fp, cfg.Key())
 	}
 	term := cfg.Terminated()
 	atBound := cfg.Progress()-r.nInit >= r.maxEv
 	sh := r.shardOf(fp)
 
 	sh.mu.Lock()
-	e := sh.lookup(fp, key, r.opts.CheckCollisions)
+	e := sh.byFP[fp]
 	if e != nil {
 		// Known configuration: relax depth and sleep mask.
 		requeue := e.relax(d, sleep)
@@ -318,7 +295,7 @@ func (r *run[C]) admit(cell *telemetry.Cell, cfg C, d int32, sleep threadMask) (
 		cell.Add(telemetry.EngineDedupHits, 1)
 		if requeue {
 			cell.Add(telemetry.EngineRequeues, 1)
-			r.pool.push(item[C]{cfg: cfg, fp: fp, key: key})
+			r.pool.push(item[C]{cfg: cfg, fp: fp})
 		}
 		return true, requeue
 	}
@@ -344,19 +321,7 @@ func (r *run[C]) admit(cell *telemetry.Cell, cfg C, d int32, sleep threadMask) (
 	// for last. Draining makes the bounded terminated set a function
 	// of the bound alone, which the POR and worker audits rely on.
 	e = &entry{depth: d, expandedAt: -1, sleep: sleep, expandable: !term, term: term}
-	if r.opts.CheckCollisions {
-		sh.byKey[key] = e
-		// Audit once per distinct canonical key.
-		if prev, ok := sh.fpOf[fp]; ok {
-			if prev != key {
-				r.collisions.Add(1)
-			}
-		} else {
-			sh.fpOf[fp] = key
-		}
-	} else {
-		sh.byFP[fp] = e
-	}
+	sh.byFP[fp] = e
 	sh.mu.Unlock()
 
 	cell.Add(telemetry.EngineAdmitted, 1)
@@ -368,8 +333,12 @@ func (r *run[C]) admit(cell *telemetry.Cell, cfg C, d int32, sleep threadMask) (
 		r.truncated.Store(true)
 	}
 	// The hooks run outside every lock, like the property: the audit
-	// only touches the admitted configuration's own state, and the
-	// collector is documented as concurrently callable.
+	// only touches the admitted configuration's own state, the
+	// collector is documented as concurrently callable, and witness
+	// links are only recorded by serial searches.
+	if r.opts.witness != nil {
+		r.opts.witness[fp] = witnessLink{parent: parent, cfg: cfg}
+	}
 	if r.opts.collect != nil {
 		r.opts.collect(fp, term)
 	}
@@ -381,7 +350,7 @@ func (r *run[C]) admit(cell *telemetry.Cell, cfg C, d int32, sleep threadMask) (
 	// The property runs outside every lock; it may be expensive and is
 	// documented as concurrently callable.
 	if r.ops.property != nil && !r.ops.property(cfg) {
-		mc := r.ops.box(cfg)
+		mc := model.Config(cfg)
 		r.violation.CompareAndSwap(nil, &mc)
 		r.stopWith(StopViolation)
 		// The violating configuration is admitted (it is in the seen
@@ -390,7 +359,7 @@ func (r *run[C]) admit(cell *telemetry.Cell, cfg C, d int32, sleep threadMask) (
 		return false, true
 	}
 	if e.expandable {
-		r.pool.push(item[C]{cfg: cfg, fp: fp, key: key})
+		r.pool.push(item[C]{cfg: cfg, fp: fp})
 	}
 	return true, true
 }
@@ -403,7 +372,7 @@ func (r *run[C]) claim(it item[C]) (int32, threadMask, bool) {
 	sh := r.shardOf(it.fp)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e := sh.lookup(it.fp, it.key, r.opts.CheckCollisions)
+	e := sh.byFP[it.fp]
 	if e == nil || e.expanded() {
 		return 0, 0, false
 	}
@@ -421,7 +390,7 @@ func (r *run[C]) unclaim(it item[C]) {
 	sh := r.shardOf(it.fp)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e := sh.lookup(it.fp, it.key, r.opts.CheckCollisions); e != nil {
+	if e := sh.byFP[it.fp]; e != nil {
 		e.expandedAt = -1
 		e.expandedSleep = 0
 	}
@@ -465,9 +434,9 @@ func (r *run[C]) discard(cell *telemetry.Cell, parent, succ C) {
 	}
 }
 
-// expand generates the successors of cfg at depth d under sleep mask
-// sl, applying the POR plan when enabled. At the progress bound only
-// silent successors (same Progress) are admitted — the bound
+// expand generates the successors of it.cfg at depth d under sleep
+// mask sl, applying the POR plan when enabled. At the progress bound
+// only silent successors (same Progress) are admitted — the bound
 // suppresses memory steps but silent chains drain to termination, in
 // the full and the reduced search alike (the reduction is bypassed
 // there: the handful of silent-only frontier states is not worth
@@ -475,7 +444,8 @@ func (r *run[C]) discard(cell *telemetry.Cell, parent, succ C) {
 // the (possibly regrown) buffer is returned for the next expansion,
 // along with whether every successor was admitted (false when a stop
 // signal or budget rejection aborted the expansion).
-func (r *run[C]) expand(cell *telemetry.Cell, cfg C, d int32, sl threadMask, scratch []C) ([]C, bool) {
+func (r *run[C]) expand(cell *telemetry.Cell, it item[C], d int32, sl threadMask, scratch []C) ([]C, bool) {
+	cfg := it.cfg
 	complete := true
 	var zero C
 	cell.Add(telemetry.EngineExpansions, 1)
@@ -484,7 +454,7 @@ func (r *run[C]) expand(cell *telemetry.Cell, cfg C, d int32, sl threadMask, scr
 			complete = false
 			return false
 		}
-		cont, retained := r.admit(cell, s, d+1, cs)
+		cont, retained := r.admit(cell, s, it.fp, d+1, cs)
 		if !retained {
 			r.discard(cell, cfg, s)
 		}
@@ -552,7 +522,7 @@ func (r *run[C]) process(cell *telemetry.Cell, it item[C], scratch *[]C) {
 	if r.opts.Hooks != nil {
 		r.opts.Hooks.BeforeExpand(it.fp, int(d))
 	}
-	*scratch, completed = r.expand(cell, it.cfg, d, sl, *scratch)
+	*scratch, completed = r.expand(cell, it, d, sl, *scratch)
 }
 
 // traceBatchEvery is how many processed items a worker batches
@@ -689,24 +659,12 @@ func (r *run[C]) finalize() Result {
 	res.Stop = StopCause(r.requested.Load())
 	res.Panics = r.panics
 	res.CheckpointErr = r.ckErr
-	res.FingerprintCollisions = int(r.collisions.Load())
+	res.FingerprintCollisions = r.keys.collisions()
 	res.ClosureMismatches = int(r.mismatches.Load())
 	res.ShardDepths = make([]int, numShards)
 	for i := range r.shards {
-		sh := &r.shards[i]
-		scan := func(e *entry) {
-			if int(e.depth) > res.ShardDepths[i] {
-				res.ShardDepths[i] = int(e.depth)
-			}
-		}
-		if r.opts.CheckCollisions {
-			for _, e := range sh.byKey {
-				scan(e)
-			}
-		} else {
-			for _, e := range sh.byFP {
-				scan(e)
-			}
+		for _, e := range r.shards[i].byFP {
+			res.ShardDepths[i] = max(res.ShardDepths[i], int(e.depth))
 		}
 		if res.ShardDepths[i] > res.Depth {
 			res.Depth = res.ShardDepths[i]
@@ -735,8 +693,7 @@ func (r *run[C]) frontierItems() []item[C] {
 		if seen[it.fp] {
 			return
 		}
-		sh := r.shardOf(it.fp)
-		e := sh.lookup(it.fp, it.key, r.opts.CheckCollisions)
+		e := r.shardOf(it.fp).byFP[it.fp]
 		if e == nil || !e.expandable {
 			return
 		}
@@ -744,8 +701,7 @@ func (r *run[C]) frontierItems() []item[C] {
 		out = append(out, it)
 	}
 	for _, it := range r.pool.queue[r.pool.head:] {
-		sh := r.shardOf(it.fp)
-		if e := sh.lookup(it.fp, it.key, r.opts.CheckCollisions); e != nil && e.expanded() {
+		if e := r.shardOf(it.fp).byFP[it.fp]; e != nil && e.expanded() {
 			continue // stale re-queue
 		}
 		add(it)

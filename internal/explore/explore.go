@@ -37,7 +37,8 @@
 // making Explored, Terminated, Depth and the Truncated flag identical
 // across worker counts whenever the search runs to completion (no
 // budget cut, no early property exit) — with or without POR, for
-// every backend.
+// every backend. The witness search FindTrace is this engine too, run
+// serially without reduction and recording parent links.
 //
 // The engine is resource-governed (budget.go): wall-clock deadlines,
 // context cancellation, state and memory budgets all cut the search at
@@ -54,6 +55,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -156,8 +158,7 @@ type Options struct {
 	// temp-file rename. With CheckpointEvery > 0 the engine also
 	// suspends periodically and snapshots mid-search. Resume continues
 	// a checkpointed search and provably reaches the same fixpoint as
-	// an uninterrupted run. Incompatible with CheckCollisions (the
-	// exact-key seen-set is not serialised).
+	// an uninterrupted run.
 	CheckpointPath string
 	// CheckpointEvery is the periodic checkpoint interval; zero means
 	// only the final checkpoint is written.
@@ -185,12 +186,17 @@ type Options struct {
 	// none) before exploration continues.
 	ResumeExtra func([]byte)
 
-	// CheckCollisions switches deduplication to the exact canonical
-	// string keys (model.Config.Key) and audits the fingerprints
-	// against them, counting distinct keys whose 128-bit fingerprints
-	// coincide in Result.FingerprintCollisions. This is a debug mode:
-	// it restores the allocation-heavy slow path the fingerprints
-	// replaced.
+	// CheckCollisions audits the fingerprints against the exact
+	// canonical string keys (model.Config.Key): every configuration
+	// the search fingerprints, fresh or duplicate, also has its key
+	// computed and recorded beside the seen-set, and distinct keys
+	// whose 128-bit fingerprints coincide are counted in
+	// Result.FingerprintCollisions. Deduplication itself stays by
+	// fingerprint, so the audited search (and its checkpoints) is the
+	// ordinary one. A checkpoint holds fingerprints, not keys, so a
+	// resumed audit covers the configurations fingerprinted after the
+	// restore. This is a debug mode: it pays the allocation-heavy key
+	// construction the fingerprints replaced.
 	CheckCollisions bool
 	// CheckIncremental audits the model's incrementally maintained
 	// derived structures: at every admitted configuration
@@ -208,6 +214,18 @@ type Options struct {
 	// Workers > 1. On Resume it is replayed over the checkpointed
 	// seen-set before exploration continues.
 	collect func(fp fingerprint.FP, terminated bool)
+	// witness, when non-nil, receives the parent link of every
+	// admitted configuration. Only FindTrace sets it, on a serial
+	// search, so the map needs no lock.
+	witness map[fingerprint.FP]witnessLink
+}
+
+// witnessLink records how a configuration was first reached: the
+// fingerprint of the configuration whose expansion admitted it (zero
+// for the root) and the configuration itself.
+type witnessLink struct {
+	parent fingerprint.FP
+	cfg    model.Config
 }
 
 func (o Options) maxEvents() int {
@@ -309,59 +327,30 @@ func (tr Trace) Describe() string {
 // partial-order reduction — a witness search must see every
 // intermediate configuration) for a configuration satisfying pred and
 // returns the shortest witness trace to it. found is false when no
-// such configuration exists within the bounds.
+// such configuration exists within the bounds. Only the MaxEvents and
+// MaxConfigs bounds of opts apply: the search is Run at Workers=1 with
+// !pred as the property, so it sees exactly Run's bounded graph, and
+// the witness is the chain of parent links back from the violation.
 func FindTrace(c model.Config, opts Options, pred func(model.Config) bool) (Trace, bool) {
-	nInit := c.Progress()
-	maxEv := opts.maxEvents()
-	maxCfg := opts.maxConfigs()
-
-	type node struct {
-		cfg    model.Config
-		parent int
+	links := map[fingerprint.FP]witnessLink{}
+	res := Run(c, Options{
+		MaxEvents:  opts.MaxEvents,
+		MaxConfigs: opts.MaxConfigs,
+		Workers:    1,
+		Property:   func(c model.Config) bool { return !pred(c) },
+		witness:    links,
+	})
+	if res.Violation == nil {
+		return Trace{}, false
 	}
-	nodes := []node{{cfg: c, parent: -1}}
-	seen := map[fingerprint.FP]bool{c.Fingerprint(): true}
-
-	mk := func(i int) Trace {
-		var rev []model.Config
-		for j := i; j >= 0; j = nodes[j].parent {
-			rev = append(rev, nodes[j].cfg)
-		}
-		out := Trace{Configs: make([]model.Config, 0, len(rev))}
-		for k := len(rev) - 1; k >= 0; k-- {
-			out.Configs = append(out.Configs, rev[k])
-		}
-		return out
+	// The links form the BFS tree; the walk ends past the root, whose
+	// parent is the zero fingerprint.
+	var tr Trace
+	for l, ok := links[res.Violation.Fingerprint()]; ok; l, ok = links[l.parent] {
+		tr.Configs = append(tr.Configs, l.cfg)
 	}
-
-	var succ []model.Config
-	for i := 0; i < len(nodes); i++ {
-		n := nodes[i]
-		if pred(n.cfg) {
-			return mk(i), true
-		}
-		if len(nodes) >= maxCfg {
-			continue
-		}
-		// Like the engine, at the progress bound only silent
-		// successors are followed (memory steps are suppressed, silent
-		// chains drain), so the witness search sees the same bounded
-		// graph as Run.
-		atBound := n.cfg.Progress()-nInit >= maxEv
-		succ = n.cfg.Expand(succ[:0])
-		for _, s := range succ {
-			if atBound && s.Progress() > n.cfg.Progress() {
-				continue
-			}
-			k := s.Fingerprint()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			nodes = append(nodes, node{cfg: s, parent: i})
-		}
-	}
-	return Trace{}, false
+	slices.Reverse(tr.Configs)
+	return tr, true
 }
 
 // Outcomes explores to termination and returns the multiplicity-free

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/fingerprint"
 	"repro/internal/lang"
 	"repro/internal/model"
 )
@@ -44,8 +45,8 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 }
 
 func TestCheckCollisionsMatchesFastPath(t *testing.T) {
-	// The exact-key slow path must visit the same state space as the
-	// fingerprint fast path, and the audit must find no collisions.
+	// The audited search must visit the same state space as the plain
+	// one, and the audit must find no collisions.
 	fast := Run(mpConfig(), Options{Workers: 1})
 	for _, workers := range []int{1, 8} {
 		slow := Run(mpConfig(), Options{Workers: workers, CheckCollisions: true})
@@ -56,6 +57,26 @@ func TestCheckCollisionsMatchesFastPath(t *testing.T) {
 			slow.Depth != fast.Depth {
 			t.Fatalf("workers=%d: slow %+v != fast %+v", workers, slow, fast)
 		}
+	}
+}
+
+// TestKeyAuditCountsDistinctCollidingKeys drives the collector with a
+// forged collision: a second key under a known fingerprint counts once
+// however often it recurs, and re-observing a key is not a collision.
+func TestKeyAuditCountsDistinctCollidingKeys(t *testing.T) {
+	a := newKeyAudit()
+	fp, other := fingerprint.FP{Hi: 1, Lo: 2}, fingerprint.FP{Hi: 3, Lo: 4}
+	for _, obs := range []struct {
+		fp  fingerprint.FP
+		key string
+	}{{fp, "a"}, {fp, "a"}, {other, "c"}, {fp, "b"}, {fp, "b"}, {other, "c"}} {
+		a.observe(obs.fp, obs.key)
+	}
+	if n := a.collisions(); n != 1 {
+		t.Fatalf("collisions = %d, want 1", n)
+	}
+	if n := (*keyAudit)(nil).collisions(); n != 0 {
+		t.Fatalf("disabled audit reports %d collisions", n)
 	}
 }
 
@@ -125,6 +146,36 @@ func TestFindTraceShortestWitness(t *testing.T) {
 	// BFS gives a shortest path: MP needs 6 actions + ≥0 silent steps.
 	if len(trace.Configs) < 7 {
 		t.Fatalf("trace too short: %d", len(trace.Configs))
+	}
+}
+
+// TestFindTraceIsAPath: the witness walked back through the parent
+// links is a real path — every configuration is a successor of the one
+// before it — and a goal at the root is a one-configuration trace.
+func TestFindTraceIsAPath(t *testing.T) {
+	trace, found := FindTrace(mpConfig(), Options{}, func(c model.Config) bool {
+		return c.(core.Config).S.NumEvents() == 8
+	})
+	if !found {
+		t.Fatal("no witness")
+	}
+	if trace.Configs[0].Fingerprint() != mpConfig().Fingerprint() {
+		t.Fatal("trace does not start at the root")
+	}
+	for i := 1; i < len(trace.Configs); i++ {
+		want := trace.Configs[i].Fingerprint()
+		step := false
+		for _, s := range trace.Configs[i-1].(core.Config).AppendSuccessors(nil) {
+			step = step || s.Fingerprint() == want
+		}
+		if !step {
+			t.Fatalf("configuration %d is not a successor of configuration %d", i, i-1)
+		}
+	}
+
+	root, found := FindTrace(mpConfig(), Options{}, func(model.Config) bool { return true })
+	if !found || len(root.Configs) != 1 {
+		t.Fatalf("goal at the root: found=%v, %d configurations", found, len(root.Configs))
 	}
 }
 

@@ -122,7 +122,7 @@ func loopFree(c lang.Com) bool {
 // which keeps the engine's fixpoint identical across worker counts.
 // Generic so concrete instantiations call the model methods without
 // boxing the configuration.
-func planPOR[C model.Base](c C) porPlan {
+func planPOR[C model.Config](c C) porPlan {
 	p := c.Program()
 	pl := porPlan{steps: lang.ProgSteps(p), ok: true}
 	if len(p) > maxPORThreads {
@@ -253,7 +253,7 @@ func (r *run[C]) forEachReducedSucc(cfg C, sl threadMask, cell *telemetry.Cell, 
 // are never slept and wake everything when taken. Monotone in the
 // parent mask, which makes the dedup-by-intersection fixpoint
 // well-defined.
-func childSleep[C model.Base](cfg C, pl porPlan, sleep threadMask, j int) threadMask {
+func childSleep[C model.Config](cfg C, pl porPlan, sleep threadMask, j int) threadMask {
 	uj := pl.steps[j]
 	if pl.visible&maskBit(uj.T) != 0 {
 		return 0

@@ -5,8 +5,8 @@
 // so that different memory models can be swapped in under the same
 // program semantics. This package is that seam made explicit: a model
 // is a factory for configurations, and a configuration knows how to
-// expand its enabled transitions, identify itself canonically, and
-// answer the independence queries the partial-order reduction needs.
+// identify itself canonically and answer the independence queries the
+// partial-order reduction needs; expansion is typed per backend.
 //
 // Two backends implement the interface: internal/core (the paper's
 // release-acquire RAR fragment of C11) and internal/sc (sequential
@@ -24,17 +24,16 @@ import (
 	"repro/internal/lang"
 )
 
-// Base is the model-independent part of a configuration's contract:
-// every method a generic engine needs that does not mention the
-// configuration type itself. Concrete backend configurations
-// (core.Config, sc.Config) satisfy Base directly, which lets
-// internal/explore instantiate its engine at the concrete type — the
-// successors then flow through []C slices of struct values with zero
-// interface boxing — while the same configurations still satisfy the
-// boxed Config seam below for frontends, traces and checkpoints.
-// All methods must be safe for concurrent use (the engine calls them
-// from multiple workers on shared configurations).
-type Base interface {
+// Config is one configuration (P, σ) of some memory model: a residual
+// program paired with a model-specific memory state. Configurations
+// are immutable values; each backend's concrete configuration type
+// (core.Config, sc.Config) carries its own typed successor methods,
+// which internal/explore instantiates its engine over, so no method
+// here mentions successors and the successor path never boxes. The
+// interface is the frontend seam for dispatch, traces, properties and
+// checkpoints. All methods must be safe for concurrent use (the engine
+// calls them from multiple workers on shared configurations).
+type Config interface {
 	// Program returns the residual program. The explorer's
 	// partial-order reduction plans over the program alone (enabled
 	// steps, label visibility, static footprints), so the plan is
@@ -103,31 +102,6 @@ type Base interface {
 	// layer verifies at load time. Trace-only decoration (e.g. the
 	// label of the producing transition) need not survive.
 	AppendSnapshot(buf []byte) []byte
-}
-
-// Config is one configuration (P, σ) of some memory model: a residual
-// program paired with a model-specific memory state. Configurations
-// are immutable values; expansion returns fresh ones. Config is the
-// boxed frontend seam — Base plus the expansion and trace methods
-// whose signatures mention Config itself. The engine's hot path never
-// expands through this interface: internal/explore monomorphises per
-// backend and calls the backends' concrete-typed successor methods,
-// keeping Config for dispatch, traces, checkpoints and unknown
-// backends. All methods must be safe for concurrent use.
-type Config interface {
-	Base
-
-	// Expand appends every enabled transition's target configuration
-	// to out and returns the extended slice.
-	Expand(out []Config) []Config
-
-	// ExpandStep appends the targets of one enabled program step —
-	// each memory-model choice for that step (one per observable
-	// write under RAR; exactly one under SC). The union of ExpandStep
-	// over lang.ProgSteps(Program()) is Expand; the partial-order
-	// reduction calls this per persistent thread so pruned threads
-	// never pay successor construction.
-	ExpandStep(out []Config, ps lang.ProgStep) []Config
 
 	// DeltaLabel renders the observable difference from prev — the
 	// label of the transition prev → c — for trace output ("τ" for a

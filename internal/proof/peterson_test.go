@@ -101,6 +101,8 @@ func TestPetersonInvariantGuardsReachable(t *testing.T) {
 	reached := map[int]bool{}
 	explore.Run(core.NewConfig(p, vars), explore.Options{
 		MaxEvents: 12,
+		// Serial: the property writes reached without a lock.
+		Workers: 1,
 		Property: func(c model.Config) bool {
 			for _, th := range []event.Thread{1, 2} {
 				reached[PC(c.Program().Thread(th))] = true

@@ -180,26 +180,6 @@ func (c Config) AppendSuccessors(out []Config) []Config {
 	return out
 }
 
-// Expand is the boxed form of AppendSuccessors for the model.Config
-// seam (traces, unknown-backend fallback); the engine's hot path uses
-// the typed form.
-func (c Config) Expand(out []model.Config) []model.Config {
-	succ := c.AppendSuccessors(nil)
-	for _, s := range succ {
-		out = append(out, s)
-	}
-	return out
-}
-
-// ExpandStep is the boxed form of AppendStepSuccessors.
-func (c Config) ExpandStep(out []model.Config, ps lang.ProgStep) []model.Config {
-	succ := c.AppendStepSuccessors(nil, ps)
-	for _, s := range succ {
-		out = append(out, s)
-	}
-	return out
-}
-
 // AppendStepSuccessors appends the targets of one program step — at
 // most one under SC (zero when a read's variable is uninitialised:
 // stuck).

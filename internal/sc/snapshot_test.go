@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/event"
 	"repro/internal/lang"
-	"repro/internal/model"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -19,8 +18,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	vars := map[event.Var]event.Val{"x": 0, "y": 0, "a": 0, "l": 0}
 	seen := map[string]bool{}
-	var walk func(c model.Config, depth int)
-	walk = func(c model.Config, depth int) {
+	var walk func(c Config, depth int)
+	walk = func(c Config, depth int) {
 		if seen[c.Key()] || len(seen) > 200 {
 			return
 		}
@@ -35,11 +34,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if r.Key() != c.Key() {
 			t.Fatalf("key drifted:\n got %q\nwant %q", r.Key(), c.Key())
 		}
-		for _, s := range c.Expand(nil) {
+		for _, s := range c.AppendSuccessors(nil) {
 			walk(s, depth+1)
 		}
 	}
-	walk(Model.New(p, vars), 0)
+	walk(NewConfig(p, vars), 0)
 	if len(seen) < 15 {
 		t.Fatalf("exploration too small to be meaningful: %d configs", len(seen))
 	}
