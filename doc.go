@@ -60,9 +60,9 @@
 // successor states never recompute their derived orders from scratch.
 // Instead (internal/core/incremental.go):
 //
-//   - sb, rf and mo are copy-on-write (relation.ShareGrow): a
-//     successor aliases its parent's rows and copies only the rows its
-//     new event touches;
+//   - sb, rf and mo are flat word slabs (relation.Rel): a successor
+//     copies its parent's with one memmove each, out of one slab per
+//     state, and its new event writes only its own row and column;
 //   - the closures hb = (sb ∪ sw)⁺, eco = (fr ∪ mo ∪ rf)⁺ and the
 //     observability kernel eco?;hb? are inherited from the parent's
 //     memoised values and extended by the new event's row and column

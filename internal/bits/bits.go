@@ -1,9 +1,10 @@
 // Package bits provides dense bit vectors sized in 64-bit words.
 //
-// The relation engine (internal/relation) represents a binary relation
-// over n elements as n rows of bits.Set, so every relational operation
-// (union, composition, transitive closure) reduces to word-parallel
-// boolean arithmetic. Executions in this repository are litmus-sized
+// The relation engine (internal/relation) stores a binary relation over
+// n elements as one word slab of n fixed-stride rows and hands rows out
+// as bits.Set views, so every relational operation (union,
+// composition, transitive closure) reduces to word-parallel boolean
+// arithmetic. Executions in this repository are litmus-sized
 // (tens of events), so a dense representation is both the simplest and
 // the fastest choice: one row fits in a cache line.
 package bits
@@ -106,50 +107,22 @@ func (s *Set) LoadFrom(t Set) {
 	}
 }
 
-// MakeRows returns nrows empty sets of capacity nbits each, all carved
-// from a single backing allocation — the row carrier of a dense
-// relation. Allocating the rows individually was the dominant
-// allocation cost of cloning a relation (one make per row); a slab
-// reduces it to two allocations regardless of nrows. The per-row
-// stride is rounded up to a power of two words, so carriers grown
-// step by step reuse a stable layout (capacity doubling).
-func MakeRows(nrows, nbits int) []Set {
-	if nrows < 0 || nbits < 0 {
-		panic("bits: negative MakeRows size")
-	}
-	if nrows == 0 {
-		return nil
-	}
-	need := (nbits + wordBits - 1) / wordBits
-	stride := 1
-	for stride < need {
-		stride <<= 1
-	}
-	slab := make([]uint64, nrows*stride)
-	rows := make([]Set, nrows)
-	for i := range rows {
-		rows[i] = Set{words: slab[i*stride : i*stride+need : (i+1)*stride], n: nbits}
-	}
-	return rows
-}
-
 // FromWords returns a set of capacity nbits backed by the given word
 // slice (not copied). The caller must supply at least ceil(nbits/64)
-// words; membership beyond nbits is undefined. This is the carving
-// primitive for external slab allocators (see relation's
-// copy-on-write rows); MakeRows remains the one-shot variant.
+// words; membership beyond nbits is undefined. This is the view
+// primitive for external word slabs: internal/relation's row views and
+// its allocator's carved sets.
 func FromWords(words []uint64, nbits int) Set {
-	if nbits < 0 || len(words)*wordBits < nbits {
-		panic(fmt.Sprintf("bits: FromWords(%d words, %d bits)", len(words), nbits))
+	if uint(nbits) > uint(len(words))*wordBits {
+		panic("bits: FromWords: negative capacity or too few words")
 	}
 	return Set{words: words, n: nbits}
 }
 
 // Or sets s to s | t. t's capacity may be smaller than s's (absent
-// words read as zero) — the copy-on-write relation rows of
-// internal/relation alias rows of smaller ancestor carriers, and the
-// boolean operations must compose them with full-size rows. t may not
-// be larger than s.
+// words read as zero) — a successor state folds its parent's sets and
+// relation rows, built over the smaller parent carrier, into its own
+// full-size rows. t may not be larger than s.
 func (s *Set) Or(t Set) {
 	s.checkAtMost(t)
 	for i, w := range t.words {

@@ -388,7 +388,8 @@ func BenchmarkNextIterate(b *testing.B) {
 
 func TestMixedCapacityOps(t *testing.T) {
 	// Or/And/AndNot accept a shorter operand (missing words read as
-	// zero) — the contract copy-on-write relation rows rely on.
+	// zero) — the contract a successor's rows rely on when they absorb
+	// sets built over the smaller parent carrier.
 	long := Of(130, 1, 64, 129)
 	short := Of(65, 1, 64)
 

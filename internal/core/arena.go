@@ -2,7 +2,7 @@ package core
 
 // Arena recycling for successor state. The exploration hot path
 // allocates one *State per memory-step successor (shell, event slice,
-// relation row slabs); a large fraction of those successors are
+// relation slab); a large fraction of those successors are
 // fingerprint duplicates the explorer discards immediately, so their
 // allocations are pure garbage. The explorer hands provably-dead
 // successors back through Config.Discard → State.recycle, and
@@ -11,10 +11,10 @@ package core
 // of allocating fresh ones.
 //
 // Safety: a discarded successor was never expanded, never audited and
-// never stored, so no other state aliases rows carved from its
-// allocator (children would — but it has none). Parent rows it
-// aliased copy-on-write are untouched: recycling clears only the
-// successor's own headers and slabs.
+// never stored, so no other state aliases sets carved from its
+// allocator (children would — but it has none). Its relations are its
+// own copies, and the parent index sets it aliases are untouched:
+// recycling clears only the successor's own slabs.
 
 import (
 	"sync"
@@ -31,9 +31,8 @@ import (
 var statePool = sync.Pool{New: func() any { return new(State) }}
 
 // releaseState resets s and returns it to the pool. The relation and
-// memo headers are zeroed (their row storage lives in the allocator's
-// retained slabs or in ancestors, and the allocator clears its own
-// slabs in Release).
+// memo headers are zeroed (their storage lives in the allocator's
+// retained slabs, which the allocator clears in Release).
 func releaseState(s *State) {
 	s.events = s.events[:0]
 	s.sbP, s.rf, s.mo = relation.Rel{}, relation.Rel{}, relation.Rel{}

@@ -23,7 +23,7 @@ package core
 //   - CW gains at most {w}, when g is an update.
 //
 // The engine therefore inherits the parent's memoised hb/eco/comb/CW
-// (sharing their rows copy-on-write) and propagates only g's edges, at
+// (one slab copy each) and propagates only g's edges, at
 // O(n²/64) word operations per state instead of the O(n³/64)
 // Floyd–Warshall closures the scratch path pays. The scratch path
 // survives for root states and for the audit mode: AuditIncremental
@@ -92,7 +92,7 @@ func (s *State) cwRef() *bits.Set {
 
 // maybeDetachLocked drops the parent link once every derived value has
 // been inherited, releasing the ancestor State (its events, indexes
-// and memo); the inherited rows keep aliasing ancestor slabs. The
+// and memo); the inherited closures are copies, not aliases. The
 // derivations are split per closure — a configuration only visited by
 // a property check typically needs hb alone, and deriving eco/comb for
 // it would triple the cost of the frontier.
@@ -108,18 +108,18 @@ func (s *State) maybeDetachLocked() {
 // and the initialising writes — plus w when the new rf edge
 // synchronises (sw = rf ∩ (WrR × RdA)). g itself is hb-maximal: every
 // new sb/sw edge ends at g, so no pair between old events changes —
-// and in predecessor orientation the whole extension is one owned
-// row, assembled by word-parallel unions. Initialising writes have no
+// and in predecessor orientation the whole extension is one row,
+// assembled by word-parallel unions. Initialising writes have no
 // hb-predecessors, and the stepping thread's earlier events fold into
 // its sb-last event's row (hb is monotone along sb), so three row
-// unions suffice where the row-major form walked and copy-on-write
-// copied every predecessor row.
+// unions suffice where the row-major form walked and wrote every
+// predecessor row.
 func (s *State) deriveHBLocked(p *State) {
 	phb := p.hbRef()
 	n := len(s.events)
 	g, w := s.inc.g, s.inc.w
 
-	hb := phb.ShareGrowAlloc(n, &s.alloc)
+	hb := phb.GrowAlloc(n, &s.alloc)
 	hb.UnionRow(g, p.threadEvs(event.InitThread))
 	tEvs := p.threadEvs(s.inc.t)
 	if last := tEvs.Max(); last >= 0 {
@@ -144,17 +144,17 @@ func (s *State) deriveHBLocked(p *State) {
 // between old events through g would factor through v ⊑_mo w <_mo k,
 // which eco already contained, so old pairs are untouched.
 // In predecessor orientation the incoming side (g's eco-predecessors:
-// w, mo⁺w and its readers, and their own predecessors) is one owned
-// row; the outgoing side (g precedes the old mo-successors of w and
-// their eco-successors) touches old rows, but only when w is not
-// mo-maximal — the common case (reading or splicing after the latest
-// write to the variable) leaves every old row shared.
+// w, mo⁺w and its readers, and their own predecessors) is one row; the
+// outgoing side (g precedes the old mo-successors of w and their
+// eco-successors) touches old rows, but only when w is not mo-maximal
+// — the common case (reading or splicing after the latest write to the
+// variable) leaves every old row as inherited.
 func (s *State) deriveECOLocked(p *State) {
 	peco := p.ecoRef()
 	n := len(s.events)
 	g, w := s.inc.g, s.inc.w
 
-	eco := peco.ShareGrowAlloc(n, &s.alloc)
+	eco := peco.GrowAlloc(n, &s.alloc)
 	direct := s.alloc.NewSet(n)
 	if s.inc.rfEdge {
 		direct.Set(w)
@@ -213,7 +213,7 @@ func (s *State) deriveCombLocked(p *State) {
 	hb := s.hbLocked()
 	eco := s.ecoLocked()
 
-	comb := pcomb.ShareGrowAlloc(n, &s.alloc)
+	comb := pcomb.GrowAlloc(n, &s.alloc)
 	comb.Add(g, g)
 	comb.UnionRow(g, eco.Row(g))
 	comb.UnionRow(g, hb.Row(g))
@@ -230,7 +230,7 @@ func (s *State) deriveCombLocked(p *State) {
 		// in deriveECOLocked; g reaches them and their hb-successors.
 		k := s.alloc.NewSet(n)
 		for j := 0; j < g; j++ {
-			if eco.Row(j).Test(g) {
+			if eco.Has(j, g) {
 				k.Set(j)
 			}
 		}

@@ -147,6 +147,11 @@ func (rarModel) Restore(data []byte) (model.Config, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each entry takes at least two bytes (name length, value); the
+	// check also keeps a corrupt count from sizing the map.
+	if nInit > uint64(len(rest))/2 {
+		return nil, fmt.Errorf("core: snapshot initialises %d variables in %d bytes", nInit, len(rest))
+	}
 	vars := make(map[event.Var]event.Val, nInit)
 	for i := uint64(0); i < nInit; i++ {
 		var x string
@@ -195,6 +200,9 @@ func (rarModel) Restore(data []byte) (model.Config, error) {
 			return nil, err
 		}
 		t := event.Thread(tid)
+		if t <= event.InitThread {
+			return nil, fmt.Errorf("core: event %d has invalid thread %d", i, tid)
+		}
 		loc := event.Var(x)
 		switch {
 		case k.IsUpdate():

@@ -30,22 +30,23 @@ import (
 // because silent program steps share the state between configurations
 // that a parallel explorer may expand concurrently.
 //
-// Successor states are cheap on two axes. First, sb/rf/mo are
-// copy-on-write (relation.ShareGrow): a successor aliases its parent's
-// rows and copies only the rows its one new event touches. Second, a
-// successor records its provenance (the inc field) so the derived
-// closures hb/eco/comb are not recomputed from scratch but inherited
-// from the parent's memoised closures and extended by the new event's
-// edges alone — see incremental.go.
+// Successor states are cheap on two axes. First, sb/rf/mo are flat,
+// pointer-free word slabs (relation.Rel): a successor copies its
+// parent's relations with one memmove each, out of one slab its
+// allocator carves per state, and shares no relation storage with its
+// parent. Second, a successor records its provenance (the inc field)
+// so the derived closures hb/eco/comb are not recomputed from scratch
+// but inherited from the parent's memoised closures and extended by
+// the new event's edges alone — see incremental.go.
 type State struct {
 	events []event.Event // D; index is the event's Tag
 	// sbP is sequenced-before stored transposed: row g holds the
 	// sb-*predecessors* of g. Every sb edge ends at the newest event
 	// (earlier events of the stepping thread and the initialising
 	// writes precede it), so in predecessor form a step writes exactly
-	// one freshly-carved row — the row-major form copied one COW row
-	// per predecessor. The derived closures hb/eco/comb are memoised
-	// in the same orientation (see orders.go); rf and mo stay
+	// one row, where the row-major form would write one old row per
+	// predecessor. The derived closures hb/eco/comb are memoised in the
+	// same orientation (see orders.go); rf and mo stay
 	// row-major, as the step rules and observability kernels consume
 	// their successor rows.
 	sbP relation.Rel
@@ -65,10 +66,11 @@ type State struct {
 	// the derived orders have been inherited (see incremental.go).
 	inc incProvenance
 
-	// alloc backs the copy-on-write rows of this state's relations and
-	// inherited closures. Embedded so a successor costs one fewer
-	// allocation; carving happens only while the state is being built
-	// (single goroutine) and later under memo.mu (deriveIncLocked).
+	// alloc backs this state's relations, inherited closures and index
+	// sets, normally out of one slab. Embedded so a successor costs one
+	// fewer allocation; carving happens only while the state is being
+	// built (single goroutine) and later under memo.mu (the derive*Locked
+	// functions of incremental.go).
 	alloc relation.Allocator
 
 	// fpAcc is the eagerly-maintained canonical fingerprint
@@ -82,16 +84,16 @@ type State struct {
 	fpAcc fingerprint.Acc
 
 	memo struct {
-		mu         sync.Mutex
-		hbP, ecoP  relation.Rel // transposed closures: row g = predecessors of g
-		combP      relation.Rel // (eco? ; hb?)⁻¹ — thread-independent EW kernel
-		covered    bits.Set     // CW
-		hbOK    bool
-		ecoOK   bool
-		combOK  bool
-		cwOK    bool
-		ew      []threadSet // EW_σ(t), appended on first query per thread
-		ow      []threadSet // OW_σ(t), likewise
+		mu        sync.Mutex
+		hbP, ecoP relation.Rel // transposed closures: row g = predecessors of g
+		combP     relation.Rel // (eco? ; hb?)⁻¹ — thread-independent EW kernel
+		covered   bits.Set     // CW
+		hbOK      bool
+		ecoOK     bool
+		combOK    bool
+		cwOK      bool
+		ew        []threadSet // EW_σ(t), appended on first query per thread
+		ow        []threadSet // OW_σ(t), likewise
 		// ewBuf/owBuf are the inline backing of ew/ow for the common
 		// thread counts — the lists spill to the heap past four
 		// threads. Pooled shells reuse the arrays across successors.
@@ -183,7 +185,7 @@ func Init(vars map[event.Var]event.Val) *State {
 // (see arena.go). The caller guarantees nothing references s anymore:
 // the explorer only discards successors that deduplicated against its
 // seen set or were suppressed by the progress bound — never expanded,
-// never audited, never stored — so no other state aliases rows carved
+// never audited, never stored — so no other state aliases sets carved
 // from s's allocator.
 func (s *State) recycle() {
 	releaseState(s)
@@ -279,12 +281,11 @@ func (s *State) ThreadEvents(t event.Thread) []event.Tag {
 }
 
 // cloneGrow returns a copy of s with relation carriers grown to
-// accommodate one more event. The copy is shallow where immutability
-// allows: sb/rf/mo share the parent's rows copy-on-write through one
-// shared allocator, the index slices alias the parent outright (the
-// note* helpers below replace them copy-on-write when they extend an
-// entry), and the memoised orders are left to be inherited through the
-// inc provenance set by the caller.
+// accommodate one more event. sb/rf/mo are copied into the successor's
+// own allocator (one memmove each); the index slices alias the parent
+// outright (the note* helpers below replace them copy-on-write when
+// they extend an entry), and the memoised orders are left to be
+// inherited through the inc provenance set by the caller.
 func (s *State) cloneGrow() *State {
 	n := len(s.events) + 1
 	out := newState(n)
@@ -295,9 +296,9 @@ func (s *State) cloneGrow() *State {
 	out.lastW = s.lastW
 	out.fpAcc = s.fpAcc
 	out.alloc.Init(n)
-	out.sbP = s.sbP.ShareGrowAlloc(n, &out.alloc)
-	out.rf = s.rf.ShareGrowAlloc(n, &out.alloc)
-	out.mo = s.mo.ShareGrowAlloc(n, &out.alloc)
+	out.sbP = s.sbP.GrowAlloc(n, &out.alloc)
+	out.rf = s.rf.GrowAlloc(n, &out.alloc)
+	out.mo = s.mo.GrowAlloc(n, &out.alloc)
 	copy(out.events, s.events)
 	return out
 }
@@ -366,8 +367,7 @@ func (s *State) addEvent(a event.Action, t event.Thread) event.Tag {
 	s.events = append(s.events, event.Event{Tag: g, Act: a, TID: t})
 	// In predecessor orientation the new sb edges are one word-parallel
 	// row fill: g's row gains the initialising writes and the stepping
-	// thread's events. (Row-major sb paid one copy-on-write row copy
-	// per predecessor here.)
+	// thread's events.
 	s.sbP.UnionRow(gi, s.threadEvs(event.InitThread))
 	pos := 0
 	if t != event.InitThread {

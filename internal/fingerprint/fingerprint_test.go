@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/event"
+	"repro/internal/relation"
 )
 
 // items returns n distinct event items with varied fields.
@@ -225,5 +226,91 @@ func TestSetMissingFrom(t *testing.T) {
 	}
 	if !a.Has(its[0]) || a.Has(its[9]) {
 		t.Fatal("Has disagrees with Add")
+	}
+}
+
+// TestCanonicalRenamingInvariance: Canonical identifies an execution
+// up to the interleaving that built it. The same events, rf and mo
+// under any tag order that keeps each thread's program order — with
+// the initialising writes in any order, since they are renamed by
+// variable — give the same FP, while changing the execution itself
+// (program order within a thread, or one rf edge) changes it.
+func TestCanonicalRenamingInvariance(t *testing.T) {
+	type logical struct {
+		tid event.Thread
+		act event.Action
+	}
+	// Message passing plus an update: init x, y; thread 1 writes data
+	// then flag; thread 2 reads flag then data; thread 3 bumps x.
+	evs := []logical{
+		{event.InitThread, event.Wr("y", 0)}, // 0
+		{event.InitThread, event.Wr("x", 0)}, // 1
+		{1, event.Wr("x", 1)},                // 2
+		{1, event.WrR("y", 1)},               // 3
+		{2, event.RdA("y", 1)},               // 4
+		{2, event.Rd("x", 1)},                // 5
+		{3, event.Upd("x", 1, 2)},            // 6
+	}
+	rf := [][2]int{{3, 4}, {2, 5}, {2, 6}}
+	mo := [][2]int{{1, 2}, {2, 6}, {1, 6}, {0, 3}}
+
+	// canonical builds the execution under the tag order given by
+	// order (order[k] is the logical event tagged k).
+	canonical := func(evs []logical, order []int, rf, mo [][2]int) FP {
+		tag := make([]int, len(order))
+		events := make([]event.Event, len(order))
+		for k, i := range order {
+			tag[i] = k
+			events[k] = event.Event{Tag: event.Tag(k), Act: evs[i].act, TID: evs[i].tid}
+		}
+		rename := func(pairs [][2]int) relation.Rel {
+			r := relation.New(len(order))
+			for _, p := range pairs {
+				r.Add(tag[p[0]], tag[p[1]])
+			}
+			return r
+		}
+		return Canonical(events, rename(rf), rename(mo))
+	}
+
+	identity := []int{0, 1, 2, 3, 4, 5, 6}
+	want := canonical(evs, identity, rf, mo)
+	rng := rand.New(rand.NewSource(3))
+	threads := map[event.Thread][]int{}
+	for i, e := range evs {
+		threads[e.tid] = append(threads[e.tid], i)
+	}
+	for trial := 0; trial < 100; trial++ {
+		// A random interleaving: program threads keep their order, the
+		// initialising writes are shuffled among themselves.
+		next := map[event.Thread]int{}
+		inits := rng.Perm(len(threads[event.InitThread]))
+		var order []int
+		for len(order) < len(evs) {
+			t := event.Thread(rng.Intn(4))
+			k := next[t]
+			if k == len(threads[t]) {
+				continue
+			}
+			next[t]++
+			if t == event.InitThread {
+				order = append(order, threads[t][inits[k]])
+			} else {
+				order = append(order, threads[t][k])
+			}
+		}
+		if got := canonical(evs, order, rf, mo); got != want {
+			t.Fatalf("tag order %v: FP %v, want %v", order, got, want)
+		}
+	}
+
+	// Swapping thread 2's two reads is a different execution.
+	swapped := append([]logical(nil), evs...)
+	swapped[4], swapped[5] = swapped[5], swapped[4]
+	if canonical(swapped, identity, [][2]int{{3, 5}, {2, 4}, {2, 6}}, mo) == want {
+		t.Fatal("reordering a thread's events left the FP unchanged")
+	}
+	if canonical(evs, identity, [][2]int{{3, 4}, {1, 5}, {2, 6}}, mo) == want {
+		t.Fatal("moving an rf edge left the FP unchanged")
 	}
 }

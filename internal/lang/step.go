@@ -226,9 +226,9 @@ func StepOf(c Com) (Step, bool) {
 				NA:   ld.NA,
 				nextRead: func(n event.Val) Com {
 					return Cas{
-						X:   cs.X,
-						Old: Subst(cs.Old, ld.X, n),
-						New: Subst(cs.New, ld.X, n),
+						X:    cs.X,
+						Old:  Subst(cs.Old, ld.X, n),
+						New:  Subst(cs.New, ld.X, n),
 						Then: cs.Then, Else: cs.Else,
 					}
 				},

@@ -13,64 +13,70 @@ package relation
 
 import (
 	"fmt"
+	mathbits "math/bits"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/bits"
 )
 
-// Rel is a binary relation over {0..n-1}. Rel values are mutable;
-// Clone before sharing. The zero value is an empty relation over the
-// empty carrier.
+// Rel is a binary relation over {0..n-1}, stored as one contiguous,
+// pointer-free word slab with a fixed row stride: row i (the
+// successors of i) is words[i*stride:(i+1)*stride]. Rel values are
+// mutable and own their slab; Clone before sharing. The zero value is
+// an empty relation over the empty carrier.
 //
-// A relation built by ShareGrow aliases the rows of its (immutable)
-// parent and copies a row only on first write — see ShareGrow.
+// Growing a relation (Grow, GrowAlloc) copies the parent's slab — one
+// memmove, or one per row when the stride grows — so a successor
+// state's relations never alias its parent's, and the garbage
+// collector never scans relation storage.
 type Rel struct {
-	n    int
-	rows []bits.Set // rows[i] = successors of i
-	cow  *Allocator // non-nil while some rows alias a parent relation
+	n      int
+	stride int      // words per row: ceil(n/64)
+	words  []uint64 // n*stride words, row-major
 }
 
-// Allocator carves owned rows for copy-on-write relations out of
-// chunked slabs, so copying k rows costs O(k) words plus O(log k)
-// allocations rather than one allocation per row. One Allocator may
-// back several relations over the same carrier (e.g. the sb/rf/mo of
-// one successor state): rows are carved sequentially and each belongs
-// to exactly one relation row.
+// Allocator carves the word slabs of a successor state's relations and
+// per-state bit sets out of one shared backing slab, so building a
+// state costs one allocation rather than one per relation. A fresh
+// life's first slab is sized for slabRels relations over the carrier
+// plus slabSets spare rows — sb/rf/mo and the three inherited closures
+// of one state, with its index and scratch sets. Carved storage is
+// always separate heap slabs, never memory inside the Allocator
+// itself, except for NewSet (see the inline field).
 type Allocator struct {
-	chunk     []uint64   // spare words for the next owned rows
-	stride    int        // words per owned row
-	chunkRows int        // rows in the most recent chunk (doubled on refill)
-	hdrs      []bits.Set // spare row headers for ShareGrowAlloc
-	free      []uint64   // spare inline words for NewSet
-	// inline backs NewSet carves only. Relation rows must never live
-	// here: they are aliased copy-on-write by descendant relations,
-	// and inline storage would keep the embedding structure (and
-	// transitively its ancestors) reachable long after the owner is
-	// otherwise dead. NewSet storage, by contract, never escapes the
-	// owner, so it may share the owner's allocation.
+	chunk  []uint64 // uncarved tail of the newest slab
+	stride int      // words per row of the carrier given to Init
+	slab   int      // words in a life's first fresh slab
+	free   []uint64 // spare inline words for NewSet
+	// inline backs NewSet carves only. Shared storage must never live
+	// here: NewSharedSet sets are aliased by descendants of the owner,
+	// and inline storage would keep the embedding structure reachable
+	// long after the owner is otherwise dead. NewSet storage, by
+	// contract, never escapes the owner, so it may share the owner's
+	// allocation.
 	inline [8]uint64
 
-	// Slab recycling (Release): slabs/hdrSlabs record every chunk
-	// handed out in the allocator's current life; spareW/spareH hold
-	// zeroed slabs retained from a previous life, consumed before any
-	// fresh allocation. This lets a pooled owner (a discarded
-	// successor state) recarve the same backing memory instead of
-	// allocating new slabs for every successor.
-	slabs    [][]uint64
-	spareW   [][]uint64
-	hdrSlabs [][]bits.Set
-	spareH   [][]bits.Set
+	// Slab recycling (Release): slabs records every slab handed out in
+	// the allocator's current life; spare holds zeroed slabs retained
+	// from a previous life, consumed before any fresh allocation. This
+	// lets a pooled owner (a discarded successor state) recarve the
+	// same backing memory instead of allocating for every successor.
+	slabs [][]uint64
+	spare [][]uint64
 }
 
-// NewAllocator returns an allocator for rows over an n-element
-// carrier.
-//
-// Carved storage is always separate heap chunks, never memory inside
-// the Allocator itself: rows carved here are aliased copy-on-write by
-// descendant relations, and inline storage would keep the whole
-// embedding structure (and transitively its ancestors) reachable long
-// after the owner is otherwise dead.
+// slabRels and slabSets size a life's first slab: the six relations of
+// one successor state (sb/rf/mo and the inherited hb/eco/comb
+// closures) plus rows for its index and scratch sets. Later slabs of
+// the same life hold slabSets rows (or one oversized carve).
+const (
+	slabRels = 6
+	slabSets = 16
+)
+
+// NewAllocator returns an allocator for an n-element carrier.
 func NewAllocator(n int) *Allocator {
 	a := &Allocator{}
 	a.Init(n)
@@ -80,12 +86,11 @@ func NewAllocator(n int) *Allocator {
 // Init (re)initialises an allocator in place for an n-element carrier
 // — for callers that embed the Allocator in a larger per-state
 // structure to save the separate allocation. The allocator must not
-// have carved rows that are still referenced.
+// have carved storage that is still referenced.
 func (a *Allocator) Init(n int) {
-	a.stride = (n + wordBits - 1) / wordBits
+	a.stride = strideOf(n)
+	a.slab = (slabRels*n + slabSets) * a.stride
 	a.chunk = nil
-	a.chunkRows = 0
-	a.hdrs = nil
 	a.free = nil
 	if a.stride > 0 && a.stride <= len(a.inline) {
 		a.free = a.inline[:len(a.inline)-len(a.inline)%a.stride]
@@ -93,170 +98,94 @@ func (a *Allocator) Init(n int) {
 }
 
 // Release retains the allocator's slabs for reuse after a future Init
-// and drops every reference they hold. The caller guarantees no row or
-// set carved in this life is referenced anymore — in this repository,
-// that the owning state was discarded before it was ever expanded,
-// audited or stored, so no descendant aliases its rows.
+// and clears what this life carved. The caller guarantees nothing
+// carved in this life is referenced anymore — in this repository, that
+// the owning state was discarded before it was ever expanded, audited
+// or stored, so no descendant aliases its shared sets.
 func (a *Allocator) Release() {
-	for _, s := range a.slabs {
-		clear(s)
-		a.spareW = append(a.spareW, s)
+	// Push in reverse so the life's first (largest) slab is recarved
+	// first. Only the carved prefix of the newest slab is dirty.
+	for i := len(a.slabs) - 1; i >= 0; i-- {
+		s := a.slabs[i]
+		if i == len(a.slabs)-1 {
+			clear(s[:len(s)-len(a.chunk)])
+		} else {
+			clear(s)
+		}
+		a.spare = append(a.spare, s)
 	}
+	clear(a.slabs)
 	a.slabs = a.slabs[:0]
-	for _, h := range a.hdrSlabs {
-		clear(h) // drop aliased ancestor rows promptly
-		a.spareH = append(a.spareH, h)
-	}
-	a.hdrSlabs = a.hdrSlabs[:0]
 	a.inline = [8]uint64{} // NewSet carves must come out zeroed
 	a.chunk = nil
-	a.hdrs = nil
 	a.free = nil
 }
 
-// rowHeaders carves a slice of k zero row headers, batching the
-// backing allocation across the several relations of one state.
-func (a *Allocator) rowHeaders(k int) []bits.Set {
-	if len(a.hdrs) < k {
-		a.hdrs = nil
-		for len(a.spareH) > 0 {
-			h := a.spareH[len(a.spareH)-1]
-			a.spareH = a.spareH[:len(a.spareH)-1]
-			if len(h) >= k {
-				a.hdrs = h
+// carve returns k zeroed words from the current slab, starting a new
+// one (a retained spare if one fits, else a fresh allocation) when the
+// current slab is exhausted. The result is capped, so it can never
+// spill into the next carve.
+func (a *Allocator) carve(k int) []uint64 {
+	if len(a.chunk) < k {
+		a.chunk = nil
+		// Prefer a slab retained by Release: already zeroed.
+		for len(a.spare) > 0 {
+			s := a.spare[len(a.spare)-1]
+			a.spare = a.spare[:len(a.spare)-1]
+			if len(s) >= k {
+				a.chunk = s
 				break
 			}
 		}
-		if a.hdrs == nil {
-			a.hdrs = make([]bits.Set, 3*k)
+		if a.chunk == nil {
+			size := slabSets * a.stride
+			if len(a.slabs) == 0 {
+				size = a.slab
+			}
+			a.chunk = make([]uint64, max(k, size))
 		}
-		a.hdrSlabs = append(a.hdrSlabs, a.hdrs)
+		a.slabs = append(a.slabs, a.chunk)
 	}
-	out := a.hdrs[:k:k]
-	a.hdrs = a.hdrs[k:]
-	return out
+	words := a.chunk[:k:k]
+	a.chunk = a.chunk[k:]
+	return words
 }
 
-// NewSet carves one zeroed bit set of capacity n (the allocator's
-// carrier size) — for per-state scratch and memo sets that live no
-// longer than the allocator's owner and are never aliased by
-// descendants (unlike relation rows; see the inline field). Not safe
-// for concurrent use; callers synchronise exactly as they do for
-// copy-on-write row mutation.
+// NewSet carves one zeroed bit set of capacity n (at most the
+// allocator's carrier size) — for per-state scratch and memo sets that
+// live no longer than the allocator's owner and are never aliased by
+// descendants (see the inline field). Not safe for concurrent use;
+// callers synchronise exactly as they do for relation mutation.
 func (a *Allocator) NewSet(n int) bits.Set {
 	if len(a.free) >= a.stride && a.stride > 0 {
 		words := a.free[:a.stride:a.stride]
 		a.free = a.free[a.stride:]
 		return bits.FromWords(words, n)
 	}
-	return a.newRow(n)
+	return a.NewSharedSet(n)
 }
 
-// newRow carves one zeroed row of capacity nbits from the chunk list.
-// Chunks double in size on every refill, so owning k rows costs O(k)
-// words over O(log k) allocations. A zero stride (empty carrier)
-// carves empty rows without ever allocating.
-func (a *Allocator) newRow(nbits int) bits.Set {
-	if len(a.chunk) < a.stride {
-		a.chunk = nil
-		// Prefer a slab retained by Release: already zeroed.
-		for len(a.spareW) > 0 {
-			s := a.spareW[len(a.spareW)-1]
-			a.spareW = a.spareW[:len(a.spareW)-1]
-			if len(s) >= a.stride {
-				a.chunk = s
-				break
-			}
-		}
-		if a.chunk == nil {
-			if a.chunkRows < 16 {
-				a.chunkRows = 16
-			} else {
-				a.chunkRows *= 2
-			}
-			a.chunk = make([]uint64, a.chunkRows*a.stride)
-		}
-		a.slabs = append(a.slabs, a.chunk)
-	}
-	words := a.chunk[:a.stride:a.stride]
-	a.chunk = a.chunk[a.stride:]
-	return bits.FromWords(words, nbits)
-}
-
-// NewSharedSet carves one zeroed bit set of capacity n that may be
-// aliased by descendants of the owner — per-state indexes inherited
-// outright by successor states, like relation rows. Unlike NewSet it
-// is never inline-backed: storage comes from the same separate heap
-// slabs that back owned relation rows, so an alias held by a
-// descendant pins only the slab, not the embedding structure.
+// NewSharedSet carves one zeroed bit set of capacity n (at most the
+// allocator's carrier size) that may be aliased by descendants of the
+// owner — per-state indexes inherited outright by successor states.
+// Unlike NewSet it is never inline-backed: storage comes from the
+// separate heap slabs, so an alias held by a descendant pins only the
+// slab, not the embedding structure.
 func (a *Allocator) NewSharedSet(n int) bits.Set {
-	return a.newRow(n)
-}
-
-// ShareGrow returns a relation over a carrier of n >= r.n elements
-// whose first r.n rows alias r's storage. The result is copy-on-write:
-// reads go through the shared rows, and the first Add/Remove touching
-// a row copies it into storage owned by the new relation. r must not
-// be mutated afterwards (in this repository parents are immutable
-// states, so the constraint holds by construction). A shared row is
-// recognised by its capacity: owned rows have capacity exactly n,
-// inherited rows have the smaller capacity of the ancestor that built
-// them — which is also why reads of column bits >= an inherited row's
-// capacity correctly report false (the parent had no such column).
-func (r Rel) ShareGrow(n int) Rel {
-	return r.ShareGrowAlloc(n, NewAllocator(n))
-}
-
-// ShareGrowAlloc is ShareGrow drawing owned rows from the given shared
-// allocator, which must have been built for an n-element carrier.
-func (r Rel) ShareGrowAlloc(n int, a *Allocator) Rel {
-	if n <= r.n {
-		return r.Clone()
-	}
-	out := Rel{
-		n:    n,
-		rows: a.rowHeaders(n),
-		cow:  a,
-	}
-	copy(out.rows, r.rows)
-	for i := r.n; i < n; i++ {
-		out.rows[i] = a.newRow(n)
-	}
-	return out
-}
-
-// ownRow ensures row a is backed by storage owned by r, copying the
-// inherited row on first write.
-func (r *Rel) ownRow(a int) {
-	if r.cow == nil || r.rows[a].Len() == r.n {
-		return
-	}
-	row := r.cow.newRow(r.n)
-	row.LoadFrom(r.rows[a])
-	r.rows[a] = row
-}
-
-// ownAll materialises every inherited row, after which bulk mutation
-// is safe.
-func (r *Rel) ownAll() {
-	if r.cow == nil {
-		return
-	}
-	for i := range r.rows {
-		r.ownRow(i)
-	}
+	return bits.FromWords(a.carve(a.stride), n)
 }
 
 const wordBits = 64
 
-// New returns the empty relation over {0..n-1}. All rows share one
-// backing slab (see bits.MakeRows), so constructing or cloning a
-// relation costs two allocations rather than n+1.
+func strideOf(n int) int { return (n + wordBits - 1) / wordBits }
+
+// New returns the empty relation over {0..n-1}: one allocation.
 func New(n int) Rel {
 	if n < 0 {
 		panic("relation: negative carrier size")
 	}
-	return Rel{n: n, rows: bits.MakeRows(n, n)}
+	stride := strideOf(n)
+	return Rel{n: n, stride: stride, words: make([]uint64, n*stride)}
 }
 
 // FromPairs builds a relation over {0..n-1} from explicit pairs.
@@ -291,83 +220,109 @@ func Full(n int) Rel {
 // Size returns the carrier size n.
 func (r Rel) Size() int { return r.n }
 
+// row returns row a's words, capped so that it can never spill into
+// the next row.
+func (r Rel) row(a int) []uint64 {
+	return r.words[a*r.stride : (a+1)*r.stride : (a+1)*r.stride]
+}
+
+// Row returns the successor set of a as a view of the relation's
+// storage (do not mutate).
+func (r Rel) Row(a int) bits.Set { return bits.FromWords(r.row(a), r.n) }
+
+func (r Rel) checkColumn(b int) {
+	if uint(b) >= uint(r.n) {
+		panic("relation: column out of range")
+	}
+}
+
 // Add inserts the pair (a, b).
 func (r *Rel) Add(a, b int) {
-	r.ownRow(a)
-	r.rows[a].Set(b)
+	r.checkColumn(b)
+	r.words[a*r.stride+int(uint(b)/wordBits)] |= 1 << (uint(b) % wordBits)
 }
 
 // Remove deletes the pair (a, b).
 func (r *Rel) Remove(a, b int) {
-	r.ownRow(a)
-	r.rows[a].Clear(b)
+	r.checkColumn(b)
+	r.words[a*r.stride+int(uint(b)/wordBits)] &^= 1 << (uint(b) % wordBits)
 }
 
 // UnionRow sets row a to row(a) ∪ s. s may have a smaller capacity
 // than the carrier (absent columns read as empty).
 func (r *Rel) UnionRow(a int, s bits.Set) {
-	r.ownRow(a)
-	r.rows[a].Or(s)
+	row := r.Row(a)
+	row.Or(s)
 }
 
 // Has reports whether (a, b) is in the relation. Out-of-range indices
 // report false.
 func (r Rel) Has(a, b int) bool {
-	if a < 0 || a >= r.n {
+	if uint(a) >= uint(r.n) || uint(b) >= uint(r.n) {
 		return false
 	}
-	return r.rows[a].Test(b)
+	return r.words[a*r.stride+int(uint(b)/wordBits)]&(1<<(uint(b)%wordBits)) != 0
 }
 
-// Row returns the successor set of a (shared storage; do not mutate).
-func (r Rel) Row(a int) bits.Set { return r.rows[a] }
-
-// Clone returns an independent, fully-owned copy (shared rows of a
-// copy-on-write relation are materialised).
+// Clone returns an independent copy.
 func (r Rel) Clone() Rel {
-	c := New(r.n)
-	for i := range r.rows {
-		c.rows[i].LoadFrom(r.rows[i])
-	}
-	return c
+	return Rel{n: r.n, stride: r.stride, words: append([]uint64(nil), r.words...)}
 }
 
-// Grow returns a copy of r over a carrier of at least n elements.
+// Grow returns a copy of r over a carrier of max(n, r.Size()) elements;
+// the new rows and columns start empty.
 func (r Rel) Grow(n int) Rel {
-	if n <= r.n {
-		return r.Clone()
+	n = max(n, r.n)
+	out := New(n)
+	r.copyInto(out)
+	return out
+}
+
+// GrowAlloc is Grow drawing the copy's storage from the given
+// allocator — the successor hot path, where a state's relations share
+// one slab.
+func (r Rel) GrowAlloc(n int, a *Allocator) Rel {
+	n = max(n, r.n)
+	stride := strideOf(n)
+	out := Rel{n: n, stride: stride, words: a.carve(n * stride)}
+	r.copyInto(out)
+	return out
+}
+
+// copyInto copies r's pairs into the zeroed relation out over a carrier
+// at least as large: one memmove when the strides agree, else one per
+// row.
+func (r Rel) copyInto(out Rel) {
+	if r.stride == out.stride {
+		copy(out.words, r.words)
+		return
 	}
-	c := New(n)
-	for i := range r.rows {
-		c.rows[i].LoadFrom(r.rows[i])
+	for i := 0; i < r.n; i++ {
+		copy(out.row(i), r.row(i))
 	}
-	return c
 }
 
 // Union sets r to r ∪ s. Carriers must match.
 func (r *Rel) Union(s Rel) {
 	r.checkSize(s)
-	r.ownAll()
-	for i := range r.rows {
-		r.rows[i].Or(s.rows[i])
+	for i, w := range s.words {
+		r.words[i] |= w
 	}
 }
 
 // Intersect sets r to r ∩ s. Carriers must match.
 func (r *Rel) Intersect(s Rel) {
 	r.checkSize(s)
-	r.ownAll()
-	for i := range r.rows {
-		r.rows[i].And(s.rows[i])
+	for i, w := range s.words {
+		r.words[i] &= w
 	}
 }
 
 // Subtract sets r to r \ s. Carriers must match.
 func (r *Rel) Subtract(s Rel) {
 	r.checkSize(s)
-	r.ownAll()
-	for i := range r.rows {
-		r.rows[i].AndNot(s.rows[i])
+	for i, w := range s.words {
+		r.words[i] &^= w
 	}
 }
 
@@ -407,9 +362,9 @@ func Compose(r, s Rel) Rel {
 	r.checkSize(s)
 	out := New(r.n)
 	for a := 0; a < r.n; a++ {
-		row := r.rows[a]
+		row, dst := r.Row(a), out.Row(a)
 		for b := row.Next(0); b >= 0; b = row.Next(b + 1) {
-			out.rows[a].Or(s.rows[b])
+			dst.Or(s.Row(b))
 		}
 	}
 	return out
@@ -419,7 +374,7 @@ func Compose(r, s Rel) Rel {
 func (r Rel) Converse() Rel {
 	out := New(r.n)
 	for a := 0; a < r.n; a++ {
-		row := r.rows[a]
+		row := r.Row(a)
 		for b := row.Next(0); b >= 0; b = row.Next(b + 1) {
 			out.Add(b, a)
 		}
@@ -441,10 +396,11 @@ func (r Rel) ReflexiveClosure() Rel {
 func (r Rel) TransitiveClosure() Rel {
 	out := r.Clone()
 	for k := 0; k < out.n; k++ {
-		rk := out.rows[k]
+		rk := out.Row(k)
 		for i := 0; i < out.n; i++ {
-			if i != k && out.rows[i].Test(k) {
-				out.rows[i].Or(rk)
+			if i != k && out.Has(i, k) {
+				ri := out.Row(i)
+				ri.Or(rk)
 			}
 		}
 		// A self-loop at k also requires absorbing k's row into itself,
@@ -461,7 +417,7 @@ func (r Rel) ReflexiveTransitiveClosure() Rel {
 // Irreflexive reports whether no (a, a) pair is present.
 func (r Rel) Irreflexive() bool {
 	for i := 0; i < r.n; i++ {
-		if r.rows[i].Test(i) {
+		if r.Has(i, i) {
 			return false
 		}
 	}
@@ -474,7 +430,7 @@ func (r Rel) Acyclic() bool {
 	// Kahn's algorithm is O(V+E) and avoids building the closure.
 	indeg := make([]int, r.n)
 	for a := 0; a < r.n; a++ {
-		row := r.rows[a]
+		row := r.Row(a)
 		for b := row.Next(0); b >= 0; b = row.Next(b + 1) {
 			indeg[b]++
 		}
@@ -490,7 +446,7 @@ func (r Rel) Acyclic() bool {
 		a := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		seen++
-		row := r.rows[a]
+		row := r.Row(a)
 		for b := row.Next(0); b >= 0; b = row.Next(b + 1) {
 			indeg[b]--
 			if indeg[b] == 0 {
@@ -510,8 +466,8 @@ func (r Rel) Transitive() bool {
 // SubsetOf reports whether r ⊆ s.
 func (r Rel) SubsetOf(s Rel) bool {
 	r.checkSize(s)
-	for i := range r.rows {
-		if !r.rows[i].IsSubsetOf(s.rows[i]) {
+	for i, w := range r.words {
+		if w&^s.words[i] != 0 {
 			return false
 		}
 	}
@@ -520,21 +476,13 @@ func (r Rel) SubsetOf(s Rel) bool {
 
 // Equal reports whether r and s contain the same pairs.
 func (r Rel) Equal(s Rel) bool {
-	if r.n != s.n {
-		return false
-	}
-	for i := range r.rows {
-		if !r.rows[i].Equal(s.rows[i]) {
-			return false
-		}
-	}
-	return true
+	return r.n == s.n && slices.Equal(r.words, s.words)
 }
 
 // Empty reports whether the relation has no pairs.
 func (r Rel) Empty() bool {
-	for i := range r.rows {
-		if !r.rows[i].Empty() {
+	for _, w := range r.words {
+		if w != 0 {
 			return false
 		}
 	}
@@ -545,7 +493,7 @@ func (r Rel) Empty() bool {
 func (r Rel) Pairs() [][2]int {
 	var out [][2]int
 	for a := 0; a < r.n; a++ {
-		row := r.rows[a]
+		row := r.Row(a)
 		for b := row.Next(0); b >= 0; b = row.Next(b + 1) {
 			out = append(out, [2]int{a, b})
 		}
@@ -556,8 +504,8 @@ func (r Rel) Pairs() [][2]int {
 // Count returns the number of pairs.
 func (r Rel) Count() int {
 	c := 0
-	for i := range r.rows {
-		c += r.rows[i].Count()
+	for _, w := range r.words {
+		c += mathbits.OnesCount64(w)
 	}
 	return c
 }
@@ -567,7 +515,7 @@ func (r Rel) Image(s bits.Set) bits.Set {
 	out := bits.New(r.n)
 	for a := s.Next(0); a >= 0; a = s.Next(a + 1) {
 		if a < r.n {
-			out.Or(r.rows[a])
+			out.Or(r.Row(a))
 		}
 	}
 	return out
@@ -577,7 +525,7 @@ func (r Rel) Image(s bits.Set) bits.Set {
 func (r Rel) PreImage(s bits.Set) bits.Set {
 	out := bits.New(r.n)
 	for a := 0; a < r.n; a++ {
-		if r.rows[a].Intersects(s) {
+		if r.Row(a).Intersects(s) {
 			out.Set(a)
 		}
 	}
@@ -585,13 +533,13 @@ func (r Rel) PreImage(s bits.Set) bits.Set {
 }
 
 // Successors returns R[{a}] as a fresh set.
-func (r Rel) Successors(a int) bits.Set { return r.rows[a].Clone() }
+func (r Rel) Successors(a int) bits.Set { return r.Row(a).Clone() }
 
 // Predecessors returns R⁻¹[{a}] as a fresh set.
 func (r Rel) Predecessors(a int) bits.Set {
 	out := bits.New(r.n)
 	for i := 0; i < r.n; i++ {
-		if r.rows[i].Test(a) {
+		if r.Has(i, a) {
 			out.Set(i)
 		}
 	}
@@ -606,8 +554,8 @@ func (r Rel) RestrictTo(s bits.Set) Rel {
 		if a >= r.n {
 			break
 		}
-		out.rows[a].Or(r.rows[a])
-		out.rows[a].And(masked)
+		dst := out.Row(a)
+		dst.OrAnd(r.Row(a), masked)
 	}
 	return out
 }
@@ -616,7 +564,7 @@ func (r Rel) RestrictTo(s bits.Set) Rel {
 func (r Rel) FilterPairs(keep func(a, b int) bool) Rel {
 	out := New(r.n)
 	for a := 0; a < r.n; a++ {
-		row := r.rows[a]
+		row := r.Row(a)
 		for b := row.Next(0); b >= 0; b = row.Next(b + 1) {
 			if keep(a, b) {
 				out.Add(a, b)
@@ -630,7 +578,7 @@ func (r Rel) FilterPairs(keep func(a, b int) bool) Rel {
 func (r Rel) WithoutIdentity() Rel {
 	out := r.Clone()
 	for i := 0; i < r.n; i++ {
-		out.rows[i].Clear(i)
+		out.Remove(i, i)
 	}
 	return out
 }
@@ -639,7 +587,7 @@ func (r Rel) WithoutIdentity() Rel {
 func (r Rel) Dom() bits.Set {
 	out := bits.New(r.n)
 	for a := 0; a < r.n; a++ {
-		if !r.rows[a].Empty() {
+		if !r.Row(a).Empty() {
 			out.Set(a)
 		}
 	}
@@ -650,7 +598,7 @@ func (r Rel) Dom() bits.Set {
 func (r Rel) Ran() bits.Set {
 	out := bits.New(r.n)
 	for a := 0; a < r.n; a++ {
-		out.Or(r.rows[a])
+		out.Or(r.Row(a))
 	}
 	return out
 }
@@ -683,7 +631,7 @@ func (r Rel) StrictOrderOver(s bits.Set) bool {
 func (r Rel) Topological() ([]int, bool) {
 	indeg := make([]int, r.n)
 	for a := 0; a < r.n; a++ {
-		row := r.rows[a]
+		row := r.Row(a)
 		for b := row.Next(0); b >= 0; b = row.Next(b + 1) {
 			if a != b {
 				indeg[b]++
@@ -706,7 +654,7 @@ func (r Rel) Topological() ([]int, bool) {
 		}
 		avail.Clear(a)
 		out = append(out, a)
-		row := r.rows[a]
+		row := r.Row(a)
 		for b := row.Next(0); b >= 0; b = row.Next(b + 1) {
 			indeg[b]--
 			if indeg[b] == 0 {
@@ -725,7 +673,7 @@ func (r Rel) Topological() ([]int, bool) {
 func (r Rel) Linearizations(f func(perm []int) bool) bool {
 	indeg := make([]int, r.n)
 	for a := 0; a < r.n; a++ {
-		row := r.rows[a]
+		row := r.Row(a)
 		for b := row.Next(0); b >= 0; b = row.Next(b + 1) {
 			indeg[b]++
 		}
@@ -743,7 +691,7 @@ func (r Rel) Linearizations(f func(perm []int) bool) bool {
 			}
 			used[a] = true
 			perm = append(perm, a)
-			row := r.rows[a]
+			row := r.Row(a)
 			for b := row.Next(0); b >= 0; b = row.Next(b + 1) {
 				indeg[b]--
 			}
@@ -777,7 +725,7 @@ func (r Rel) IsLinearization(seq []int) bool {
 		pos[e] = i
 	}
 	for a := 0; a < r.n; a++ {
-		row := r.rows[a]
+		row := r.Row(a)
 		for b := row.Next(0); b >= 0; b = row.Next(b + 1) {
 			if pos[a] >= pos[b] {
 				return false

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -462,143 +463,204 @@ func BenchmarkAcyclic(b *testing.B) {
 }
 
 // BenchmarkUnionRow measures the word-parallel row extension the
-// predecessor-oriented closures are built from (one owned-row union
-// per derived edge group).
+// predecessor-oriented closures are built from (one row union per
+// derived edge group).
 func BenchmarkUnionRow(b *testing.B) {
 	n := 64
 	src := bits.New(n)
 	for i := 0; i < n; i += 3 {
 		src.Set(i)
 	}
-	a := NewAllocator(n)
-	r := New(n).ShareGrowAlloc(n, a)
+	r := New(n)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.UnionRow(i%n, src)
 	}
 }
 
-// BenchmarkShareGrowRecycle measures the successor hot path with slab
-// recycling: inherit a parent copy-on-write, own one row, then release
-// the allocator so the next iteration recarves the retained slabs —
-// the allocation profile of a dedup-discarded successor.
-func BenchmarkShareGrowRecycle(b *testing.B) {
-	n := 32
-	parent := FromPairs(n, [][2]int{{0, 1}, {1, 2}, {5, 9}})
-	var a Allocator
-	a.Init(n + 1)
-	src := bits.New(n)
-	src.Set(7)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		child := parent.ShareGrowAlloc(n+1, &a)
-		child.UnionRow(n, src)
-		a.Release()
-		a.Init(n + 1)
+// BenchmarkGrowRecycle measures the successor hot path with slab
+// recycling: grow a parent by one element into an allocator, extend
+// the new row, then release the allocator so the next iteration
+// recarves the retained slab — the allocation profile of a
+// dedup-discarded successor. The carriers span a one-word row (4), the
+// bound-120 Peterson search (2 words) and a 5-word row (300), where
+// the flat copy moves the most words per row.
+func BenchmarkGrowRecycle(b *testing.B) {
+	for _, n := range []int{4, 32, 120, 300} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			parent := FromPairs(n, [][2]int{{0, 1}, {1, 2}, {3, n - 1}})
+			var a Allocator
+			a.Init(n + 1)
+			src := bits.New(n)
+			src.Set(n / 2)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				child := parent.GrowAlloc(n+1, &a)
+				child.UnionRow(n, src)
+				a.Release()
+				a.Init(n + 1)
+			}
+		})
 	}
 }
 
-func TestShareGrowCopyOnWrite(t *testing.T) {
+// TestGrowChildIsolation pins the ownership contract of Grow and
+// GrowAlloc: a grown relation shares no storage with its parent or
+// with a sibling grown from the same parent, so mutating one never
+// shows through another.
+func TestGrowChildIsolation(t *testing.T) {
 	parent := FromPairs(3, [][2]int{{0, 1}, {1, 2}, {2, 0}})
 	snapshot := parent.Clone()
 
-	child := parent.ShareGrow(4)
-	if child.Size() != 4 {
-		t.Fatalf("child carrier %d", child.Size())
+	a := NewAllocator(4)
+	child := parent.GrowAlloc(4, a)
+	sibling := parent.GrowAlloc(4, a)
+	plain := parent.Grow(4)
+	if child.Size() != 4 || sibling.Size() != 4 || plain.Size() != 4 {
+		t.Fatalf("carriers %d %d %d", child.Size(), sibling.Size(), plain.Size())
 	}
 	// Inherited pairs read through; the new row starts empty.
-	for _, p := range snapshot.Pairs() {
-		if !child.Has(p[0], p[1]) {
-			t.Fatalf("child lost inherited pair %v", p)
+	for _, r := range []Rel{child, sibling, plain} {
+		for _, p := range snapshot.Pairs() {
+			if !r.Has(p[0], p[1]) {
+				t.Fatalf("grown relation lost inherited pair %v", p)
+			}
+		}
+		if !r.Row(3).Empty() {
+			t.Fatal("fresh row must be empty")
 		}
 	}
-	if !child.Row(3).Empty() {
-		t.Fatal("fresh row must be empty")
-	}
 
-	// Writes to the child must not leak into the parent.
-	child.Add(0, 3) // copy-on-write of an inherited row
-	child.Add(3, 1) // write to the fresh row
+	child.Add(0, 3) // inherited row, new column
+	child.Add(3, 1) // fresh row
 	child.Remove(1, 2)
+	child.UnionRow(2, bits.Of(4, 1, 3))
 	if !parent.Equal(snapshot) {
 		t.Fatalf("parent mutated through child: %s != %s", parent, snapshot)
 	}
-	if !child.Has(0, 3) || !child.Has(3, 1) || child.Has(1, 2) || !child.Has(0, 1) {
-		t.Fatalf("child contents wrong: %s", child)
+	for _, r := range []Rel{sibling, plain} {
+		if !r.Equal(snapshot.Grow(4)) {
+			t.Fatalf("sibling mutated through child: %s", r)
+		}
 	}
-
-	// Untouched rows still alias the parent; touched rows are owned.
-	if child.Row(2).Len() != 3 {
-		t.Fatal("untouched row should keep the parent capacity")
+	want := FromPairs(4, [][2]int{{0, 1}, {0, 3}, {2, 0}, {2, 1}, {2, 3}, {3, 1}})
+	if !child.Equal(want) {
+		t.Fatalf("child contents %s, want %s", child, want)
 	}
-	if child.Row(0).Len() != 4 || child.Row(3).Len() != 4 {
-		t.Fatal("written rows must be owned at the child capacity")
+	// And the other way round: writes to the parent stay out of its
+	// children.
+	parent.Add(1, 1)
+	if child.Has(1, 1) || sibling.Has(1, 1) || plain.Has(1, 1) {
+		t.Fatal("parent mutation leaked into a child")
 	}
 }
 
-func TestShareGrowChain(t *testing.T) {
-	// Grandchild sharing through an intermediate copy-on-write parent.
+// TestGrowWordBoundaries grows a relation one element at a time across
+// the 64- and 128-bit row boundaries, where the row stride changes and
+// the copy switches from one memmove to one per row, and checks that
+// every pair survives every step.
+func TestGrowWordBoundaries(t *testing.T) {
+	for _, path := range [][]int{{63, 64, 65}, {127, 128, 129}} {
+		rng := rand.New(rand.NewSource(int64(path[0])))
+		r := randRel(rng, path[0], 0.05)
+		r.Add(0, path[0]-1)
+		r.Add(path[0]-1, path[0]-1)
+		want := r.Pairs()
+		a := NewAllocator(path[len(path)-1])
+		for i, n := range path[1:] {
+			if i%2 == 0 {
+				r = r.GrowAlloc(n, a)
+			} else {
+				r = r.Grow(n)
+			}
+			if r.Size() != n {
+				t.Fatalf("grown to %d, want %d", r.Size(), n)
+			}
+			if got := r.Pairs(); len(got) != len(want) {
+				t.Fatalf("%v at %d: %d pairs, want %d", path, n, len(got), len(want))
+			}
+			for _, p := range want {
+				if !r.Has(p[0], p[1]) {
+					t.Fatalf("%v at %d: lost pair %v", path, n, p)
+				}
+			}
+			// The new last row and column are usable and start empty.
+			if !r.Row(n-1).Empty() || !r.PreImage(bits.Of(n, n-1)).Empty() {
+				t.Fatalf("%v at %d: new row or column not empty", path, n)
+			}
+			r.Add(n-1, 0)
+			r.Add(0, n-1)
+			want = append(want, [2]int{n - 1, 0}, [2]int{0, n - 1})
+		}
+	}
+}
+
+func TestGrowChain(t *testing.T) {
+	// Grandchild grown through an intermediate grown relation.
 	r := FromPairs(2, [][2]int{{0, 1}})
-	c1 := r.ShareGrow(3)
+	c1 := r.Grow(3)
 	c1.Add(2, 0)
-	c2 := c1.ShareGrow(4)
+	c2 := c1.GrowAlloc(4, NewAllocator(4))
 	c2.Add(3, 2)
 	c2.Add(0, 3)
 	want := FromPairs(4, [][2]int{{0, 1}, {2, 0}, {3, 2}, {0, 3}})
 	if !c2.Equal(want) {
-		t.Fatalf("chained share: %s != %s", c2, want)
+		t.Fatalf("chained grow: %s != %s", c2, want)
 	}
 	if !c1.Equal(FromPairs(3, [][2]int{{0, 1}, {2, 0}})) {
 		t.Fatalf("intermediate mutated: %s", c1)
 	}
-	// Clone materialises every shared row at full capacity.
-	cl := c2.Clone()
-	for i := 0; i < 4; i++ {
-		if cl.Row(i).Len() != 4 {
-			t.Fatalf("Clone row %d capacity %d", i, cl.Row(i).Len())
-		}
+	if !r.Equal(FromPairs(2, [][2]int{{0, 1}})) {
+		t.Fatalf("root mutated: %s", r)
 	}
+	cl := c2.Clone()
 	if !cl.Equal(want) {
 		t.Fatalf("clone: %s", cl)
 	}
 }
 
-func TestShareGrowBulkOps(t *testing.T) {
+func TestGrowBulkOps(t *testing.T) {
 	parent := FromPairs(3, [][2]int{{0, 1}, {1, 2}})
-	child := parent.ShareGrow(4)
+	a := NewAllocator(4)
+	child := parent.GrowAlloc(4, a)
 	other := FromPairs(4, [][2]int{{2, 3}, {1, 2}})
 	child.Union(other)
 	if !child.Equal(FromPairs(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})) {
-		t.Fatalf("union on shared rel: %s", child)
+		t.Fatalf("union on grown rel: %s", child)
 	}
-	child2 := parent.ShareGrow(4)
+	child2 := parent.GrowAlloc(4, a)
 	child2.Subtract(other)
 	if !child2.Equal(FromPairs(4, [][2]int{{0, 1}})) {
-		t.Fatalf("subtract on shared rel: %s", child2)
+		t.Fatalf("subtract on grown rel: %s", child2)
+	}
+	child3 := parent.GrowAlloc(4, a)
+	child3.Intersect(other)
+	if !child3.Equal(FromPairs(4, [][2]int{{1, 2}})) {
+		t.Fatalf("intersect on grown rel: %s", child3)
 	}
 	if !parent.Equal(FromPairs(3, [][2]int{{0, 1}, {1, 2}})) {
 		t.Fatalf("parent mutated: %s", parent)
 	}
 }
 
-func TestShareGrowDerivedOps(t *testing.T) {
-	// Read-only algebra over a copy-on-write relation matches the
-	// algebra over its materialised clone.
+func TestGrowDerivedOps(t *testing.T) {
+	// Read-only algebra over an allocator-carved relation matches the
+	// algebra over its heap clone.
 	rng := rand.New(rand.NewSource(99))
 	parent := randRel(rng, 20, 0.15)
-	child := parent.ShareGrow(24)
+	child := parent.GrowAlloc(24, NewAllocator(24))
 	for i := 0; i < 10; i++ {
 		child.Add(rng.Intn(24), rng.Intn(24))
 	}
 	full := child.Clone()
 	if !child.TransitiveClosure().Equal(full.TransitiveClosure()) {
-		t.Fatal("closure differs on shared rel")
+		t.Fatal("closure differs on carved rel")
 	}
 	if !child.Converse().Equal(full.Converse()) {
-		t.Fatal("converse differs on shared rel")
+		t.Fatal("converse differs on carved rel")
 	}
 	if !Compose(child, child).Equal(Compose(full, full)) {
-		t.Fatal("compose differs on shared rel")
+		t.Fatal("compose differs on carved rel")
 	}
 	if got, want := child.Count(), full.Count(); got != want {
 		t.Fatalf("count %d != %d", got, want)
@@ -607,7 +669,7 @@ func TestShareGrowDerivedOps(t *testing.T) {
 
 func TestUnionRow(t *testing.T) {
 	parent := FromPairs(3, [][2]int{{0, 1}})
-	child := parent.ShareGrow(4)
+	child := parent.Grow(4)
 	child.UnionRow(0, bits.Of(3, 2)) // shorter set into an inherited row
 	child.UnionRow(3, bits.Of(4, 0, 3))
 	if !child.Equal(FromPairs(4, [][2]int{{0, 1}, {0, 2}, {3, 0}, {3, 3}})) {
@@ -620,10 +682,10 @@ func TestUnionRow(t *testing.T) {
 
 // TestAllocatorRecycling drives the slab-recycling contract of
 // Allocator.Release: after a Release + Init cycle the allocator
-// recarves its retained slabs, and the rows and sets it hands out must
-// come back zeroed and owned — never aliasing rows of a previous life
-// or of the parent the new life inherits from. Each case dirties the
-// first life differently before recycling.
+// recarves its retained slabs, and the relations and sets it hands out
+// must come back zeroed and owned — never aliasing storage of a
+// previous life or of the parent the new life grows from. Each case
+// dirties the first life differently before recycling.
 func TestAllocatorRecycling(t *testing.T) {
 	parent := FromPairs(3, [][2]int{{0, 1}, {1, 2}})
 	cases := []struct {
@@ -631,9 +693,9 @@ func TestAllocatorRecycling(t *testing.T) {
 		dirty func(a *Allocator) // first life: carve and scribble
 	}{
 		{"rows", func(a *Allocator) {
-			r := parent.ShareGrowAlloc(4, a)
-			r.Add(3, 0)          // owned row
-			r.Add(0, 2)          // copy-on-write of an inherited row
+			r := parent.GrowAlloc(4, a)
+			r.Add(3, 0)
+			r.Add(0, 2)
 			r.UnionRow(1, bits.Of(4, 3))
 		}},
 		{"sets", func(a *Allocator) {
@@ -644,16 +706,18 @@ func TestAllocatorRecycling(t *testing.T) {
 			sh.Set(3)
 		}},
 		{"rows-and-sets", func(a *Allocator) {
-			r := parent.ShareGrowAlloc(4, a)
+			r := parent.GrowAlloc(4, a)
 			r.Add(3, 3)
 			s := a.NewSharedSet(4)
 			s.Set(2)
 		}},
 		{"many-rows", func(a *Allocator) {
-			// Force several chunk refills so multiple slabs recycle.
-			r := New(40).ShareGrowAlloc(40, a)
-			for i := 0; i < 40; i++ {
-				r.Add(i, (i + 1) % 40)
+			// Outgrow the first slab so several slabs recycle.
+			for k := 0; k < 3; k++ {
+				r := New(40).GrowAlloc(40, a)
+				for i := 0; i < 40; i++ {
+					r.Add(i, (i+k)%40)
+				}
 			}
 		}},
 	}
@@ -666,13 +730,18 @@ func TestAllocatorRecycling(t *testing.T) {
 			a.Init(4)
 
 			// Second life: everything carved must be zeroed and owned.
-			child := parent.ShareGrowAlloc(4, &a)
+			child := parent.GrowAlloc(4, &a)
 			if !child.Row(3).Empty() {
-				t.Fatalf("fresh owned row not empty: %s", child.Row(3))
+				t.Fatalf("fresh row not empty: %s", child.Row(3))
 			}
 			for i := 0; i < 3; i++ {
 				if !child.Row(i).Equal(parent.Row(i)) {
 					t.Fatalf("inherited row %d diverged: %s vs %s", i, child.Row(i), parent.Row(i))
+				}
+			}
+			for k := 0; k < 3; k++ {
+				if r := New(40).GrowAlloc(40, &a); !r.Empty() {
+					t.Fatalf("recarved relation not zeroed: %s", r)
 				}
 			}
 			s := a.NewSet(4)
@@ -697,21 +766,19 @@ func TestAllocatorRecycling(t *testing.T) {
 
 // TestAllocatorRecycleKeepsDescendantsIntact pins the safety argument
 // of the arena path: recycling an allocator only clears storage carved
-// in its own life — rows a child copied on write into its OWN
-// allocator survive the parent's (hypothetical) recycling untouched,
-// because copy-on-write always copies into the mutating relation's
-// allocator, never the ancestor's.
+// in its own life. A child grown from a parent carved in one allocator
+// owns a copy in its own allocator, so releasing the parent's
+// allocator (or an unrelated one) never disturbs the child.
 func TestAllocatorRecycleKeepsDescendantsIntact(t *testing.T) {
 	var pa, ca Allocator
 	pa.Init(3)
 	ca.Init(4)
-	parent := FromPairs(3, [][2]int{{0, 1}}).ShareGrowAlloc(3, &pa)
-	child := parent.ShareGrowAlloc(4, &ca)
-	child.Add(0, 2) // copies row 0 into ca's storage
+	parent := FromPairs(3, [][2]int{{0, 1}}).GrowAlloc(3, &pa)
+	child := parent.GrowAlloc(4, &ca)
+	child.Add(0, 2)
 	snapshot := child.Clone()
 
-	// Recycle the child's allocator's *spares* path too: releasing an
-	// unrelated allocator must not disturb the live child.
+	pa.Release()
 	var other Allocator
 	other.Init(4)
 	tmp := other.NewSharedSet(4)
@@ -719,9 +786,9 @@ func TestAllocatorRecycleKeepsDescendantsIntact(t *testing.T) {
 	other.Release()
 
 	if !child.Equal(snapshot) {
-		t.Fatalf("child diverged after unrelated release: %s vs %s", child, snapshot)
+		t.Fatalf("child diverged after release: %s vs %s", child, snapshot)
 	}
-	if parent.Has(0, 2) {
-		t.Fatal("copy-on-write leaked into parent")
+	if !child.Has(0, 1) {
+		t.Fatal("child lost the pair inherited from its released parent")
 	}
 }

@@ -62,6 +62,11 @@ func (scModel) Restore(data []byte) (model.Config, error) {
 		return nil, fmt.Errorf("sc: truncated store size")
 	}
 	rest = rest[k:]
+	// Each entry takes at least two bytes (name length, value); the
+	// check also keeps a corrupt count from sizing the map.
+	if n > uint64(len(rest))/2 {
+		return nil, fmt.Errorf("sc: snapshot stores %d variables in %d bytes", n, len(rest))
+	}
 	vars := make(map[event.Var]event.Val, n)
 	for i := uint64(0); i < n; i++ {
 		ln, k := binary.Uvarint(rest)
