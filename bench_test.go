@@ -107,7 +107,7 @@ func BenchmarkE7_AxiomCheck(b *testing.B) {
 	cfg := core.NewConfig(p, vars)
 	for i := 0; i < 10; i++ {
 		succ := cfg.Successors()
-		cfg = succ[len(succ)-1].C
+		cfg = succ[len(succ)-1]
 	}
 	x := axiomatic.FromState(cfg.S)
 	b.ReportAllocs()

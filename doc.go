@@ -88,7 +88,7 @@
 // reduction (explore.Options.POR, flag -por, default on for the
 // binaries) avoids generating them. Two enabled steps of different
 // threads commute when either is silent or they touch no common
-// variable with a write (core.StepsCommute — non-commutation is
+// variable with a write (lang.StepsCommute — non-commutation is
 // exactly interference through the eco/mo structure, since every new
 // derived-order edge is incident to the new event). On top of that
 // oracle sit a persistent-set heuristic (expand one thread alone when

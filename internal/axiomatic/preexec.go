@@ -333,7 +333,7 @@ func OperationalExecutions(p lang.Prog, vars map[event.Var]event.Val) map[string
 			return
 		}
 		for _, s := range succ {
-			dfs(s.C)
+			dfs(s)
 		}
 	}
 	dfs(core.NewConfig(p, vars))

@@ -32,7 +32,8 @@ func ExampleConfig_Successors() {
 	p := lang.Prog{lang.AssignC("r", lang.X("x"))}
 	c := core.NewConfig(p, map[event.Var]event.Val{"x": 7, "r": 0})
 	for _, s := range c.Successors() {
-		fmt.Println(s.E.Act)
+		// The new event is the successor state's last.
+		fmt.Println(s.S.Event(event.Tag(s.S.NumEvents() - 1)).Act)
 	}
 	// Output:
 	// rd(x,7)

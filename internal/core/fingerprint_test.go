@@ -91,7 +91,7 @@ func TestConfigFingerprintMatchesKey(t *testing.T) {
 		byKey[k] = fp
 		byFP[fp] = k
 		for _, s := range c.Successors() {
-			dfs(s.C)
+			dfs(s)
 		}
 	}
 	dfs(cfg)

@@ -29,7 +29,7 @@ func collectOutcomes(t *testing.T, c Config, summarise func(Config) string) map[
 			return
 		}
 		for _, s := range succ {
-			dfs(s.C)
+			dfs(s)
 		}
 	}
 	dfs(c)
@@ -40,10 +40,10 @@ func TestInterpSilentStep(t *testing.T) {
 	c := NewConfig(lang.Prog{lang.SeqC(lang.SkipC(), lang.SkipC())},
 		map[event.Var]event.Val{"x": 0})
 	succ := c.Successors()
-	if len(succ) != 1 || !succ[0].Silent {
+	if len(succ) != 1 {
 		t.Fatalf("succ = %+v", succ)
 	}
-	if succ[0].C.S != c.S {
+	if succ[0].S != c.S {
 		t.Fatal("silent step must not change the state")
 	}
 }
@@ -197,11 +197,12 @@ func TestConfigKeyDistinguishes(t *testing.T) {
 	if len(succ) != 1 {
 		t.Fatalf("succ = %d", len(succ))
 	}
-	if succ[0].C.Key() == c.Key() {
+	if succ[0].Key() == c.Key() {
 		t.Fatal("keys must differ after a step")
 	}
-	if succ[0].E.Act != event.Wr("x", 1) || succ[0].T != 1 {
-		t.Fatalf("succ meta = %+v", succ[0])
+	s := succ[0].S
+	if e := s.Event(event.Tag(s.NumEvents() - 1)); e.Act != event.Wr("x", 1) || e.TID != 1 {
+		t.Fatalf("new event = %+v", e)
 	}
 }
 

@@ -11,10 +11,11 @@ import (
 
 // This file plugs the RAR semantics into the pluggable memory-model
 // seam (internal/model): Config implements model.Config, and Model is
-// the backend the frontends select with -model rar. The typed API
-// (Successors, StepSuccessors, State accessors) remains the primary
-// surface for the axiomatic cross-checks and the proof layer; the
-// adapter below is what the generic explorer drives.
+// the backend the frontends select with -model rar. The explorer
+// instantiates its engine at Config and drives it through the typed
+// AppendStepSuccessors (interp.go) and Discard below; the axiomatic
+// cross-checks and the proof layer use Successors and the State
+// accessors directly.
 
 // Model is the RAR backend: the paper's release-acquire fragment of
 // C11 behind the model.Model interface.
@@ -38,21 +39,6 @@ func (c Config) Program() lang.Prog { return c.P }
 // (the engine subtracts the initial configuration's count).
 func (c Config) Progress() int { return c.S.NumEvents() }
 
-// AppendSuccessors appends every enabled interpreted transition's
-// target as a concrete Config. The per-thread steps are taken via
-// StepOf directly (no ProgSteps slice) and the successor
-// configurations are constructed straight into out — this is the
-// monomorphised explorer's expansion entry point, called once per
-// explored state, with zero interface boxing on the path.
-func (c Config) AppendSuccessors(out []Config) []Config {
-	for i, com := range c.P {
-		if s, ok := lang.StepOf(com); ok {
-			out = c.AppendStepSuccessors(out, lang.ProgStep{T: event.Thread(i + 1), S: s})
-		}
-	}
-	return out
-}
-
 // Discard hands back a successor the explorer proved it will never
 // use again — a fingerprint duplicate or a bound-suppressed successor
 // — so its state can be recycled. c is the configuration succ was
@@ -68,9 +54,6 @@ func (c Config) Discard(succ Config) {
 // StepsAcyclic: every memory step appends an event, so non-silent
 // transitions strictly grow Progress and never close a cycle.
 func (c Config) StepsAcyclic() bool { return true }
-
-// StepsCommute exposes the package-level oracle through the interface.
-func (c Config) StepsCommute(a, b lang.ProgStep) bool { return StepsCommute(a, b) }
 
 // AuditIncremental recomputes the state's derived orders from scratch
 // (see State.AuditIncremental).

@@ -35,7 +35,7 @@ func FuzzRestore(f *testing.F) {
 		if msgs := c.S.AuditIncremental(); len(msgs) != 0 {
 			t.Fatalf("restored state fails the incremental audit: %v", msgs)
 		}
-		c.AppendSuccessors(nil)
+		c.Successors()
 		again, err := core.Model.Restore(c.AppendSnapshot(nil))
 		if err != nil {
 			t.Fatalf("re-snapshot does not restore: %v", err)

@@ -37,7 +37,7 @@ func collectConfigs(root Config, limit int) []Config {
 	for len(queue) > 0 && len(out) < limit {
 		c := queue[0]
 		queue = queue[1:]
-		for _, s := range c.AppendSuccessors(nil) {
+		for _, s := range c.Successors() {
 			if k := s.Key(); !seen[k] {
 				seen[k] = true
 				out = append(out, s)
@@ -85,11 +85,11 @@ func TestSnapshotRoundTripSuccessors(t *testing.T) {
 			t.Fatalf("config %d: restore: %v", i, err)
 		}
 		want := map[string]int{}
-		for _, s := range c.AppendSuccessors(nil) {
+		for _, s := range c.Successors() {
 			want[s.Key()]++
 		}
 		got := map[string]int{}
-		for _, s := range r.(Config).AppendSuccessors(nil) {
+		for _, s := range r.(Config).Successors() {
 			got[s.Key()]++
 		}
 		if len(got) != len(want) {
@@ -106,7 +106,7 @@ func TestSnapshotRoundTripSuccessors(t *testing.T) {
 func TestSnapshotRejectsCorruption(t *testing.T) {
 	p, vars := snapshotProg()
 	c := NewConfig(p, vars)
-	for _, s := range c.AppendSuccessors(nil) {
+	for _, s := range c.Successors() {
 		c = s // one step in, so the blob has a replayed event
 		break
 	}

@@ -31,8 +31,10 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fingerprint"
 	"repro/internal/model"
+	"repro/internal/sc"
 	"repro/internal/telemetry"
 )
 
@@ -245,9 +247,9 @@ func Resume(path string, m model.Model, opts Options) (Result, error) {
 	// to be of its configuration type).
 	switch m.Name() {
 	case "rar":
-		return resumeAs(path, ck, m, opts, coreOps(opts))
+		return resumeAs[core.Config](path, ck, m, opts)
 	case "sc":
-		return resumeAs(path, ck, m, opts, scOps(opts))
+		return resumeAs[sc.Config](path, ck, m, opts)
 	default:
 		return Result{}, fmt.Errorf("explore: checkpoint %s: unsupported model %q", path, m.Name())
 	}
@@ -255,8 +257,8 @@ func Resume(path string, m model.Model, opts Options) (Result, error) {
 
 // resumeAs restores the checkpointed seen-set and frontier into one
 // engine instantiation and continues the search.
-func resumeAs[C model.Config](path string, ck *checkpointFile, m model.Model, opts Options, bk ops[C]) (Result, error) {
-	r := newRun[C](opts, bk)
+func resumeAs[C config[C]](path string, ck *checkpointFile, m model.Model, opts Options) (Result, error) {
+	r := newRun[C](opts)
 	r.nInit = ck.NInit
 	nTerm := 0
 	for _, ce := range ck.Entries {

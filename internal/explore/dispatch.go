@@ -25,20 +25,25 @@ import (
 func Run(c model.Config, opts Options) Result {
 	switch cc := c.(type) {
 	case core.Config:
-		return runAs(cc, opts, coreOps(opts))
+		return runAs(cc, opts)
 	case sc.Config:
-		return runAs(cc, opts, scOps(opts))
+		return runAs(cc, opts)
 	default:
 		panic(fmt.Sprintf("explore: unsupported configuration type %T", c))
 	}
 }
 
 // typedProperty resolves the property for an instantiation at C:
-// TypedProperty when set (and of the right type — anything else is a
-// loud programming error), otherwise the boxed Property wrapped in a
-// per-call boxing adapter, otherwise nil.
+// TypedProperty when set (and of the right type), otherwise the boxed
+// Property wrapped in a per-call boxing adapter, otherwise nil. A
+// mismatched type, or both fields set, is a loud programming error:
+// the property that would be silently ignored could turn violations
+// into spurious PROVED verdicts.
 func typedProperty[C model.Config](opts Options) func(C) bool {
 	if opts.TypedProperty != nil {
+		if opts.Property != nil {
+			panic("explore: both Property and TypedProperty are set")
+		}
 		p, ok := opts.TypedProperty.(func(C) bool)
 		if !ok {
 			panic(fmt.Sprintf("explore: TypedProperty has type %T, want func(%T) bool",
@@ -51,21 +56,4 @@ func typedProperty[C model.Config](opts Options) func(C) bool {
 	}
 	p := opts.Property
 	return func(c C) bool { return p(c) }
-}
-
-func coreOps(opts Options) ops[core.Config] {
-	return ops[core.Config]{
-		expand:     core.Config.AppendSuccessors,
-		expandStep: core.Config.AppendStepSuccessors,
-		property:   typedProperty[core.Config](opts),
-		discard:    core.Config.Discard,
-	}
-}
-
-func scOps(opts Options) ops[sc.Config] {
-	return ops[sc.Config]{
-		expand:     sc.Config.AppendSuccessors,
-		expandStep: sc.Config.AppendStepSuccessors,
-		property:   typedProperty[sc.Config](opts),
-	}
 }

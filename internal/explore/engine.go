@@ -9,11 +9,10 @@ package explore
 // boxed model.Config seam is only crossed at the edges (violation
 // reporting, checkpoint restore, trace output), which are cold.
 //
-// The operations whose signatures mention the configuration type
-// itself (expansion, the typed property) cannot live on model.Config,
-// so each instantiation carries them as an ops[C] value; the methods
-// that don't mention it are called directly through the model.Config
-// constraint.
+// The backend methods whose signatures mention the configuration type
+// itself (successor construction and the discard hand-back) cannot
+// live on model.Config, so the engine's type constraint config[C]
+// adds them: every backend call is a direct method call on C.
 
 import (
 	"fmt"
@@ -28,24 +27,21 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ops carries one backend's typed operations: the expansion methods,
-// the (optional) monomorphised property, and the (optional) discard
-// hook that recycles successor state the engine proves dead
-// (fingerprint duplicates, bound-suppressed successors).
-type ops[C model.Config] struct {
-	// expand appends every enabled transition's target to out.
-	expand func(c C, out []C) []C
-	// expandStep appends the targets of one enabled program step.
-	expandStep func(c C, out []C, ps lang.ProgStep) []C
-	// property is the per-state safety check; nil when none.
-	property func(C) bool
-	// discard, when non-nil, is told about successors the engine will
-	// never use again: a successor that deduplicated against the seen
-	// set without being re-queued, was suppressed by the progress
-	// bound, or was rejected by the MaxConfigs cap. The backend may
-	// recycle its allocations; parent is the configuration it was
-	// expanded from (successors of silent steps share state with it).
-	discard func(parent, succ C)
+// config is what the engine needs of a backend's concrete
+// configuration type: the model.Config seam plus the typed methods
+// that mention the type itself.
+type config[C any] interface {
+	model.Config
+	// AppendStepSuccessors appends the targets of one enabled program
+	// step to out — the backend's one successor construction.
+	AppendStepSuccessors(out []C, ps lang.ProgStep) []C
+	// Discard is told about a successor the engine will never use
+	// again: one that deduplicated against the seen set without being
+	// re-queued, was suppressed by the progress bound, or was rejected
+	// by the MaxConfigs cap. The backend may recycle its allocations;
+	// the receiver is the configuration it was expanded from
+	// (successors of silent steps share state with it).
+	Discard(succ C)
 }
 
 // entry is one seen-set record: the best depth and smallest sleep mask
@@ -174,9 +170,10 @@ func (p *pool[C]) resume() {
 	p.mu.Unlock()
 }
 
-type run[C model.Config] struct {
-	opts     Options
-	ops      ops[C]
+type run[C config[C]] struct {
+	opts Options
+	// property is the per-state safety check; nil when none.
+	property func(C) bool
 	nInit    int
 	maxEv    int
 	maxCfg   int
@@ -216,14 +213,14 @@ type run[C model.Config] struct {
 }
 
 // newRun builds the engine state for opts without admitting anything.
-func newRun[C model.Config](opts Options, bk ops[C]) *run[C] {
+func newRun[C config[C]](opts Options) *run[C] {
 	r := &run[C]{
-		opts:   opts,
-		ops:    bk,
-		maxEv:  opts.maxEvents(),
-		maxCfg: opts.maxConfigs(),
-		tel:    opts.Metrics,
-		tracer: opts.Tracer,
+		opts:     opts,
+		property: typedProperty[C](opts),
+		maxEv:    opts.maxEvents(),
+		maxCfg:   opts.maxConfigs(),
+		tel:      opts.Metrics,
+		tracer:   opts.Tracer,
 	}
 	r.deadline = opts.effectiveDeadline(time.Now())
 	r.pool.cond = sync.NewCond(&r.pool.mu)
@@ -238,9 +235,9 @@ func newRun[C model.Config](opts Options, bk ops[C]) *run[C] {
 }
 
 // runAs explores the state space of c through one backend's typed
-// operations. Run (dispatch.go) picks the instantiation.
-func runAs[C model.Config](c C, opts Options, bk ops[C]) Result {
-	r := newRun[C](opts, bk)
+// methods. Run (dispatch.go) picks the instantiation.
+func runAs[C config[C]](c C, opts Options) Result {
+	r := newRun[C](opts)
 	r.nInit = c.Progress()
 	if r.tracer != nil {
 		r.tracer.Emit(telemetry.Record{Type: "begin", Name: "search", Worker: -1,
@@ -349,7 +346,7 @@ func (r *run[C]) admit(cell *telemetry.Cell, cfg C, parent fingerprint.FP, d int
 	}
 	// The property runs outside every lock; it may be expensive and is
 	// documented as concurrently callable.
-	if r.ops.property != nil && !r.ops.property(cfg) {
+	if r.property != nil && !r.property(cfg) {
 		mc := model.Config(cfg)
 		r.violation.CompareAndSwap(nil, &mc)
 		r.stopWith(StopViolation)
@@ -428,73 +425,86 @@ func (r *run[C]) recordPanic(it item[C], d int32, v any) {
 // discard hands a successor the engine will never use again back to
 // the backend for recycling.
 func (r *run[C]) discard(cell *telemetry.Cell, parent, succ C) {
-	if r.ops.discard != nil {
-		cell.Add(telemetry.EngineDiscards, 1)
-		r.ops.discard(parent, succ)
-	}
+	cell.Add(telemetry.EngineDiscards, 1)
+	parent.Discard(succ)
+}
+
+// scratch is one worker's reusable expansion buffers: the enabled
+// steps, shared by POR planning and the successor loop, and the
+// successors of one expansion with their child sleep masks.
+type scratch[C any] struct {
+	steps  []lang.ProgStep
+	succ   []C
+	sleeps []threadMask
 }
 
 // expand generates the successors of it.cfg at depth d under sleep
-// mask sl, applying the POR plan when enabled. At the progress bound
-// only silent successors (same Progress) are admitted — the bound
-// suppresses memory steps but silent chains drain to termination, in
-// the full and the reduced search alike (the reduction is bypassed
-// there: the handful of silent-only frontier states is not worth
-// planning over). scratch is the worker's reusable successor buffer;
-// the (possibly regrown) buffer is returned for the next expansion,
-// along with whether every successor was admitted (false when a stop
-// signal or budget rejection aborted the expansion).
-func (r *run[C]) expand(cell *telemetry.Cell, it item[C], d int32, sl threadMask, scratch []C) ([]C, bool) {
+// mask sl, then admits them, and reports whether every successor was
+// admitted (false when a stop signal or budget rejection aborted the
+// expansion). One loop builds the successors of the enabled steps.
+// Under POR it skips the steps outside the plan's persistent set or
+// asleep in sl and gives each successor its child sleep mask;
+// otherwise — POR off, or a program too wide for masks — every step
+// is expanded with an empty mask. At the progress bound only silent
+// successors (same Progress) are admitted: memory successors are
+// still built and counted, then suppressed and discarded, while
+// silent chains drain to termination in the full and the reduced
+// search alike (the reduction is bypassed there: the handful of
+// silent-only frontier states is not worth planning over).
+func (r *run[C]) expand(cell *telemetry.Cell, it item[C], d int32, sl threadMask, ws *scratch[C]) bool {
 	cfg := it.cfg
-	complete := true
-	var zero C
 	cell.Add(telemetry.EngineExpansions, 1)
-	emit := func(s C, cs threadMask) bool {
+	ws.steps = lang.AppendProgSteps(ws.steps[:0], cfg.Program())
+	base := cfg.Progress()
+	atBound := base-r.nInit >= r.maxEv
+	var pl porPlan
+	if r.opts.POR && !atBound {
+		pl = planPOR(cfg, ws.steps)
+	}
+	var pruned uint64
+	succ, sleeps := ws.succ[:0], ws.sleeps[:0]
+	for j, ps := range ws.steps {
+		var cs threadMask
+		if pl.ok {
+			b := maskBit(ps.T)
+			if pl.persist&b == 0 || sl&b != 0 {
+				pruned++
+				continue
+			}
+			cs = childSleep(pl, sl, j)
+		}
+		succ = cfg.AppendStepSuccessors(succ, ps)
+		for len(sleeps) < len(succ) {
+			sleeps = append(sleeps, cs)
+		}
+	}
+	ws.succ, ws.sleeps = succ[:0], sleeps[:0]
+	cell.Add(telemetry.EngineSuccessors, uint64(len(succ)))
+	if pruned != 0 {
+		cell.Add(telemetry.EnginePORPruned, pruned)
+	}
+	var zero C
+	for i, s := range succ {
+		succ[i] = zero // release for GC once admitted
+		if atBound && s.Progress() > base {
+			// Memory step: suppressed by the bound, never seen by
+			// anything else — recyclable.
+			cell.Add(telemetry.EngineBoundSuppressed, 1)
+			r.discard(cell, cfg, s)
+			continue
+		}
 		if r.stop.Load() != 0 {
-			complete = false
 			return false
 		}
-		cont, retained := r.admit(cell, s, it.fp, d+1, cs)
+		cont, retained := r.admit(cell, s, it.fp, d+1, sleeps[i])
 		if !retained {
 			r.discard(cell, cfg, s)
 		}
 		if !cont {
-			complete = false
 			return false
 		}
-		return true
 	}
-	if atBound := cfg.Progress()-r.nInit >= r.maxEv; atBound {
-		base := cfg.Progress()
-		scratch = r.ops.expand(cfg, scratch[:0])
-		cell.Add(telemetry.EngineSuccessors, uint64(len(scratch)))
-		for i, s := range scratch {
-			scratch[i] = zero
-			if s.Progress() > base {
-				// Memory step: suppressed by the bound, never seen by
-				// anything else — recyclable.
-				cell.Add(telemetry.EngineBoundSuppressed, 1)
-				r.discard(cell, cfg, s)
-				continue
-			}
-			if !emit(s, 0) {
-				break
-			}
-		}
-		return scratch[:0], complete
-	}
-	if r.opts.POR && r.forEachReducedSucc(cfg, sl, cell, emit) {
-		return scratch, complete
-	}
-	scratch = r.ops.expand(cfg, scratch[:0])
-	cell.Add(telemetry.EngineSuccessors, uint64(len(scratch)))
-	for i, s := range scratch {
-		scratch[i] = zero // release for GC once admitted
-		if !emit(s, 0) {
-			break
-		}
-	}
-	return scratch[:0], complete
+	return true
 }
 
 // process claims and expands one item, isolating panics from model
@@ -502,7 +512,7 @@ func (r *run[C]) expand(cell *telemetry.Cell, it item[C], d int32, sl threadMask
 // claimed) and the worker moves on — the rest of the search finishes
 // in degraded mode. An expansion aborted by a stop signal or budget
 // rejection is unclaimed and re-queued so the frontier stays sound.
-func (r *run[C]) process(cell *telemetry.Cell, it item[C], scratch *[]C) {
+func (r *run[C]) process(cell *telemetry.Cell, it item[C], ws *scratch[C]) {
 	d, sl, live := r.claim(it)
 	if !live {
 		cell.Add(telemetry.EngineStaleClaims, 1)
@@ -522,7 +532,7 @@ func (r *run[C]) process(cell *telemetry.Cell, it item[C], scratch *[]C) {
 	if r.opts.Hooks != nil {
 		r.opts.Hooks.BeforeExpand(it.fp, int(d))
 	}
-	*scratch, completed = r.expand(cell, it, d, sl, *scratch)
+	completed = r.expand(cell, it, d, sl, ws)
 }
 
 // traceBatchEvery is how many processed items a worker batches
@@ -533,7 +543,7 @@ const traceBatchEvery = 1024
 func (r *run[C]) worker(id int) {
 	cell := r.tel.Cell(id)
 	r.tracer.Begin("worker", id)
-	var scratch []C
+	var ws scratch[C]
 	var processed uint64
 	for {
 		it, ok := r.pool.pop()
@@ -550,7 +560,7 @@ func (r *run[C]) worker(id int) {
 			break
 		}
 		cell.Add(telemetry.EnginePoolClaims, 1)
-		r.process(cell, it, &scratch)
+		r.process(cell, it, &ws)
 		r.pool.done()
 		if processed++; r.tracer != nil && processed%traceBatchEvery == 0 {
 			r.tracer.Count("expansion_batch", id, map[string]any{

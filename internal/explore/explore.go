@@ -12,7 +12,7 @@
 // With Options.POR the search applies independence-based partial-order
 // reduction (por.go): a persistent-set heuristic expands only a subset
 // of the enabled threads where one is provably conflict-free (by the
-// model's StepsCommute oracle and static program footprints), and
+// lang.StepsCommute oracle and static program footprints), and
 // sleep sets prune commuting interleavings that are covered elsewhere.
 // The reduced search preserves every terminated configuration and all
 // label-visible interleavings, but not every intermediate
@@ -25,14 +25,13 @@
 // fingerprint bits. Serial exploration is the same engine at
 // Workers=1 (the single worker drains the FIFO pool in breadth-first
 // order, so a state's recorded depth is its shortest distance from the
-// root, exactly like the dedicated serial engine this replaced). With
-// more workers, discovery order is nondeterministic, so a state may
-// first be reached along a non-shortest path; when a shorter path is
-// found later the state's depth is relaxed and — if it was already
-// expanded — it is re-queued so the improvement propagates. Sleep
-// masks relax the same way, by intersection: re-reaching a known state
-// with a smaller sleep set weakens the stored mask and re-queues the
-// state. Both relaxations are monotone, so at quiescence every state
+// root). With more workers, discovery order is nondeterministic, so a
+// state may first be reached along a non-shortest path; when a shorter
+// path is found later the state's depth is relaxed and — if it was
+// already expanded — it is re-queued so the improvement propagates.
+// Sleep masks relax the same way, by intersection: re-reaching a known
+// state with a smaller sleep set weakens the stored mask and re-queues
+// the state. Both relaxations are monotone, so at quiescence every state
 // carries its shortest-path depth and its final (smallest) sleep mask,
 // making Explored, Terminated, Depth and the Truncated flag identical
 // across worker counts whenever the search runs to completion (no
@@ -106,9 +105,10 @@ type Options struct {
 	// replaces Property on the hot path, sparing the engine one
 	// interface boxing per explored configuration. Setting it with a
 	// function type that does not match the backend is a programming
-	// error and panics — a silently ignored property would turn
-	// violations into spurious PROVED verdicts. The same concurrency
-	// contract as Property applies.
+	// error and panics, and so is setting both TypedProperty and
+	// Property — a silently ignored property would turn violations
+	// into spurious PROVED verdicts. The same concurrency contract as
+	// Property applies.
 	TypedProperty any
 
 	// Context, when non-nil, cancels the search: when it is done the
@@ -357,12 +357,14 @@ func FindTrace(c model.Config, opts Options, pred func(model.Config) bool) (Trac
 // set of summaries of terminated configurations, as produced by
 // summarise. Terminated configurations are preserved by the
 // partial-order reduction, so Outcomes is reduction-safe: opts.POR
-// changes the work, not the answer. A budget-cut run yields a partial
-// set; inspect Run's Result directly when that matters.
+// changes the work, not the answer. Any property in opts is replaced
+// by the summariser. A budget-cut run yields a partial set; inspect
+// Run's Result directly when that matters.
 func Outcomes(c model.Config, opts Options, summarise func(model.Config) string) map[string]bool {
 	out := map[string]bool{}
 	var mu sync.Mutex
 	o := opts
+	o.TypedProperty = nil // the summariser below is the property
 	o.Property = func(cfg model.Config) bool {
 		if cfg.Terminated() {
 			key := summarise(cfg)

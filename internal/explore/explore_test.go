@@ -165,7 +165,7 @@ func TestFindTraceIsAPath(t *testing.T) {
 	for i := 1; i < len(trace.Configs); i++ {
 		want := trace.Configs[i].Fingerprint()
 		step := false
-		for _, s := range trace.Configs[i-1].(core.Config).AppendSuccessors(nil) {
+		for _, s := range trace.Configs[i-1].(core.Config).Successors() {
 			step = step || s.Fingerprint() == want
 		}
 		if !step {
@@ -188,17 +188,46 @@ func TestFindTraceAbsent(t *testing.T) {
 }
 
 func TestOutcomes(t *testing.T) {
-	out := Outcomes(mpConfig(), Options{}, func(c model.Config) string {
-		s := c.(core.Config).S
-		ga, _ := s.Last("a")
-		gb, _ := s.Last("b")
-		return s.Event(ga).Act.String() + s.Event(gb).Act.String()
-	})
-	if len(out) != 3 {
-		t.Fatalf("outcomes = %v", out)
+	for name, opts := range map[string]Options{
+		"plain": {},
+		// Outcomes replaces the caller's property, typed or boxed.
+		"typed-property": {TypedProperty: func(core.Config) bool { return true }},
+	} {
+		t.Run(name, func(t *testing.T) {
+			out := Outcomes(mpConfig(), opts, func(c model.Config) string {
+				s := c.(core.Config).S
+				ga, _ := s.Last("a")
+				gb, _ := s.Last("b")
+				return s.Event(ga).Act.String() + s.Event(gb).Act.String()
+			})
+			if len(out) != 3 {
+				t.Fatalf("outcomes = %v", out)
+			}
+			if out["wr(a,1)wr(b,0)"] {
+				t.Fatal("MP stale outcome reachable")
+			}
+		})
 	}
-	if out["wr(a,1)wr(b,0)"] {
-		t.Fatal("MP stale outcome reachable")
+}
+
+// TestTypedPropertyMisuse: a property the engine would silently ignore
+// is a programming error, not a PROVED verdict.
+func TestTypedPropertyMisuse(t *testing.T) {
+	for name, opts := range map[string]Options{
+		"wrong-type": {TypedProperty: func(model.Config) bool { return false }},
+		"both-set": {
+			Property:      func(model.Config) bool { return false },
+			TypedProperty: func(core.Config) bool { return false },
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Run did not panic")
+				}
+			}()
+			Run(mpConfig(), opts)
+		})
 	}
 }
 

@@ -3,8 +3,8 @@ package explore
 // Independence-based partial-order reduction, generic over the memory
 // model. The explorer's state count blows up factorially in thread
 // interleavings even when most of them are equivalent: two transitions
-// on different threads that commute under the model's oracle
-// (model.Config.StepsCommute) reach the same canonical configuration
+// on different threads that commute under the oracle
+// (lang.StepsCommute) reach the same canonical configuration
 // in either order, so the n! orders of n pairwise-independent steps
 // all converge through 2^n intermediate states. The reduction avoids
 // generating the redundant interleavings in the first place, with the
@@ -66,7 +66,6 @@ import (
 	"repro/internal/event"
 	"repro/internal/lang"
 	"repro/internal/model"
-	"repro/internal/telemetry"
 )
 
 // threadMask is a bitmask over program threads (thread t at bit t-1).
@@ -89,7 +88,9 @@ type porPlan struct {
 	persist threadMask
 	// visible marks threads whose step arrives at or leaves a label.
 	visible threadMask
-	// ok is false when the program is too wide for masks; expand fully.
+	// ok is false when no reduction applies — the zero plan (POR off,
+	// or at the progress bound) or a program too wide for masks — and
+	// every enabled step is expanded.
 	ok bool
 }
 
@@ -116,15 +117,15 @@ func loopFree(c lang.Com) bool {
 	return true
 }
 
-// planPOR computes the reduction at c: the enabled steps, their
-// visibility, and a persistent set. The plan is a function of the
-// configuration alone (never of the path or sleep mask reaching it),
-// which keeps the engine's fixpoint identical across worker counts.
-// Generic so concrete instantiations call the model methods without
-// boxing the configuration.
-func planPOR[C model.Config](c C) porPlan {
+// planPOR computes the reduction at c, whose enabled steps (in thread
+// order) are steps: their visibility and a persistent set. The plan is
+// a function of the configuration alone (never of the path or sleep
+// mask reaching it), which keeps the engine's fixpoint identical
+// across worker counts. Generic so concrete instantiations call the
+// model methods without boxing the configuration.
+func planPOR[C model.Config](c C, steps []lang.ProgStep) porPlan {
 	p := c.Program()
-	pl := porPlan{steps: lang.ProgSteps(p), ok: true}
+	pl := porPlan{steps: steps, ok: true}
 	if len(p) > maxPORThreads {
 		pl.ok = false
 		return pl
@@ -210,42 +211,6 @@ func planPOR[C model.Config](c C) porPlan {
 	return pl
 }
 
-// forEachReducedSucc expands cfg under its POR plan: for every
-// selected step (persistent, not slept under sl) it generates the
-// model's successors and calls emit with each successor and its child
-// sleep mask. emit returns false to stop the expansion early. ok is
-// false when the plan cannot be applied (program too wide for masks);
-// callers fall back to full expansion. This is the one reduction loop
-// of the one engine, for every backend. cell (nil when metrics are
-// disabled) counts the enabled steps the reduction skipped and the
-// successors generated.
-func (r *run[C]) forEachReducedSucc(cfg C, sl threadMask, cell *telemetry.Cell, emit func(C, threadMask) bool) (ok bool) {
-	pl := planPOR(cfg)
-	if !pl.ok {
-		return false
-	}
-	var pruned uint64
-	var succ []C
-	for j, ps := range pl.steps {
-		b := maskBit(ps.T)
-		if pl.persist&b == 0 || sl&b != 0 {
-			pruned++
-			continue
-		}
-		cs := childSleep(cfg, pl, sl, j)
-		succ = r.ops.expandStep(cfg, succ[:0], ps)
-		cell.Add(telemetry.EngineSuccessors, uint64(len(succ)))
-		for _, s := range succ {
-			if !emit(s, cs) {
-				cell.Add(telemetry.EnginePORPruned, pruned)
-				return true
-			}
-		}
-	}
-	cell.Add(telemetry.EnginePORPruned, pruned)
-	return true
-}
-
 // childSleep computes the sleep mask of successors generated by step j
 // of the plan: the threads already covered at the parent — the
 // parent's sleep plus the persistent threads ordered before j — whose
@@ -253,7 +218,7 @@ func (r *run[C]) forEachReducedSucc(cfg C, sl threadMask, cell *telemetry.Cell, 
 // are never slept and wake everything when taken. Monotone in the
 // parent mask, which makes the dedup-by-intersection fixpoint
 // well-defined.
-func childSleep[C model.Config](cfg C, pl porPlan, sleep threadMask, j int) threadMask {
+func childSleep(pl porPlan, sleep threadMask, j int) threadMask {
 	uj := pl.steps[j]
 	if pl.visible&maskBit(uj.T) != 0 {
 		return 0
@@ -270,7 +235,7 @@ func childSleep[C model.Config](cfg C, pl porPlan, sleep threadMask, j int) thre
 		if cand&b == 0 || pl.visible&b != 0 {
 			continue
 		}
-		if cfg.StepsCommute(ps, uj) {
+		if lang.StepsCommute(ps, uj) {
 			out |= b
 		}
 	}

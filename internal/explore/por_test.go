@@ -21,7 +21,7 @@ func TestPlanPORSilentSingleton(t *testing.T) {
 		lang.SeqC(lang.SkipC(), lang.SkipC(), lang.AssignC("x", lang.V(1))),
 		lang.AssignC("x", lang.V(2)),
 	)
-	pl := planPOR(c)
+	pl := planPOR(c, lang.ProgSteps(c.P))
 	if !pl.ok || pl.persist != maskBit(1) {
 		t.Fatalf("want silent singleton {1}, got persist=%b ok=%v", pl.persist, pl.ok)
 	}
@@ -34,7 +34,7 @@ func TestPlanPORFootprintSingleton(t *testing.T) {
 		lang.AssignC("x", lang.V(1)),
 		lang.SeqC(lang.AssignC("a", lang.X("y")), lang.AssignC("y", lang.V(2))),
 	)
-	pl := planPOR(c)
+	pl := planPOR(c, lang.ProgSteps(c.P))
 	if !pl.ok || pl.persist != maskBit(1) {
 		t.Fatalf("want footprint singleton {1}, got persist=%b ok=%v", pl.persist, pl.ok)
 	}
@@ -47,7 +47,7 @@ func TestPlanPORConflictFullSet(t *testing.T) {
 		lang.AssignC("x", lang.V(1)),
 		lang.AssignC("a", lang.X("x")),
 	)
-	pl := planPOR(c)
+	pl := planPOR(c, lang.ProgSteps(c.P))
 	if !pl.ok || pl.persist != (maskBit(1)|maskBit(2)) {
 		t.Fatalf("want full persistent set, got persist=%b ok=%v", pl.persist, pl.ok)
 	}
@@ -61,7 +61,7 @@ func TestPlanPORLabelVisible(t *testing.T) {
 		lang.LabelC("cs", lang.SkipC()),
 		lang.AssignC("x", lang.V(1)),
 	)
-	pl := planPOR(c)
+	pl := planPOR(c, lang.ProgSteps(c.P))
 	if pl.visible&maskBit(1) == 0 {
 		t.Fatal("label step not marked visible")
 	}
@@ -78,14 +78,14 @@ func TestChildSleep(t *testing.T) {
 		lang.AssignC("x", lang.V(1)),
 		lang.AssignC("y", lang.V(2)),
 	)
-	pl := planPOR(c)
+	pl := planPOR(c, lang.ProgSteps(c.P))
 	// Both writers are footprint-independent, so the heuristic picks a
 	// singleton; force the full set to exercise the sleep arithmetic.
 	pl.persist = maskBit(1) | maskBit(2)
-	if got := childSleep(c, pl, 0, 0); got != 0 {
+	if got := childSleep(pl, 0, 0); got != 0 {
 		t.Fatalf("first child sleep = %b, want 0", got)
 	}
-	if got := childSleep(c, pl, 0, 1); got != maskBit(1) {
+	if got := childSleep(pl, 0, 1); got != maskBit(1) {
 		t.Fatalf("second child sleep = %b, want {1}", got)
 	}
 
@@ -94,11 +94,11 @@ func TestChildSleep(t *testing.T) {
 		lang.AssignC("x", lang.V(1)),
 		lang.AssignC("x", lang.V(2)),
 	)
-	dl := planPOR(d)
+	dl := planPOR(d, lang.ProgSteps(d.P))
 	if dl.persist != (maskBit(1) | maskBit(2)) {
 		t.Fatalf("conflicting writers: persist=%b, want full set", dl.persist)
 	}
-	if got := childSleep(d, dl, 0, 1); got != 0 {
+	if got := childSleep(dl, 0, 1); got != 0 {
 		t.Fatalf("dependent step slept: %b", got)
 	}
 }
@@ -119,7 +119,7 @@ func TestPORSilentDivergenceNotReduced(t *testing.T) {
 	vars := map[event.Var]event.Val{"y": 0}
 	cfg := core.NewConfig(prog, vars)
 
-	pl := planPOR(cfg)
+	pl := planPOR(cfg, lang.ProgSteps(cfg.P))
 	if pl.persist == maskBit(1) {
 		t.Fatal("diverging silent thread chosen as reducing singleton")
 	}

@@ -8,7 +8,7 @@ import "repro/internal/event"
 // uses footprints to justify singleton persistent sets: a thread whose
 // next access can never conflict with any variable another live thread
 // may touch can be explored alone, because every deferred transition
-// of the other threads commutes with it (see core.StepsCommute for the
+// of the other threads commutes with it (see StepsCommute for the
 // per-step notion of commutation the footprints over-approximate).
 
 // VarSet is a small set of variables backed by a sorted slice — the

@@ -369,7 +369,12 @@ type ProgStep struct {
 // step (the language is deterministic up to read values), so the
 // result is sized once.
 func ProgSteps(p Prog) []ProgStep {
-	out := make([]ProgStep, 0, len(p))
+	return AppendProgSteps(make([]ProgStep, 0, len(p)), p)
+}
+
+// AppendProgSteps appends the enabled transitions of p to out, in
+// thread order, and returns the extended slice.
+func AppendProgSteps(out []ProgStep, p Prog) []ProgStep {
 	for i, c := range p {
 		if s, ok := StepOf(c); ok {
 			out = append(out, ProgStep{T: event.Thread(i + 1), S: s})

@@ -5,8 +5,9 @@
 // so that different memory models can be swapped in under the same
 // program semantics. This package is that seam made explicit: a model
 // is a factory for configurations, and a configuration knows how to
-// identify itself canonically and answer the independence queries the
-// partial-order reduction needs; expansion is typed per backend.
+// identify itself canonically and whether its memory steps can close
+// cycles (the one model-dependent input of the partial-order
+// reduction); expansion is typed per backend.
 //
 // Two backends implement the interface: internal/core (the paper's
 // release-acquire RAR fragment of C11) and internal/sc (sequential
@@ -27,17 +28,19 @@ import (
 // Config is one configuration (P, σ) of some memory model: a residual
 // program paired with a model-specific memory state. Configurations
 // are immutable values; each backend's concrete configuration type
-// (core.Config, sc.Config) carries its own typed successor methods,
-// which internal/explore instantiates its engine over, so no method
-// here mentions successors and the successor path never boxes. The
+// (core.Config, sc.Config) carries its own typed successor methods
+// (AppendStepSuccessors, Discard), which internal/explore instantiates
+// its engine over, so no method here mentions successors and the
+// successor path never boxes. The
 // interface is the frontend seam for dispatch, traces, properties and
 // checkpoints. All methods must be safe for concurrent use (the engine
 // calls them from multiple workers on shared configurations).
 type Config interface {
 	// Program returns the residual program. The explorer's
 	// partial-order reduction plans over the program alone (enabled
-	// steps, label visibility, static footprints), so the plan is
-	// model-independent; only the commutation oracle below is not.
+	// steps, label visibility, static footprints, and the commutation
+	// oracle lang.StepsCommute, which is sound for every backend), so
+	// the plan is model-independent except for StepsAcyclic below.
 	Program() lang.Prog
 
 	// Progress is a monotone measure of how far the configuration is
@@ -71,15 +74,6 @@ type Config interface {
 	// ignoring problem, which the RAR backend only exhibits on
 	// all-silent cycles).
 	StepsAcyclic() bool
-
-	// StepsCommute is the model's independence oracle: it reports
-	// whether two enabled program steps of different threads commute —
-	// executing them in either order reaches the same canonical
-	// configuration and neither changes the other's enabled choices.
-	// The oracle must be sound (only true when the above provably
-	// holds); the engine's sleep sets and persistent-set heuristic
-	// prune with it, and CheckPOR audits the resulting reduction.
-	StepsCommute(a, b lang.ProgStep) bool
 
 	// AuditIncremental recomputes the configuration's incrementally
 	// maintained derived structures from first principles and returns

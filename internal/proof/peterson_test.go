@@ -218,7 +218,7 @@ func BenchmarkPetersonInvariantCheck(b *testing.B) {
 	// Advance a few steps to a non-trivial state.
 	for i := 0; i < 6; i++ {
 		succ := c.Successors()
-		c = succ[0].C
+		c = succ[0]
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

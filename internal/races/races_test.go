@@ -204,7 +204,7 @@ func BenchmarkRaceDetection(b *testing.B) {
 	cfg := core.NewConfig(p, vars)
 	for i := 0; i < 8; i++ {
 		succ := cfg.Successors()
-		cfg = succ[len(succ)-1].C
+		cfg = succ[len(succ)-1]
 	}
 	x := axiomatic.FromState(cfg.S)
 	b.ReportAllocs()

@@ -166,23 +166,11 @@ func (c Config) Fingerprint() fingerprint.FP {
 // Terminated reports whether every thread has terminated.
 func (c Config) Terminated() bool { return c.P.Terminated() }
 
-// AppendSuccessors appends every enabled SC transition's target as a
-// concrete Config: reads are deterministic (the global store), writes
-// update it, and an update atomically reads and writes. This is the
-// monomorphised explorer's expansion entry point — no interface box
-// per successor.
-func (c Config) AppendSuccessors(out []Config) []Config {
-	for i, com := range c.P {
-		if s, ok := lang.StepOf(com); ok {
-			out = c.AppendStepSuccessors(out, lang.ProgStep{T: event.Thread(i + 1), S: s})
-		}
-	}
-	return out
-}
-
 // AppendStepSuccessors appends the targets of one program step — at
 // most one under SC (zero when a read's variable is uninitialised:
-// stuck).
+// stuck). Reads are deterministic (the global store), writes update
+// it, and an update atomically reads and writes. This is the backend's
+// one successor construction; the explorer calls it per enabled step.
 func (c Config) AppendStepSuccessors(out []Config, ps lang.ProgStep) []Config {
 	t, s := ps.T, ps.S
 	switch s.Kind {
@@ -225,36 +213,26 @@ func (c Config) AppendStepSuccessors(out []Config, ps lang.ProgStep) []Config {
 	return out
 }
 
-// Successors returns the enabled SC transitions (kept for direct
-// users of the package).
-func (c Config) Successors() []Config { return c.AppendSuccessors(nil) }
+// Successors returns the enabled SC transitions: the union of
+// AppendStepSuccessors over the enabled steps.
+func (c Config) Successors() []Config {
+	var out []Config
+	for _, ps := range lang.ProgSteps(c.P) {
+		out = c.AppendStepSuccessors(out, ps)
+	}
+	return out
+}
+
+// Discard is the explorer's hand-back of a successor it will never use
+// again. SC states are immutable and left to the garbage collector, so
+// there is nothing to recycle.
+func (c Config) Discard(Config) {}
 
 // StepsAcyclic: an SC configuration is just (program, store), so a
 // spin loop re-reading an unchanged store revisits configurations —
 // memory steps can close cycles, and the partial-order reduction must
 // guard its memory-step singletons against solo cycling.
 func (c Config) StepsAcyclic() bool { return false }
-
-// StepsCommute reports whether two enabled steps of different threads
-// commute under SC. The rule coincides with the RAR oracle — and is
-// sound here for the same structural reasons: a silent step touches no
-// memory; steps on distinct variables read and write disjoint store
-// entries, so the store updates compose in either order and neither
-// read value changes; two reads of the same variable change nothing.
-// Everything else (same variable, at least one write) is dependent:
-// the write changes what the other step reads or the final store.
-func (c Config) StepsCommute(a, b lang.ProgStep) bool {
-	if a.T == b.T {
-		return false
-	}
-	if a.S.Kind == lang.StepSilent || b.S.Kind == lang.StepSilent {
-		return true
-	}
-	if a.S.Loc != b.S.Loc {
-		return true
-	}
-	return a.S.Kind == lang.StepRead && b.S.Kind == lang.StepRead
-}
 
 // AuditIncremental cross-checks the eagerly maintained store hash
 // against a from-scratch recomputation (the SC analogue of the RAR

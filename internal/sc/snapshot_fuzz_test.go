@@ -29,7 +29,7 @@ func FuzzRestore(f *testing.F) {
 			return
 		}
 		c := r.(sc.Config)
-		c.AppendSuccessors(nil)
+		c.Successors()
 		again, err := sc.Model.Restore(c.AppendSnapshot(nil))
 		if err != nil {
 			t.Fatalf("re-snapshot does not restore: %v", err)

@@ -34,7 +34,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if r.Key() != c.Key() {
 			t.Fatalf("key drifted:\n got %q\nwant %q", r.Key(), c.Key())
 		}
-		for _, s := range c.AppendSuccessors(nil) {
+		for _, s := range c.Successors() {
 			walk(s, depth+1)
 		}
 	}

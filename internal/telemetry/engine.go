@@ -32,9 +32,10 @@ const (
 	// EngineBoundSuppressed counts successors suppressed by the
 	// progress bound (memory steps at the bound).
 	EngineBoundSuppressed
-	// EngineDiscards counts successors handed back to the backend's
-	// arena/free-list for recycling (dedup without re-queue, bound
-	// suppression, budget rejection).
+	// EngineDiscards counts successors handed back to the backend
+	// (dedup without re-queue, bound suppression, budget rejection):
+	// the rar backend recycles their storage into its arena, the sc
+	// backend has nothing to recycle but is counted alike.
 	EngineDiscards
 	// EnginePoolClaims counts items workers pulled from the shared
 	// work pool.
