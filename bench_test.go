@@ -406,7 +406,7 @@ func BenchmarkE16_Operational(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if len(axiomatic.OperationalExecutions(pc.p, pc.vars)) == 0 {
+				if op, _ := axiomatic.OperationalExecutions(pc.p, pc.vars, explore.Options{MaxEvents: 40}); len(op) == 0 {
 					b.Fatal("no executions")
 				}
 			}
@@ -451,7 +451,7 @@ func BenchmarkE16_ScalingOperational(b *testing.B) {
 			p, vars := scalingProg(n)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if len(axiomatic.OperationalExecutions(p, vars)) == 0 {
+				if op, _ := axiomatic.OperationalExecutions(p, vars, explore.Options{MaxEvents: 40}); len(op) == 0 {
 					b.Fatal("no executions")
 				}
 			}

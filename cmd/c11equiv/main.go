@@ -19,7 +19,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -63,33 +62,13 @@ func main() {
 	if budget.Resume != "" || budget.Checkpoint != "" {
 		cli.Fatalf("c11equiv", "checkpointing applies to a single search; use c11explore for one program")
 	}
-	ctx, stopSignals := cli.SignalContext(context.Background())
-	defer stopSignals()
-	budget.Context = ctx
+	ctx, release := budget.Start()
+	defer release()
 
 	if *diff {
 		runModelDiff(*maxEv, budget)
 		return
 	}
-	var deadline time.Time
-	if budget.Timeout > 0 {
-		deadline = time.Now().Add(budget.Timeout)
-	}
-	cut := false
-	pastDeadline := func() bool {
-		// The enumeration loops run no engine search, so the signal
-		// context is checked here, alongside the wall-clock budget.
-		if ctx.Err() != nil {
-			cut = true
-			return true
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			cut = true
-			return true
-		}
-		return false
-	}
-
 	vars := make([]event.Var, *nvars)
 	for i := range vars {
 		vars[i] = event.Var(fmt.Sprintf("v%d", i))
@@ -102,7 +81,9 @@ func main() {
 	enumerate.Candidates(enumerate.Params{
 		Threads: *threads, Vars: vars, Events: *events,
 	}, func(x axiomatic.Exec) bool {
-		if pastDeadline() {
+		// The enumeration runs no engine search, so the sweep polls
+		// the time budget itself.
+		if ctx.Err() != nil {
 			return false
 		}
 		total++
@@ -128,7 +109,7 @@ func main() {
 	start = time.Now()
 	rconsistent, rmismatch := 0, 0
 	for i := 0; i < *random; i++ {
-		if pastDeadline() {
+		if ctx.Err() != nil {
 			break
 		}
 		x := enumerate.Random(rng, enumerate.Params{
@@ -150,8 +131,8 @@ func main() {
 		fmt.Println("Theorem C.5 FALSIFIED at these bounds")
 		cli.Exit(cli.ExitViolation)
 	}
-	if cut {
-		fmt.Println("Theorem C.5 holds on every candidate checked (sweep cut by -timeout or signal)")
+	if ctx.Err() != nil {
+		fmt.Printf("Theorem C.5 holds on every candidate checked (sweep stopped early: %s)\n", cli.CutReason(ctx))
 		cli.Exit(cli.ExitBounded)
 	}
 	fmt.Println("Theorem C.5 holds on every candidate checked")

@@ -19,7 +19,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -82,9 +81,8 @@ func main() {
 		cli.Fatal("c11explore", err)
 	}
 	defer tel.Stop()
-	ctx, stopSignals := cli.SignalContext(context.Background())
-	defer stopSignals()
-	budget.Context = ctx
+	ctx, release := budget.Start()
+	defer release()
 
 	if *example != "" {
 		runExample(*example, *dot)
@@ -185,8 +183,7 @@ func main() {
 	}
 
 	if *racesFl {
-		ro := explore.Options{MaxEvents: *maxEv, Timeout: budget.Timeout}
-		reportRaces(core.NewConfig(prog, f.Init), ro)
+		reportRaces(core.NewConfig(prog, f.Init), explore.Options{MaxEvents: *maxEv, Context: ctx})
 	}
 
 	if sample != nil && (*dot || *ascii) {
@@ -255,10 +252,15 @@ func runDiff(f *parser.File, prog lang.Prog, opts explore.Options) {
 }
 
 // reportRaces prints a race verdict, with a shortest witness when a
-// race is reachable.
+// race is reachable. A search the time budget cut is inconclusive:
+// it reports so and exits ExitBounded instead of claiming absence.
 func reportRaces(cfg core.Config, opts explore.Options) {
 	trace, rs, found := races.FindRace(cfg, opts)
 	if !found {
+		if opts.Context.Err() != nil {
+			fmt.Printf("data races: INCONCLUSIVE — %s before the race search finished\n", cli.CutReason(opts.Context))
+			cli.Exit(cli.ExitBounded)
+		}
 		fmt.Println("data races: none reachable within the bound")
 		return
 	}

@@ -101,30 +101,28 @@ func main() {
 	if *replay != "" {
 		cli.Exit(replayDir(*replay, opts, *v))
 	}
-	cli.Exit(fuzz(*seed, *n, params, opts, *corpus, *keep, *budget, *v))
+	if *budget > 0 {
+		// The budget is the deadline of the campaign's context, so the
+		// engine enforces it inside every oracle search: one
+		// pathological program cannot blow through the budget
+		// mid-search — it is cut and its bound-sensitive oracles
+		// degrade to budget-cut (skipped) comparisons.
+		var cancel context.CancelFunc
+		opts.Context, cancel = context.WithTimeout(ctx, *budget)
+		defer cancel()
+	}
+	cli.Exit(fuzz(*seed, *n, params, opts, *corpus, *keep, *v))
 }
 
 // fuzz generates and judges n programs, shrinking and writing any
 // failure, and prints a run summary. Returns the exit status.
-func fuzz(seed int64, n int, params gen.Params, opts gen.CheckOpts, corpus, keep string, budget time.Duration, verbose bool) int {
+func fuzz(seed int64, n int, params gen.Params, opts gen.CheckOpts, corpus, keep string, verbose bool) int {
 	start := time.Now()
-	if budget > 0 {
-		// The budget is enforced by the engine itself: every oracle
-		// search carries the deadline, so one pathological program
-		// cannot blow through the budget mid-search — it is cut and
-		// its bound-sensitive oracles degrade to budget-cut (skipped)
-		// comparisons.
-		opts.Deadline = start.Add(budget)
-	}
 	failures, weak, truncated := 0, 0, 0
 	ran := 0
 	for i := 0; i < n; i++ {
-		if opts.Context != nil && opts.Context.Err() != nil {
-			fmt.Printf("interrupted after %d programs\n", ran)
-			break
-		}
-		if budget > 0 && time.Since(start) > budget {
-			fmt.Printf("time budget %v exhausted after %d programs\n", budget, ran)
+		if opts.Context.Err() != nil {
+			fmt.Printf("%s after %d programs\n", cli.CutReason(opts.Context), ran)
 			break
 		}
 		s := seed + int64(i)

@@ -21,7 +21,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -72,9 +71,8 @@ func main() {
 	if budget.Resume != "" || budget.Checkpoint != "" {
 		cli.Fatalf("c11litmus", "checkpointing applies to a single search; use c11explore -f for one program")
 	}
-	ctx, stopSignals := cli.SignalContext(context.Background())
-	defer stopSignals()
-	budget.Context = ctx
+	ctx, release := budget.Start()
+	defer release()
 
 	var models []model.Model
 	if *modelName == "all" {
@@ -120,9 +118,10 @@ func main() {
 			continue
 		}
 		if ctx.Err() != nil {
-			// Interrupted: remaining tests would all come back cut.
+			// The time budget is spent: remaining tests would all come
+			// back cut.
 			bounded++
-			fmt.Println("interrupted: remaining tests skipped")
+			fmt.Printf("%s: remaining tests skipped\n", cli.CutReason(ctx))
 			break
 		}
 		s, isDS := scenarios[tc]
@@ -183,11 +182,19 @@ func main() {
 			// The axiomatic baseline enumerates loop-free programs; the
 			// DS scenarios all carry retry or spin loops.
 			ax := axiomatic.ValidExecutions(tc.Prog, tc.Init, 2**maxEv)
-			op := axiomatic.OperationalExecutions(tc.Prog, tc.Init)
+			xopts := explore.Options{MaxEvents: 2 * *maxEv}
+			budget.Apply(&xopts)
+			tel.Apply(&xopts)
+			op, res := axiomatic.OperationalExecutions(tc.Prog, tc.Init, xopts)
 			status := "AGREE"
-			if len(ax) != len(op) {
+			switch {
+			case res.Verdict == explore.VerdictBounded || res.Truncated:
+				// A cut search leaves a partial set: the comparison
+				// says nothing either way.
+				status, bounded = "INCONCLUSIVE", bounded+1
+			case len(ax) != len(op):
 				status, failures = "DISAGREE", failures+1
-			} else {
+			default:
 				for sig := range op {
 					if _, ok := ax[sig]; !ok {
 						status, failures = "DISAGREE", failures+1

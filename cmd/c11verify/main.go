@@ -21,7 +21,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"strings"
@@ -72,9 +71,8 @@ func main() {
 		cli.Fatal("c11verify", err)
 	}
 	defer tel.Stop()
-	ctx, stopSignals := cli.SignalContext(context.Background())
-	defer stopSignals()
-	budget.Context = ctx
+	ctx, release := budget.Start()
+	defer release()
 
 	var (
 		prog lang.Prog
@@ -179,6 +177,7 @@ func main() {
 	// Mutual exclusion itself: search for a concrete double-CS state.
 	trace, found := explore.FindTrace(m.New(prog, vars), explore.Options{
 		MaxEvents: *maxEv,
+		Context:   ctx,
 	}, func(c model.Config) bool { return !litmus.MutualExclusion(c) })
 	if found {
 		fmt.Printf("MUTUAL EXCLUSION VIOLATED — witness of %d steps:\n", len(trace.Configs)-1)
@@ -189,6 +188,10 @@ func main() {
 		}
 		cli.Exit(cli.ExitViolation)
 	}
-	fmt.Println("mutual exclusion still holds at this bound (only auxiliary invariants broke)")
+	if ctx.Err() != nil {
+		fmt.Printf("mutual exclusion witness search stopped early (%s); the invariants above are violated\n", cli.CutReason(ctx))
+	} else {
+		fmt.Println("mutual exclusion still holds at this bound (only auxiliary invariants broke)")
+	}
 	cli.Exit(cli.ExitViolation)
 }

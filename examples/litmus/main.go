@@ -47,7 +47,10 @@ func main() {
 	}
 
 	// Cross-check the two semantics on this program.
-	op := axiomatic.OperationalExecutions(tc.Prog, tc.Init)
+	op, res := axiomatic.OperationalExecutions(tc.Prog, tc.Init, explore.Options{MaxEvents: 32})
+	if res.Verdict != explore.VerdictProved || res.Truncated {
+		log.Fatalf("litmus: operational search incomplete: %s", res.Verdict)
+	}
 	ax := axiomatic.ValidExecutions(tc.Prog, tc.Init, 32)
 	fmt.Printf("executions: operational=%d axiomatic=%d\n", len(op), len(ax))
 	if len(op) != len(ax) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/event"
+	"repro/internal/explore"
 	"repro/internal/lang"
 )
 
@@ -173,6 +174,18 @@ func TestJustifyRejectsImpossibleRead(t *testing.T) {
 	}
 }
 
+// operational is OperationalExecutions under a bound no loop-free test
+// program reaches, failing unless the search ran to completion — a
+// partial set would make every comparison meaningless.
+func operational(tb testing.TB, p lang.Prog, vars map[event.Var]event.Val) map[string]Exec {
+	tb.Helper()
+	op, res := OperationalExecutions(p, vars, explore.Options{MaxEvents: 40})
+	if res.Verdict != explore.VerdictProved || res.Truncated {
+		tb.Fatalf("operational search incomplete: verdict=%s truncated=%v", res.Verdict, res.Truncated)
+	}
+	return op
+}
+
 // The central equivalence: operational outcome set == axiomatic
 // outcome set, per litmus program (soundness ∩ completeness at
 // program scale, Theorems 4.4 + 4.8).
@@ -191,7 +204,7 @@ func TestOperationalEqualsAxiomatic(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			p, vars := c.mk()
 			ax := ValidExecutions(p, vars, 40)
-			op := OperationalExecutions(p, vars)
+			op := operational(t, p, vars)
 			if len(ax) == 0 || len(op) == 0 {
 				t.Fatalf("degenerate sets: |ax|=%d |op|=%d", len(ax), len(op))
 			}
@@ -285,7 +298,7 @@ func TestCanonicalSignatureInterleavingInvariance(t *testing.T) {
 	// Two interleavings of 2W with the same final mo must share a
 	// signature. Build both by hand through the operational semantics.
 	p, vars := prog2W()
-	op := OperationalExecutions(p, vars)
+	op := operational(t, p, vars)
 	ax := ValidExecutions(p, vars, 32)
 	if len(op) != len(ax) {
 		t.Fatalf("|op| = %d, |ax| = %d", len(op), len(ax))
@@ -296,7 +309,7 @@ func BenchmarkOperationalEnumeration(b *testing.B) {
 	p, vars := progMP()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if len(OperationalExecutions(p, vars)) == 0 {
+		if len(operational(b, p, vars)) == 0 {
 			b.Fatal("no executions")
 		}
 	}

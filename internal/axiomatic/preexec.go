@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/event"
-	"repro/internal/fingerprint"
+	"repro/internal/explore"
 	"repro/internal/lang"
 )
 
@@ -312,30 +312,29 @@ func ValidExecutions(p lang.Prog, vars map[event.Var]event.Val, maxEvents int) m
 }
 
 // OperationalExecutions computes the same set through the operational
-// semantics of internal/core: explore every interpreted run to
-// termination and collect the final states. Theorems 4.4 and 4.8 say
-// the result equals ValidExecutions; the test suite asserts exactly
-// that, and the benchmark harness compares the costs.
-func OperationalExecutions(p lang.Prog, vars map[event.Var]event.Val) map[string]Exec {
+// semantics of internal/core: one engine search (explore.Run) to
+// termination, collecting every terminated configuration's execution
+// keyed by canonical signature. Theorems 4.4 and 4.8 say the result
+// equals ValidExecutions; the test suite asserts exactly that, and the
+// benchmark harness compares the costs. opts bounds the search like
+// any other — MaxEvents, MaxConfigs, the Context's deadline and
+// cancellation — except that it always runs serially and under
+// partial-order reduction, which preserves every terminated
+// configuration. Any property in opts is replaced by the collector.
+// The Result tells whether the set is complete: a BOUNDED verdict or
+// a Truncated search leaves it partial.
+func OperationalExecutions(p lang.Prog, vars map[event.Var]event.Val, opts explore.Options) (map[string]Exec, explore.Result) {
 	out := map[string]Exec{}
-	seen := map[fingerprint.FP]bool{}
-	var dfs func(core.Config)
-	dfs = func(cfg core.Config) {
-		k := cfg.Fingerprint()
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		succ := cfg.Successors()
-		if len(succ) == 0 && cfg.Terminated() {
-			x := FromState(cfg.S)
+	opts.Workers = 1 // the collector writes out unlocked
+	opts.POR = true
+	opts.Property = nil
+	opts.TypedProperty = func(c core.Config) bool {
+		if c.Terminated() {
+			x := FromState(c.S)
 			out[x.CanonicalSignature()] = x
-			return
 		}
-		for _, s := range succ {
-			dfs(s)
-		}
+		return true
 	}
-	dfs(core.NewConfig(p, vars))
-	return out
+	res := explore.Run(core.NewConfig(p, vars), opts)
+	return out, res
 }

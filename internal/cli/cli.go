@@ -59,8 +59,8 @@ func ExitCode(res explore.Result) int {
 
 // Budget is the shared resource-governance flag set.
 type Budget struct {
-	// Timeout bounds the wall clock of every engine search the tool
-	// runs (0 = none).
+	// Timeout bounds the wall clock of the whole invocation — every
+	// engine search the tool runs shares one deadline (0 = none).
 	Timeout time.Duration
 	// MaxStates bounds distinct configurations per search (0 = engine
 	// default).
@@ -75,18 +75,16 @@ type Budget struct {
 	// Resume is a checkpoint path to continue from instead of starting
 	// fresh.
 	Resume string
-	// Context, when non-nil, cancels every engine search the tool runs
-	// (set programmatically, not by a flag — frontends thread
-	// SignalContext here so SIGINT/SIGTERM cuts the search like any
-	// other budget).
-	Context context.Context
+
+	// ctx is the invocation's time budget, built by Start.
+	ctx context.Context
 }
 
 // Register installs the budget flags on fs (use flag.CommandLine for
 // the default set).
 func (b *Budget) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&b.Timeout, "timeout", 0,
-		"wall-clock budget per search; past it the engine stops with a sound partial result (0 = none)")
+		"wall-clock budget for the whole invocation; past it every search stops with a sound partial result (0 = none)")
 	fs.IntVar(&b.MaxStates, "max-states", 0,
 		"state budget per search: distinct configurations admitted (0 = engine default)")
 	fs.IntVar(&b.MaxMemMB, "max-mem", 0,
@@ -110,11 +108,30 @@ func (b *Budget) Validate() error {
 	return nil
 }
 
-// Apply folds the budget into engine options.
+// Start builds the invocation's one time budget: a context cancelled
+// on SIGINT or SIGTERM and, when -timeout is positive, at the deadline
+// that far from now. It returns the context — for the tool's own loops
+// to poll — and the function releasing it. Apply threads the context
+// into every search, where the engine reports the deadline as
+// StopDeadline and a signal as StopCancelled. Call Start once, after
+// flag parsing.
+func (b *Budget) Start() (context.Context, context.CancelFunc) {
+	ctx, stopSignals := SignalContext(context.Background())
+	release := stopSignals
+	if b.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, b.Timeout)
+		release = func() { cancel(); stopSignals() }
+	}
+	b.ctx = ctx
+	return ctx, release
+}
+
+// Apply folds the budget into engine options. Before Start it leaves
+// o.Context as it is.
 func (b *Budget) Apply(o *explore.Options) {
-	o.Timeout = b.Timeout
-	if b.Context != nil {
-		o.Context = b.Context
+	if b.ctx != nil {
+		o.Context = b.ctx
 	}
 	if b.MaxStates > 0 {
 		o.MaxConfigs = b.MaxStates

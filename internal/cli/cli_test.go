@@ -90,14 +90,22 @@ func TestBudgetValidate(t *testing.T) {
 
 // TestBudgetApply checks the translation of parsed budgets into engine
 // options: zero values must leave engine defaults alone, non-zero
-// values must land in the right Options fields with the right units.
+// values must land in the right Options fields with the right units,
+// and the time budget reaches the engine only as the context Start
+// built — carrying the -timeout deadline when one was given.
 func TestBudgetApply(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
 		name string
 		b    cli.Budget
-		in   explore.Options
-		want explore.Options
+		// start calls b.Start before Apply; the applied context must
+		// then be the one Start returned.
+		start bool
+		in    explore.Options
+		want  explore.Options
+		// deadline is how far ahead the applied context's deadline
+		// must lie (0 = it must carry none).
+		deadline time.Duration
 	}{
 		{
 			name: "zero budget preserves engine defaults",
@@ -117,9 +125,10 @@ func TestBudgetApply(t *testing.T) {
 			want: explore.Options{MaxMemBytes: 3 << 20},
 		},
 		{
-			name: "timeout is copied through",
-			b:    cli.Budget{Timeout: 7 * time.Second},
-			want: explore.Options{Timeout: 7 * time.Second},
+			name:     "timeout is copied through",
+			b:        cli.Budget{Timeout: 7 * time.Second},
+			start:    true,
+			deadline: 7 * time.Second,
 		},
 		{
 			name: "checkpoint path and interval",
@@ -127,9 +136,9 @@ func TestBudgetApply(t *testing.T) {
 			want: explore.Options{CheckpointPath: "x.ckpt", CheckpointEvery: time.Minute},
 		},
 		{
-			name: "signal context is threaded",
-			b:    cli.Budget{Context: ctx},
-			want: explore.Options{Context: ctx},
+			name:  "signal context is threaded",
+			b:     cli.Budget{},
+			start: true,
 		},
 		{
 			name: "nil context leaves an existing one",
@@ -140,16 +149,34 @@ func TestBudgetApply(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := tc.in
+			got, want := tc.in, tc.want
+			before := time.Now()
+			if tc.start {
+				started, release := tc.b.Start()
+				defer release()
+				want.Context = started
+			}
 			tc.b.Apply(&got)
-			if got.Timeout != tc.want.Timeout ||
-				got.MaxConfigs != tc.want.MaxConfigs ||
-				got.MaxMemBytes != tc.want.MaxMemBytes ||
-				got.CheckpointPath != tc.want.CheckpointPath ||
-				got.CheckpointEvery != tc.want.CheckpointEvery ||
-				got.Context != tc.want.Context ||
-				got.MaxEvents != tc.want.MaxEvents {
-				t.Fatalf("Apply(%+v) on %+v:\n got %+v\nwant %+v", tc.b, tc.in, got, tc.want)
+			if got.MaxConfigs != want.MaxConfigs ||
+				got.MaxMemBytes != want.MaxMemBytes ||
+				got.CheckpointPath != want.CheckpointPath ||
+				got.CheckpointEvery != want.CheckpointEvery ||
+				got.Context != want.Context ||
+				got.MaxEvents != want.MaxEvents {
+				t.Fatalf("Apply(%+v) on %+v:\n got %+v\nwant %+v", tc.b, tc.in, got, want)
+			}
+			var dl time.Time
+			hasDeadline := false
+			if got.Context != nil {
+				dl, hasDeadline = got.Context.Deadline()
+			}
+			switch {
+			case tc.deadline == 0 && hasDeadline:
+				t.Fatalf("applied context carries deadline %v without a -timeout", dl)
+			case tc.deadline > 0 && !hasDeadline:
+				t.Fatal("applied context carries no deadline for -timeout")
+			case tc.deadline > 0 && (dl.Before(before.Add(tc.deadline)) || dl.After(time.Now().Add(tc.deadline))):
+				t.Fatalf("deadline %v is not -timeout %v after Start", dl, tc.deadline)
 			}
 		})
 	}

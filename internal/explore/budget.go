@@ -1,9 +1,9 @@
 package explore
 
-// Resource governance: every exploration can be bounded by wall-clock
-// time, context cancellation, a state budget and a memory budget, and
-// reports how (and whether) it was cut through a StopCause and a
-// tri-state Verdict. The signalling discipline is built around two
+// Resource governance: every exploration can be bounded by its context
+// (the one clock and cancel input), a state budget and a memory
+// budget, and reports how (and whether) it was cut through a StopCause
+// and a tri-state Verdict. The signalling discipline is built around two
 // atomics on the run:
 //
 //   - requested is the sticky first real cause (first-wins CAS): it is
@@ -25,6 +25,8 @@ package explore
 // checkpoint resumable.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"time"
@@ -44,9 +46,11 @@ const (
 	// StopMaxConfigs: the MaxConfigs state budget rejected an
 	// admission.
 	StopMaxConfigs
-	// StopDeadline: the wall-clock budget (Timeout/Deadline) expired.
+	// StopDeadline: Options.Context's deadline expired
+	// (context.DeadlineExceeded).
 	StopDeadline
-	// StopCancelled: Options.Context was cancelled.
+	// StopCancelled: Options.Context was cancelled for any other
+	// reason — an explicit cancel, a signal, a cancelled parent.
 	StopCancelled
 	// StopMemory: the heap exceeded MaxMemBytes.
 	StopMemory
@@ -177,18 +181,6 @@ func (r *run[C]) suspendForCheckpoint() {
 	}
 }
 
-// effectiveDeadline folds Timeout (relative) and Deadline (absolute)
-// into the earliest absolute deadline; zero means none.
-func (o Options) effectiveDeadline(now time.Time) time.Time {
-	d := o.Deadline
-	if o.Timeout > 0 {
-		if t := now.Add(o.Timeout); d.IsZero() || t.Before(d) {
-			d = t
-		}
-	}
-	return d
-}
-
 func (o Options) memPoll() time.Duration {
 	if o.MemPoll > 0 {
 		return o.MemPoll
@@ -199,20 +191,24 @@ func (o Options) memPoll() time.Duration {
 // needMonitor reports whether any budget requires the watcher
 // goroutine; without one the engine spawns nothing extra.
 func (r *run[C]) needMonitor() bool {
-	return !r.deadline.IsZero() || r.opts.Context != nil ||
+	return r.opts.Context != nil ||
 		r.opts.MaxMemBytes > 0 || (r.opts.CheckpointPath != "" && r.opts.CheckpointEvery > 0)
+}
+
+// contextStop is the stop cause of a done context: StopDeadline for
+// an expired deadline (context.DeadlineExceeded), StopCancelled for
+// any other end — an explicit cancel, a signal, a cancelled parent.
+func contextStop(ctx context.Context) StopCause {
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		return StopDeadline
+	}
+	return StopCancelled
 }
 
 // monitor watches the budgets and converts the first exhaustion into a
 // stop signal. It runs for the whole execute loop — across checkpoint
 // suspensions — and exits when done closes.
 func (r *run[C]) monitor(done <-chan struct{}) {
-	var deadlineC <-chan time.Time
-	if !r.deadline.IsZero() {
-		t := time.NewTimer(time.Until(r.deadline))
-		defer t.Stop()
-		deadlineC = t.C
-	}
 	var memC <-chan time.Time
 	if r.opts.MaxMemBytes > 0 {
 		tk := time.NewTicker(r.opts.memPoll())
@@ -233,11 +229,8 @@ func (r *run[C]) monitor(done <-chan struct{}) {
 		select {
 		case <-done:
 			return
-		case <-deadlineC:
-			r.stopWith(StopDeadline)
-			deadlineC = nil
 		case <-ctxC:
-			r.stopWith(StopCancelled)
+			r.stopWith(contextStop(r.opts.Context))
 			ctxC = nil
 		case <-memC:
 			var ms runtime.MemStats

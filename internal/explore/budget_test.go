@@ -46,9 +46,11 @@ func TestMaxConfigsStop(t *testing.T) {
 }
 
 func TestDeadlineStop(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
 	res := Run(mpConfig(), Options{
 		Workers: 1,
-		Timeout: 5 * time.Millisecond,
+		Context: ctx,
 		Hooks:   sleepHook(2 * time.Millisecond),
 	})
 	if res.Stop != StopDeadline {
@@ -63,13 +65,90 @@ func TestDeadlineStop(t *testing.T) {
 }
 
 func TestAbsoluteDeadlineStop(t *testing.T) {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(5*time.Millisecond))
+	defer cancel()
 	res := Run(mpConfig(), Options{
-		Workers:  1,
-		Deadline: time.Now().Add(5 * time.Millisecond),
-		Hooks:    sleepHook(2 * time.Millisecond),
+		Workers: 1,
+		Context: ctx,
+		Hooks:   sleepHook(2 * time.Millisecond),
 	})
 	if res.Stop != StopDeadline || res.Verdict != VerdictBounded {
 		t.Fatalf("Stop = %v, Verdict = %v", res.Stop, res.Verdict)
+	}
+}
+
+// TestContextStopCauses pins the one mapping from a done context to a
+// stop cause: context.DeadlineExceeded is StopDeadline, every other
+// end is StopCancelled — however the two are nested — and either way
+// the verdict is BOUNDED.
+func TestContextStopCauses(t *testing.T) {
+	cases := []struct {
+		name string
+		// ctx builds the search's context; cut, when non-nil, ends it
+		// from inside the search after a few admissions.
+		ctx  func() (ctx context.Context, cut, release func())
+		want StopCause
+	}{
+		{
+			name: "deadline",
+			ctx: func() (context.Context, func(), func()) {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+				return ctx, nil, cancel
+			},
+			want: StopDeadline,
+		},
+		{
+			name: "explicit cancel",
+			ctx: func() (context.Context, func(), func()) {
+				ctx, cancel := context.WithCancel(context.Background())
+				return ctx, cancel, cancel
+			},
+			want: StopCancelled,
+		},
+		{
+			name: "parent cancelled before the child's deadline",
+			ctx: func() (context.Context, func(), func()) {
+				parent, cancelParent := context.WithCancel(context.Background())
+				ctx, cancel := context.WithTimeout(parent, time.Hour)
+				return ctx, cancelParent, func() { cancel(); cancelParent() }
+			},
+			want: StopCancelled,
+		},
+		{
+			name: "already-expired deadline",
+			ctx: func() (context.Context, func(), func()) {
+				ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+				return ctx, nil, cancel
+			},
+			want: StopDeadline,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cut, release := tc.ctx()
+			defer release()
+			var calls atomic.Int32
+			res := Run(mpConfig(), Options{
+				Workers: 1,
+				Context: ctx,
+				Hooks:   sleepHook(time.Millisecond),
+				Property: func(model.Config) bool {
+					if calls.Add(1) == 3 && cut != nil {
+						cut()
+					}
+					return true
+				},
+			})
+			if res.Stop != tc.want {
+				t.Fatalf("Stop = %v, want %v", res.Stop, tc.want)
+			}
+			if res.Verdict != VerdictBounded {
+				t.Fatalf("Verdict = %v, want %v", res.Verdict, VerdictBounded)
+			}
+			if res.Frontier == 0 {
+				t.Fatal("a context cut must leave a frontier")
+			}
+		})
 	}
 }
 
@@ -276,12 +355,13 @@ func TestGenerousBudgetsDoNotCut(t *testing.T) {
 	// Budgets far above what the search needs must not change the
 	// result.
 	full := Run(mpConfig(), Options{Workers: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
 	res := Run(mpConfig(), Options{
 		Workers:     1,
-		Timeout:     time.Hour,
 		MaxConfigs:  1 << 20,
 		MaxMemBytes: 1 << 40,
-		Context:     context.Background(),
+		Context:     ctx,
 	})
 	if res.Verdict != VerdictProved || res.Stop != StopNone {
 		t.Fatalf("Verdict = %v, Stop = %v", res.Verdict, res.Stop)

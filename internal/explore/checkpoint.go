@@ -27,6 +27,7 @@ package explore
 import (
 	"encoding/gob"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -195,16 +196,26 @@ func loadCheckpointFile(path string) (*checkpointFile, error) {
 		return nil, fmt.Errorf("explore: checkpoint: %w", err)
 	}
 	defer f.Close()
+	ck, err := decodeCheckpoint(f)
+	if err != nil {
+		return nil, fmt.Errorf("explore: checkpoint %s: %w", path, err)
+	}
+	return ck, nil
+}
+
+// decodeCheckpoint reads one checkpointFile from r and checks the
+// container's invariants. Every corruption is an error: the input is
+// a file on disk, not trusted engine state.
+func decodeCheckpoint(r io.Reader) (*checkpointFile, error) {
 	var ck checkpointFile
-	if err := gob.NewDecoder(f).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("explore: checkpoint decode %s: %w", path, err)
+	if err := gob.NewDecoder(r).Decode(&ck); err != nil {
+		return nil, fmt.Errorf("decode: %w", err)
 	}
 	if ck.Version != checkpointVersion {
-		return nil, fmt.Errorf("explore: checkpoint %s has version %d, want %d", path, ck.Version, checkpointVersion)
+		return nil, fmt.Errorf("version %d, want %d", ck.Version, checkpointVersion)
 	}
 	if ck.Explored != len(ck.Entries) {
-		return nil, fmt.Errorf("explore: checkpoint %s is inconsistent: %d entries for Explored=%d",
-			path, len(ck.Entries), ck.Explored)
+		return nil, fmt.Errorf("inconsistent: %d entries for Explored=%d", len(ck.Entries), ck.Explored)
 	}
 	return &ck, nil
 }
@@ -294,6 +305,7 @@ func resumeAs[C config[C]](path string, ck *checkpointFile, m model.Model, opts 
 			r.opts.collect(ce.FP, ce.Term)
 		}
 	}
+	queued := make(map[fingerprint.FP]bool, len(ck.Frontier))
 	for _, fi := range ck.Frontier {
 		mc, err := m.Restore(fi.Snapshot)
 		if err != nil {
@@ -312,6 +324,19 @@ func resumeAs[C config[C]](path string, ck *checkpointFile, m model.Model, opts 
 			return Result{}, fmt.Errorf("explore: checkpoint %s frontier config %v has no seen-set entry", path, fi.FP)
 		}
 		r.pool.push(item[C]{cfg: c, fp: fi.FP})
+		queued[fi.FP] = true
+	}
+	if len(ck.Violation) == 0 {
+		// At a consistent cut every entry with work left is queued on
+		// the frontier (only the violating configuration, never
+		// queued, is exempt). An unqueued one would never be expanded,
+		// and the resumed search would report PROVED over the hole.
+		for _, ce := range ck.Entries {
+			if e := r.shardOf(ce.FP).byFP[ce.FP]; e.expandable && !e.expanded() && !queued[ce.FP] {
+				return Result{}, fmt.Errorf("explore: checkpoint %s is inconsistent: unexpanded entry %v is not on the frontier",
+					path, ce.FP)
+			}
+		}
 	}
 	if len(ck.Violation) > 0 {
 		c, err := m.Restore(ck.Violation)

@@ -275,6 +275,31 @@ func TestCheckpointAfterPanicReopensWork(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsUnqueuedWork: a property that panics leaves its
+// configuration admitted but never queued, so no frontier entry holds
+// the work below it. A resume of that checkpoint would report PROVED
+// over the unexplored rest (29 of mp's 35 states), so it is refused.
+func TestResumeRejectsUnqueuedWork(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hole.ckpt")
+	var calls atomic.Int32
+	res := Run(mpConfig(), Options{
+		Workers:        1,
+		CheckpointPath: path,
+		Property: func(model.Config) bool {
+			if calls.Add(1) == 4 {
+				panic("injected")
+			}
+			return true
+		},
+	})
+	if len(res.Panics) != 1 || res.Verdict != VerdictBounded {
+		t.Fatalf("degraded run: %d panics, verdict %v", len(res.Panics), res.Verdict)
+	}
+	if got, err := Resume(path, core.Model, Options{Workers: 1}); err == nil {
+		t.Fatalf("resume over unqueued work succeeded: %v after %d states", got.Verdict, got.Explored)
+	}
+}
+
 func TestResumeErrors(t *testing.T) {
 	if _, err := Resume(filepath.Join(t.TempDir(), "missing.ckpt"), core.Model, Options{}); err == nil {
 		t.Fatal("resume of a missing file succeeded")

@@ -19,7 +19,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/fingerprint"
 	"repro/internal/lang"
@@ -177,7 +176,6 @@ type run[C config[C]] struct {
 	nInit    int
 	maxEv    int
 	maxCfg   int
-	deadline time.Time
 
 	shards [numShards]shard
 	pool   pool[C]
@@ -222,7 +220,6 @@ func newRun[C config[C]](opts Options) *run[C] {
 		tel:      opts.Metrics,
 		tracer:   opts.Tracer,
 	}
-	r.deadline = opts.effectiveDeadline(time.Now())
 	r.pool.cond = sync.NewCond(&r.pool.mu)
 	r.pool.tel = opts.Metrics
 	for i := range r.shards {
@@ -599,6 +596,11 @@ func (r *run[C]) runWorkers() {
 // suspending and resuming around periodic checkpoints. The budget
 // monitor (if any budget is set) runs across all legs.
 func (r *run[C]) execute() {
+	if ctx := r.opts.Context; ctx != nil && ctx.Err() != nil {
+		// Already spent: cut before any worker starts, so even a
+		// search too short for the monitor to catch reports it.
+		r.stopWith(contextStop(ctx))
+	}
 	var monDone chan struct{}
 	if r.needMonitor() {
 		monDone = make(chan struct{})

@@ -39,9 +39,9 @@
 // every backend. The witness search FindTrace is this engine too, run
 // serially without reduction and recording parent links.
 //
-// The engine is resource-governed (budget.go): wall-clock deadlines,
-// context cancellation, state and memory budgets all cut the search at
-// a safe point and yield a sound partial Result with a tri-state
+// The engine is resource-governed (budget.go): the context (the one
+// clock and cancel input), state and memory budgets all cut the search
+// at a safe point and yield a sound partial Result with a tri-state
 // Verdict; worker panics in model code are isolated per configuration
 // while the remaining shards finish in degraded mode; and a search can
 // periodically checkpoint its seen-set and frontier to disk and later
@@ -111,17 +111,14 @@ type Options struct {
 	// Property applies.
 	TypedProperty any
 
-	// Context, when non-nil, cancels the search: when it is done the
-	// engine stops with StopCancelled and returns a sound partial
-	// Result.
+	// Context is the search's one wall-clock and cancellation input:
+	// when it is done the engine stops at a safe point and returns a
+	// sound partial Result — with StopDeadline when its deadline
+	// expired (context.DeadlineExceeded), StopCancelled for any other
+	// end (an explicit cancel, a signal, a cancelled parent). Bound
+	// the wall clock with context.WithTimeout or WithDeadline. Nil
+	// means no time budget.
 	Context context.Context
-	// Timeout, when positive, bounds the wall-clock time of the
-	// search relative to its start; Deadline, when non-zero, bounds it
-	// absolutely. The earlier of the two applies; exceeding it stops
-	// the search with StopDeadline.
-	Timeout time.Duration
-	// Deadline is the absolute form of Timeout.
-	Deadline time.Time
 	// MaxMemBytes, when positive, bounds the process heap: a watcher
 	// polls runtime.MemStats every MemPoll and stops the search with
 	// StopMemory when HeapAlloc exceeds the bound. The bound is
@@ -327,15 +324,18 @@ func (tr Trace) Describe() string {
 // partial-order reduction — a witness search must see every
 // intermediate configuration) for a configuration satisfying pred and
 // returns the shortest witness trace to it. found is false when no
-// such configuration exists within the bounds. Only the MaxEvents and
-// MaxConfigs bounds of opts apply: the search is Run at Workers=1 with
-// !pred as the property, so it sees exactly Run's bounded graph, and
-// the witness is the chain of parent links back from the violation.
+// such configuration exists within the bounds or before opts.Context
+// is done — callers that must tell those apart check the context.
+// Only the MaxEvents and MaxConfigs bounds and the Context of opts
+// apply: the search is Run at Workers=1 with !pred as the property, so
+// it sees exactly Run's bounded graph, and the witness is the chain of
+// parent links back from the violation.
 func FindTrace(c model.Config, opts Options, pred func(model.Config) bool) (Trace, bool) {
 	links := map[fingerprint.FP]witnessLink{}
 	res := Run(c, Options{
 		MaxEvents:  opts.MaxEvents,
 		MaxConfigs: opts.MaxConfigs,
+		Context:    opts.Context,
 		Workers:    1,
 		Property:   func(c model.Config) bool { return !pred(c) },
 		witness:    links,

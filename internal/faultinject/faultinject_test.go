@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -97,9 +98,11 @@ func TestPanicDegradation(t *testing.T) {
 
 func TestLatencyInjectionTriggersDeadline(t *testing.T) {
 	inj := New(Spec{Seed: 3, LatencyEvery: 1, Latency: 2 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Millisecond)
+	defer cancel()
 	res := explore.Run(workload(), explore.Options{
 		Workers: 1,
-		Timeout: 8 * time.Millisecond,
+		Context: ctx,
 		Hooks:   inj,
 	})
 	if inj.Sleeps() == 0 {

@@ -60,7 +60,10 @@ func TestViolationsUnderRandomBudgetsReplay(t *testing.T) {
 			opts.Context = ctx
 			opts.Hooks = &cancelHook{after: int32(1 + rng.Intn(40)), cancel: cancel}
 		case 2: // wall-clock budget, sometimes brutally tight
-			opts.Timeout = time.Duration(1+rng.Intn(2000)) * time.Microsecond
+			var ctx context.Context
+			ctx, cancel = context.WithTimeout(context.Background(),
+				time.Duration(1+rng.Intn(2000))*time.Microsecond)
+			opts.Context = ctx
 		}
 		res := explore.Run(rar.New(test.Prog, test.Init), opts)
 		if cancel != nil {
@@ -98,16 +101,18 @@ func TestViolationsUnderRandomBudgetsReplay(t *testing.T) {
 	}
 }
 
-// TestOracleDeadline: a deadline threaded through CheckOpts cuts the
-// battery without spurious failures — budget-cut audits compare
-// nothing, and the refinement check degrades to truncated.
+// TestOracleDeadline: a deadline context threaded through CheckOpts
+// cuts the battery without spurious failures — budget-cut audits
+// compare nothing, and the refinement check degrades to truncated.
 func TestOracleDeadline(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		prog := Generate(seed, Params{})
+		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Microsecond)
 		rep := Check(prog.File, CheckOpts{
 			MaxEvents: prog.Bound + 1,
-			Deadline:  time.Now().Add(500 * time.Microsecond),
+			Context:   ctx,
 		})
+		cancel()
 		if rep.Failure != nil {
 			t.Fatalf("seed %d: deadline-cut battery reported a failure: %s", seed, rep.Failure)
 		}

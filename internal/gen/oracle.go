@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/explore"
 	"repro/internal/model"
@@ -68,16 +67,13 @@ type CheckOpts struct {
 	// Workers is the parallel width of the serial-vs-parallel oracle
 	// (default 8).
 	Workers int
-	// Deadline, when non-zero, bounds every oracle exploration by
-	// wall-clock time through the engine's budget machinery. A search
-	// the deadline cuts reports through the audits as budget-cut: the
-	// set comparisons are skipped rather than reported as spurious
-	// divergences, and the refinement check is relative to what was
-	// explored (Report.TruncatedRA).
-	Deadline time.Time
-	// Context, when non-nil, cancels every oracle exploration — the
-	// frontend threads its signal context here so an interrupted fuzz
-	// run stops at the engine's next admission check.
+	// Context, when non-nil, is every oracle exploration's time
+	// budget: a deadline cuts each search through the engine's budget
+	// machinery, a cancel (the frontend's signal context) stops it at
+	// the next admission check. A cut search reports through the audits
+	// as budget-cut: the set comparisons are skipped rather than
+	// reported as spurious divergences, and the refinement check is
+	// relative to what was explored (Report.TruncatedRA).
 	Context context.Context
 	// Metrics, when non-nil, receives the engine counters of every
 	// oracle search; one registry accumulates across the whole fuzzing
@@ -133,7 +129,7 @@ func Check(f *parser.File, opts CheckOpts) (rep Report) {
 	sc, _ := backends.Get("sc")
 	eopts := explore.Options{
 		MaxEvents: opts.MaxEvents, MaxConfigs: opts.MaxConfigs,
-		Deadline: opts.Deadline, Context: opts.Context,
+		Context: opts.Context,
 		Metrics: opts.Metrics, Tracer: opts.Tracer,
 	}
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/axiomatic"
 	"repro/internal/event"
+	"repro/internal/explore"
 	"repro/internal/lang"
 )
 
@@ -82,6 +83,19 @@ func randProgram(rng *rand.Rand) (lang.Prog, map[event.Var]event.Val) {
 	return p, init
 }
 
+// operational is axiomatic.OperationalExecutions under a bound the
+// loop-free test programs never reach, failing unless the search ran
+// to completion — a partial set would make every comparison
+// meaningless.
+func operational(t *testing.T, p lang.Prog, vars map[event.Var]event.Val) map[string]axiomatic.Exec {
+	t.Helper()
+	op, res := axiomatic.OperationalExecutions(p, vars, explore.Options{MaxEvents: 48})
+	if res.Verdict != explore.VerdictProved || res.Truncated {
+		t.Fatalf("operational search incomplete: verdict=%s truncated=%v", res.Verdict, res.Truncated)
+	}
+	return op
+}
+
 func TestDifferentialRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(20190220))
 	trials := 50
@@ -90,7 +104,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 	}
 	for i := 0; i < trials; i++ {
 		p, vars := randProgram(rng)
-		op := axiomatic.OperationalExecutions(p, vars)
+		op := operational(t, p, vars)
 		ax := axiomatic.ValidExecutions(p, vars, 48)
 		if len(op) == 0 {
 			t.Fatalf("trial %d: no operational executions for %s", i, p)
@@ -117,7 +131,7 @@ func TestDifferentialReplayAndConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 15; i++ {
 		p, vars := randProgram(rng)
-		for sig, x := range axiomatic.OperationalExecutions(p, vars) {
+		for sig, x := range operational(t, p, vars) {
 			if !x.CoherentDef42() || !x.WeakCanonicalConsistent() {
 				t.Fatalf("trial %d: inconsistent reachable execution %s", i, sig)
 			}

@@ -52,7 +52,7 @@ func TestSuiteOperationalAxiomaticAgree(t *testing.T) {
 		t.Run(tc.Name, func(t *testing.T) {
 			t.Parallel()
 			ax := axiomatic.ValidExecutions(tc.Prog, tc.Init, 40)
-			op := axiomatic.OperationalExecutions(tc.Prog, tc.Init)
+			op := operational(t, tc.Prog, tc.Init)
 			if len(ax) != len(op) {
 				t.Fatalf("|axiomatic| = %d, |operational| = %d", len(ax), len(op))
 			}

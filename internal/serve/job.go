@@ -216,7 +216,7 @@ func (s *Server) execute(ctx context.Context, req *Request) (*Response, int) {
 	}
 	s.metrics.Add(ctrCacheMisses, 1)
 	resp, status, shared, abandoned := s.flights.do(ctx, q.key, func() (*Response, int) {
-		return s.runQuery(ctx, q)
+		return s.runQuery(ctx, q, "", "", nil)
 	})
 	if abandoned {
 		return &Response{Name: req.Name, Error: "request cancelled"}, statusClientClosedRequest
@@ -236,14 +236,19 @@ func (s *Server) execute(ctx context.Context, req *Request) (*Response, int) {
 const statusClientClosedRequest = 499
 
 // runQuery runs the search for a prepared query (as singleflight
-// leader): admission, isolation, checkpoint wiring, response.
-func (s *Server) runQuery(ctx context.Context, q *query) (resp *Response, status int) {
+// leader): admission, isolation, checkpoint wiring, response. With an
+// empty path it starts a fresh search under a new artifact ID;
+// otherwise it resumes the checkpoint at path under artifact id,
+// starting from the outcomes prior the interrupted run had collected.
+func (s *Server) runQuery(ctx context.Context, q *query, id, path string, prior []string) (resp *Response, status int) {
 	if err := s.acquire(ctx); err != nil {
 		return s.shedResponse(q.req.Name, err)
 	}
 	defer s.release()
 
-	id := s.newID()
+	if path == "" {
+		id = s.newID()
+	}
 	start := time.Now()
 	defer func() {
 		if v := recover(); v != nil {
@@ -251,9 +256,10 @@ func (s *Server) runQuery(ctx context.Context, q *query) (resp *Response, status
 		}
 	}()
 
-	// The search obeys the request context (client gone → stop) and
-	// the server's hard-drain context.
-	searchCtx, cancel := context.WithCancel(ctx)
+	// The search obeys the request context (client gone → stop), the
+	// server's hard-drain context and the query's timeout — all one
+	// context, whose deadline the engine reports as StopDeadline.
+	searchCtx, cancel := context.WithTimeout(ctx, q.timeout)
 	defer cancel()
 	stop := context.AfterFunc(s.hardCtx, cancel)
 	defer stop()
@@ -262,7 +268,10 @@ func (s *Server) runQuery(ctx context.Context, q *query) (resp *Response, status
 	// a terminated configuration whose outcome is forbidden falsifies
 	// the property and stops the search with a witness.
 	var mu sync.Mutex
-	outcomes := map[string]bool{}
+	outcomes := make(map[string]bool, len(prior))
+	for _, k := range prior {
+		outcomes[k] = true
+	}
 	_, forbidden := q.test.Expectations(q.model.Name())
 	forbiddenKeys := make(map[string]bool, len(forbidden))
 	for _, o := range forbidden {
@@ -270,11 +279,11 @@ func (s *Server) runQuery(ctx context.Context, q *query) (resp *Response, status
 	}
 
 	opts := explore.Options{
+		// A resume takes MaxEvents and POR from the checkpoint.
 		MaxEvents:   q.maxEvents,
 		MaxConfigs:  q.maxStates,
 		Workers:     s.cfg.EngineWorkers,
 		POR:         q.por,
-		Timeout:     q.timeout,
 		Context:     searchCtx,
 		MaxMemBytes: uint64(s.cfg.MaxMemMB) << 20,
 		Hooks:       s.cfg.Hooks,
@@ -292,13 +301,24 @@ func (s *Server) runQuery(ctx context.Context, q *query) (resp *Response, status
 			return !forbiddenKeys[k]
 		},
 	}
+	// A resumed search that is cut again checkpoints again, under the
+	// same artifact ID: resumption is repeatable until it finishes.
 	s.wireCheckpoint(&opts, id, &q.req, outcomes, &mu)
 
-	cfg := q.model.New(q.test.Prog, q.test.Init)
-	res := explore.Run(cfg, opts)
+	var res explore.Result
+	if path == "" {
+		res = explore.Run(q.model.New(q.test.Prog, q.test.Init), opts)
+	} else {
+		var err error
+		if res, err = explore.Resume(path, q.model, opts); err != nil {
+			return &Response{Name: q.req.Name, Error: "resume: " + err.Error()}, http.StatusBadRequest
+		}
+		s.metrics.Add(ctrResumes, 1)
+	}
 	s.metrics.Add(ctrCompleted, 1)
 
 	resp = s.buildResponse(q, id, res, outcomes, start)
+	resp.Resumed = path != ""
 	if cacheable(res) {
 		s.cachePut(q.key, resp)
 	}
@@ -416,7 +436,7 @@ func (s *Server) executeResume(ctx context.Context, req *Request) (resp *Respons
 
 	// Concurrent resumes of the same artifact share one search.
 	resp, status, shared, abandoned := s.flights.do(ctx, "resume:"+req.Resume, func() (*Response, int) {
-		return s.runResume(ctx, q, req.Resume, path, extra.Outcomes)
+		return s.runQuery(ctx, q, req.Resume, path, extra.Outcomes)
 	})
 	if abandoned {
 		return &Response{Name: req.Name, Error: "request cancelled"}, statusClientClosedRequest
@@ -426,74 +446,6 @@ func (s *Server) executeResume(ctx context.Context, req *Request) (resp *Respons
 		return &cp, status
 	}
 	return resp, status
-}
-
-func (s *Server) runResume(ctx context.Context, q *query, id, path string, prior []string) (resp *Response, status int) {
-	if err := s.acquire(ctx); err != nil {
-		return s.shedResponse(q.req.Name, err)
-	}
-	defer s.release()
-
-	start := time.Now()
-	defer func() {
-		if v := recover(); v != nil {
-			resp, status = s.panicResponse(q.req.Name, q.req.Program, id, v)
-		}
-	}()
-
-	searchCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stop := context.AfterFunc(s.hardCtx, cancel)
-	defer stop()
-
-	var mu sync.Mutex
-	outcomes := make(map[string]bool, len(prior))
-	for _, k := range prior {
-		outcomes[k] = true
-	}
-	_, forbidden := q.test.Expectations(q.model.Name())
-	forbiddenKeys := make(map[string]bool, len(forbidden))
-	for _, o := range forbidden {
-		forbiddenKeys[o.Key(q.test.Observe)] = true
-	}
-
-	opts := explore.Options{
-		// MaxEvents and POR come from the checkpoint inside Resume.
-		MaxConfigs:  q.maxStates,
-		Workers:     s.cfg.EngineWorkers,
-		Timeout:     q.timeout,
-		Context:     searchCtx,
-		MaxMemBytes: uint64(s.cfg.MaxMemMB) << 20,
-		Hooks:       s.cfg.Hooks,
-		Metrics:     s.engine,
-		Property: func(c model.Config) bool {
-			if !c.Terminated() {
-				return true
-			}
-			k := c.Summarise(q.test.Observe)
-			mu.Lock()
-			outcomes[k] = true
-			mu.Unlock()
-			return !forbiddenKeys[k]
-		},
-	}
-	// A resumed search that is cut again checkpoints again, under the
-	// same artifact ID: resumption is repeatable until it finishes.
-	s.wireCheckpoint(&opts, id, &q.req, outcomes, &mu)
-
-	res, err := explore.Resume(path, q.model, opts)
-	if err != nil {
-		return &Response{Name: q.req.Name, Error: "resume: " + err.Error()}, http.StatusBadRequest
-	}
-	s.metrics.Add(ctrResumes, 1)
-	s.metrics.Add(ctrCompleted, 1)
-
-	resp = s.buildResponse(q, id, res, outcomes, start)
-	resp.Resumed = true
-	if cacheable(res) {
-		s.cachePut(q.key, resp)
-	}
-	return resp, http.StatusOK
 }
 
 // buildResponse folds an engine result and outcome set into the JSON

@@ -396,7 +396,7 @@ func TestRequestPanicIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.model = panicModel{}
-	resp, status := s.runQuery(t.Context(), q)
+	resp, status := s.runQuery(t.Context(), q, "", "", nil)
 	if status != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", status)
 	}

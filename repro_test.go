@@ -109,7 +109,10 @@ func TestPipelineCrossCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op := axiomatic.OperationalExecutions(prog, f.Init)
+	op, res := axiomatic.OperationalExecutions(prog, f.Init, explore.Options{MaxEvents: 40})
+	if res.Verdict != explore.VerdictProved || res.Truncated {
+		t.Fatalf("operational search incomplete: verdict=%s truncated=%v", res.Verdict, res.Truncated)
+	}
 	ax := axiomatic.ValidExecutions(prog, f.Init, 40)
 	if len(op) == 0 || len(op) != len(ax) {
 		t.Fatalf("|op|=%d |ax|=%d", len(op), len(ax))
