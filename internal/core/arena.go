@@ -1,14 +1,16 @@
 package core
 
-// Arena recycling for successor state. The exploration hot path
-// allocates one *State per memory-step successor (shell, event slice,
-// relation slab); a large fraction of those successors are
-// fingerprint duplicates the explorer discards immediately, so their
-// allocations are pure garbage. The explorer hands provably-dead
-// successors back through Config.Discard → State.recycle, and
-// cloneGrow draws replacement shells from a pool whose allocators
-// recarve their retained slabs (relation.Allocator.Release) instead
-// of allocating fresh ones.
+// Arena recycling for successor state. A built memory-step successor
+// costs one *State (shell, event slice, relation slab). The explorer
+// deduplicates by predicted fingerprint before building, so it builds
+// almost only successors it keeps; the few it builds and then drops —
+// an admission race lost to another worker, a state-budget rejection,
+// a collision-audit duplicate — and the successors a caller of
+// AppendStepSuccessors throws away (the benchmark's layer probe) come
+// back through Config.Discard → State.recycle, and cloneGrow draws
+// replacement shells from a pool whose allocators recarve their
+// retained slabs (relation.Allocator.Release) instead of allocating
+// fresh ones.
 //
 // Safety: a discarded successor was never expanded, never audited and
 // never stored, so no other state aliases sets carved from its

@@ -6,6 +6,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/fingerprint"
 	"repro/internal/lang"
+	"repro/internal/model"
 )
 
 // This file implements the interpreted semantics of §3.3: the
@@ -42,69 +43,50 @@ func (c Config) Successors() []Config {
 // slice allocation per step per state.
 var tagBufPool = sync.Pool{New: func() any { b := make([]event.Tag, 0, 16); return &b }}
 
-// AppendStepSuccessors expands one enabled program step into its
-// interpreted transitions — one successor per memory-model choice of
-// observed write (a single τ successor for a silent step) — appending
-// them to out. This is the backend's one successor construction: the
-// explorer calls it per step (so steps the partial-order reduction
-// prunes never pay for successors), and Successors is its union over
-// the enabled steps. The observed-write candidates are drawn into a
-// pooled buffer, so the states themselves are the only allocations.
-//
-// A caller that needs the transition's metadata derives it from the
-// successor: a silent step shares the parent's state (succ.S == c.S);
-// otherwise the new event is succ.S.Event(event.Tag(succ.S.NumEvents()-1)).
-func (c Config) AppendStepSuccessors(out []Config, ps lang.ProgStep) []Config {
+// AppendStepChoices enumerates the interpreted transitions of one
+// enabled program step — one choice per memory-model choice of
+// observed write (a single τ choice for a silent step) — appending
+// them to out without building any successor. Each choice carries the
+// successor's predicted fingerprint, the stepping thread's residual
+// and the observed write, so the explorer can deduplicate before
+// building and Build re-derives nothing. The observed-write
+// candidates are drawn into a pooled buffer.
+func (c Config) AppendStepChoices(out []model.Choice, ps lang.ProgStep) []model.Choice {
 	t, s := ps.T, ps.S
 	if s.Kind == lang.StepSilent {
-		return append(out, Config{P: c.P.WithThread(t, s.Apply(0)), S: c.S})
+		res := s.Apply(0)
+		return append(out, model.Choice{
+			FP:       lang.ConfigFingerprint(c.S.Fingerprint(), c.P, t, res),
+			Res:      res,
+			Progress: c.S.NumEvents(),
+		})
 	}
 	bp := tagBufPool.Get().(*[]event.Tag)
 	tags := (*bp)[:0]
 	switch s.Kind {
 	case lang.StepRead:
-		k := event.RdX
-		switch {
-		case s.Acq:
-			k = event.RdAcq
-		case s.NA:
-			k = event.RdNA
-		}
+		k := readKind(s)
 		tags = c.S.AppendObservableFor(tags, t, s.Loc)
 		for _, w := range tags {
 			v := c.S.Event(w).WrVal()
-			ns, _, err := c.S.StepReadKind(t, k, s.Loc, w)
-			if err != nil {
-				continue // unreachable: w drawn from OW
-			}
-			out = append(out, Config{P: c.P.WithThread(t, s.Apply(v)), S: ns})
+			out = append(out, c.choice(t, event.Action{Kind: k, Loc: s.Loc, RVal: v}, w, s.Apply(v)))
 		}
 
 	case lang.StepWrite:
-		k := event.WrX
-		switch {
-		case s.Rel:
-			k = event.WrRel
-		case s.NA:
-			k = event.WrNA
-		}
+		a := event.Action{Kind: writeKind(s), Loc: s.Loc, WVal: s.WVal}
+		res := s.Apply(0)
 		tags = c.S.AppendInsertionPointsFor(tags, t, s.Loc)
 		for _, w := range tags {
-			ns, _, err := c.S.StepWriteKind(t, k, s.Loc, s.WVal, w)
-			if err != nil {
-				continue
-			}
-			out = append(out, Config{P: c.P.WithThread(t, s.Apply(0)), S: ns})
+			out = append(out, c.choice(t, a, w, res))
 		}
 
 	case lang.StepUpdate:
+		// An update's residual does not depend on the value read
+		// (Proposition 2.2), so it is computed once for every choice.
+		res := s.Apply(0)
 		tags = c.S.AppendInsertionPointsFor(tags, t, s.Loc)
 		for _, w := range tags {
-			ns, _, err := c.S.StepRMW(t, s.Loc, s.WVal, w)
-			if err != nil {
-				continue
-			}
-			out = append(out, Config{P: c.P.WithThread(t, s.Apply(c.S.Event(w).WrVal())), S: ns})
+			out = append(out, c.choice(t, event.Upd(s.Loc, c.S.Event(w).WrVal(), s.WVal), w, res))
 		}
 
 	case lang.StepCas:
@@ -114,34 +96,99 @@ func (c Config) AppendStepSuccessors(out []Config, ps lang.ProgStep) []Config {
 		// write that cannot be immediately followed in mo is simply not
 		// readable by an update; it does not turn into a failure).
 		tags = c.S.AppendInsertionPointsFor(tags, t, s.Loc)
+		var res lang.Com
 		for _, w := range tags {
 			if c.S.Event(w).WrVal() != s.Exp {
 				continue
 			}
-			ns, _, err := c.S.StepRMW(t, s.Loc, s.WVal, w)
-			if err != nil {
-				continue
+			if res == nil {
+				res = s.Apply(s.Exp)
 			}
-			out = append(out, Config{P: c.P.WithThread(t, s.Apply(s.Exp)), S: ns})
+			out = append(out, c.choice(t, event.Upd(s.Loc, s.Exp, s.WVal), w, res))
 		}
 		// Failure face: reading any non-matching observable write is an
 		// acquiring load (strong CAS: a matching value can never fail).
 		tags = c.S.AppendObservableFor(tags[:0], t, s.Loc)
 		for _, w := range tags {
-			v := c.S.Event(w).WrVal()
-			if v == s.Exp {
-				continue
+			if v := c.S.Event(w).WrVal(); v != s.Exp {
+				out = append(out, c.choice(t, event.RdA(s.Loc, v), w, s.Apply(v)))
 			}
-			ns, _, err := c.S.StepReadKind(t, event.RdAcq, s.Loc, w)
-			if err != nil {
-				continue
-			}
-			out = append(out, Config{P: c.P.WithThread(t, s.Apply(v)), S: ns})
 		}
 	}
 	*bp = tags
 	tagBufPool.Put(bp)
 	return out
+}
+
+// choice describes the memory successor in which thread t appends
+// action a observing w and continues as res.
+func (c Config) choice(t event.Thread, a event.Action, w event.Tag, res lang.Com) model.Choice {
+	return model.Choice{
+		FP:       lang.ConfigFingerprint(c.S.succFingerprint(t, a, w), c.P, t, res),
+		Res:      res,
+		W:        w,
+		Progress: c.S.NumEvents() + 1,
+	}
+}
+
+// Build constructs the successor one choice of step ps describes. The
+// choice was enumerated from c's own observability sets, so the step
+// rules' premises hold and are not re-checked, and its residual is
+// reused, not re-applied.
+func (c Config) Build(ps lang.ProgStep, ch model.Choice) Config {
+	t, s := ps.T, ps.S
+	p := c.P.WithThread(t, ch.Res)
+	switch s.Kind {
+	case lang.StepRead:
+		return Config{P: p, S: c.S.read(t, readKind(s), s.Loc, ch.W)}
+	case lang.StepWrite:
+		return Config{P: p, S: c.S.write(t, writeKind(s), s.Loc, s.WVal, ch.W)}
+	case lang.StepUpdate:
+		return Config{P: p, S: c.S.rmw(t, s.Loc, s.WVal, ch.W)}
+	case lang.StepCas:
+		if c.S.Event(ch.W).WrVal() == s.Exp {
+			return Config{P: p, S: c.S.rmw(t, s.Loc, s.WVal, ch.W)}
+		}
+		return Config{P: p, S: c.S.read(t, event.RdAcq, s.Loc, ch.W)}
+	}
+	return Config{P: p, S: c.S} // silent: the state is shared
+}
+
+// AppendStepSuccessors builds every choice of one enabled program step
+// (AppendStepChoices, then Build on each, in enumeration order),
+// appending the successors to out. Successors is its union over the
+// enabled steps.
+//
+// A caller that needs the transition's metadata derives it from the
+// successor: a silent step shares the parent's state (succ.S == c.S);
+// otherwise the new event is succ.S.Event(event.Tag(succ.S.NumEvents()-1)).
+func (c Config) AppendStepSuccessors(out []Config, ps lang.ProgStep) []Config {
+	var buf [8]model.Choice
+	for _, ch := range c.AppendStepChoices(buf[:0], ps) {
+		out = append(out, c.Build(ps, ch))
+	}
+	return out
+}
+
+// readKind and writeKind map a step's annotations to its event kind.
+func readKind(s lang.Step) event.Kind {
+	switch {
+	case s.Acq:
+		return event.RdAcq
+	case s.NA:
+		return event.RdNA
+	}
+	return event.RdX
+}
+
+func writeKind(s lang.Step) event.Kind {
+	switch {
+	case s.Rel:
+		return event.WrRel
+	case s.NA:
+		return event.WrNA
+	}
+	return event.WrX
 }
 
 // Key returns a canonical string identity for the configuration, used
@@ -155,9 +202,6 @@ func (c Config) Key() string {
 	return c.P.String() + "\x00" + c.S.CanonicalSignature()
 }
 
-// progBufPool recycles the scratch buffers for program signatures.
-var progBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
-
 // Fingerprint returns a 128-bit canonical identity for the
 // configuration — the hashed equivalent of Key, computed without fmt
 // or intermediate signature strings. Two configurations with equal
@@ -165,16 +209,7 @@ var progBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return 
 // 128-bit hash probability, which the explorer's collision-check mode
 // can audit against Key.
 func (c Config) Fingerprint() fingerprint.FP {
-	h := fingerprint.NewHasher()
-	sfp := c.S.Fingerprint()
-	h.Word(sfp.Hi)
-	h.Word(sfp.Lo)
-	bp := progBufPool.Get().(*[]byte)
-	buf := lang.AppendProgSig((*bp)[:0], c.P)
-	h.Bytes(buf)
-	*bp = buf
-	progBufPool.Put(bp)
-	return h.Sum()
+	return lang.ConfigFingerprint(c.S.Fingerprint(), c.P, 0, nil)
 }
 
 // Terminated reports whether every thread of the configuration has

@@ -183,10 +183,9 @@ func Init(vars map[event.Var]event.Val) *State {
 
 // recycle returns a dead state's reusable allocations to the arena
 // (see arena.go). The caller guarantees nothing references s anymore:
-// the explorer only discards successors that deduplicated against its
-// seen set or were suppressed by the progress bound — never expanded,
-// never audited, never stored — so no other state aliases sets carved
-// from s's allocator.
+// the explorer only discards successors it built but did not keep —
+// never expanded, never audited, never stored — so no other state
+// aliases sets carved from s's allocator.
 func (s *State) recycle() {
 	releaseState(s)
 }
@@ -408,6 +407,36 @@ func (s *State) notePair(label uint64, a, b int) {
 	s.fpAcc.Add(fingerprint.PairItem(label,
 		s.events[a].TID, s.posOf(a),
 		s.events[b].TID, s.posOf(b)))
+}
+
+// succFingerprint predicts the Fingerprint of the successor in which
+// thread t appends action a observing write w, without building it:
+// the parent's accumulator plus the new event's item, the rf pair
+// (w, e) of a read or update, and the mo pairs insertMO adds for a
+// write or update — mo⁺w × {e} and {e} × mo[w]. Appending an event
+// renames no existing one, so every item is computable from the
+// parent's indexes; the new event's position is the number of events
+// t already has.
+func (s *State) succFingerprint(t event.Thread, a event.Action, w event.Tag) fingerprint.FP {
+	acc := s.fpAcc
+	wi := int(w)
+	pos := s.threadEvs(t).Count()
+	acc.Add(fingerprint.EventItem(t, pos, a))
+	if a.Kind.IsRead() {
+		acc.Add(fingerprint.PairItem(fingerprint.LabelRF, s.events[wi].TID, s.posOf(wi), t, pos))
+	}
+	if a.Kind.IsWrite() {
+		for _, v := range s.writesTo(a.Loc) {
+			if vi := int(v); vi == wi || s.mo.Has(vi, wi) {
+				acc.Add(fingerprint.PairItem(fingerprint.LabelMO, s.events[vi].TID, s.posOf(vi), t, pos))
+			}
+		}
+		row := s.mo.Row(wi)
+		for j := row.Next(0); j >= 0; j = row.Next(j + 1) {
+			acc.Add(fingerprint.PairItem(fingerprint.LabelMO, t, pos, s.events[j].TID, s.posOf(j)))
+		}
+	}
+	return fingerprint.Finalize(acc, len(s.events)+1)
 }
 
 // Signature returns a canonical string identifying the state up to

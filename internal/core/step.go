@@ -48,14 +48,27 @@ func (s *State) StepReadKind(t event.Thread, k event.Kind, x event.Var, w event.
 	if err := s.checkObserved(t, x, w, false); err != nil {
 		return nil, event.Event{}, err
 	}
-	v := s.events[int(w)].WrVal()
-	a := event.Action{Kind: k, Loc: x, RVal: v}
+	return stepped(s.read(t, k, x, w))
+}
+
+// stepped pairs a successor with the event its step appended — the
+// exported step rules' result shape.
+func stepped(out *State) (*State, event.Event, error) {
+	return out, out.events[len(out.events)-1], nil
+}
+
+// read builds rule READ's successor without re-validating its
+// premises: w must be in OW_σ(t)|ₓ. The step rules below validate and
+// then build; the interpreted semantics builds directly from choices
+// it drew from the observability sets (interp.go).
+func (s *State) read(t event.Thread, k event.Kind, x event.Var, w event.Tag) *State {
+	a := event.Action{Kind: k, Loc: x, RVal: s.events[int(w)].WrVal()}
 	out := s.cloneGrow()
 	g := out.addEvent(a, t)
 	out.rf.Add(int(w), int(g)) // rf' = rf ∪ {(w, e)}
 	out.notePair(fingerprint.LabelRF, int(w), int(g))
 	out.linkParent(s, g, w, t, true, false)
-	return out, out.events[int(g)], nil
+	return out
 }
 
 // StepWrite implements rule WRITE: thread t writes value v to x,
@@ -78,12 +91,17 @@ func (s *State) StepWriteKind(t event.Thread, k event.Kind, x event.Var, v event
 	if err := s.checkObserved(t, x, w, true); err != nil {
 		return nil, event.Event{}, err
 	}
-	a := event.Action{Kind: k, Loc: x, WVal: v}
+	return stepped(s.write(t, k, x, v, w))
+}
+
+// write builds rule WRITE's successor without re-validating its
+// premises: w must be in (OW_σ(t) \ CW_σ)|ₓ.
+func (s *State) write(t event.Thread, k event.Kind, x event.Var, v event.Val, w event.Tag) *State {
 	out := s.cloneGrow()
-	g := out.addEvent(a, t)
+	g := out.addEvent(event.Action{Kind: k, Loc: x, WVal: v}, t)
 	out.insertMO(w, g)
 	out.linkParent(s, g, w, t, false, true)
-	return out, out.events[int(g)], nil
+	return out
 }
 
 // StepRMW implements rule RMW: thread t atomically reads wrval(w) from
@@ -93,15 +111,19 @@ func (s *State) StepRMW(t event.Thread, x event.Var, v event.Val, w event.Tag) (
 	if err := s.checkObserved(t, x, w, true); err != nil {
 		return nil, event.Event{}, err
 	}
-	m := s.events[int(w)].WrVal()
-	a := event.Upd(x, m, v)
+	return stepped(s.rmw(t, x, v, w))
+}
+
+// rmw builds rule RMW's successor without re-validating its premises:
+// w must be in (OW_σ(t) \ CW_σ)|ₓ.
+func (s *State) rmw(t event.Thread, x event.Var, v event.Val, w event.Tag) *State {
 	out := s.cloneGrow()
-	g := out.addEvent(a, t)
+	g := out.addEvent(event.Upd(x, s.events[int(w)].WrVal(), v), t)
 	out.rf.Add(int(w), int(g))
 	out.notePair(fingerprint.LabelRF, int(w), int(g))
 	out.insertMO(w, g)
 	out.linkParent(s, g, w, t, true, true)
-	return out, out.events[int(g)], nil
+	return out
 }
 
 // checkObserved validates the common premises of the Figure 3 rules.

@@ -10,9 +10,13 @@ package explore
 // reporting, checkpoint restore, trace output), which are cold.
 //
 // The backend methods whose signatures mention the configuration type
-// itself (successor construction and the discard hand-back) cannot
-// live on model.Config, so the engine's type constraint config[C]
-// adds them: every backend call is a direct method call on C.
+// itself (building a successor and the discard hand-back) cannot live
+// on model.Config, so the engine's type constraint config[C] adds
+// them: every backend call is a direct method call on C.
+//
+// Expansion is fingerprint first, build second: a backend enumerates
+// a step's choices with predicted fingerprints (model.Choice), and the
+// engine builds only the successors it keeps (see offer).
 
 import (
 	"fmt"
@@ -31,15 +35,22 @@ import (
 // that mention the type itself.
 type config[C any] interface {
 	model.Config
-	// AppendStepSuccessors appends the targets of one enabled program
-	// step to out — the backend's one successor construction.
-	AppendStepSuccessors(out []C, ps lang.ProgStep) []C
-	// Discard is told about a successor the engine will never use
-	// again: one that deduplicated against the seen set without being
-	// re-queued, was suppressed by the progress bound, or was rejected
-	// by the MaxConfigs cap. The backend may recycle its allocations;
-	// the receiver is the configuration it was expanded from
-	// (successors of silent steps share state with it).
+	// AppendStepChoices appends the choices of one enabled program
+	// step to out, each with its successor's predicted fingerprint,
+	// building nothing.
+	AppendStepChoices(out []model.Choice, ps lang.ProgStep) []model.Choice
+	// Build constructs the successor one choice of step ps describes.
+	// Build after AppendStepChoices is the backend's one successor
+	// construction (its AppendStepSuccessors is the same pair).
+	Build(ps lang.ProgStep, ch model.Choice) C
+	// Discard is told about a built successor the engine will never
+	// use again. Duplicates and bound-suppressed choices are never
+	// built, so this sees only successors that lost an admission race
+	// to another worker, were rejected by the MaxConfigs cap, or were
+	// built for the CheckCollisions audit and deduplicated. The
+	// backend may recycle its allocations; the receiver is the
+	// configuration it was expanded from (successors of silent steps
+	// share state with it).
 	Discard(succ C)
 }
 
@@ -240,7 +251,7 @@ func runAs[C config[C]](c C, opts Options) Result {
 		r.tracer.Emit(telemetry.Record{Type: "begin", Name: "search", Worker: -1,
 			Args: map[string]any{"workers": opts.workers(), "max_events": r.maxEv, "por": opts.POR}})
 	}
-	r.admit(r.tel.Cell(0), c, fingerprint.FP{}, 0, 0)
+	r.admit(r.tel.Cell(0), c, c.Fingerprint(), fingerprint.FP{}, 0, 0)
 	r.execute()
 	res := r.finalize()
 	if r.tracer != nil {
@@ -255,9 +266,11 @@ func (r *run[C]) shardOf(fp fingerprint.FP) *shard {
 	return &r.shards[fp.Lo%numShards]
 }
 
-// admit deduplicates and registers cfg, reached from the configuration
-// with fingerprint parent, at depth d with sleep mask sleep, updating
-// counters and queueing it when expandable.
+// admit deduplicates and registers cfg, whose fingerprint is fp,
+// reached from the configuration with fingerprint parent, at depth d
+// with sleep mask sleep, updating counters and queueing it when
+// expandable. It is the authority on freshness: expand's probe may
+// have found fp unseen, but another worker can admit it in between.
 // Re-discoveries at a shorter depth or with a smaller sleep mask relax
 // the recorded values and re-queue already-expanded entries so the
 // improvements propagate. cont=false means the caller must stop
@@ -268,11 +281,10 @@ func (r *run[C]) shardOf(fp fingerprint.FP) *shard {
 // re-queued, or was rejected) and the caller may recycle it. cell is
 // the calling worker's telemetry cell (nil when metrics are
 // disabled).
-func (r *run[C]) admit(cell *telemetry.Cell, cfg C, parent fingerprint.FP, d int32, sleep threadMask) (cont, retained bool) {
+func (r *run[C]) admit(cell *telemetry.Cell, cfg C, fp, parent fingerprint.FP, d int32, sleep threadMask) (cont, retained bool) {
 	// Everything that calls into model code runs outside the shard
 	// lock: model methods may be expensive, and under fault injection
 	// they may panic — a panic below never wedges a shard mutex.
-	fp := cfg.Fingerprint()
 	if r.keys != nil {
 		r.keys.observe(fp, cfg.Key())
 	}
@@ -284,11 +296,8 @@ func (r *run[C]) admit(cell *telemetry.Cell, cfg C, parent fingerprint.FP, d int
 	e := sh.byFP[fp]
 	if e != nil {
 		// Known configuration: relax depth and sleep mask.
-		requeue := e.relax(d, sleep)
-		sh.mu.Unlock()
-		cell.Add(telemetry.EngineDedupHits, 1)
+		requeue := r.rediscovered(cell, sh, e, d, sleep)
 		if requeue {
-			cell.Add(telemetry.EngineRequeues, 1)
 			r.pool.push(item[C]{cfg: cfg, fp: fp})
 		}
 		return true, requeue
@@ -358,6 +367,20 @@ func (r *run[C]) admit(cell *telemetry.Cell, cfg C, parent fingerprint.FP, d int
 	return true, true
 }
 
+// rediscovered relaxes the known entry e of shard sh (whose lock the
+// caller holds and this releases) with a re-discovery at depth d with
+// sleep mask sleep, counts it, and reports whether the configuration
+// must be re-queued.
+func (r *run[C]) rediscovered(cell *telemetry.Cell, sh *shard, e *entry, d int32, sleep threadMask) (requeue bool) {
+	requeue = e.relax(d, sleep)
+	sh.mu.Unlock()
+	cell.Add(telemetry.EngineDedupHits, 1)
+	if requeue {
+		cell.Add(telemetry.EngineRequeues, 1)
+	}
+	return requeue
+}
+
 // claim marks it as being expanded and returns the depth and sleep
 // mask to expand at, or ok=false when the entry has already been
 // expanded at its current best depth and sleep mask (a stale
@@ -419,6 +442,18 @@ func (r *run[C]) recordPanic(it item[C], d int32, v any) {
 	}
 }
 
+// build constructs the successor choice ch of step ps describes.
+// Under CheckIncremental it also audits the prediction: the built
+// configuration's Fingerprint must equal the fingerprint the engine
+// deduplicated it by, and each disagreement counts as a mismatch.
+func (r *run[C]) build(cell *telemetry.Cell, parent C, ps lang.ProgStep, ch *model.Choice) C {
+	s := parent.Build(ps, *ch)
+	if r.opts.CheckIncremental && s.Fingerprint() != ch.FP {
+		r.mismatches.Add(1)
+	}
+	return s
+}
+
 // discard hands a successor the engine will never use again back to
 // the backend for recycling.
 func (r *run[C]) discard(cell *telemetry.Cell, parent, succ C) {
@@ -428,27 +463,29 @@ func (r *run[C]) discard(cell *telemetry.Cell, parent, succ C) {
 
 // scratch is one worker's reusable expansion buffers: the enabled
 // steps, shared by POR planning and the successor loop, and the
-// successors of one expansion with their child sleep masks.
-type scratch[C any] struct {
-	steps  []lang.ProgStep
-	succ   []C
-	sleeps []threadMask
+// choices of one expansion with the index of each choice's step and
+// its child sleep mask.
+type scratch struct {
+	steps   []lang.ProgStep
+	choices []model.Choice
+	stepOf  []int
+	sleeps  []threadMask
 }
 
-// expand generates the successors of it.cfg at depth d under sleep
-// mask sl, then admits them, and reports whether every successor was
-// admitted (false when a stop signal or budget rejection aborted the
-// expansion). One loop builds the successors of the enabled steps.
-// Under POR it skips the steps outside the plan's persistent set or
-// asleep in sl and gives each successor its child sleep mask;
-// otherwise — POR off, or a program too wide for masks — every step
-// is expanded with an empty mask. At the progress bound only silent
-// successors (same Progress) are admitted: memory successors are
-// still built and counted, then suppressed and discarded, while
+// expand enumerates the successor choices of it.cfg at depth d under
+// sleep mask sl, then offers them for admission, and reports whether
+// every choice was offered (false when a stop signal or budget
+// rejection aborted the expansion). One loop enumerates the choices
+// of the enabled steps. Under POR it skips the steps outside the
+// plan's persistent set or asleep in sl and gives each choice its
+// child sleep mask; otherwise — POR off, or a program too wide for
+// masks — every step is expanded with an empty mask. At the progress
+// bound only silent choices (same Progress) are admitted: memory
+// choices are counted, then suppressed without being built, while
 // silent chains drain to termination in the full and the reduced
 // search alike (the reduction is bypassed there: the handful of
 // silent-only frontier states is not worth planning over).
-func (r *run[C]) expand(cell *telemetry.Cell, it item[C], d int32, sl threadMask, ws *scratch[C]) bool {
+func (r *run[C]) expand(cell *telemetry.Cell, it item[C], d int32, sl threadMask, ws *scratch) bool {
 	cfg := it.cfg
 	cell.Add(telemetry.EngineExpansions, 1)
 	ws.steps = lang.AppendProgSteps(ws.steps[:0], cfg.Program())
@@ -459,7 +496,7 @@ func (r *run[C]) expand(cell *telemetry.Cell, it item[C], d int32, sl threadMask
 		pl = planPOR(cfg, ws.steps)
 	}
 	var pruned uint64
-	succ, sleeps := ws.succ[:0], ws.sleeps[:0]
+	chs, stepOf, sleeps := ws.choices[:0], ws.stepOf[:0], ws.sleeps[:0]
 	for j, ps := range ws.steps {
 		var cs threadMask
 		if pl.ok {
@@ -470,38 +507,60 @@ func (r *run[C]) expand(cell *telemetry.Cell, it item[C], d int32, sl threadMask
 			}
 			cs = childSleep(pl, sl, j)
 		}
-		succ = cfg.AppendStepSuccessors(succ, ps)
-		for len(sleeps) < len(succ) {
+		chs = cfg.AppendStepChoices(chs, ps)
+		for len(sleeps) < len(chs) {
+			stepOf = append(stepOf, j)
 			sleeps = append(sleeps, cs)
 		}
 	}
-	ws.succ, ws.sleeps = succ[:0], sleeps[:0]
-	cell.Add(telemetry.EngineSuccessors, uint64(len(succ)))
+	ws.choices, ws.stepOf, ws.sleeps = chs, stepOf, sleeps
+	cell.Add(telemetry.EngineSuccessors, uint64(len(chs)))
 	if pruned != 0 {
 		cell.Add(telemetry.EnginePORPruned, pruned)
 	}
-	var zero C
-	for i, s := range succ {
-		succ[i] = zero // release for GC once admitted
-		if atBound && s.Progress() > base {
-			// Memory step: suppressed by the bound, never seen by
-			// anything else — recyclable.
+	for i := range chs {
+		if atBound && chs[i].Progress > base {
+			// Memory step: suppressed by the bound, never built.
 			cell.Add(telemetry.EngineBoundSuppressed, 1)
-			r.discard(cell, cfg, s)
 			continue
 		}
 		if r.stop.Load() != 0 {
 			return false
 		}
-		cont, retained := r.admit(cell, s, it.fp, d+1, sleeps[i])
-		if !retained {
-			r.discard(cell, cfg, s)
-		}
-		if !cont {
+		if !r.offer(cell, it, ws.steps[stepOf[i]], &chs[i], d+1, sleeps[i]) {
 			return false
 		}
 	}
 	return true
+}
+
+// offer admits the successor of it.cfg that choice ch of step ps
+// describes, at depth d with sleep mask sleep, building it only when
+// the engine will hold on to it. The prediction is probed first: a
+// known fingerprint is relaxed in place and the successor is built
+// only if the entry must be re-queued. An unseen one is built and
+// handed to admit, which re-checks freshness — a worker that loses
+// the race between probe and admission pays one discarded build, not
+// a wrong answer. Under CheckCollisions every choice is built, since
+// the audit compares every candidate's Key. It reports admit's cont.
+func (r *run[C]) offer(cell *telemetry.Cell, it item[C], ps lang.ProgStep, ch *model.Choice, d int32, sleep threadMask) bool {
+	if r.keys == nil {
+		sh := r.shardOf(ch.FP)
+		sh.mu.Lock()
+		if e := sh.byFP[ch.FP]; e != nil {
+			if r.rediscovered(cell, sh, e, d, sleep) {
+				r.pool.push(item[C]{cfg: r.build(cell, it.cfg, ps, ch), fp: ch.FP})
+			}
+			return true
+		}
+		sh.mu.Unlock()
+	}
+	s := r.build(cell, it.cfg, ps, ch)
+	cont, retained := r.admit(cell, s, ch.FP, it.fp, d, sleep)
+	if !retained {
+		r.discard(cell, it.cfg, s)
+	}
+	return cont
 }
 
 // process claims and expands one item, isolating panics from model
@@ -509,7 +568,7 @@ func (r *run[C]) expand(cell *telemetry.Cell, it item[C], d int32, sl threadMask
 // claimed) and the worker moves on — the rest of the search finishes
 // in degraded mode. An expansion aborted by a stop signal or budget
 // rejection is unclaimed and re-queued so the frontier stays sound.
-func (r *run[C]) process(cell *telemetry.Cell, it item[C], ws *scratch[C]) {
+func (r *run[C]) process(cell *telemetry.Cell, it item[C], ws *scratch) {
 	d, sl, live := r.claim(it)
 	if !live {
 		cell.Add(telemetry.EngineStaleClaims, 1)
@@ -540,7 +599,7 @@ const traceBatchEvery = 1024
 func (r *run[C]) worker(id int) {
 	cell := r.tel.Cell(id)
 	r.tracer.Begin("worker", id)
-	var ws scratch[C]
+	var ws scratch
 	var processed uint64
 	for {
 		it, ok := r.pool.pop()

@@ -193,7 +193,8 @@ type Options struct {
 	// ordinary one. A checkpoint holds fingerprints, not keys, so a
 	// resumed audit covers the configurations fingerprinted after the
 	// restore. This is a debug mode: it pays the allocation-heavy key
-	// construction the fingerprints replaced.
+	// construction the fingerprints replaced, and building every
+	// candidate successor — duplicates included — to have a key.
 	CheckCollisions bool
 	// CheckIncremental audits the model's incrementally maintained
 	// derived structures: at every admitted configuration
@@ -202,7 +203,11 @@ type Options struct {
 	// Result.ClosureMismatches. Under the RAR backend this restores
 	// the from-scratch Floyd–Warshall cost per state (hb/eco/comb
 	// closures, observability sets, indexes); under SC it re-hashes
-	// the store. The expected mismatch count is always zero.
+	// the store. It also audits the engine's fingerprint-first
+	// expansion: every configuration the engine builds must have the
+	// Fingerprint its backend predicted for it (the value it was
+	// deduplicated by), and each disagreement counts as a mismatch.
+	// The expected mismatch count is always zero.
 	CheckIncremental bool
 
 	// collect, when non-nil, observes every admitted configuration's
@@ -292,7 +297,8 @@ type Result struct {
 	FingerprintCollisions int
 	// ClosureMismatches counts disagreements between the model's
 	// incrementally maintained structures and their from-scratch
-	// recomputation across all admitted configurations; only
+	// recomputation across all admitted configurations, plus built
+	// successors whose Fingerprint differs from its prediction; only
 	// populated under CheckIncremental.
 	ClosureMismatches int
 }

@@ -29,9 +29,9 @@ import (
 // program paired with a model-specific memory state. Configurations
 // are immutable values; each backend's concrete configuration type
 // (core.Config, sc.Config) carries its own typed successor methods
-// (AppendStepSuccessors, Discard), which internal/explore instantiates
-// its engine over, so no method here mentions successors and the
-// successor path never boxes. The
+// (AppendStepChoices, Build, AppendStepSuccessors, Discard), which
+// internal/explore instantiates its engine over, so no method here
+// mentions successors and the successor path never boxes. The
 // interface is the frontend seam for dispatch, traces, properties and
 // checkpoints. All methods must be safe for concurrent use (the engine
 // calls them from multiple workers on shared configurations).
@@ -101,6 +101,26 @@ type Config interface {
 	// label of the transition prev → c — for trace output ("τ" for a
 	// silent step).
 	DeltaLabel(prev Config) string
+}
+
+// Choice is one memory-model choice of one enabled program step — one
+// successor, described instead of built. A backend's AppendStepChoices
+// enumerates the choices of a step with their predicted fingerprints,
+// and its Build turns one choice into the successor configuration, so
+// the engine can look a successor up in its seen-set before paying
+// for it. The values are small and self-contained: everything Build
+// needs beyond the parent configuration and the step is here.
+type Choice struct {
+	// FP is the successor's predicted Fingerprint.
+	FP fingerprint.FP
+	// Res is the stepping thread's residual command after the step.
+	Res lang.Com
+	// W is the observed write (RAR memory steps; unused otherwise).
+	// The face of a CAS follows from it: the update face when the
+	// write's value is the expected one, the failing read otherwise.
+	W event.Tag
+	// Progress is the successor's Progress.
+	Progress int
 }
 
 // Model is a named memory-model backend: a configuration factory.

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/event"
 	"repro/internal/fingerprint"
@@ -86,22 +85,32 @@ func (s *State) Read(x event.Var) (event.Val, bool) {
 func (s *State) write(x event.Var, v event.Val) *State {
 	out := &State{
 		store: make(map[event.Var]event.Val, len(s.store)+1),
-		acc:   s.acc,
 		wx:    x, wv: v, wrote: true,
 	}
 	for k, val := range s.store {
 		out.store[k] = val
 	}
-	if old, ok := out.store[x]; ok {
-		// The multiset hash is additive per lane, so replacing an
-		// entry is one subtraction and one addition.
-		it := entryItem(x, old)
-		out.acc.Hi -= it.Hi
-		out.acc.Lo -= it.Lo
-	}
 	out.store[x] = v
-	out.acc.Add(entryItem(x, v))
+	out.acc, _ = s.writeAcc(x, v)
 	return out
+}
+
+// writeAcc returns the entry hash and entry count of the store s would
+// become by writing v to x — what write maintains and what the
+// successor enumerator predicts from, without copying the store. The
+// multiset hash is additive per lane, so replacing an entry is one
+// subtraction and one addition.
+func (s *State) writeAcc(x event.Var, v event.Val) (fingerprint.Acc, int) {
+	acc, n := s.acc, len(s.store)
+	if old, ok := s.store[x]; ok {
+		it := entryItem(x, old)
+		acc.Hi -= it.Hi
+		acc.Lo -= it.Lo
+	} else {
+		n++
+	}
+	acc.Add(entryItem(x, v))
+	return acc, n
 }
 
 // Signature renders the store canonically.
@@ -142,73 +151,75 @@ func (c Config) Progress() int { return 0 }
 // Key identifies the configuration exactly, for deduplication audits.
 func (c Config) Key() string { return c.P.String() + "\x00" + c.S.Signature() }
 
-// progBufPool recycles the scratch buffers for program signatures.
-var progBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
-
 // Fingerprint returns a 128-bit identity of the configuration: the
 // store's multiset hash combined with the binary program signature.
 // Equal keys always have equal fingerprints; distinct keys collide
 // only with 128-bit hash probability (auditable via the engine's
 // collision-check mode).
 func (c Config) Fingerprint() fingerprint.FP {
-	st := fingerprint.Finalize(c.S.acc, len(c.S.store))
-	h := fingerprint.NewHasher()
-	h.Word(st.Hi)
-	h.Word(st.Lo)
-	bp := progBufPool.Get().(*[]byte)
-	buf := lang.AppendProgSig((*bp)[:0], c.P)
-	h.Bytes(buf)
-	*bp = buf
-	progBufPool.Put(bp)
-	return h.Sum()
+	return lang.ConfigFingerprint(fingerprint.Finalize(c.S.acc, len(c.S.store)), c.P, 0, nil)
 }
 
 // Terminated reports whether every thread has terminated.
 func (c Config) Terminated() bool { return c.P.Terminated() }
 
-// AppendStepSuccessors appends the targets of one program step — at
-// most one under SC (zero when a read's variable is uninitialised:
-// stuck). Reads are deterministic (the global store), writes update
-// it, and an update atomically reads and writes. This is the backend's
-// one successor construction; the explorer calls it per enabled step.
-func (c Config) AppendStepSuccessors(out []Config, ps lang.ProgStep) []Config {
+// AppendStepChoices appends the choices of one program step — at most
+// one under SC (none when a read's variable is uninitialised: stuck).
+// Reads are deterministic (the global store), writes update it, an
+// update atomically reads and writes, and a CAS has exactly one face:
+// the store either holds the expected value (atomic read-write) or it
+// does not (plain read). The choice's fingerprint is predicted from
+// the store-hash delta of the write, if any (State.writeAcc), so
+// nothing is built.
+func (c Config) AppendStepChoices(out []model.Choice, ps lang.ProgStep) []model.Choice {
 	t, s := ps.T, ps.S
+	acc, n := c.S.acc, len(c.S.store)
+	var res lang.Com
 	switch s.Kind {
 	case lang.StepSilent:
-		out = append(out, Config{P: c.P.WithThread(t, s.Apply(0)), S: c.S})
-	case lang.StepRead:
+		res = s.Apply(0)
+	case lang.StepWrite:
+		res = s.Apply(0)
+		acc, n = c.S.writeAcc(s.Loc, s.WVal)
+	case lang.StepRead, lang.StepUpdate, lang.StepCas:
 		v, ok := c.S.Read(s.Loc)
 		if !ok {
 			return out // uninitialised variable: stuck
 		}
-		out = append(out, Config{P: c.P.WithThread(t, s.Apply(v)), S: c.S})
-	case lang.StepWrite:
-		out = append(out, Config{
-			P: c.P.WithThread(t, s.Apply(0)),
-			S: c.S.write(s.Loc, s.WVal),
-		})
-	case lang.StepUpdate:
-		v, ok := c.S.Read(s.Loc)
-		if !ok {
-			return out
+		res = s.Apply(v)
+		if s.Kind == lang.StepUpdate || (s.Kind == lang.StepCas && v == s.Exp) {
+			acc, n = c.S.writeAcc(s.Loc, s.WVal)
 		}
-		out = append(out, Config{
-			P: c.P.WithThread(t, s.Apply(v)),
-			S: c.S.write(s.Loc, s.WVal),
-		})
+	}
+	return append(out, model.Choice{
+		FP:  lang.ConfigFingerprint(fingerprint.Finalize(acc, n), c.P, t, res),
+		Res: res,
+	})
+}
+
+// Build constructs the successor the choice of step ps describes,
+// reusing its residual.
+func (c Config) Build(ps lang.ProgStep, ch model.Choice) Config {
+	s, ns := ps.S, c.S
+	switch s.Kind {
+	case lang.StepWrite, lang.StepUpdate:
+		ns = c.S.write(s.Loc, s.WVal)
 	case lang.StepCas:
-		// SC reads are deterministic, so a CAS has exactly one face
-		// here: the store either holds the expected value (atomic
-		// read-write) or it does not (plain read).
-		v, ok := c.S.Read(s.Loc)
-		if !ok {
-			return out
-		}
-		ns := c.S
-		if v == s.Exp {
+		if v, _ := c.S.Read(s.Loc); v == s.Exp {
 			ns = c.S.write(s.Loc, s.WVal)
 		}
-		out = append(out, Config{P: c.P.WithThread(t, s.Apply(v)), S: ns})
+	}
+	return Config{P: c.P.WithThread(ps.T, ch.Res), S: ns}
+}
+
+// AppendStepSuccessors builds the choice of one program step, if any,
+// appending the successor to out. This is the explorer-independent
+// successor construction; Successors is its union over the enabled
+// steps.
+func (c Config) AppendStepSuccessors(out []Config, ps lang.ProgStep) []Config {
+	var buf [1]model.Choice
+	for _, ch := range c.AppendStepChoices(buf[:0], ps) {
+		out = append(out, c.Build(ps, ch))
 	}
 	return out
 }

@@ -11,8 +11,8 @@ const (
 	// EngineExpansions counts configurations expanded (claims that
 	// reached the successor loop).
 	EngineExpansions Counter = iota
-	// EngineSuccessors counts successor configurations generated,
-	// including ones later deduplicated, suppressed or discarded.
+	// EngineSuccessors counts successor choices enumerated, including
+	// ones later deduplicated or suppressed without being built.
 	EngineSuccessors
 	// EngineAdmitted counts distinct configurations admitted to the
 	// seen set (== Result.Explored for a fresh run).
@@ -32,10 +32,11 @@ const (
 	// EngineBoundSuppressed counts successors suppressed by the
 	// progress bound (memory steps at the bound).
 	EngineBoundSuppressed
-	// EngineDiscards counts successors handed back to the backend
-	// (dedup without re-queue, bound suppression, budget rejection):
-	// the rar backend recycles their storage into its arena, the sc
-	// backend has nothing to recycle but is counted alike.
+	// EngineDiscards counts built successors handed back to the
+	// backend (an admission race lost to another worker, a budget
+	// rejection, a CheckCollisions build that deduplicated): the rar
+	// backend recycles their storage into its arena, the sc backend
+	// has nothing to recycle but is counted alike.
 	EngineDiscards
 	// EnginePoolClaims counts items workers pulled from the shared
 	// work pool.
