@@ -2,6 +2,7 @@ package litmus
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/axiomatic"
@@ -159,20 +160,22 @@ func TestParallelSerialAgree(t *testing.T) {
 // on a program with loops and updates).
 func TestPetersonSoundness(t *testing.T) {
 	p, vars := Peterson()
-	checked := 0
+	// The property runs on every worker: count atomically, and report
+	// with Errorf (Fatalf must not be called off the test goroutine).
+	var checked atomic.Int64
 	explore.Run(core.NewConfig(p, vars), explore.Options{
 		MaxEvents: 9,
 		Property: func(c model.Config) bool {
-			checked++
-			if checked%17 == 0 { // sample: full validation is O(n³) per state
+			if checked.Add(1)%17 == 0 { // sample: full validation is O(n³) per state
 				if v := axiomatic.FromState(c.(core.Config).S).Check(); v != nil {
-					t.Fatalf("reachable state invalid: %v", v)
+					t.Errorf("reachable state invalid: %v", v)
+					return false
 				}
 			}
 			return true
 		},
 	})
-	if checked == 0 {
+	if checked.Load() == 0 {
 		t.Fatal("nothing explored")
 	}
 }

@@ -178,7 +178,7 @@ func Theorem58(c core.Config) bool {
 // exclusion; it returns false exactly when the premise (invariant 9)
 // fails, making the paper's proof inapplicable.
 func DeriveTheorem58(c core.Config) bool {
-	inv9 := PetersonInvariants()[5]
+	inv9 := &petersonInvariants[5]
 	if inv9.ID != 9 {
 		panic("proof: invariant table out of order")
 	}

@@ -212,6 +212,29 @@ func TestPetersonInvariantTableShape(t *testing.T) {
 	}
 }
 
+// DeriveTheorem58 runs on every configuration of a c11verify search;
+// it reads the memoised invariant table, so once a state's derived
+// orders are memoised a call allocates nothing.
+func TestDeriveTheorem58AllocatesNothing(t *testing.T) {
+	p, vars := litmus.Peterson()
+	var configs []core.Config
+	explore.Run(core.NewConfig(p, vars), explore.Options{
+		MaxEvents: 10,
+		Workers:   1,
+		TypedProperty: func(c core.Config) bool {
+			configs = append(configs, c)
+			return true
+		},
+	})
+	for i := 0; i < len(configs); i += 25 {
+		c := configs[i]
+		DeriveTheorem58(c) // memoise hb
+		if n := testing.AllocsPerRun(20, func() { DeriveTheorem58(c) }); n != 0 {
+			t.Fatalf("DeriveTheorem58 allocates %.1f objects per call", n)
+		}
+	}
+}
+
 func BenchmarkPetersonInvariantCheck(b *testing.B) {
 	p, vars := litmus.Peterson()
 	c := core.NewConfig(p, vars)
