@@ -53,9 +53,9 @@ type incProvenance struct {
 }
 
 // linkParent records the provenance of a freshly-built successor.
-func (s *State) linkParent(parent *State, g event.Tag, w event.Tag, t event.Thread, rfEdge, moSplice bool) {
+func (s *State) linkParent(parent *State, g int, w event.Tag, t event.Thread, rfEdge, moSplice bool) {
 	s.inc = incProvenance{
-		parent: parent, g: int(g), w: int(w), t: t,
+		parent: parent, g: g, w: int(w), t: t,
 		rfEdge: rfEdge, moSplice: moSplice,
 	}
 }
@@ -126,7 +126,7 @@ func (s *State) deriveHBLocked(p *State) {
 		hb.UnionRow(g, tEvs)
 		hb.UnionRow(g, phb.Row(last))
 	}
-	if s.inc.rfEdge && s.events[w].Releasing() && s.events[g].Acquiring() {
+	if s.inc.rfEdge && s.events[w].releasing() && s.events[g].acquiring() {
 		hb.Add(g, w)
 		hb.UnionRow(g, phb.Row(w))
 	}
@@ -161,9 +161,8 @@ func (s *State) deriveECOLocked(p *State) {
 	}
 	if s.inc.moSplice {
 		direct.Set(w)
-		x := s.events[w].Var()
-		for _, v := range p.writesTo(x) {
-			vi := int(v)
+		xs := p.varWrites(int(s.events[w].x))
+		for vi := xs.Next(0); vi >= 0; vi = xs.Next(vi + 1) {
 			if vi == w || p.mo.Has(vi, w) {
 				direct.Set(vi)
 				direct.Or(p.rf.Row(vi))
@@ -221,7 +220,7 @@ func (s *State) deriveCombLocked(p *State) {
 	if last := tEvs.Max(); last >= 0 {
 		comb.UnionRow(g, pcomb.Row(last))
 	}
-	if s.inc.rfEdge && s.events[w].Releasing() && s.events[g].Acquiring() {
+	if s.inc.rfEdge && s.events[w].releasing() && s.events[g].acquiring() {
 		comb.UnionRow(g, pcomb.Row(w))
 	}
 
@@ -252,7 +251,7 @@ func (s *State) deriveCWLocked(p *State) {
 	n := len(s.events)
 	cov := s.alloc.NewSet(n)
 	cov.Or(*pcw)
-	if s.events[s.inc.g].IsUpdate() {
+	if s.events[s.inc.g].isUpdate() {
 		cov.Set(s.inc.w)
 	}
 	s.memo.covered = cov
@@ -299,27 +298,26 @@ func (s *State) AuditIncremental() []string {
 	// sb is reconstructible from the event list: a program event j is
 	// preceded exactly by the earlier events of its own thread and of
 	// thread 0; initialising writes are sb-unordered among themselves.
-	// Reconstructed directly in the maintained predecessor orientation
-	// (row j = sb-predecessors of j).
+	// Reconstructed directly in predecessor orientation (row j =
+	// sb-predecessors of j) and compared with the index-derived sb.
 	n := len(s.events)
 	sSB := relation.New(n)
 	for j := 0; j < n; j++ {
-		if s.events[j].TID == event.InitThread {
+		if s.events[j].tid == int32(event.InitThread) {
 			continue
 		}
 		for i := 0; i < j; i++ {
-			if s.events[i].TID == s.events[j].TID || s.events[i].TID == event.InitThread {
+			if s.events[i].tid == s.events[j].tid || s.events[i].tid == int32(event.InitThread) {
 				sSB.Add(j, i)
 			}
 		}
 	}
-	if !s.sbP.Equal(sSB) {
-		report("sb: maintained %s != reconstructed %s", s.sbP, sSB)
+	if sbP := s.sbPred(); !sbP.Equal(sSB) {
+		report("sb: index-derived %s != reconstructed %s", sbP, sSB)
 	}
 
 	// Per-thread EW/OW against the scratch kernel.
-	for i := range s.threads {
-		t := s.threads[i].tid
+	for t := event.Thread(0); int(t) < s.nthr; t++ {
 		ewS := s.scratchEW(&sComb, t)
 		if ew := s.EncounteredWrites(t); !ew.Equal(ewS) {
 			report("ew(%d): memoised %s != scratch %s", t, ew, ewS)
@@ -330,45 +328,48 @@ func (s *State) AuditIncremental() []string {
 		}
 	}
 
-	// Eager indexes against event scans.
+	// Index rows against event scans.
 	wr := bits.New(n)
+	byVar := make([]bits.Set, len(s.names))
+	byThread := make([]bits.Set, s.nthr)
+	for i := range byVar {
+		byVar[i] = bits.New(n)
+	}
+	for i := range byThread {
+		byThread[i] = bits.New(n)
+	}
 	for i, e := range s.events {
-		if e.IsWrite() {
-			wr.Set(i)
-		}
-		if !s.threadEvs(e.TID).Test(i) {
-			report("threads: event %d missing from thread %d index", i, e.TID)
-		}
-	}
-	if !s.writes.Equal(wr) {
-		report("writes: maintained %s != scan %s", s.writes, wr)
-	}
-	total := 0
-	for i := range s.threads {
-		total += s.threads[i].evs.Count()
-	}
-	if total != n {
-		report("threads: index holds %d events, state has %d", total, n)
-	}
-	for _, vw := range s.writesBy {
-		for _, g := range vw.tags {
-			if e := s.events[int(g)]; !e.IsWrite() || e.Var() != vw.x {
-				report("writesBy[%s]: tag %d is %s", vw.x, g, e)
-			}
-		}
-		if got := len(vw.tags); got != len(s.WritesTo(vw.x)) {
-			report("writesBy[%s]: %d tags vs WritesTo %d", vw.x, got, len(s.WritesTo(vw.x)))
-		}
-	}
-	for _, lw := range s.lastW {
-		// σ.last(x) is the unique write to x with no mo successor.
-		if !s.writes.Test(int(lw.w)) || s.events[int(lw.w)].Var() != lw.x {
-			report("lastW[%s]: %d is not a write to %s", lw.x, lw.w, lw.x)
+		if int(e.tid) >= s.nthr || e.tid < 0 {
+			report("threads: event %d of thread %d has no index row (%d rows)", i, e.tid, s.nthr)
 			continue
 		}
-		for _, g := range s.writesTo(lw.x) {
-			if s.mo.Has(int(lw.w), int(g)) {
-				report("lastW[%s]: %d has mo successor %d", lw.x, lw.w, g)
+		byThread[e.tid].Set(i)
+		if e.isWrite() {
+			wr.Set(i)
+			byVar[e.x].Set(i)
+		}
+	}
+	if !s.writesRow().Equal(wr) {
+		report("writes: maintained %s != scan %s", s.writesRow(), wr)
+	}
+	for t, want := range byThread {
+		if got := s.threadEvs(event.Thread(t)); !got.Equal(want) {
+			report("threads[%d]: maintained %s != scan %s", t, got, want)
+		}
+	}
+	for x, want := range byVar {
+		if got := s.varWrites(x); !got.Equal(want) {
+			report("writes[%s]: maintained %s != scan %s", s.names[x], got, want)
+		}
+		// σ.last(x) is the unique write to x with no mo successor.
+		lw := int(s.lastW(x))
+		if !want.Test(lw) {
+			report("lastW[%s]: %d is not a write to %s", s.names[x], lw, s.names[x])
+			continue
+		}
+		for g := want.Next(0); g >= 0; g = want.Next(g + 1) {
+			if s.mo.Has(lw, g) {
+				report("lastW[%s]: %d has mo successor %d", s.names[x], lw, g)
 			}
 		}
 	}
@@ -380,12 +381,12 @@ func (s *State) AuditIncremental() []string {
 func (s *State) auditScratchCW() bits.Set {
 	out := bits.New(len(s.events))
 	for i, e := range s.events {
-		if !e.IsWrite() {
+		if !e.isWrite() {
 			continue
 		}
 		row := s.rf.Row(i)
 		for j := row.Next(0); j >= 0; j = row.Next(j + 1) {
-			if s.events[j].IsUpdate() {
+			if s.events[j].isUpdate() {
 				out.Set(i)
 				break
 			}

@@ -68,7 +68,7 @@ func (c Config) AppendStepChoices(out []model.Choice, ps lang.ProgStep) []model.
 		k := readKind(s)
 		tags = c.S.AppendObservableFor(tags, t, s.Loc)
 		for _, w := range tags {
-			v := c.S.Event(w).WrVal()
+			v := c.S.events[w].wval
 			out = append(out, c.choice(t, event.Action{Kind: k, Loc: s.Loc, RVal: v}, w, s.Apply(v)))
 		}
 
@@ -86,7 +86,7 @@ func (c Config) AppendStepChoices(out []model.Choice, ps lang.ProgStep) []model.
 		res := s.Apply(0)
 		tags = c.S.AppendInsertionPointsFor(tags, t, s.Loc)
 		for _, w := range tags {
-			out = append(out, c.choice(t, event.Upd(s.Loc, c.S.Event(w).WrVal(), s.WVal), w, res))
+			out = append(out, c.choice(t, event.Upd(s.Loc, c.S.events[w].wval, s.WVal), w, res))
 		}
 
 	case lang.StepCas:
@@ -98,7 +98,7 @@ func (c Config) AppendStepChoices(out []model.Choice, ps lang.ProgStep) []model.
 		tags = c.S.AppendInsertionPointsFor(tags, t, s.Loc)
 		var res lang.Com
 		for _, w := range tags {
-			if c.S.Event(w).WrVal() != s.Exp {
+			if c.S.events[w].wval != s.Exp {
 				continue
 			}
 			if res == nil {
@@ -110,7 +110,7 @@ func (c Config) AppendStepChoices(out []model.Choice, ps lang.ProgStep) []model.
 		// acquiring load (strong CAS: a matching value can never fail).
 		tags = c.S.AppendObservableFor(tags[:0], t, s.Loc)
 		for _, w := range tags {
-			if v := c.S.Event(w).WrVal(); v != s.Exp {
+			if v := c.S.events[w].wval; v != s.Exp {
 				out = append(out, c.choice(t, event.RdA(s.Loc, v), w, s.Apply(v)))
 			}
 		}
@@ -140,16 +140,16 @@ func (c Config) Build(ps lang.ProgStep, ch model.Choice) Config {
 	p := c.P.WithThread(t, ch.Res)
 	switch s.Kind {
 	case lang.StepRead:
-		return Config{P: p, S: c.S.read(t, readKind(s), s.Loc, ch.W)}
+		return Config{P: p, S: c.S.read(t, readKind(s), ch.W)}
 	case lang.StepWrite:
-		return Config{P: p, S: c.S.write(t, writeKind(s), s.Loc, s.WVal, ch.W)}
+		return Config{P: p, S: c.S.write(t, writeKind(s), s.WVal, ch.W)}
 	case lang.StepUpdate:
-		return Config{P: p, S: c.S.rmw(t, s.Loc, s.WVal, ch.W)}
+		return Config{P: p, S: c.S.rmw(t, s.WVal, ch.W)}
 	case lang.StepCas:
-		if c.S.Event(ch.W).WrVal() == s.Exp {
-			return Config{P: p, S: c.S.rmw(t, s.Loc, s.WVal, ch.W)}
+		if c.S.events[ch.W].wval == s.Exp {
+			return Config{P: p, S: c.S.rmw(t, s.WVal, ch.W)}
 		}
-		return Config{P: p, S: c.S.read(t, event.RdAcq, s.Loc, ch.W)}
+		return Config{P: p, S: c.S.read(t, event.RdAcq, ch.W)}
 	}
 	return Config{P: p, S: c.S} // silent: the state is shared
 }

@@ -35,7 +35,7 @@ import (
 // out of updates synchronise when the other side is annotated.
 func (s *State) SW() relation.Rel {
 	return s.rf.FilterPairs(func(a, b int) bool {
-		return s.events[a].Releasing() && s.events[b].Acquiring()
+		return s.events[a].releasing() && s.events[b].acquiring()
 	})
 }
 
@@ -75,7 +75,7 @@ func (s *State) hbLocked() *relation.Rel {
 // commutes with union and transitive closure, so the predecessor
 // closure is the closure of the predecessor edges.
 func (s *State) scratchHB() relation.Rel {
-	return relation.UnionOf(s.sbP, s.SW().Converse()).TransitiveClosure()
+	return relation.UnionOf(s.sbPred(), s.SW().Converse()).TransitiveClosure()
 }
 
 // FR returns the from-read relation fr = (rf⁻¹ ; mo) \ Id. The
@@ -143,24 +143,40 @@ func scratchComb(ecoP, hbP relation.Rel) relation.Rel {
 func (s *State) EncounteredWrites(t event.Thread) bits.Set {
 	s.memo.mu.Lock()
 	defer s.memo.mu.Unlock()
-	return s.ewLocked(t).Clone()
+	return s.ewLocked(t).Grow(len(s.events))
 }
+
+// obsLocked returns memo row k of the EW/OW table (EW_σ(t) is row t,
+// OW_σ(t) row nthr+t) and whether it is already computed, carving the
+// table on first use; memo.mu must be held. The caller fills an
+// uncomputed row and then marks it with obsDone.
+func (s *State) obsLocked(k int) (bits.Set, bool) {
+	n := len(s.events)
+	st, flags := stride(n), obsFlagWords(s.nthr)
+	if s.memo.obs == nil {
+		s.memo.obs = s.alloc.Words(flags + 2*s.nthr*st)
+	}
+	off := flags + k*st
+	row := bits.FromWords(s.memo.obs[off:off+st:off+st], n)
+	return row, s.memo.obs[k>>6]&(1<<(k&63)) != 0
+}
+
+func (s *State) obsDone(k int) { s.memo.obs[k>>6] |= 1 << (k & 63) }
 
 // ewLocked returns the memoised EW_σ(t); memo.mu must be held and the
 // result must not be mutated. With comb held transposed the set is
 // one fused word-parallel operation over the maintained write set and
-// the comb-predecessor row of t's last event — no per-write scan.
+// the comb-predecessor row of t's last event — no per-write scan. A
+// thread without an index row has no events, so its EW is empty.
 func (s *State) ewLocked(t event.Thread) bits.Set {
-	for i := range s.memo.ew {
-		if s.memo.ew[i].tid == t {
-			return s.memo.ew[i].set
-		}
+	if t < 0 || int(t) >= s.nthr {
+		return bits.Set{}
 	}
-	out := s.ewInto(s.alloc.NewSet(len(s.events)), s.combLocked(), t)
-	if s.memo.ew == nil {
-		s.memo.ew = s.memo.ewBuf[:0]
+	out, ok := s.obsLocked(int(t))
+	if !ok {
+		s.ewInto(out, s.combLocked(), t)
+		s.obsDone(int(t))
 	}
-	s.memo.ew = append(s.memo.ew, threadSet{tid: t, set: out})
 	return out
 }
 
@@ -171,9 +187,9 @@ func (s *State) ewLocked(t event.Thread) bits.Set {
 // that shortcut instead of repeating it.
 func (s *State) scratchEW(comb *relation.Rel, t event.Thread) bits.Set {
 	out := bits.New(len(s.events))
-	tEvs := s.threadEvs(t)
+	tEvs, wr := s.threadEvs(t), s.writesRow()
 	for e := tEvs.Next(0); e >= 0; e = tEvs.Next(e + 1) {
-		out.OrAnd(comb.Row(e), s.writes)
+		out.OrAnd(comb.Row(e), wr)
 	}
 	return out
 }
@@ -186,10 +202,10 @@ func (s *State) scratchEW(comb *relation.Rel, t event.Thread) bits.Set {
 // The initialising writes are sb-unordered among themselves, so for
 // the init thread every row contributes.
 func (s *State) ewInto(out bits.Set, comb *relation.Rel, t event.Thread) bits.Set {
-	tEvs := s.threadEvs(t)
+	tEvs, wr := s.threadEvs(t), s.writesRow()
 	if t == event.InitThread {
 		for e := tEvs.Next(0); e >= 0; e = tEvs.Next(e + 1) {
-			out.OrAnd(comb.Row(e), s.writes)
+			out.OrAnd(comb.Row(e), wr)
 		}
 		return out
 	}
@@ -197,7 +213,7 @@ func (s *State) ewInto(out bits.Set, comb *relation.Rel, t event.Thread) bits.Se
 	if last < 0 {
 		return out
 	}
-	out.OrAnd(comb.Row(last), s.writes)
+	out.OrAnd(comb.Row(last), wr)
 	return out
 }
 
@@ -210,18 +226,18 @@ func (s *State) ObservableWrites(t event.Thread) bits.Set {
 }
 
 // observableLocked returns the memoised OW_σ(t); memo.mu must be held
-// and the result must not be mutated.
+// and the result must not be mutated. A thread without an index row
+// has encountered nothing, so it observes every write.
 func (s *State) observableLocked(t event.Thread) bits.Set {
-	for i := range s.memo.ow {
-		if s.memo.ow[i].tid == t {
-			return s.memo.ow[i].set
-		}
+	if t < 0 || int(t) >= s.nthr {
+		return s.writesRow()
 	}
-	out := s.owInto(s.alloc.NewSet(len(s.events)), s.ewLocked(t))
-	if s.memo.ow == nil {
-		s.memo.ow = s.memo.owBuf[:0]
+	k := s.nthr + int(t)
+	out, ok := s.obsLocked(k)
+	if !ok {
+		s.owInto(out, s.ewLocked(t))
+		s.obsDone(k)
 	}
-	s.memo.ow = append(s.memo.ow, threadSet{tid: t, set: out})
 	return out
 }
 
@@ -233,7 +249,7 @@ func (s *State) scratchOW(ew bits.Set) bits.Set {
 
 // owInto fills out (an empty set of carrier capacity) with OW.
 func (s *State) owInto(out bits.Set, ew bits.Set) bits.Set {
-	wr := s.writes
+	wr := s.writesRow()
 	for i := wr.Next(0); i >= 0; i = wr.Next(i + 1) {
 		if !s.mo.Row(i).Intersects(ew) {
 			out.Set(i)
@@ -270,11 +286,11 @@ func (s *State) coveredLocked() *bits.Set {
 // scratchCW computes CW from first principles.
 func (s *State) scratchCW() bits.Set {
 	out := bits.New(len(s.events))
-	wr := s.writes
+	wr := s.writesRow()
 	for i := wr.Next(0); i >= 0; i = wr.Next(i + 1) {
 		row := s.rf.Row(i)
 		for j := row.Next(0); j >= 0; j = row.Next(j + 1) {
-			if s.events[j].IsUpdate() {
+			if s.events[j].isUpdate() {
 				out.Set(i)
 				break
 			}
@@ -294,15 +310,7 @@ func (s *State) ObservableFor(t event.Thread, x event.Var) []event.Tag {
 // the successor hot path calls it once per read step per state, and
 // the fresh slice the convenience form allocates was measurable.
 func (s *State) AppendObservableFor(dst []event.Tag, t event.Thread, x event.Var) []event.Tag {
-	s.memo.mu.Lock()
-	defer s.memo.mu.Unlock()
-	ow := s.observableLocked(t)
-	for i := ow.Next(0); i >= 0; i = ow.Next(i + 1) {
-		if s.events[i].Var() == x {
-			dst = append(dst, event.Tag(i))
-		}
-	}
-	return dst
+	return s.appendObservable(dst, t, x, false)
 }
 
 // InsertionPointsFor returns (OW_σ(t) \ CW_σ)|ₓ: the writes after
@@ -315,12 +323,26 @@ func (s *State) InsertionPointsFor(t event.Thread, x event.Var) []event.Tag {
 // AppendInsertionPointsFor is InsertionPointsFor into a caller-provided
 // buffer.
 func (s *State) AppendInsertionPointsFor(dst []event.Tag, t event.Thread, x event.Var) []event.Tag {
+	return s.appendObservable(dst, t, x, true)
+}
+
+// appendObservable appends OW_σ(t)|ₓ, less CW_σ when uncovered is set,
+// to dst in tag order: a walk of x's write row.
+func (s *State) appendObservable(dst []event.Tag, t event.Thread, x event.Var, uncovered bool) []event.Tag {
+	id, ok := s.varID(x)
+	if !ok {
+		return dst
+	}
+	xs := s.varWrites(id)
 	s.memo.mu.Lock()
 	defer s.memo.mu.Unlock()
 	ow := s.observableLocked(t)
-	cw := s.coveredLocked()
-	for i := ow.Next(0); i >= 0; i = ow.Next(i + 1) {
-		if !cw.Test(i) && s.events[i].Var() == x {
+	var cw bits.Set
+	if uncovered {
+		cw = *s.coveredLocked()
+	}
+	for i := xs.Next(0); i >= 0; i = xs.Next(i + 1) {
+		if ow.Test(i) && !cw.Test(i) {
 			dst = append(dst, event.Tag(i))
 		}
 	}
@@ -331,20 +353,24 @@ func (s *State) AppendInsertionPointsFor(dst []event.Tag, t event.Thread, x even
 // any valid state; §5.1). The maximum is maintained on every mo splice
 // (insertMO), so this is an index lookup, not an O(writes²) mo scan.
 func (s *State) Last(x event.Var) (event.Tag, bool) {
-	for i := range s.lastW {
-		if s.lastW[i].x == x {
-			return s.lastW[i].w, true
-		}
+	id, ok := s.varID(x)
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	return s.lastW(id), true
 }
 
 // UpdateOnly reports whether x is an update-only variable in σ: every
 // modification of x is an update or an initialising write (§5.1).
 // Update-only variables admit the last-modification lemma (Lemma 5.6).
 func (s *State) UpdateOnly(x event.Var) bool {
-	for _, g := range s.writesTo(x) {
-		if e := s.events[int(g)]; !e.IsUpdate() && !e.IsInit() {
+	id, ok := s.varID(x)
+	if !ok {
+		return true
+	}
+	xs := s.varWrites(id)
+	for g := xs.Next(0); g >= 0; g = xs.Next(g + 1) {
+		if e := s.events[g]; !e.isUpdate() && !e.isInit() {
 			return false
 		}
 	}
@@ -358,7 +384,7 @@ func (s *State) UpdateOnly(x event.Var) bool {
 // overhead.
 func (s *State) InHBCone(t event.Thread, g event.Tag) bool {
 	e := s.events[int(g)]
-	if e.IsInit() || e.TID == t {
+	if e.isInit() || e.thread() == t {
 		return true
 	}
 	last := s.threadEvs(t).Max()

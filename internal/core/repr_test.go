@@ -1,0 +1,99 @@
+package core
+
+import (
+	"errors"
+	"math"
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"repro/internal/event"
+)
+
+// hasPointers reports whether values of typ hold a pointer the garbage
+// collector must scan.
+func hasPointers(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+		reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+		return true
+	case reflect.Array:
+		return typ.Len() > 0 && hasPointers(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if hasPointers(typ.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestRepresentationPointerFree guards the state representation: the
+// event records, the index block and the EW/OW memo rows are
+// pointer-free, so a successor's copies of them are neither scanned by
+// the garbage collector nor written with write barriers, and an event
+// record fits in 32 bytes.
+func TestRepresentationPointerFree(t *testing.T) {
+	var s State
+	for name, typ := range map[string]reflect.Type{
+		"events":   reflect.TypeOf(s.events).Elem(),
+		"idx":      reflect.TypeOf(s.idx).Elem(),
+		"memo.obs": reflect.TypeOf(s.memo.obs).Elem(),
+	} {
+		if hasPointers(typ) {
+			t.Errorf("%s element type %s holds pointers", name, typ)
+		}
+	}
+	if n := unsafe.Sizeof(evRec{}); n > 32 {
+		t.Errorf("evRec is %d bytes, want at most 32", n)
+	}
+	if !hasPointers(reflect.TypeOf(struct{ p *int }{})) || !hasPointers(reflect.TypeOf(struct{ s string }{})) {
+		t.Fatal("hasPointers misclassifies")
+	}
+}
+
+// TestEventIDBounds checks that variable and thread ids at the bound
+// of their record type are stored exactly and that ids past it are
+// rejected, never truncated.
+func TestEventIDBounds(t *testing.T) {
+	r := newRec(event.UpdRA, math.MaxInt32, math.MaxInt32, -1, math.MinInt64)
+	if r.x != math.MaxInt32 || r.thread() != math.MaxInt32 || r.rval != -1 || r.wval != math.MinInt64 {
+		t.Fatalf("record at the id bound stored as %+v", r)
+	}
+	for _, c := range []struct {
+		x int
+		t event.Thread
+	}{
+		{math.MaxInt32 + 1, 1},
+		{0, math.MaxInt32 + 1},
+		{0, 1<<32 + 1}, // would truncate to thread 1
+		{-1 << 32, 1},  // would truncate to variable 0
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("newRec(x=%d, t=%d) accepted", c.x, c.t)
+				}
+			}()
+			newRec(event.WrX, c.x, c.t, 0, 0)
+		}()
+	}
+
+	s := initXYZ()
+	s1, e, err := s.StepWrite(maxThread, false, "y", 7, 1)
+	if err != nil {
+		t.Fatalf("thread %d rejected: %v", maxThread, err)
+	}
+	if e.TID != maxThread || s1.Event(e.Tag).TID != maxThread || s1.ThreadEvents(maxThread)[0] != e.Tag {
+		t.Fatalf("thread %d stored as %v", maxThread, s1.Event(e.Tag))
+	}
+	if bad := s1.AuditIncremental(); len(bad) != 0 {
+		t.Fatalf("audit: %v", bad)
+	}
+	for _, tid := range []event.Thread{event.InitThread, -1, maxThread + 1, math.MaxInt32, 1<<32 + 1} {
+		if _, _, err := s.StepRead(tid, false, "x", 0); !errors.Is(err, ErrBadThread) {
+			t.Errorf("StepRead by thread %d: err %v, want ErrBadThread", tid, err)
+		}
+	}
+}

@@ -67,28 +67,26 @@ func snapVarint(data []byte) (int64, []byte, error) {
 // observedWrite recovers the write observed by event g (the w of the
 // Figure 3 rule that added g) from the final rf/mo relations.
 func (s *State) observedWrite(g event.Tag) (event.Tag, error) {
-	e := s.events[int(g)]
-	if e.IsRead() {
-		for _, v := range s.writesTo(e.Var()) {
-			if s.rf.Has(int(v), int(g)) {
-				return v, nil
+	gi := int(g)
+	xs := s.varWrites(int(s.events[gi].x))
+	if s.events[gi].kind.IsRead() {
+		for v := xs.Next(0); v >= 0; v = xs.Next(v + 1) {
+			if s.rf.Has(v, gi) {
+				return event.Tag(v), nil
 			}
 		}
-		return 0, fmt.Errorf("core: event %s has no rf source", e)
+		return 0, fmt.Errorf("core: event %s has no rf source", s.Event(g))
 	}
-	best := event.Tag(-1)
-	for _, v := range s.writesTo(e.Var()) {
-		if v >= g || !s.mo.Has(int(v), int(g)) {
-			continue
-		}
-		if best < 0 || s.mo.Has(int(best), int(v)) {
+	best := -1
+	for v := xs.Next(0); v >= 0 && v < gi; v = xs.Next(v + 1) {
+		if s.mo.Has(v, gi) && (best < 0 || s.mo.Has(best, v)) {
 			best = v
 		}
 	}
 	if best < 0 {
-		return 0, fmt.Errorf("core: write %s has no mo predecessor", e)
+		return 0, fmt.Errorf("core: write %s has no mo predecessor", s.Event(g))
 	}
-	return best, nil
+	return event.Tag(best), nil
 }
 
 // AppendSnapshot appends a self-contained serialization of the
@@ -97,19 +95,16 @@ func (c Config) AppendSnapshot(buf []byte) []byte {
 	buf = append(buf, snapshotTag, snapshotVersion)
 	buf = lang.AppendProgSig(buf, c.P)
 	s := c.S
-	nInit := 0
-	for nInit < len(s.events) && s.events[nInit].TID == event.InitThread {
-		nInit++
-	}
+	nInit := len(s.names)
 	buf = binary.AppendUvarint(buf, uint64(nInit))
 	for i := 0; i < nInit; i++ {
-		e := s.events[i]
+		e := s.Event(event.Tag(i))
 		buf = appendSnapString(buf, string(e.Var()))
 		buf = binary.AppendVarint(buf, int64(e.WrVal()))
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(s.events)-nInit))
 	for g := nInit; g < len(s.events); g++ {
-		e := s.events[g]
+		e := s.Event(event.Tag(g))
 		buf = append(buf, byte(e.Act.Kind))
 		buf = binary.AppendUvarint(buf, uint64(e.TID))
 		buf = appendSnapString(buf, string(e.Var()))

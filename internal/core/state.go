@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -30,47 +31,51 @@ import (
 // because silent program steps share the state between configurations
 // that a parallel explorer may expand concurrently.
 //
-// Successor states are cheap on two axes. First, sb/rf/mo are flat,
-// pointer-free word slabs (relation.Rel): a successor copies its
-// parent's relations with one memmove each, out of one slab its
-// allocator carves per state, and shares no relation storage with its
-// parent. Second, a successor records its provenance (the inc field)
-// so the derived closures hb/eco/comb are not recomputed from scratch
-// but inherited from the parent's memoised closures and extended by
-// the new event's edges alone — see incremental.go.
+// A state is nearly pointer-free. D is a slice of compact records
+// (evRec) that name their variable by id; the variable names live in
+// one table shared by every state of a program. sb is not stored: a
+// program event is preceded exactly by the initialising writes and
+// its own thread's earlier events (Figure 3's (D, sb) + e), so sb is
+// read off the per-thread index. rf and mo are flat word slabs
+// (relation.Rel), and the indexes are rows of one word block (idx).
+// A successor copies its parent's relations and index block into one
+// slab its allocator carves per state, edits them in place, and shares
+// no storage with its parent. It also records its provenance (the inc
+// field) so the derived closures hb/eco/comb are not recomputed from
+// scratch but inherited from the parent's memoised closures and
+// extended by the new event's edges alone — see incremental.go.
 type State struct {
-	events []event.Event // D; index is the event's Tag
-	// sbP is sequenced-before stored transposed: row g holds the
-	// sb-*predecessors* of g. Every sb edge ends at the newest event
-	// (earlier events of the stepping thread and the initialising
-	// writes precede it), so in predecessor form a step writes exactly
-	// one row, where the row-major form would write one old row per
-	// predecessor. The derived closures hb/eco/comb are memoised in the
-	// same orientation (see orders.go); rf and mo stay
-	// row-major, as the step rules and observability kernels consume
-	// their successor rows.
-	sbP relation.Rel
-	rf  relation.Rel // reads-from (Wr × Rd)
-	mo  relation.Rel // modification order (Wr × Wr)
+	events []evRec // D; index is the event's Tag
+	// names maps a variable id to its name. Init sorts the variables
+	// and writes them in that order, so a variable's id is the tag of
+	// its initialising write. Shared by all states of a program.
+	names []event.Var
+	rf    relation.Rel // reads-from (Wr × Rd), row-major
+	mo    relation.Rel // modification order (Wr × Wr), row-major
 
-	// Eagerly-maintained indexes, extended by addEvent/insertMO and
-	// immutable once the building step returns. They replace the
-	// full-event rescans previously hidden in EncounteredWrites,
-	// HBCone, Last, WritesTo and sb construction.
-	threads  []threadEvents // per-thread event sets, in order of first action
-	writes   bits.Set       // Wr ∩ D
-	writesBy []varWrites    // per-variable writes in tag order
-	lastW    []lastWrite    // mo-maximal write per variable
+	// idx is the eagerly-maintained index block, carved from alloc and
+	// immutable once the building step returns. With nv variables and
+	// a row stride of ceil(|D|/64) words it holds
+	//
+	//	words [0, nv)          lastW: σ.last(x), the mo-maximal write, per variable id
+	//	row 0                  Wr ∩ D
+	//	rows 1 .. nv           the writes to each variable id
+	//	rows nv+1 .. nv+nthr   the events of each thread id, from thread 0
+	//
+	// It replaces the full-event rescans of EncounteredWrites, HBCone,
+	// Last, WritesTo and sb.
+	idx  []uint64
+	nthr int // thread rows in idx: thread ids 0 .. nthr-1
 
 	// inc links a successor to the parent it was derived from, until
 	// the derived orders have been inherited (see incremental.go).
 	inc incProvenance
 
-	// alloc backs this state's relations, inherited closures and index
-	// sets, normally out of one slab. Embedded so a successor costs one
-	// fewer allocation; carving happens only while the state is being
-	// built (single goroutine) and later under memo.mu (the derive*Locked
-	// functions of incremental.go).
+	// alloc backs this state's relations, index block, inherited
+	// closures and memo sets, normally out of one slab. Embedded so a
+	// successor costs one fewer allocation; carving happens only while
+	// the state is being built (single goroutine) and later under
+	// memo.mu (the derive*Locked functions of incremental.go).
 	alloc relation.Allocator
 
 	// fpAcc is the eagerly-maintained canonical fingerprint
@@ -92,120 +97,176 @@ type State struct {
 		ecoOK     bool
 		combOK    bool
 		cwOK      bool
-		ew        []threadSet // EW_σ(t), appended on first query per thread
-		ow        []threadSet // OW_σ(t), likewise
-		// ewBuf/owBuf are the inline backing of ew/ow for the common
-		// thread counts — the lists spill to the heap past four
-		// threads. Pooled shells reuse the arrays across successors.
-		ewBuf, owBuf [4]threadSet
+		// obs holds EW_σ(t) and OW_σ(t) for the thread ids below nthr,
+		// carved on the first query: obsFlagWords(nthr) words flag the
+		// computed rows, then nthr EW rows, then nthr OW rows.
+		obs []uint64
 	}
 }
 
-// threadSet is one memoised per-thread set (EW or OW); a slice of
-// these beats a map for the handful of threads a program has.
-type threadSet struct {
-	tid event.Thread
-	set bits.Set
+// evRec is one event of D: its kind, variable id, thread and values.
+// It is pointer-free, so event slices are neither scanned by the
+// garbage collector nor copied with write barriers. Event rebuilds
+// the event.Event with the variable's name.
+type evRec struct {
+	rval, wval event.Val
+	x          int32 // variable id: the tag of x's initialising write
+	tid        int32
+	kind       event.Kind
 }
 
-// threadEvents is one per-thread entry of the event index.
-type threadEvents struct {
-	tid event.Thread
-	evs bits.Set
+// maxThread bounds the thread ids a state accepts: the index block
+// holds a row per thread id up to the largest one seen.
+const maxThread = 1<<10 - 1
+
+// newRec packs an event record. The ids are narrowed to int32; an id
+// that does not fit is a programming error (the step rules reject
+// thread ids above maxThread, and variable ids are tags of the
+// initialising writes), so it panics rather than truncate.
+func newRec(k event.Kind, x int, t event.Thread, rval, wval event.Val) evRec {
+	if int(int32(x)) != x || int(int32(t)) != int(t) {
+		panic(fmt.Sprintf("core: event ids out of range: variable %d, thread %d", x, t))
+	}
+	return evRec{rval: rval, wval: wval, x: int32(x), tid: int32(t), kind: k}
 }
 
-// varWrites lists the writes to one variable in tag order.
-type varWrites struct {
-	x    event.Var
-	tags []event.Tag
+func (e evRec) thread() event.Thread { return event.Thread(e.tid) }
+func (e evRec) isWrite() bool        { return e.kind.IsWrite() }
+func (e evRec) isUpdate() bool       { return e.kind.IsUpdate() }
+func (e evRec) isInit() bool         { return e.tid == int32(event.InitThread) && e.isWrite() }
+func (e evRec) releasing() bool      { return e.kind.Releasing() }
+func (e evRec) acquiring() bool      { return e.kind.Acquiring() }
+
+// action rebuilds the action of e with its variable's name.
+func (s *State) action(e evRec) event.Action {
+	return event.Action{Kind: e.kind, Loc: s.names[e.x], RVal: e.rval, WVal: e.wval}
 }
 
-// lastWrite records σ.last(x), the mo-maximal write to x.
-type lastWrite struct {
-	x event.Var
-	w event.Tag
+// stride returns the words per index row of an n-event carrier.
+func stride(n int) int { return (n + 63) >> 6 }
+
+// row returns index row r as a set over the state's carrier (a view of
+// the block; mutate only while building the state).
+func (s *State) row(r int) bits.Set {
+	n := len(s.events)
+	st := stride(n)
+	off := len(s.names) + r*st
+	return bits.FromWords(s.idx[off:off+st:off+st], n)
 }
+
+// indexWords is the size of the index block for nv variables, nthr
+// thread rows and an n-event carrier.
+func indexWords(nv, nthr, n int) int { return nv + (1+nv+nthr)*stride(n) }
+
+// obsFlagWords is the number of flag words of the EW/OW memo.
+func obsFlagWords(nthr int) int { return (2*nthr + 63) >> 6 }
+
+// slabWords is what a state carves beyond its relations: the index
+// block, the EW/OW memo and three scratch or memo sets.
+func slabWords(nv, nthr, n int) int {
+	st := stride(n)
+	return indexWords(nv, nthr, n) + obsFlagWords(nthr) + (2*nthr+3)*st
+}
+
+// writesRow returns Wr ∩ D; varWrites returns the writes to variable
+// id x in tag order. Both alias the index; do not mutate.
+func (s *State) writesRow() bits.Set      { return s.row(0) }
+func (s *State) varWrites(x int) bits.Set { return s.row(1 + x) }
 
 // threadEvs returns the event set of thread t (the zero set when t has
 // no events). The result aliases the index; do not mutate.
 func (s *State) threadEvs(t event.Thread) bits.Set {
-	for i := range s.threads {
-		if s.threads[i].tid == t {
-			return s.threads[i].evs
-		}
+	if t < 0 || int(t) >= s.nthr {
+		return bits.Set{}
 	}
-	return bits.Set{}
+	return s.row(1 + len(s.names) + int(t))
 }
 
-// writesTo returns the write-tag list for x (aliases the index).
-func (s *State) writesTo(x event.Var) []event.Tag {
-	for i := range s.writesBy {
-		if s.writesBy[i].x == x {
-			return s.writesBy[i].tags
-		}
-	}
-	return nil
+// varID returns the id of variable x.
+func (s *State) varID(x event.Var) (int, bool) {
+	return slices.BinarySearch(s.names, x)
 }
+
+// lastW returns σ.last(x) for variable id x.
+func (s *State) lastW(x int) event.Tag { return event.Tag(s.idx[x]) }
 
 // Init returns an initial state σ₀ = ((I, ∅), ∅, ∅) with one
 // initialising write per variable (§3.1). Variables are sorted so that
-// equal initialisations produce identical tag assignments.
+// equal initialisations produce identical tag assignments; the sorted
+// names become the variable table of every state derived from this
+// one.
 func Init(vars map[event.Var]event.Val) *State {
 	names := make([]event.Var, 0, len(vars))
 	for x := range vars {
 		names = append(names, x)
 	}
-	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
+	slices.Sort(names)
 
 	n := len(names)
 	s := &State{
-		events: make([]event.Event, 0, n),
-		sbP:    relation.New(n),
+		events: make([]evRec, 0, n),
+		names:  names,
 		rf:     relation.New(n),
 		mo:     relation.New(n),
-		writes: bits.New(n),
+		nthr:   1,
 	}
-	s.alloc.Init(n)
+	s.alloc.Init(n, slabWords(n, 1, n))
+	s.events = s.events[:n]
+	s.idx = s.alloc.Words(indexWords(n, 1, n))
+	wr, init := s.writesRow(), s.threadEvs(event.InitThread)
 	for i, x := range names {
-		s.events = append(s.events, event.Event{
-			Tag: event.Tag(i),
-			Act: event.Wr(x, vars[x]),
-			TID: event.InitThread,
-		})
-		s.noteEvent(event.InitThread, i, n)
-		s.noteWrite(x, event.Tag(i))
+		s.events[i] = newRec(event.WrX, i, event.InitThread, 0, vars[x])
+		s.idx[i] = uint64(i)
+		wr.Set(i)
+		init.Set(i)
+		xs := s.varWrites(i)
+		xs.Set(i)
 		// Canonical position of an initialising write is its index in
 		// the variable-sorted order — exactly the construction order.
-		s.fpAcc.Add(fingerprint.EventItem(event.InitThread, i, s.events[i].Act))
+		s.fpAcc.Add(fingerprint.EventItem(event.InitThread, i, s.action(s.events[i])))
 	}
 	return s
-}
-
-// recycle returns a dead state's reusable allocations to the arena
-// (see arena.go). The caller guarantees nothing references s anymore:
-// the explorer only discards successors it built but did not keep —
-// never expanded, never audited, never stored — so no other state
-// aliases sets carved from s's allocator.
-func (s *State) recycle() {
-	releaseState(s)
 }
 
 // NumEvents returns |D|.
 func (s *State) NumEvents() int { return len(s.events) }
 
 // Event returns the event with the given tag.
-func (s *State) Event(g event.Tag) event.Event { return s.events[int(g)] }
+func (s *State) Event(g event.Tag) event.Event {
+	e := s.events[int(g)]
+	return event.Event{Tag: g, Act: s.action(e), TID: e.thread()}
+}
 
 // Events returns a copy of D in tag order.
 func (s *State) Events() []event.Event {
 	out := make([]event.Event, len(s.events))
-	copy(out, s.events)
+	for i := range s.events {
+		out[i] = s.Event(event.Tag(i))
+	}
 	return out
 }
 
-// SB returns a copy of the sequenced-before relation (in successor
-// orientation; the maintained form is transposed).
-func (s *State) SB() relation.Rel { return s.sbP.Converse() }
+// sbPred derives sequenced-before from the per-thread index, in
+// predecessor orientation: row j holds the sb-predecessors of j — the
+// initialising writes and the earlier events of j's thread.
+func (s *State) sbPred() relation.Rel {
+	n := len(s.events)
+	out := relation.New(n)
+	init := s.threadEvs(event.InitThread)
+	for t := 1; t < s.nthr; t++ {
+		evs := s.threadEvs(event.Thread(t))
+		for j := evs.Next(0); j >= 0; j = evs.Next(j + 1) {
+			out.UnionRow(j, init)
+			for i := evs.Next(0); i < j; i = evs.Next(i + 1) {
+				out.Add(j, i)
+			}
+		}
+	}
+	return out
+}
+
+// SB returns sequenced-before, derived from the per-thread index.
+func (s *State) SB() relation.Rel { return s.sbPred().Converse() }
 
 // RF returns a copy of the reads-from relation.
 func (s *State) RF() relation.Rel { return s.rf.Clone() }
@@ -215,8 +276,15 @@ func (s *State) MO() relation.Rel { return s.mo.Clone() }
 
 // sbHas etc. give cheap read access without cloning.
 
-// SBHas reports (a, b) ∈ sb.
-func (s *State) SBHas(a, b event.Tag) bool { return s.sbP.Has(int(b), int(a)) }
+// SBHas reports (a, b) ∈ sb: b is a program event and a is an earlier
+// initialising write or an earlier event of b's thread.
+func (s *State) SBHas(a, b event.Tag) bool {
+	if a < 0 || a >= b || int(b) >= len(s.events) {
+		return false
+	}
+	ta, tb := s.events[a].tid, s.events[b].tid
+	return tb != int32(event.InitThread) && (ta == int32(event.InitThread) || ta == tb)
+}
 
 // RFHas reports (a, b) ∈ rf.
 func (s *State) RFHas(a, b event.Tag) bool { return s.rf.Has(int(a), int(b)) }
@@ -226,160 +294,89 @@ func (s *State) MOHas(a, b event.Tag) bool { return s.mo.Has(int(a), int(b)) }
 
 // Writes returns the set of write events Wr ∩ D (includes updates and
 // initialising writes) as tags. The set is maintained incrementally on
-// every addEvent, so this is a copy, not a scan.
-func (s *State) Writes() bits.Set { return s.writes.Clone() }
+// every step, so this is a copy, not a scan.
+func (s *State) Writes() bits.Set { return s.writesRow().Clone() }
 
-// WritesTo returns the tags of writes to variable x in mo-respecting
-// tag order (unsorted by mo; use Last or MO for ordering). Served from
-// the per-variable write index.
+// WritesTo returns the tags of writes to variable x in tag order
+// (unsorted by mo; use Last or MO for ordering). Served from the
+// per-variable write index.
 func (s *State) WritesTo(x event.Var) []event.Tag {
-	tags := s.writesTo(x)
-	if tags == nil {
+	id, ok := s.varID(x)
+	if !ok {
 		return nil
 	}
-	out := make([]event.Tag, len(tags))
-	copy(out, tags)
-	return out
+	return appendTags(nil, s.varWrites(id))
+}
+
+// appendTags appends the members of set to dst as tags, in order.
+func appendTags(dst []event.Tag, set bits.Set) []event.Tag {
+	for i := set.Next(0); i >= 0; i = set.Next(i + 1) {
+		dst = append(dst, event.Tag(i))
+	}
+	return dst
 }
 
 // Initials returns I_σ = D ∩ IWr.
 func (s *State) Initials() []event.Tag {
-	init := s.threadEvs(event.InitThread)
-	out := make([]event.Tag, 0, init.Count())
-	init.ForEach(func(i int) { out = append(out, event.Tag(i)) })
-	return out
+	return appendTags(make([]event.Tag, 0, len(s.names)), s.threadEvs(event.InitThread))
 }
 
-// InitialFor returns the initialising write to x.
+// InitialFor returns the initialising write to x: its tag is x's id.
 func (s *State) InitialFor(x event.Var) (event.Tag, bool) {
-	for i, e := range s.events {
-		if e.IsInit() && e.Var() == x {
-			return event.Tag(i), true
-		}
-	}
-	return 0, false
+	id, ok := s.varID(x)
+	return event.Tag(id), ok
 }
 
-// Vars returns the variables written anywhere in the state, sorted.
-func (s *State) Vars() []event.Var {
-	out := make([]event.Var, 0, len(s.writesBy))
-	for i := range s.writesBy {
-		out = append(out, s.writesBy[i].x)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// Vars returns the variables written anywhere in the state, sorted:
+// every variable has an initialising write.
+func (s *State) Vars() []event.Var { return slices.Clone(s.names) }
 
 // ThreadEvents returns the tags of thread t's events in sb order
 // (which coincides with tag order since events are appended).
 func (s *State) ThreadEvents(t event.Thread) []event.Tag {
 	evs := s.threadEvs(t)
-	out := make([]event.Tag, 0, evs.Count())
-	evs.ForEach(func(i int) { out = append(out, event.Tag(i)) })
-	return out
+	return appendTags(make([]event.Tag, 0, evs.Count()), evs)
 }
 
-// cloneGrow returns a copy of s with relation carriers grown to
-// accommodate one more event. sb/rf/mo are copied into the successor's
-// own allocator (one memmove each); the index slices alias the parent
-// outright (the note* helpers below replace them copy-on-write when
-// they extend an entry), and the memoised orders are left to be
+// grow returns the successor in which thread t appends event e — the
+// (D, sb) + e of Figure 3 — with rf/mo still to be extended by the
+// caller. The successor's relations and index block are copied into
+// its own allocator (one memmove each, or one per row when the row
+// stride grows) and the index is then edited in place: e joins its
+// thread's row and, for a write, the write rows. sb needs no edit: it
+// is derived from the thread rows. The memoised orders are left to be
 // inherited through the inc provenance set by the caller.
-func (s *State) cloneGrow() *State {
+func (s *State) grow(t event.Thread, e evRec) *State {
 	n := len(s.events) + 1
+	g := n - 1
+	nv := len(s.names)
 	out := newState(n)
-	out.events = out.events[:len(s.events)]
-	out.threads = s.threads
-	out.writes = s.writes
-	out.writesBy = s.writesBy
-	out.lastW = s.lastW
+	out.events = append(append(out.events, s.events...), e)
+	out.names = s.names
+	out.nthr = max(s.nthr, int(t)+1)
 	out.fpAcc = s.fpAcc
-	out.alloc.Init(n)
-	out.sbP = s.sbP.GrowAlloc(n, &out.alloc)
+	out.alloc.Init(n, slabWords(nv, out.nthr, n))
 	out.rf = s.rf.GrowAlloc(n, &out.alloc)
 	out.mo = s.mo.GrowAlloc(n, &out.alloc)
-	copy(out.events, s.events)
+	out.idx = out.alloc.Words(indexWords(nv, out.nthr, n))
+	if ps, st := stride(n-1), stride(n); ps == st {
+		copy(out.idx, s.idx)
+	} else {
+		copy(out.idx[:nv], s.idx[:nv])
+		for r := 0; r < 1+nv+s.nthr; r++ {
+			copy(out.idx[nv+r*st:], s.idx[nv+r*ps:nv+(r+1)*ps])
+		}
+	}
+	tEvs := out.threadEvs(t)
+	pos := tEvs.Count()
+	tEvs.Set(g)
+	if e.isWrite() {
+		wr, xs := out.writesRow(), out.varWrites(int(e.x))
+		wr.Set(g)
+		xs.Set(g)
+	}
+	out.fpAcc.Add(fingerprint.EventItem(t, pos, out.action(e)))
 	return out
-}
-
-// noteEvent records event i of thread t in the per-thread index; n is
-// the carrier size to grow the thread's set to. Neither the parent's
-// slice nor its sets are mutated: the outer slice and the one extended
-// entry are replaced by copies.
-func (s *State) noteEvent(t event.Thread, i, n int) {
-	out := make([]threadEvents, len(s.threads), len(s.threads)+1)
-	copy(out, s.threads)
-	s.threads = out
-	for k := range s.threads {
-		if s.threads[k].tid == t {
-			// Successors alias the index outright, so the replacement
-			// set is carved shared (slab-backed), not inline.
-			evs := s.alloc.NewSharedSet(n)
-			evs.Or(s.threads[k].evs)
-			evs.Set(i)
-			s.threads[k].evs = evs
-			return
-		}
-	}
-	evs := s.alloc.NewSharedSet(n)
-	evs.Set(i)
-	s.threads = append(s.threads, threadEvents{tid: t, evs: evs})
-}
-
-// noteWrite records write g to x in the write indexes, replacing the
-// aliased parent slices copy-on-write (read steps never touch them). A
-// first write to x is trivially mo-maximal; insertMO keeps lastW
-// current for subsequent writes.
-func (s *State) noteWrite(x event.Var, g event.Tag) {
-	c := int(g) + 1
-	if l := s.writes.Len(); l > c {
-		c = l
-	}
-	w := s.alloc.NewSharedSet(c)
-	w.Or(s.writes)
-	w.Set(int(g))
-	s.writes = w
-	for i := range s.writesBy {
-		if s.writesBy[i].x == x {
-			out := make([]varWrites, len(s.writesBy))
-			copy(out, s.writesBy)
-			old := out[i].tags
-			tags := make([]event.Tag, len(old)+1)
-			copy(tags, old)
-			tags[len(old)] = g
-			out[i].tags = tags
-			s.writesBy = out
-			return
-		}
-	}
-	s.writesBy = append(append([]varWrites(nil), s.writesBy...), varWrites{x: x, tags: []event.Tag{g}})
-	s.lastW = append(append([]lastWrite(nil), s.lastW...), lastWrite{x: x, w: g})
-}
-
-// addEvent implements (D, sb) + e: e is appended and sb gains
-// {e' | tid(e') ∈ {tid(e), 0}} × {e} (Figure 3). The sb predecessors
-// are read off the per-thread index instead of rescanning D.
-func (s *State) addEvent(a event.Action, t event.Thread) event.Tag {
-	g := event.Tag(len(s.events))
-	gi := int(g)
-	n := gi + 1
-	s.events = append(s.events, event.Event{Tag: g, Act: a, TID: t})
-	// In predecessor orientation the new sb edges are one word-parallel
-	// row fill: g's row gains the initialising writes and the stepping
-	// thread's events.
-	s.sbP.UnionRow(gi, s.threadEvs(event.InitThread))
-	pos := 0
-	if t != event.InitThread {
-		tEvs := s.threadEvs(t)
-		s.sbP.UnionRow(gi, tEvs)
-		pos = tEvs.Count()
-	}
-	s.noteEvent(t, gi, n)
-	if a.Kind.IsWrite() {
-		s.noteWrite(a.Loc, g)
-	}
-	s.fpAcc.Add(fingerprint.EventItem(t, pos, a))
-	return g
 }
 
 // Fingerprint returns a 128-bit canonical identity of the state up to
@@ -398,15 +395,15 @@ func (s *State) Fingerprint() fingerprint.FP {
 // its thread's event sequence (for initialising writes, the
 // variable-sorted index — which coincides with tag order).
 func (s *State) posOf(g int) int {
-	return s.threadEvs(s.events[g].TID).Rank(g)
+	return s.threadEvs(s.events[g].thread()).Rank(g)
 }
 
 // notePair accumulates a new rf/mo pair (a, b) into the fingerprint;
 // both events must already be indexed.
 func (s *State) notePair(label uint64, a, b int) {
 	s.fpAcc.Add(fingerprint.PairItem(label,
-		s.events[a].TID, s.posOf(a),
-		s.events[b].TID, s.posOf(b)))
+		s.events[a].thread(), s.posOf(a),
+		s.events[b].thread(), s.posOf(b)))
 }
 
 // succFingerprint predicts the Fingerprint of the successor in which
@@ -423,17 +420,18 @@ func (s *State) succFingerprint(t event.Thread, a event.Action, w event.Tag) fin
 	pos := s.threadEvs(t).Count()
 	acc.Add(fingerprint.EventItem(t, pos, a))
 	if a.Kind.IsRead() {
-		acc.Add(fingerprint.PairItem(fingerprint.LabelRF, s.events[wi].TID, s.posOf(wi), t, pos))
+		acc.Add(fingerprint.PairItem(fingerprint.LabelRF, s.events[wi].thread(), s.posOf(wi), t, pos))
 	}
 	if a.Kind.IsWrite() {
-		for _, v := range s.writesTo(a.Loc) {
-			if vi := int(v); vi == wi || s.mo.Has(vi, wi) {
-				acc.Add(fingerprint.PairItem(fingerprint.LabelMO, s.events[vi].TID, s.posOf(vi), t, pos))
+		xs := s.varWrites(int(s.events[wi].x))
+		for vi := xs.Next(0); vi >= 0; vi = xs.Next(vi + 1) {
+			if vi == wi || s.mo.Has(vi, wi) {
+				acc.Add(fingerprint.PairItem(fingerprint.LabelMO, s.events[vi].thread(), s.posOf(vi), t, pos))
 			}
 		}
 		row := s.mo.Row(wi)
 		for j := row.Next(0); j >= 0; j = row.Next(j + 1) {
-			acc.Add(fingerprint.PairItem(fingerprint.LabelMO, t, pos, s.events[j].TID, s.posOf(j)))
+			acc.Add(fingerprint.PairItem(fingerprint.LabelMO, t, pos, s.events[j].thread(), s.posOf(j)))
 		}
 	}
 	return fingerprint.Finalize(acc, len(s.events)+1)
@@ -448,7 +446,7 @@ func (s *State) succFingerprint(t event.Thread, a event.Action, w event.Tag) fin
 func (s *State) Signature() string {
 	var b strings.Builder
 	for _, e := range s.events {
-		fmt.Fprintf(&b, "%d:%s|", e.TID, e.Act)
+		fmt.Fprintf(&b, "%d:%s|", e.tid, s.action(e))
 	}
 	b.WriteString("rf")
 	b.WriteString(s.rf.String())
@@ -477,8 +475,8 @@ func (s *State) CanonicalSignature() string {
 	ks := make([]keyed, n)
 	perThread := map[event.Thread]int{}
 	for i, e := range s.events {
-		ks[i] = keyed{tid: e.TID, pos: perThread[e.TID], name: e.Var(), tag: i}
-		perThread[e.TID]++
+		ks[i] = keyed{tid: e.thread(), pos: perThread[e.thread()], name: s.names[e.x], tag: i}
+		perThread[e.thread()]++
 	}
 	sort.Slice(ks, func(i, j int) bool {
 		if ks[i].tid != ks[j].tid {
@@ -493,7 +491,7 @@ func (s *State) CanonicalSignature() string {
 	var b strings.Builder
 	for i, k := range ks {
 		canon[k.tag] = i
-		fmt.Fprintf(&b, "%d:%s|", k.tid, s.events[k.tag].Act)
+		fmt.Fprintf(&b, "%d:%s|", k.tid, s.action(s.events[k.tag]))
 	}
 	appendRel := func(label string, r relation.Rel) {
 		pairs := r.Pairs()
@@ -521,9 +519,9 @@ func (s *State) CanonicalSignature() string {
 func (s *State) String() string {
 	var b strings.Builder
 	b.WriteString("events:\n")
-	for _, e := range s.events {
-		fmt.Fprintf(&b, "  %s\n", e)
+	for i := range s.events {
+		fmt.Fprintf(&b, "  %s\n", s.Event(event.Tag(i)))
 	}
-	fmt.Fprintf(&b, "sb: %s\nrf: %s\nmo: %s\n", s.sbP.Converse(), s.rf, s.mo)
+	fmt.Fprintf(&b, "sb: %s\nrf: %s\nmo: %s\n", s.SB(), s.rf, s.mo)
 	return b.String()
 }

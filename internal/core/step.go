@@ -24,6 +24,9 @@ var (
 	ErrVarMismatch = errors.New("core: variable mismatch")
 	// ErrNotWrite: the chosen event is not a write.
 	ErrNotWrite = errors.New("core: observed event is not a write")
+	// ErrBadThread: the stepping thread id is not a program thread id
+	// (1 .. maxThread).
+	ErrBadThread = errors.New("core: invalid thread id")
 )
 
 // StepRead implements rule READ: thread t reads variable x from the
@@ -48,25 +51,26 @@ func (s *State) StepReadKind(t event.Thread, k event.Kind, x event.Var, w event.
 	if err := s.checkObserved(t, x, w, false); err != nil {
 		return nil, event.Event{}, err
 	}
-	return stepped(s.read(t, k, x, w))
+	return stepped(s.read(t, k, w))
 }
 
 // stepped pairs a successor with the event its step appended — the
 // exported step rules' result shape.
 func stepped(out *State) (*State, event.Event, error) {
-	return out, out.events[len(out.events)-1], nil
+	return out, out.Event(event.Tag(len(out.events) - 1)), nil
 }
 
 // read builds rule READ's successor without re-validating its
-// premises: w must be in OW_σ(t)|ₓ. The step rules below validate and
-// then build; the interpreted semantics builds directly from choices
-// it drew from the observability sets (interp.go).
-func (s *State) read(t event.Thread, k event.Kind, x event.Var, w event.Tag) *State {
-	a := event.Action{Kind: k, Loc: x, RVal: s.events[int(w)].WrVal()}
-	out := s.cloneGrow()
-	g := out.addEvent(a, t)
-	out.rf.Add(int(w), int(g)) // rf' = rf ∪ {(w, e)}
-	out.notePair(fingerprint.LabelRF, int(w), int(g))
+// premises: w must be in OW_σ(t)|ₓ, and the new event reads w's
+// variable. The step rules below validate and then build; the
+// interpreted semantics builds directly from choices it drew from the
+// observability sets (interp.go).
+func (s *State) read(t event.Thread, k event.Kind, w event.Tag) *State {
+	we := s.events[w]
+	out := s.grow(t, newRec(k, int(we.x), t, we.wval, 0))
+	g := len(s.events)
+	out.rf.Add(int(w), g) // rf' = rf ∪ {(w, e)}
+	out.notePair(fingerprint.LabelRF, int(w), g)
 	out.linkParent(s, g, w, t, true, false)
 	return out
 }
@@ -91,15 +95,16 @@ func (s *State) StepWriteKind(t event.Thread, k event.Kind, x event.Var, v event
 	if err := s.checkObserved(t, x, w, true); err != nil {
 		return nil, event.Event{}, err
 	}
-	return stepped(s.write(t, k, x, v, w))
+	return stepped(s.write(t, k, v, w))
 }
 
 // write builds rule WRITE's successor without re-validating its
-// premises: w must be in (OW_σ(t) \ CW_σ)|ₓ.
-func (s *State) write(t event.Thread, k event.Kind, x event.Var, v event.Val, w event.Tag) *State {
-	out := s.cloneGrow()
-	g := out.addEvent(event.Action{Kind: k, Loc: x, WVal: v}, t)
-	out.insertMO(w, g)
+// premises: w must be in (OW_σ(t) \ CW_σ)|ₓ, and the new event writes
+// w's variable.
+func (s *State) write(t event.Thread, k event.Kind, v event.Val, w event.Tag) *State {
+	out := s.grow(t, newRec(k, int(s.events[w].x), t, 0, v))
+	g := len(s.events)
+	out.insertMO(int(w), g)
 	out.linkParent(s, g, w, t, false, true)
 	return out
 }
@@ -111,27 +116,32 @@ func (s *State) StepRMW(t event.Thread, x event.Var, v event.Val, w event.Tag) (
 	if err := s.checkObserved(t, x, w, true); err != nil {
 		return nil, event.Event{}, err
 	}
-	return stepped(s.rmw(t, x, v, w))
+	return stepped(s.rmw(t, v, w))
 }
 
 // rmw builds rule RMW's successor without re-validating its premises:
-// w must be in (OW_σ(t) \ CW_σ)|ₓ.
-func (s *State) rmw(t event.Thread, x event.Var, v event.Val, w event.Tag) *State {
-	out := s.cloneGrow()
-	g := out.addEvent(event.Upd(x, s.events[int(w)].WrVal(), v), t)
-	out.rf.Add(int(w), int(g))
-	out.notePair(fingerprint.LabelRF, int(w), int(g))
-	out.insertMO(w, g)
+// w must be in (OW_σ(t) \ CW_σ)|ₓ, and the new event updates w's
+// variable.
+func (s *State) rmw(t event.Thread, v event.Val, w event.Tag) *State {
+	we := s.events[w]
+	out := s.grow(t, newRec(event.UpdRA, int(we.x), t, we.wval, v))
+	g := len(s.events)
+	out.rf.Add(int(w), g)
+	out.notePair(fingerprint.LabelRF, int(w), g)
+	out.insertMO(int(w), g)
 	out.linkParent(s, g, w, t, true, true)
 	return out
 }
 
 // checkObserved validates the common premises of the Figure 3 rules.
 func (s *State) checkObserved(t event.Thread, x event.Var, w event.Tag, excludeCovered bool) error {
+	if t <= event.InitThread || t > maxThread {
+		return fmt.Errorf("%w: %d", ErrBadThread, t)
+	}
 	if int(w) < 0 || int(w) >= len(s.events) {
 		return fmt.Errorf("%w: tag %d out of range", ErrNotWrite, w)
 	}
-	we := s.events[int(w)]
+	we := s.Event(w)
 	if !we.IsWrite() {
 		return ErrNotWrite
 	}
@@ -154,14 +164,13 @@ func (s *State) checkObserved(t event.Thread, x event.Var, w event.Tag, excludeC
 // insertMO performs mo := mo[w, e] = mo ∪ (mo⁺w × {e}) ∪ ({e} × mo[w])
 // where mo⁺w = {w} ∪ mo⁻¹[w] (§3.2): e is placed immediately after w.
 // Only writes to w's variable can be mo-related to it, so candidates
-// come from the per-variable write index, not a scan of D. The index
-// includes e itself (appended by addEvent), which is skipped.
-func (s *State) insertMO(w, e event.Tag) {
-	wi, ei := int(w), int(e)
-	x := s.events[wi].Var()
+// come from the per-variable write row, not a scan of D. The row
+// includes e itself (set by grow), which is skipped.
+func (s *State) insertMO(wi, ei int) {
+	x := int(s.events[wi].x)
 	// {e' | (e', w) ∈ mo} ∪ {w} all precede e.
-	for _, v := range s.writesTo(x) {
-		vi := int(v)
+	xs := s.varWrites(x)
+	for vi := xs.Next(0); vi >= 0; vi = xs.Next(vi + 1) {
 		if vi != ei && (vi == wi || s.mo.Has(vi, wi)) {
 			s.mo.Add(vi, ei)
 			s.notePair(fingerprint.LabelMO, vi, ei)
@@ -178,17 +187,8 @@ func (s *State) insertMO(w, e event.Tag) {
 		}
 	}
 	// e is the new mo-maximal write to x iff it was inserted after the
-	// previous maximum. The lastW slice may still alias the parent's,
-	// so it is replaced, not mutated.
-	for i := range s.lastW {
-		if s.lastW[i].x == x {
-			if s.lastW[i].w == w {
-				out := make([]lastWrite, len(s.lastW))
-				copy(out, s.lastW)
-				out[i].w = e
-				s.lastW = out
-			}
-			break
-		}
+	// previous maximum. The index block is this state's own copy.
+	if s.idx[x] == uint64(wi) {
+		s.idx[x] = uint64(ei)
 	}
 }

@@ -37,24 +37,19 @@ type Rel struct {
 	words  []uint64 // n*stride words, row-major
 }
 
-// Allocator carves the word slabs of a successor state's relations and
-// per-state bit sets out of one shared backing slab, so building a
-// state costs one allocation rather than one per relation. A fresh
-// life's first slab is sized for slabRels relations over the carrier
-// plus slabSets spare rows — sb/rf/mo and the three inherited closures
-// of one state, with its index and scratch sets. Carved storage is
-// always separate heap slabs, never memory inside the Allocator
-// itself, except for NewSet (see the inline field).
+// Allocator carves the word slabs of a successor state's relations,
+// index rows and per-state bit sets out of one backing slab, so
+// building a state costs one allocation rather than one per relation.
+// A fresh life's first slab is sized for slabRels relations over the
+// carrier plus the extra words its owner asks for at Init. Everything
+// it carves is owned by the allocator's owner alone: successors copy
+// what they inherit, so no carve is ever aliased by another state.
 type Allocator struct {
 	chunk  []uint64 // uncarved tail of the newest slab
 	stride int      // words per row of the carrier given to Init
 	slab   int      // words in a life's first fresh slab
 	free   []uint64 // spare inline words for NewSet
-	// inline backs NewSet carves only. Shared storage must never live
-	// here: NewSharedSet sets are aliased by descendants of the owner,
-	// and inline storage would keep the embedding structure reachable
-	// long after the owner is otherwise dead. NewSet storage, by
-	// contract, never escapes the owner, so it may share the owner's
+	// inline backs small NewSet carves inside the owner's own
 	// allocation.
 	inline [8]uint64
 
@@ -67,29 +62,24 @@ type Allocator struct {
 	spare [][]uint64
 }
 
-// slabRels and slabSets size a life's first slab: the six relations of
-// one successor state (sb/rf/mo and the inherited hb/eco/comb
-// closures) plus rows for its index and scratch sets. Later slabs of
-// the same life hold slabSets rows (or one oversized carve).
+// slabRels sizes a life's first slab: the five relations of one
+// successor state (rf/mo and the inherited hb/eco/comb closures).
+// Later slabs of the same life hold slabSets rows (or one oversized
+// carve).
 const (
-	slabRels = 6
+	slabRels = 5
 	slabSets = 16
 )
 
-// NewAllocator returns an allocator for an n-element carrier.
-func NewAllocator(n int) *Allocator {
-	a := &Allocator{}
-	a.Init(n)
-	return a
-}
-
-// Init (re)initialises an allocator in place for an n-element carrier
-// — for callers that embed the Allocator in a larger per-state
-// structure to save the separate allocation. The allocator must not
-// have carved storage that is still referenced.
-func (a *Allocator) Init(n int) {
+// Init (re)initialises an allocator for an n-element carrier; callers
+// embed the Allocator in a larger per-state structure to save its
+// separate allocation. extra words beyond the
+// relations are reserved in the first slab for Words and NewSet
+// carves. The allocator must not have carved storage that is still
+// referenced.
+func (a *Allocator) Init(n, extra int) {
 	a.stride = strideOf(n)
-	a.slab = (slabRels*n + slabSets) * a.stride
+	a.slab = slabRels*n*a.stride + extra
 	a.chunk = nil
 	a.free = nil
 	if a.stride > 0 && a.stride <= len(a.inline) {
@@ -101,7 +91,7 @@ func (a *Allocator) Init(n int) {
 // and clears what this life carved. The caller guarantees nothing
 // carved in this life is referenced anymore — in this repository, that
 // the owning state was discarded before it was ever expanded, audited
-// or stored, so no descendant aliases its shared sets.
+// or stored.
 func (a *Allocator) Release() {
 	// Push in reverse so the life's first (largest) slab is recarved
 	// first. Only the carved prefix of the newest slab is dirty.
@@ -121,11 +111,12 @@ func (a *Allocator) Release() {
 	a.free = nil
 }
 
-// carve returns k zeroed words from the current slab, starting a new
+// Words carves k zeroed words from the current slab, starting a new
 // one (a retained spare if one fits, else a fresh allocation) when the
 // current slab is exhausted. The result is capped, so it can never
-// spill into the next carve.
-func (a *Allocator) carve(k int) []uint64 {
+// spill into the next carve. Not safe for concurrent use; callers
+// synchronise exactly as they do for relation mutation.
+func (a *Allocator) Words(k int) []uint64 {
 	if len(a.chunk) < k {
 		a.chunk = nil
 		// Prefer a slab retained by Release: already zeroed.
@@ -152,27 +143,16 @@ func (a *Allocator) carve(k int) []uint64 {
 }
 
 // NewSet carves one zeroed bit set of capacity n (at most the
-// allocator's carrier size) — for per-state scratch and memo sets that
-// live no longer than the allocator's owner and are never aliased by
-// descendants (see the inline field). Not safe for concurrent use;
-// callers synchronise exactly as they do for relation mutation.
+// allocator's carrier size), inline-backed while the inline words last.
+// Not safe for concurrent use; callers synchronise exactly as they do
+// for relation mutation.
 func (a *Allocator) NewSet(n int) bits.Set {
 	if len(a.free) >= a.stride && a.stride > 0 {
 		words := a.free[:a.stride:a.stride]
 		a.free = a.free[a.stride:]
 		return bits.FromWords(words, n)
 	}
-	return a.NewSharedSet(n)
-}
-
-// NewSharedSet carves one zeroed bit set of capacity n (at most the
-// allocator's carrier size) that may be aliased by descendants of the
-// owner — per-state indexes inherited outright by successor states.
-// Unlike NewSet it is never inline-backed: storage comes from the
-// separate heap slabs, so an alias held by a descendant pins only the
-// slab, not the embedding structure.
-func (a *Allocator) NewSharedSet(n int) bits.Set {
-	return bits.FromWords(a.carve(a.stride), n)
+	return bits.FromWords(a.Words(a.stride), n)
 }
 
 const wordBits = 64
@@ -284,7 +264,7 @@ func (r Rel) Grow(n int) Rel {
 func (r Rel) GrowAlloc(n int, a *Allocator) Rel {
 	n = max(n, r.n)
 	stride := strideOf(n)
-	out := Rel{n: n, stride: stride, words: a.carve(n * stride)}
+	out := Rel{n: n, stride: stride, words: a.Words(n * stride)}
 	r.copyInto(out)
 	return out
 }

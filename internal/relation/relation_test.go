@@ -490,7 +490,7 @@ func BenchmarkGrowRecycle(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			parent := FromPairs(n, [][2]int{{0, 1}, {1, 2}, {3, n - 1}})
 			var a Allocator
-			a.Init(n + 1)
+			a.Init(n+1, 0)
 			src := bits.New(n)
 			src.Set(n / 2)
 			b.ReportAllocs()
@@ -498,10 +498,17 @@ func BenchmarkGrowRecycle(b *testing.B) {
 				child := parent.GrowAlloc(n+1, &a)
 				child.UnionRow(n, src)
 				a.Release()
-				a.Init(n + 1)
+				a.Init(n+1, 0)
 			}
 		})
 	}
+}
+
+// newAllocator returns an allocator for an n-element carrier.
+func newAllocator(n int) *Allocator {
+	a := new(Allocator)
+	a.Init(n, 0)
+	return a
 }
 
 // TestGrowChildIsolation pins the ownership contract of Grow and
@@ -512,7 +519,7 @@ func TestGrowChildIsolation(t *testing.T) {
 	parent := FromPairs(3, [][2]int{{0, 1}, {1, 2}, {2, 0}})
 	snapshot := parent.Clone()
 
-	a := NewAllocator(4)
+	a := newAllocator(4)
 	child := parent.GrowAlloc(4, a)
 	sibling := parent.GrowAlloc(4, a)
 	plain := parent.Grow(4)
@@ -566,7 +573,7 @@ func TestGrowWordBoundaries(t *testing.T) {
 		r.Add(0, path[0]-1)
 		r.Add(path[0]-1, path[0]-1)
 		want := r.Pairs()
-		a := NewAllocator(path[len(path)-1])
+		a := newAllocator(path[len(path)-1])
 		for i, n := range path[1:] {
 			if i%2 == 0 {
 				r = r.GrowAlloc(n, a)
@@ -600,7 +607,7 @@ func TestGrowChain(t *testing.T) {
 	r := FromPairs(2, [][2]int{{0, 1}})
 	c1 := r.Grow(3)
 	c1.Add(2, 0)
-	c2 := c1.GrowAlloc(4, NewAllocator(4))
+	c2 := c1.GrowAlloc(4, newAllocator(4))
 	c2.Add(3, 2)
 	c2.Add(0, 3)
 	want := FromPairs(4, [][2]int{{0, 1}, {2, 0}, {3, 2}, {0, 3}})
@@ -621,7 +628,7 @@ func TestGrowChain(t *testing.T) {
 
 func TestGrowBulkOps(t *testing.T) {
 	parent := FromPairs(3, [][2]int{{0, 1}, {1, 2}})
-	a := NewAllocator(4)
+	a := newAllocator(4)
 	child := parent.GrowAlloc(4, a)
 	other := FromPairs(4, [][2]int{{2, 3}, {1, 2}})
 	child.Union(other)
@@ -648,7 +655,7 @@ func TestGrowDerivedOps(t *testing.T) {
 	// algebra over its heap clone.
 	rng := rand.New(rand.NewSource(99))
 	parent := randRel(rng, 20, 0.15)
-	child := parent.GrowAlloc(24, NewAllocator(24))
+	child := parent.GrowAlloc(24, newAllocator(24))
 	for i := 0; i < 10; i++ {
 		child.Add(rng.Intn(24), rng.Intn(24))
 	}
@@ -701,15 +708,14 @@ func TestAllocatorRecycling(t *testing.T) {
 		{"sets", func(a *Allocator) {
 			s := a.NewSet(4)
 			s.Set(3)
-			sh := a.NewSharedSet(4)
-			sh.Set(0)
-			sh.Set(3)
+			w := a.Words(2)
+			w[0], w[1] = 1, 9
 		}},
 		{"rows-and-sets", func(a *Allocator) {
 			r := parent.GrowAlloc(4, a)
 			r.Add(3, 3)
-			s := a.NewSharedSet(4)
-			s.Set(2)
+			w := a.Words(1)
+			w[0] = 4
 		}},
 		{"many-rows", func(a *Allocator) {
 			// Outgrow the first slab so several slabs recycle.
@@ -724,10 +730,10 @@ func TestAllocatorRecycling(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var a Allocator
-			a.Init(4)
+			a.Init(4, 0)
 			tc.dirty(&a)
 			a.Release()
-			a.Init(4)
+			a.Init(4, 0)
 
 			// Second life: everything carved must be zeroed and owned.
 			child := parent.GrowAlloc(4, &a)
@@ -748,9 +754,8 @@ func TestAllocatorRecycling(t *testing.T) {
 			if !s.Empty() {
 				t.Fatalf("recycled NewSet not zeroed: %s", s)
 			}
-			sh := a.NewSharedSet(4)
-			if !sh.Empty() {
-				t.Fatalf("recycled NewSharedSet not zeroed: %s", sh)
+			if w := a.Words(2); w[0] != 0 || w[1] != 0 {
+				t.Fatalf("recycled Words not zeroed: %v", w)
 			}
 			// Ownership: mutating the child must never leak upward.
 			snapshot := parent.Clone()
@@ -771,8 +776,8 @@ func TestAllocatorRecycling(t *testing.T) {
 // allocator (or an unrelated one) never disturbs the child.
 func TestAllocatorRecycleKeepsDescendantsIntact(t *testing.T) {
 	var pa, ca Allocator
-	pa.Init(3)
-	ca.Init(4)
+	pa.Init(3, 0)
+	ca.Init(4, 0)
 	parent := FromPairs(3, [][2]int{{0, 1}}).GrowAlloc(3, &pa)
 	child := parent.GrowAlloc(4, &ca)
 	child.Add(0, 2)
@@ -780,9 +785,9 @@ func TestAllocatorRecycleKeepsDescendantsIntact(t *testing.T) {
 
 	pa.Release()
 	var other Allocator
-	other.Init(4)
-	tmp := other.NewSharedSet(4)
-	tmp.Set(1)
+	other.Init(4, 0)
+	tmp := other.Words(1)
+	tmp[0] = 2
 	other.Release()
 
 	if !child.Equal(snapshot) {
