@@ -23,9 +23,13 @@ package core
 //   - CW gains at most {w}, when g is an update.
 //
 // The engine therefore inherits the parent's memoised hb/eco/comb/CW
-// (one slab copy each) and propagates only g's edges, at
-// O(n²/64) word operations per state instead of the O(n³/64)
-// Floyd–Warshall closures the scratch path pays. The scratch path
+// and propagates only g's edges, at O(n²/64) word operations per state
+// instead of the O(n³/64) Floyd–Warshall closures the scratch path
+// pays. When the extension is g's row alone — always for hb, and for
+// eco and comb when w is mo-maximal — it needs no copy at all: the
+// first such successor extends the parent's closure in place by
+// winning its claim (Rel.Extend; state.go's type comment has the
+// aliasing rules), and the others copy it. The scratch path
 // survives for root states and for the audit mode: AuditIncremental
 // recomputes everything from first principles and reports any
 // disagreement (explore.Options.CheckIncremental counts these; the
@@ -63,8 +67,9 @@ func (s *State) linkParent(parent *State, g int, w event.Tag, t event.Thread, rf
 // hbRef, ecoRef, combRef and cwRef return the state's memoised derived
 // values, computing them first if needed. The returned values are
 // immutable once memoised, so a child may read them after the parent's
-// lock is released. Lock order is strictly child → parent, and parents
-// never lock children, so the order is acyclic.
+// lock is released — and, having won the parent's claim, write the one
+// row past their end (Rel.Extend). Lock order is strictly child →
+// parent, and parents never lock children, so the order is acyclic.
 
 func (s *State) hbRef() *relation.Rel {
 	s.memo.mu.Lock()
@@ -91,11 +96,13 @@ func (s *State) cwRef() *bits.Set {
 }
 
 // maybeDetachLocked drops the parent link once every derived value has
-// been inherited, releasing the ancestor State (its events, indexes
-// and memo); the inherited closures are copies, not aliases. The
-// derivations are split per closure — a configuration only visited by
-// a property check typically needs hb alone, and deriving eco/comb for
-// it would triple the cost of the frontier.
+// been inherited, releasing the ancestor State (its shell, index block
+// and memo sets). What the successor shares with it — a prefix of its
+// event list or closures, extended in place — stays reachable through
+// the successor's own slices. The derivations are split per closure —
+// a configuration only visited by a property check typically needs hb
+// alone, and deriving eco/comb for it would triple the cost of the
+// frontier.
 func (s *State) maybeDetachLocked() {
 	if s.memo.hbOK && s.memo.ecoOK && s.memo.combOK && s.memo.cwOK {
 		s.inc.parent = nil
@@ -116,10 +123,9 @@ func (s *State) maybeDetachLocked() {
 // predecessor row.
 func (s *State) deriveHBLocked(p *State) {
 	phb := p.hbRef()
-	n := len(s.events)
 	g, w := s.inc.g, s.inc.w
 
-	hb := phb.GrowAlloc(n, &s.alloc)
+	hb := phb.Extend(&p.tails.hb)
 	hb.UnionRow(g, p.threadEvs(event.InitThread))
 	tEvs := p.threadEvs(s.inc.t)
 	if last := tEvs.Max(); last >= 0 {
@@ -148,24 +154,30 @@ func (s *State) deriveHBLocked(p *State) {
 // outgoing side (g precedes the old mo-successors of w and their
 // eco-successors) touches old rows, but only when w is not mo-maximal
 // — the common case (reading or splicing after the latest write to the
-// variable) leaves every old row as inherited.
+// variable) leaves every old row as inherited, so only then may the
+// extension claim the parent's closure in place.
 func (s *State) deriveECOLocked(p *State) {
 	peco := p.ecoRef()
 	n := len(s.events)
 	g, w := s.inc.g, s.inc.w
+	moSucc := p.mo.Row(w)
 
-	eco := peco.GrowAlloc(n, &s.alloc)
+	eco := peco.Extend(rowOnlyClaim(&p.tails.eco, moSucc))
 	direct := s.alloc.NewSet(n)
-	if s.inc.rfEdge {
-		direct.Set(w)
-	}
+	direct.Set(w) // every rule observes w through rf or an mo splice
 	if s.inc.moSplice {
-		direct.Set(w)
-		xs := p.varWrites(int(s.events[w].x))
+		// mo⁺w, then the readers of its writes: the parent's reads of
+		// w's variable whose rf source is in mo⁺w.
+		x := s.events[w].x
+		xs := p.varWrites(int(x))
 		for vi := xs.Next(0); vi >= 0; vi = xs.Next(vi + 1) {
-			if vi == w || p.mo.Has(vi, w) {
+			if p.mo.Has(vi, w) {
 				direct.Set(vi)
-				direct.Or(p.rf.Row(vi))
+			}
+		}
+		for j, e := range p.events {
+			if e.isRead() && e.x == x && (int(e.rf) == w || p.mo.Has(int(e.rf), w)) {
+				direct.Set(j)
 			}
 		}
 	}
@@ -173,7 +185,6 @@ func (s *State) deriveECOLocked(p *State) {
 	for d := direct.Next(0); d >= 0; d = direct.Next(d + 1) {
 		eco.UnionRow(g, peco.Row(d))
 	}
-	moSucc := p.mo.Row(w)
 	if !moSucc.Empty() {
 		for j := 0; j < g; j++ {
 			if moSucc.Test(j) || peco.Row(j).Intersects(moSucc) {
@@ -211,8 +222,9 @@ func (s *State) deriveCombLocked(p *State) {
 	g, w := s.inc.g, s.inc.w
 	hb := s.hbLocked()
 	eco := s.ecoLocked()
+	moSucc := p.mo.Row(w)
 
-	comb := pcomb.GrowAlloc(n, &s.alloc)
+	comb := pcomb.Extend(rowOnlyClaim(&p.tails.comb, moSucc))
 	comb.Add(g, g)
 	comb.UnionRow(g, eco.Row(g))
 	comb.UnionRow(g, hb.Row(g))
@@ -224,7 +236,7 @@ func (s *State) deriveCombLocked(p *State) {
 		comb.UnionRow(g, pcomb.Row(w))
 	}
 
-	if !p.mo.Row(w).Empty() {
+	if !moSucc.Empty() {
 		// g's eco-successors K are exactly the old rows that gained g
 		// in deriveECOLocked; g reaches them and their hb-successors.
 		k := s.alloc.NewSet(n)
@@ -242,6 +254,17 @@ func (s *State) deriveCombLocked(p *State) {
 	s.memo.combP = comb
 	s.memo.combOK = true
 	s.maybeDetachLocked()
+}
+
+// rowOnlyClaim returns the claim an eco or comb extension may try for:
+// c when w has no mo-successors (moSucc, w's row of the parent's mo, is
+// empty), so the extension writes g's row alone, and nil — always copy
+// — when it must also add g to old rows.
+func rowOnlyClaim(c *relation.Claim, moSucc bits.Set) *relation.Claim {
+	if moSucc.Empty() {
+		return c
+	}
+	return nil
 }
 
 // deriveCWLocked extends the parent's CW: an update covers the write
@@ -290,7 +313,7 @@ func (s *State) AuditIncremental() []string {
 	if !comb.Equal(sComb) {
 		report("comb: incremental %s != scratch %s", comb, sComb)
 	}
-	sCW := s.auditScratchCW()
+	sCW := s.scratchCW()
 	if !cw.Equal(sCW) {
 		report("cw: incremental %s != scratch %s", cw, sCW)
 	}
@@ -374,23 +397,4 @@ func (s *State) AuditIncremental() []string {
 		}
 	}
 	return bad
-}
-
-// auditScratchCW is scratchCW over an event scan (not the write
-// index), so the audit does not trust the index it also checks.
-func (s *State) auditScratchCW() bits.Set {
-	out := bits.New(len(s.events))
-	for i, e := range s.events {
-		if !e.isWrite() {
-			continue
-		}
-		row := s.rf.Row(i)
-		for j := row.Next(0); j >= 0; j = row.Next(j + 1) {
-			if s.events[j].isUpdate() {
-				out.Set(i)
-				break
-			}
-		}
-	}
-	return out
 }

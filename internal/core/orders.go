@@ -34,9 +34,13 @@ import (
 // Update events are both releasing and acquiring, so rf edges into or
 // out of updates synchronise when the other side is annotated.
 func (s *State) SW() relation.Rel {
-	return s.rf.FilterPairs(func(a, b int) bool {
-		return s.events[a].releasing() && s.events[b].acquiring()
-	})
+	out := relation.New(len(s.events))
+	for j, e := range s.events {
+		if e.isRead() && e.acquiring() && s.events[e.rf].releasing() {
+			out.Add(int(e.rf), j)
+		}
+	}
+	return out
 }
 
 // HB returns happens-before hb = (sb ∪ sw)⁺ (in successor
@@ -83,7 +87,14 @@ func (s *State) scratchHB() relation.Rel {
 // their immediate mo-predecessor and would otherwise be fr-related to
 // themselves (§3.1).
 func (s *State) FR() relation.Rel {
-	return relation.Compose(s.rf.Converse(), s.mo).WithoutIdentity()
+	out := relation.New(len(s.events))
+	for j, e := range s.events {
+		if e.isRead() {
+			out.UnionRow(j, s.mo.Row(int(e.rf)))
+			out.Remove(j, j)
+		}
+	}
+	return out
 }
 
 // ECO returns the extended coherence order eco = (fr ∪ mo ∪ rf)⁺ [19]
@@ -110,7 +121,7 @@ func (s *State) ecoLocked() *relation.Rel {
 
 // scratchECO computes the transposed eco from first principles.
 func (s *State) scratchECO() relation.Rel {
-	return relation.UnionOf(s.FR(), s.mo, s.rf).Converse().TransitiveClosure()
+	return relation.UnionOf(s.FR(), s.mo, s.RF()).Converse().TransitiveClosure()
 }
 
 // combLocked returns the thread-independent kernel of the encountered-
@@ -283,17 +294,13 @@ func (s *State) coveredLocked() *bits.Set {
 	return &s.memo.covered
 }
 
-// scratchCW computes CW from first principles.
+// scratchCW computes CW from first principles: the rf sources of the
+// updates, by a scan of the event records.
 func (s *State) scratchCW() bits.Set {
 	out := bits.New(len(s.events))
-	wr := s.writesRow()
-	for i := wr.Next(0); i >= 0; i = wr.Next(i + 1) {
-		row := s.rf.Row(i)
-		for j := row.Next(0); j >= 0; j = row.Next(j + 1) {
-			if s.events[j].isUpdate() {
-				out.Set(i)
-				break
-			}
+	for _, e := range s.events {
+		if e.isUpdate() {
+			out.Set(int(e.rf))
 		}
 	}
 	return out

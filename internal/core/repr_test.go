@@ -45,6 +45,9 @@ func TestRepresentationPointerFree(t *testing.T) {
 			t.Errorf("%s element type %s holds pointers", name, typ)
 		}
 	}
+	if f, ok := reflect.TypeOf(evRec{}).FieldByName("rf"); !ok || f.Type.Kind() != reflect.Int32 {
+		t.Error("evRec has no int32 rf field")
+	}
 	if n := unsafe.Sizeof(evRec{}); n > 32 {
 		t.Errorf("evRec is %d bytes, want at most 32", n)
 	}

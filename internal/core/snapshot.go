@@ -20,10 +20,10 @@ import (
 // fingerprint accumulator, with no second serialization format to keep
 // in sync with the state representation.
 //
-// The observed write of each event is not stored explicitly in the
-// state but is recoverable from the final relations:
+// The observed write of each event is recoverable from the state:
 //
-//   - a read's (or update's) observation is its unique rf source;
+//   - a read's (or update's) observation is its rf source, which its
+//     event record carries;
 //   - a write's observation is the write it was inserted immediately
 //     after in mo. Later insertions can slot between the two in the
 //     final order, but every later insertion has a larger tag, so
@@ -65,18 +65,14 @@ func snapVarint(data []byte) (int64, []byte, error) {
 }
 
 // observedWrite recovers the write observed by event g (the w of the
-// Figure 3 rule that added g) from the final rf/mo relations.
+// Figure 3 rule that added g) from its record (a read or update) or
+// the final mo (a write).
 func (s *State) observedWrite(g event.Tag) (event.Tag, error) {
 	gi := int(g)
-	xs := s.varWrites(int(s.events[gi].x))
-	if s.events[gi].kind.IsRead() {
-		for v := xs.Next(0); v >= 0; v = xs.Next(v + 1) {
-			if s.rf.Has(v, gi) {
-				return event.Tag(v), nil
-			}
-		}
-		return 0, fmt.Errorf("core: event %s has no rf source", s.Event(g))
+	if e := s.events[gi]; e.isRead() {
+		return event.Tag(e.rf), nil
 	}
+	xs := s.varWrites(int(s.events[gi].x))
 	best := -1
 	for v := xs.Next(0); v >= 0 && v < gi; v = xs.Next(v + 1) {
 		if s.mo.Has(v, gi) && (best < 0 || s.mo.Has(best, v)) {
@@ -114,7 +110,7 @@ func (c Config) AppendSnapshot(buf []byte) []byte {
 		w, err := s.observedWrite(event.Tag(g))
 		if err != nil {
 			// Unreachable on states built by the step functions: every
-			// non-initialising event records its observation in rf/mo.
+			// non-initialising write records its observation in mo.
 			panic(err)
 		}
 		buf = binary.AppendUvarint(buf, uint64(w))

@@ -32,25 +32,37 @@ import (
 // that a parallel explorer may expand concurrently.
 //
 // A state is nearly pointer-free. D is a slice of compact records
-// (evRec) that name their variable by id; the variable names live in
-// one table shared by every state of a program. sb is not stored: a
-// program event is preceded exactly by the initialising writes and
-// its own thread's earlier events (Figure 3's (D, sb) + e), so sb is
-// read off the per-thread index. rf and mo are flat word slabs
-// (relation.Rel), and the indexes are rows of one word block (idx).
-// A successor copies its parent's relations and index block into one
-// slab its allocator carves per state, edits them in place, and shares
-// no storage with its parent. It also records its provenance (the inc
-// field) so the derived closures hb/eco/comb are not recomputed from
-// scratch but inherited from the parent's memoised closures and
-// extended by the new event's edges alone — see incremental.go.
+// (evRec) that name their variable by id and carry a read's rf source;
+// the variable names live in one table shared by every state of a
+// program. sb is not stored: a program event is preceded exactly by
+// the initialising writes and its own thread's earlier events
+// (Figure 3's (D, sb) + e), so sb is read off the per-thread index.
+// rf is not stored either: it is the records' rf fields. mo is a flat
+// word slab (relation.Rel), and the indexes are rows of one word block
+// (idx). A successor copies its parent's mo and index block into one
+// slab its allocator carves per state and edits them in place. It also
+// records its provenance (the inc field) so the derived closures
+// hb/eco/comb are not recomputed from scratch but inherited from the
+// parent's memoised closures and extended by the new event's edges
+// alone — see incremental.go.
+//
+// D and the memoised hbP/ecoP/combP are append-only histories, and a
+// successor shares them with its parent where it can. Each is
+// allocated with spare capacity, and each state holds a one-shot claim
+// per history (the tails field). A successor extends its parent's
+// backing in place when its new data is exactly one appended row (or
+// event), the row stride is unchanged, and it wins the parent's claim;
+// otherwise it copies (relation.Extend, Rel.Extend). The aliasing
+// invariants: the rows (events) below a state's n are immutable once
+// the state is published; only the claim winner writes row n; and a
+// discarded claimer keeps its claim and never hands shared storage to
+// statePool or to its allocator's Release.
 type State struct {
 	events []evRec // D; index is the event's Tag
 	// names maps a variable id to its name. Init sorts the variables
 	// and writes them in that order, so a variable's id is the tag of
 	// its initialising write. Shared by all states of a program.
 	names []event.Var
-	rf    relation.Rel // reads-from (Wr × Rd), row-major
 	mo    relation.Rel // modification order (Wr × Wr), row-major
 
 	// idx is the eagerly-maintained index block, carved from alloc and
@@ -71,12 +83,17 @@ type State struct {
 	// the derived orders have been inherited (see incremental.go).
 	inc incProvenance
 
-	// alloc backs this state's relations, index block, inherited
-	// closures and memo sets, normally out of one slab. Embedded so a
-	// successor costs one fewer allocation; carving happens only while
-	// the state is being built (single goroutine) and later under
-	// memo.mu (the derive*Locked functions of incremental.go).
+	// alloc backs this state's mo, index block and memo sets, normally
+	// out of one slab. Embedded so a successor costs one fewer
+	// allocation; carving happens only while the state is being built
+	// (single goroutine) and later under memo.mu (the derive*Locked
+	// functions of incremental.go).
 	alloc relation.Allocator
+
+	// tails holds the one-shot claims on the spare capacity of this
+	// state's events and memoised closures: the first successor to
+	// extend one of them in place wins it (see the type comment).
+	tails struct{ events, hb, eco, comb relation.Claim }
 
 	// fpAcc is the eagerly-maintained canonical fingerprint
 	// accumulator: a commutative multiset hash over the events and
@@ -104,15 +121,20 @@ type State struct {
 	}
 }
 
-// evRec is one event of D: its kind, variable id, thread and values.
-// It is pointer-free, so event slices are neither scanned by the
-// garbage collector nor copied with write barriers. Event rebuilds
-// the event.Event with the variable's name.
+// evRec is one event of D: its kind, variable id, thread, values and,
+// for a read or update, its rf source. It is pointer-free, so event
+// slices are neither scanned by the garbage collector nor copied with
+// write barriers. Event rebuilds the event.Event with the variable's
+// name.
 type evRec struct {
 	rval, wval event.Val
 	x          int32 // variable id: the tag of x's initialising write
 	tid        int32
-	kind       event.Kind
+	// rf is the tag of the write a read or update reads from (its
+	// unique rf-predecessor); unused for plain writes. A tag is below
+	// |D|, which int32 holds for any state that fits in memory.
+	rf   int32
+	kind event.Kind
 }
 
 // maxThread bounds the thread ids a state accepts: the index block
@@ -130,7 +152,14 @@ func newRec(k event.Kind, x int, t event.Thread, rval, wval event.Val) evRec {
 	return evRec{rval: rval, wval: wval, x: int32(x), tid: int32(t), kind: k}
 }
 
+// from sets the rf source of a read or update record.
+func (e evRec) from(w event.Tag) evRec {
+	e.rf = int32(w)
+	return e
+}
+
 func (e evRec) thread() event.Thread { return event.Thread(e.tid) }
+func (e evRec) isRead() bool         { return e.kind.IsRead() }
 func (e evRec) isWrite() bool        { return e.kind.IsWrite() }
 func (e evRec) isUpdate() bool       { return e.kind.IsUpdate() }
 func (e evRec) isInit() bool         { return e.tid == int32(event.InitThread) && e.isWrite() }
@@ -206,7 +235,6 @@ func Init(vars map[event.Var]event.Val) *State {
 	s := &State{
 		events: make([]evRec, 0, n),
 		names:  names,
-		rf:     relation.New(n),
 		mo:     relation.New(n),
 		nthr:   1,
 	}
@@ -268,8 +296,17 @@ func (s *State) sbPred() relation.Rel {
 // SB returns sequenced-before, derived from the per-thread index.
 func (s *State) SB() relation.Rel { return s.sbPred().Converse() }
 
-// RF returns a copy of the reads-from relation.
-func (s *State) RF() relation.Rel { return s.rf.Clone() }
+// RF returns the reads-from relation, built from the records' rf
+// sources.
+func (s *State) RF() relation.Rel {
+	out := relation.New(len(s.events))
+	for j, e := range s.events {
+		if e.isRead() {
+			out.Add(int(e.rf), j)
+		}
+	}
+	return out
+}
 
 // MO returns a copy of the modification order.
 func (s *State) MO() relation.Rel { return s.mo.Clone() }
@@ -286,8 +323,14 @@ func (s *State) SBHas(a, b event.Tag) bool {
 	return tb != int32(event.InitThread) && (ta == int32(event.InitThread) || ta == tb)
 }
 
-// RFHas reports (a, b) ∈ rf.
-func (s *State) RFHas(a, b event.Tag) bool { return s.rf.Has(int(a), int(b)) }
+// RFHas reports (a, b) ∈ rf: b is a read or update whose source is a.
+func (s *State) RFHas(a, b event.Tag) bool {
+	if uint(a) >= uint(len(s.events)) || uint(b) >= uint(len(s.events)) {
+		return false
+	}
+	e := s.events[b]
+	return e.isRead() && e.rf == int32(a)
+}
 
 // MOHas reports (a, b) ∈ mo.
 func (s *State) MOHas(a, b event.Tag) bool { return s.mo.Has(int(a), int(b)) }
@@ -339,24 +382,26 @@ func (s *State) ThreadEvents(t event.Thread) []event.Tag {
 }
 
 // grow returns the successor in which thread t appends event e — the
-// (D, sb) + e of Figure 3 — with rf/mo still to be extended by the
-// caller. The successor's relations and index block are copied into
-// its own allocator (one memmove each, or one per row when the row
-// stride grows) and the index is then edited in place: e joins its
-// thread's row and, for a write, the write rows. sb needs no edit: it
-// is derived from the thread rows. The memoised orders are left to be
-// inherited through the inc provenance set by the caller.
+// (D, sb) + e of Figure 3 — with mo still to be extended by the caller.
+// The event list extends the parent's in place when the successor wins
+// the parent's events claim, and is copied otherwise. mo and the index
+// block are copied into the successor's own allocator (one memmove
+// each, or one per row when the row stride grows) and the index is
+// then edited in place: e joins its thread's row and, for a write, the
+// write rows. sb needs no edit: it is derived from the thread rows. The
+// memoised orders are left to be inherited through the inc provenance
+// set by the caller.
 func (s *State) grow(t event.Thread, e evRec) *State {
 	n := len(s.events) + 1
 	g := n - 1
 	nv := len(s.names)
-	out := newState(n)
-	out.events = append(append(out.events, s.events...), e)
+	out := statePool.Get().(*State)
+	out.events = relation.Extend(s.events, &s.tails.events)
+	out.events[g] = e
 	out.names = s.names
 	out.nthr = max(s.nthr, int(t)+1)
 	out.fpAcc = s.fpAcc
 	out.alloc.Init(n, slabWords(nv, out.nthr, n))
-	out.rf = s.rf.GrowAlloc(n, &out.alloc)
 	out.mo = s.mo.GrowAlloc(n, &out.alloc)
 	out.idx = out.alloc.Words(indexWords(nv, out.nthr, n))
 	if ps, st := stride(n-1), stride(n); ps == st {
@@ -449,7 +494,7 @@ func (s *State) Signature() string {
 		fmt.Fprintf(&b, "%d:%s|", e.tid, s.action(e))
 	}
 	b.WriteString("rf")
-	b.WriteString(s.rf.String())
+	b.WriteString(s.RF().String())
 	b.WriteString("mo")
 	b.WriteString(s.mo.String())
 	return b.String()
@@ -510,7 +555,7 @@ func (s *State) CanonicalSignature() string {
 			fmt.Fprintf(&b, "(%d,%d)", p[0], p[1])
 		}
 	}
-	appendRel("rf", s.rf)
+	appendRel("rf", s.RF())
 	appendRel("mo", s.mo)
 	return b.String()
 }
@@ -522,6 +567,6 @@ func (s *State) String() string {
 	for i := range s.events {
 		fmt.Fprintf(&b, "  %s\n", s.Event(event.Tag(i)))
 	}
-	fmt.Fprintf(&b, "sb: %s\nrf: %s\nmo: %s\n", s.SB(), s.rf, s.mo)
+	fmt.Fprintf(&b, "sb: %s\nrf: %s\nmo: %s\n", s.SB(), s.RF(), s.mo)
 	return b.String()
 }

@@ -67,9 +67,8 @@ func stepped(out *State) (*State, event.Event, error) {
 // observability sets (interp.go).
 func (s *State) read(t event.Thread, k event.Kind, w event.Tag) *State {
 	we := s.events[w]
-	out := s.grow(t, newRec(k, int(we.x), t, we.wval, 0))
+	out := s.grow(t, newRec(k, int(we.x), t, we.wval, 0).from(w)) // rf' = rf ∪ {(w, e)}
 	g := len(s.events)
-	out.rf.Add(int(w), g) // rf' = rf ∪ {(w, e)}
 	out.notePair(fingerprint.LabelRF, int(w), g)
 	out.linkParent(s, g, w, t, true, false)
 	return out
@@ -124,9 +123,8 @@ func (s *State) StepRMW(t event.Thread, x event.Var, v event.Val, w event.Tag) (
 // variable.
 func (s *State) rmw(t event.Thread, v event.Val, w event.Tag) *State {
 	we := s.events[w]
-	out := s.grow(t, newRec(event.UpdRA, int(we.x), t, we.wval, v))
+	out := s.grow(t, newRec(event.UpdRA, int(we.x), t, we.wval, v).from(w))
 	g := len(s.events)
-	out.rf.Add(int(w), g)
 	out.notePair(fingerprint.LabelRF, int(w), g)
 	out.insertMO(int(w), g)
 	out.linkParent(s, g, w, t, true, true)

@@ -17,6 +17,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/bits"
 )
@@ -24,13 +25,15 @@ import (
 // Rel is a binary relation over {0..n-1}, stored as one contiguous,
 // pointer-free word slab with a fixed row stride: row i (the
 // successors of i) is words[i*stride:(i+1)*stride]. Rel values are
-// mutable and own their slab; Clone before sharing. The zero value is
-// an empty relation over the empty carrier.
+// mutable and own their slab, except that a relation returned by
+// Extend may share its rows with the relation it extends (see Extend);
+// Clone before sharing. The zero value is an empty relation over the
+// empty carrier.
 //
-// Growing a relation (Grow, GrowAlloc) copies the parent's slab — one
-// memmove, or one per row when the stride grows — so a successor
-// state's relations never alias its parent's, and the garbage
-// collector never scans relation storage.
+// Growing a relation with Grow or GrowAlloc copies the parent's slab —
+// one memmove, or one per row when the stride grows — so the copy never
+// aliases its parent. The garbage collector never scans relation
+// storage.
 type Rel struct {
 	n      int
 	stride int      // words per row: ceil(n/64)
@@ -42,8 +45,9 @@ type Rel struct {
 // building a state costs one allocation rather than one per relation.
 // A fresh life's first slab is sized for slabRels relations over the
 // carrier plus the extra words its owner asks for at Init. Everything
-// it carves is owned by the allocator's owner alone: successors copy
-// what they inherit, so no carve is ever aliased by another state.
+// it carves is owned by the allocator's owner alone: carves are capped
+// (no spare capacity), so Extend never shares one, and successors copy
+// what they inherit from them.
 type Allocator struct {
 	chunk  []uint64 // uncarved tail of the newest slab
 	stride int      // words per row of the carrier given to Init
@@ -62,12 +66,12 @@ type Allocator struct {
 	spare [][]uint64
 }
 
-// slabRels sizes a life's first slab: the five relations of one
-// successor state (rf/mo and the inherited hb/eco/comb closures).
-// Later slabs of the same life hold slabSets rows (or one oversized
-// carve).
+// slabRels sizes a life's first slab: the one relation a successor
+// state copies per step (mo; its hb/eco/comb closures come from Extend,
+// and rf lives in the event records). Later slabs of the same life
+// hold slabSets rows (or one oversized carve).
 const (
-	slabRels = 5
+	slabRels = 1
 	slabSets = 16
 )
 
@@ -259,14 +263,76 @@ func (r Rel) Grow(n int) Rel {
 }
 
 // GrowAlloc is Grow drawing the copy's storage from the given
-// allocator — the successor hot path, where a state's relations share
-// one slab.
+// allocator — the successor hot path, where a state's mo shares one
+// slab with its index block.
 func (r Rel) GrowAlloc(n int, a *Allocator) Rel {
 	n = max(n, r.n)
 	stride := strideOf(n)
 	out := Rel{n: n, stride: stride, words: a.Words(n * stride)}
 	r.copyInto(out)
 	return out
+}
+
+// Claim is the one-shot right to extend the spare tail of an
+// append-only array in place (Extend, Rel.Extend). The zero Claim is
+// unclaimed, and exactly one Take ever wins it.
+type Claim struct{ taken atomic.Bool }
+
+// Take reports whether the caller won the claim.
+func (c *Claim) Take() bool { return !c.taken.Load() && c.taken.CompareAndSwap(false, true) }
+
+// Extend returns s followed by one zero element. When c is non-nil, s
+// has a spare element of capacity and the caller wins c, the result
+// extends s's own backing in place; otherwise it is a copy with spare
+// capacity for later extensions (a quarter of its length, plus one).
+//
+// Sharing is safe under the append-only discipline this primitive
+// exists for: the elements below len(s) are never written again once
+// s is published, spare capacity is zeroed when it is allocated, and
+// only the winner of c ever writes element len(s). A caller that wins
+// c keeps it even if it throws its result away, so no later extension
+// of s can see that element's contents.
+func Extend[T any](s []T, c *Claim) []T {
+	return extend(s, 1, len(s)/4+1, c)
+}
+
+// Extend returns r over the carrier n+1 (n = r.Size()) with the new
+// row and column empty. When c is non-nil, the row stride is
+// unchanged, r's backing has a spare row of capacity and the caller
+// wins c, the result extends r's backing in place and shares rows
+// 0..n-1 with r: the caller may then write only the new row n. A
+// caller that will also write old rows (the new column) passes a nil
+// claim, and always gets a copy. A copy carries spare rows for later
+// extensions — a quarter of the carrier plus one, but never past the
+// current stride, which a later extension could not use. When the
+// stride is unchanged only the new row and the spare are zeroed; the
+// rest is copied over. See the package function Extend for the
+// aliasing rules.
+func (r Rel) Extend(c *Claim) Rel {
+	n := r.n + 1
+	stride := strideOf(n)
+	spare := min(n/4+1, stride*wordBits-n) * stride
+	if stride == r.stride {
+		return Rel{n: n, stride: stride, words: extend(r.words, stride, spare, c)}
+	}
+	out := Rel{n: n, stride: stride, words: make([]uint64, n*stride, n*stride+spare)}
+	r.copyInto(out)
+	return out
+}
+
+// extend returns s followed by k zero elements: s's own backing when c
+// is non-nil, s has k spare elements and the caller wins c, else a
+// fresh copy with spare more elements of capacity. The copy is a make
+// immediately followed by a copy, which the compiler fuses so that
+// only the part not copied is zeroed.
+func extend[T any](s []T, k, spare int, c *Claim) []T {
+	n := len(s) + k
+	if c != nil && cap(s) >= n && c.Take() {
+		return s[:n]
+	}
+	out := make([]T, n+spare)
+	copy(out, s)
+	return out[:n]
 }
 
 // copyInto copies r's pairs into the zeroed relation out over a carrier
