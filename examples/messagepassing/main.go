@@ -77,7 +77,7 @@ func main() {
 			MaxEvents: 12,
 			Property: func(c model.Config) bool {
 				cc := c.(core.Config)
-				if lang.AtLabel(cc.P.Thread(2)) == "consume" {
+				if lang.AtLabel(cc.Program().Thread(2)) == "consume" {
 					return proof.DV(cc.S, 2, "d", 5)
 				}
 				return true

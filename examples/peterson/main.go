@@ -62,9 +62,9 @@ func main() {
 	}
 	fmt.Printf("\nweak-turn Peterson: mutual exclusion VIOLATED in %d steps\n", len(trace.Configs)-1)
 	last := trace.Configs[len(trace.Configs)-1].(core.Config)
-	fmt.Printf("  both threads at the critical section label:\n  %s\n", last.P)
+	fmt.Printf("  both threads at the critical section label:\n  %s\n", last.Program())
 	fmt.Printf("  pc_1 = %d, pc_2 = %d\n",
-		proof.PC(last.P.Thread(1)), proof.PC(last.P.Thread(2)))
+		proof.PC(last.Program().Thread(1)), proof.PC(last.Program().Thread(2)))
 
 	// The proof's premise that breaks: turn is no longer update-only
 	// (invariant 4), so Lemma 5.6 cannot pin the swap's observation.

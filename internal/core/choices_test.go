@@ -19,7 +19,7 @@ import (
 // the built one's, and AppendStepSuccessors returns exactly the built
 // choices, in enumeration order.
 func checkChoices(c core.Config) error {
-	for _, ps := range lang.ProgSteps(c.P) {
+	for _, ps := range c.Node().Steps() {
 		chs := c.AppendStepChoices(nil, ps)
 		succ := c.AppendStepSuccessors(nil, ps)
 		if len(succ) != len(chs) {

@@ -14,17 +14,23 @@ import (
 // event semantics. A configuration is a pair (P, σ); the memory model
 // constrains which read values are possible.
 
-// Config is a configuration (P, σ).
+// Config is a configuration (P, σ). The program is carried as its
+// node in an intern table (lang.Table), which memoises everything that
+// depends on the program alone.
 type Config struct {
-	P lang.Prog
-	S *State
+	node *lang.Node
+	S    *State
 }
 
 // NewConfig pairs a program with an initial state for the given
-// variable initialisation.
+// variable initialisation. It interns p into a fresh table, which the
+// configuration's successors share.
 func NewConfig(p lang.Prog, vars map[event.Var]event.Val) Config {
-	return Config{P: p, S: Init(vars)}
+	return Config{node: lang.NewTable().Intern(p), S: Init(vars)}
 }
+
+// Node returns the configuration's interned program.
+func (c Config) Node() *lang.Node { return c.node }
 
 // Successors returns every interpreted transition enabled in c,
 // combining each uninterpreted program step with each memory-model
@@ -32,7 +38,7 @@ func NewConfig(p lang.Prog, vars map[event.Var]event.Val) Config {
 // the enabled steps.
 func (c Config) Successors() []Config {
 	var out []Config
-	for _, ps := range lang.ProgSteps(c.P) {
+	for _, ps := range c.node.Steps() {
 		out = c.AppendStepSuccessors(out, ps)
 	}
 	return out
@@ -47,16 +53,16 @@ var tagBufPool = sync.Pool{New: func() any { b := make([]event.Tag, 0, 16); retu
 // enabled program step — one choice per memory-model choice of
 // observed write (a single τ choice for a silent step) — appending
 // them to out without building any successor. Each choice carries the
-// successor's predicted fingerprint, the stepping thread's residual
-// and the observed write, so the explorer can deduplicate before
-// building and Build re-derives nothing. The observed-write
-// candidates are drawn into a pooled buffer.
+// successor's predicted fingerprint, its interned program and the
+// observed write, so the explorer can deduplicate before building and
+// Build re-derives nothing. The observed-write candidates are drawn
+// into a pooled buffer.
 func (c Config) AppendStepChoices(out []model.Choice, ps lang.ProgStep) []model.Choice {
 	t, s := ps.T, ps.S
 	if s.Kind == lang.StepSilent {
-		res := s.Apply(0)
+		res := c.node.Next(t, 0)
 		return append(out, model.Choice{
-			FP:       lang.ConfigFingerprint(c.S.Fingerprint(), c.P, t, res),
+			FP:       res.Fingerprint(c.S.Fingerprint()),
 			Res:      res,
 			Progress: c.S.NumEvents(),
 		})
@@ -69,12 +75,12 @@ func (c Config) AppendStepChoices(out []model.Choice, ps lang.ProgStep) []model.
 		tags = c.S.AppendObservableFor(tags, t, s.Loc)
 		for _, w := range tags {
 			v := c.S.events[w].wval
-			out = append(out, c.choice(t, event.Action{Kind: k, Loc: s.Loc, RVal: v}, w, s.Apply(v)))
+			out = append(out, c.choice(t, event.Action{Kind: k, Loc: s.Loc, RVal: v}, w, c.node.Next(t, v)))
 		}
 
 	case lang.StepWrite:
 		a := event.Action{Kind: writeKind(s), Loc: s.Loc, WVal: s.WVal}
-		res := s.Apply(0)
+		res := c.node.Next(t, 0)
 		tags = c.S.AppendInsertionPointsFor(tags, t, s.Loc)
 		for _, w := range tags {
 			out = append(out, c.choice(t, a, w, res))
@@ -82,8 +88,8 @@ func (c Config) AppendStepChoices(out []model.Choice, ps lang.ProgStep) []model.
 
 	case lang.StepUpdate:
 		// An update's residual does not depend on the value read
-		// (Proposition 2.2), so it is computed once for every choice.
-		res := s.Apply(0)
+		// (Proposition 2.2), so it is looked up once for every choice.
+		res := c.node.Next(t, 0)
 		tags = c.S.AppendInsertionPointsFor(tags, t, s.Loc)
 		for _, w := range tags {
 			out = append(out, c.choice(t, event.Upd(s.Loc, c.S.events[w].wval, s.WVal), w, res))
@@ -96,13 +102,13 @@ func (c Config) AppendStepChoices(out []model.Choice, ps lang.ProgStep) []model.
 		// write that cannot be immediately followed in mo is simply not
 		// readable by an update; it does not turn into a failure).
 		tags = c.S.AppendInsertionPointsFor(tags, t, s.Loc)
-		var res lang.Com
+		var res *lang.Node
 		for _, w := range tags {
 			if c.S.events[w].wval != s.Exp {
 				continue
 			}
 			if res == nil {
-				res = s.Apply(s.Exp)
+				res = c.node.Next(t, s.Exp)
 			}
 			out = append(out, c.choice(t, event.Upd(s.Loc, s.Exp, s.WVal), w, res))
 		}
@@ -111,7 +117,7 @@ func (c Config) AppendStepChoices(out []model.Choice, ps lang.ProgStep) []model.
 		tags = c.S.AppendObservableFor(tags[:0], t, s.Loc)
 		for _, w := range tags {
 			if v := c.S.events[w].wval; v != s.Exp {
-				out = append(out, c.choice(t, event.RdA(s.Loc, v), w, s.Apply(v)))
+				out = append(out, c.choice(t, event.RdA(s.Loc, v), w, c.node.Next(t, v)))
 			}
 		}
 	}
@@ -121,10 +127,10 @@ func (c Config) AppendStepChoices(out []model.Choice, ps lang.ProgStep) []model.
 }
 
 // choice describes the memory successor in which thread t appends
-// action a observing w and continues as res.
-func (c Config) choice(t event.Thread, a event.Action, w event.Tag, res lang.Com) model.Choice {
+// action a observing w and the program continues as res.
+func (c Config) choice(t event.Thread, a event.Action, w event.Tag, res *lang.Node) model.Choice {
 	return model.Choice{
-		FP:       lang.ConfigFingerprint(c.S.succFingerprint(t, a, w), c.P, t, res),
+		FP:       res.Fingerprint(c.S.succFingerprint(t, a, w)),
 		Res:      res,
 		W:        w,
 		Progress: c.S.NumEvents() + 1,
@@ -133,25 +139,24 @@ func (c Config) choice(t event.Thread, a event.Action, w event.Tag, res lang.Com
 
 // Build constructs the successor one choice of step ps describes. The
 // choice was enumerated from c's own observability sets, so the step
-// rules' premises hold and are not re-checked, and its residual is
-// reused, not re-applied.
+// rules' premises hold and are not re-checked, and its program node is
+// reused: nothing of the program is copied.
 func (c Config) Build(ps lang.ProgStep, ch model.Choice) Config {
-	t, s := ps.T, ps.S
-	p := c.P.WithThread(t, ch.Res)
+	t, s, n := ps.T, ps.S, ch.Res
 	switch s.Kind {
 	case lang.StepRead:
-		return Config{P: p, S: c.S.read(t, readKind(s), ch.W)}
+		return Config{node: n, S: c.S.read(t, readKind(s), ch.W)}
 	case lang.StepWrite:
-		return Config{P: p, S: c.S.write(t, writeKind(s), s.WVal, ch.W)}
+		return Config{node: n, S: c.S.write(t, writeKind(s), s.WVal, ch.W)}
 	case lang.StepUpdate:
-		return Config{P: p, S: c.S.rmw(t, s.WVal, ch.W)}
+		return Config{node: n, S: c.S.rmw(t, s.WVal, ch.W)}
 	case lang.StepCas:
 		if c.S.events[ch.W].wval == s.Exp {
-			return Config{P: p, S: c.S.rmw(t, s.WVal, ch.W)}
+			return Config{node: n, S: c.S.rmw(t, s.WVal, ch.W)}
 		}
-		return Config{P: p, S: c.S.read(t, event.RdAcq, ch.W)}
+		return Config{node: n, S: c.S.read(t, event.RdAcq, ch.W)}
 	}
-	return Config{P: p, S: c.S} // silent: the state is shared
+	return Config{node: n, S: c.S} // silent: the state is shared
 }
 
 // AppendStepSuccessors builds every choice of one enabled program step
@@ -199,7 +204,7 @@ func writeKind(s lang.Step) event.Kind {
 // suffices. The explorer's hot path uses Fingerprint instead; Key is
 // the exact slow path kept for collision cross-checking.
 func (c Config) Key() string {
-	return c.P.String() + "\x00" + c.S.CanonicalSignature()
+	return c.node.Prog().String() + "\x00" + c.S.CanonicalSignature()
 }
 
 // Fingerprint returns a 128-bit canonical identity for the
@@ -209,9 +214,9 @@ func (c Config) Key() string {
 // 128-bit hash probability, which the explorer's collision-check mode
 // can audit against Key.
 func (c Config) Fingerprint() fingerprint.FP {
-	return lang.ConfigFingerprint(c.S.Fingerprint(), c.P, 0, nil)
+	return c.node.Fingerprint(c.S.Fingerprint())
 }
 
 // Terminated reports whether every thread of the configuration has
 // terminated.
-func (c Config) Terminated() bool { return c.P.Terminated() }
+func (c Config) Terminated() bool { return c.node.Terminated() }

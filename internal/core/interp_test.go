@@ -23,7 +23,7 @@ func collectOutcomes(t *testing.T, c Config, summarise func(Config) string) map[
 		succ := cfg.Successors()
 		if len(succ) == 0 {
 			if !cfg.Terminated() {
-				t.Fatalf("stuck non-terminated configuration: %s", cfg.P)
+				t.Fatalf("stuck non-terminated configuration: %s", cfg.Program())
 			}
 			out[summarise(cfg)] = true
 			return

@@ -31,8 +31,10 @@ func (rarModel) New(p lang.Prog, vars map[event.Var]event.Val) model.Config {
 
 var _ model.Config = Config{}
 
-// Program returns the residual program.
-func (c Config) Program() lang.Prog { return c.P }
+// Program returns the residual program. It is shared by every
+// configuration carrying the same interned node and must not be
+// modified.
+func (c Config) Program() lang.Prog { return c.node.Prog() }
 
 // Progress counts the events of the state: each transition appends at
 // most one, so it is the monotone measure Options.MaxEvents bounds
@@ -57,8 +59,16 @@ func (c Config) Discard(succ Config) {
 func (c Config) StepsAcyclic() bool { return true }
 
 // AuditIncremental recomputes the state's derived orders from scratch
-// (see State.AuditIncremental).
-func (c Config) AuditIncremental() []string { return c.S.AuditIncremental() }
+// (see State.AuditIncremental), the program node's memo from the
+// program alone (lang.Node.Audit), and the fingerprint from the
+// serialised program.
+func (c Config) AuditIncremental() []string {
+	bad := append(c.S.AuditIncremental(), c.node.Audit()...)
+	if got, want := c.Fingerprint(), lang.ConfigFingerprint(c.S.Fingerprint(), c.Program()); got != want {
+		bad = append(bad, fmt.Sprintf("fingerprint %x differs from the serialised program's %x", got, want))
+	}
+	return bad
+}
 
 // DeltaLabel renders the event the transition prev → c added, or τ
 // for a silent step.

@@ -89,7 +89,7 @@ func (s *State) observedWrite(g event.Tag) (event.Tag, error) {
 // configuration (see the file comment for the format).
 func (c Config) AppendSnapshot(buf []byte) []byte {
 	buf = append(buf, snapshotTag, snapshotVersion)
-	buf = lang.AppendProgSig(buf, c.P)
+	buf = append(buf, c.node.Sig()...)
 	s := c.S
 	nInit := len(s.names)
 	buf = binary.AppendUvarint(buf, uint64(nInit))
@@ -210,5 +210,5 @@ func (rarModel) Restore(data []byte) (model.Config, error) {
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("core: %d trailing bytes after snapshot", len(rest))
 	}
-	return Config{P: p, S: s}, nil
+	return Config{node: lang.NewTable().Intern(p), S: s}, nil
 }

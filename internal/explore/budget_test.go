@@ -223,18 +223,6 @@ func TestBudgetCutResultIsSound(t *testing.T) {
 		if res.Explored == 0 || res.Explored > 7 {
 			t.Fatalf("workers=%d: Explored = %d under budget 7", workers, res.Explored)
 		}
-		if len(res.ShardDepths) != numShards {
-			t.Fatalf("workers=%d: ShardDepths has %d entries, want %d", workers, len(res.ShardDepths), numShards)
-		}
-		maxShard := 0
-		for _, d := range res.ShardDepths {
-			if d > maxShard {
-				maxShard = d
-			}
-		}
-		if maxShard != res.Depth {
-			t.Fatalf("workers=%d: max shard depth %d != Depth %d", workers, maxShard, res.Depth)
-		}
 	}
 }
 

@@ -285,7 +285,7 @@ func resumeAs[C config[C]](path string, ck *checkpointFile, m model.Model, opts 
 		if _, dup := sh.byFP[ce.FP]; dup {
 			return Result{}, fmt.Errorf("explore: checkpoint %s has duplicate entry %v", path, ce.FP)
 		}
-		sh.byFP[ce.FP] = e
+		sh.insert(ce.FP, e)
 		if ce.Term {
 			nTerm++
 		}

@@ -35,6 +35,9 @@ import (
 // that mention the type itself.
 type config[C any] interface {
 	model.Config
+	// Node returns the configuration's interned program, which
+	// memoises its enabled steps and POR plan.
+	Node() *lang.Node
 	// AppendStepChoices appends the choices of one enabled program
 	// step to out, each with its successor's predicted fingerprint,
 	// building nothing.
@@ -93,7 +96,17 @@ const numShards = 64
 
 type shard struct {
 	mu   sync.Mutex
-	byFP map[fingerprint.FP]*entry
+	byFP map[fingerprint.FP]*entry // nil until the shard's first insert
+}
+
+// insert records e under fp; the caller holds mu (or owns the run).
+// The map is made on first use, so a tiny search pays only for the
+// shards it touches.
+func (sh *shard) insert(fp fingerprint.FP, e *entry) {
+	if sh.byFP == nil {
+		sh.byFP = make(map[fingerprint.FP]*entry)
+	}
+	sh.byFP[fp] = e
 }
 
 type item[C model.Config] struct {
@@ -233,9 +246,6 @@ func newRun[C config[C]](opts Options) *run[C] {
 	}
 	r.pool.cond = sync.NewCond(&r.pool.mu)
 	r.pool.tel = opts.Metrics
-	for i := range r.shards {
-		r.shards[i].byFP = make(map[fingerprint.FP]*entry)
-	}
 	if opts.CheckCollisions {
 		r.keys = newKeyAudit()
 	}
@@ -324,7 +334,7 @@ func (r *run[C]) admit(cell *telemetry.Cell, cfg C, fp, parent fingerprint.FP, d
 	// for last. Draining makes the bounded terminated set a function
 	// of the bound alone, which the POR and worker audits rely on.
 	e = &entry{depth: d, expandedAt: -1, sleep: sleep, expandable: !term, term: term}
-	sh.byFP[fp] = e
+	sh.insert(fp, e)
 	sh.mu.Unlock()
 
 	cell.Add(telemetry.EngineAdmitted, 1)
@@ -461,12 +471,10 @@ func (r *run[C]) discard(cell *telemetry.Cell, parent, succ C) {
 	parent.Discard(succ)
 }
 
-// scratch is one worker's reusable expansion buffers: the enabled
-// steps, shared by POR planning and the successor loop, and the
-// choices of one expansion with the index of each choice's step and
-// its child sleep mask.
+// scratch is one worker's reusable expansion buffers: the choices of
+// one expansion with the index of each choice's step and its child
+// sleep mask.
 type scratch struct {
-	steps   []lang.ProgStep
 	choices []model.Choice
 	stepOf  []int
 	sleeps  []threadMask
@@ -476,9 +484,10 @@ type scratch struct {
 // sleep mask sl, then offers them for admission, and reports whether
 // every choice was offered (false when a stop signal or budget
 // rejection aborted the expansion). One loop enumerates the choices
-// of the enabled steps. Under POR it skips the steps outside the
-// plan's persistent set or asleep in sl and gives each choice its
-// child sleep mask; otherwise — POR off, or a program too wide for
+// of the enabled steps, which — like the POR plan — the
+// configuration's interned program has memoised. Under POR it skips
+// the steps outside the plan's persistent set or asleep in sl and
+// gives each choice its child sleep mask; otherwise — POR off, or a program too wide for
 // masks — every step is expanded with an empty mask. At the progress
 // bound only silent choices (same Progress) are admitted: memory
 // choices are counted, then suppressed without being built, while
@@ -488,24 +497,25 @@ type scratch struct {
 func (r *run[C]) expand(cell *telemetry.Cell, it item[C], d int32, sl threadMask, ws *scratch) bool {
 	cfg := it.cfg
 	cell.Add(telemetry.EngineExpansions, 1)
-	ws.steps = lang.AppendProgSteps(ws.steps[:0], cfg.Program())
+	node := cfg.Node()
+	steps := node.Steps()
 	base := cfg.Progress()
 	atBound := base-r.nInit >= r.maxEv
-	var pl porPlan
+	var pl lang.Plan
 	if r.opts.POR && !atBound {
-		pl = planPOR(cfg, ws.steps)
+		pl = node.Plan(cfg.StepsAcyclic())
 	}
 	var pruned uint64
 	chs, stepOf, sleeps := ws.choices[:0], ws.stepOf[:0], ws.sleeps[:0]
-	for j, ps := range ws.steps {
+	for j, ps := range steps {
 		var cs threadMask
-		if pl.ok {
+		if pl.OK {
 			b := maskBit(ps.T)
-			if pl.persist&b == 0 || sl&b != 0 {
+			if pl.Persist&b == 0 || sl&b != 0 {
 				pruned++
 				continue
 			}
-			cs = childSleep(pl, sl, j)
+			cs = childSleep(pl, steps, sl, j)
 		}
 		chs = cfg.AppendStepChoices(chs, ps)
 		for len(sleeps) < len(chs) {
@@ -527,7 +537,7 @@ func (r *run[C]) expand(cell *telemetry.Cell, it item[C], d int32, sl threadMask
 		if r.stop.Load() != 0 {
 			return false
 		}
-		if !r.offer(cell, it, ws.steps[stepOf[i]], &chs[i], d+1, sleeps[i]) {
+		if !r.offer(cell, it, steps[stepOf[i]], &chs[i], d+1, sleeps[i]) {
 			return false
 		}
 	}
@@ -732,13 +742,9 @@ func (r *run[C]) finalize() Result {
 	res.CheckpointErr = r.ckErr
 	res.FingerprintCollisions = r.keys.collisions()
 	res.ClosureMismatches = int(r.mismatches.Load())
-	res.ShardDepths = make([]int, numShards)
 	for i := range r.shards {
 		for _, e := range r.shards[i].byFP {
-			res.ShardDepths[i] = max(res.ShardDepths[i], int(e.depth))
-		}
-		if res.ShardDepths[i] > res.Depth {
-			res.Depth = res.ShardDepths[i]
+			res.Depth = max(res.Depth, int(e.depth))
 		}
 	}
 	res.Frontier = len(r.frontierItems())

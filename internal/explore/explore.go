@@ -283,9 +283,6 @@ type Result struct {
 	// after a budget cut. Together with Explored it is the coverage
 	// statistic of a partial result.
 	Frontier int
-	// ShardDepths is the per-shard maximum depth (numShards entries),
-	// the coverage profile of the sharded seen-set.
-	ShardDepths []int
 	// Panics holds one repro artifact per isolated worker panic; the
 	// rest of the search continued in degraded mode.
 	Panics []PanicRecord

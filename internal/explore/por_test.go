@@ -9,6 +9,9 @@ import (
 	"repro/internal/model"
 )
 
+// planOf is the POR plan the engine expands c with.
+func planOf(c core.Config) lang.Plan { return c.Node().Plan(c.StepsAcyclic()) }
+
 func mkConfig(vars map[event.Var]event.Val, coms ...lang.Com) core.Config {
 	return core.NewConfig(lang.Prog(coms), vars)
 }
@@ -21,9 +24,9 @@ func TestPlanPORSilentSingleton(t *testing.T) {
 		lang.SeqC(lang.SkipC(), lang.SkipC(), lang.AssignC("x", lang.V(1))),
 		lang.AssignC("x", lang.V(2)),
 	)
-	pl := planPOR(c, lang.ProgSteps(c.P))
-	if !pl.ok || pl.persist != maskBit(1) {
-		t.Fatalf("want silent singleton {1}, got persist=%b ok=%v", pl.persist, pl.ok)
+	pl := planOf(c)
+	if !pl.OK || pl.Persist != maskBit(1) {
+		t.Fatalf("want silent singleton {1}, got persist=%b ok=%v", pl.Persist, pl.OK)
 	}
 }
 
@@ -34,9 +37,9 @@ func TestPlanPORFootprintSingleton(t *testing.T) {
 		lang.AssignC("x", lang.V(1)),
 		lang.SeqC(lang.AssignC("a", lang.X("y")), lang.AssignC("y", lang.V(2))),
 	)
-	pl := planPOR(c, lang.ProgSteps(c.P))
-	if !pl.ok || pl.persist != maskBit(1) {
-		t.Fatalf("want footprint singleton {1}, got persist=%b ok=%v", pl.persist, pl.ok)
+	pl := planOf(c)
+	if !pl.OK || pl.Persist != maskBit(1) {
+		t.Fatalf("want footprint singleton {1}, got persist=%b ok=%v", pl.Persist, pl.OK)
 	}
 }
 
@@ -47,9 +50,9 @@ func TestPlanPORConflictFullSet(t *testing.T) {
 		lang.AssignC("x", lang.V(1)),
 		lang.AssignC("a", lang.X("x")),
 	)
-	pl := planPOR(c, lang.ProgSteps(c.P))
-	if !pl.ok || pl.persist != (maskBit(1)|maskBit(2)) {
-		t.Fatalf("want full persistent set, got persist=%b ok=%v", pl.persist, pl.ok)
+	pl := planOf(c)
+	if !pl.OK || pl.Persist != (maskBit(1)|maskBit(2)) {
+		t.Fatalf("want full persistent set, got persist=%b ok=%v", pl.Persist, pl.OK)
 	}
 }
 
@@ -61,11 +64,11 @@ func TestPlanPORLabelVisible(t *testing.T) {
 		lang.LabelC("cs", lang.SkipC()),
 		lang.AssignC("x", lang.V(1)),
 	)
-	pl := planPOR(c, lang.ProgSteps(c.P))
-	if pl.visible&maskBit(1) == 0 {
+	pl := planOf(c)
+	if pl.Visible&maskBit(1) == 0 {
 		t.Fatal("label step not marked visible")
 	}
-	if pl.persist == maskBit(1) {
+	if pl.Persist == maskBit(1) {
 		t.Fatal("visible step chosen as reducing singleton")
 	}
 }
@@ -78,14 +81,14 @@ func TestChildSleep(t *testing.T) {
 		lang.AssignC("x", lang.V(1)),
 		lang.AssignC("y", lang.V(2)),
 	)
-	pl := planPOR(c, lang.ProgSteps(c.P))
+	pl := planOf(c)
 	// Both writers are footprint-independent, so the heuristic picks a
 	// singleton; force the full set to exercise the sleep arithmetic.
-	pl.persist = maskBit(1) | maskBit(2)
-	if got := childSleep(pl, 0, 0); got != 0 {
+	pl.Persist = maskBit(1) | maskBit(2)
+	if got := childSleep(pl, c.Node().Steps(), 0, 0); got != 0 {
 		t.Fatalf("first child sleep = %b, want 0", got)
 	}
-	if got := childSleep(pl, 0, 1); got != maskBit(1) {
+	if got := childSleep(pl, c.Node().Steps(), 0, 1); got != maskBit(1) {
 		t.Fatalf("second child sleep = %b, want {1}", got)
 	}
 
@@ -94,11 +97,11 @@ func TestChildSleep(t *testing.T) {
 		lang.AssignC("x", lang.V(1)),
 		lang.AssignC("x", lang.V(2)),
 	)
-	dl := planPOR(d, lang.ProgSteps(d.P))
-	if dl.persist != (maskBit(1) | maskBit(2)) {
-		t.Fatalf("conflicting writers: persist=%b, want full set", dl.persist)
+	dl := planOf(d)
+	if dl.Persist != (maskBit(1) | maskBit(2)) {
+		t.Fatalf("conflicting writers: persist=%b, want full set", dl.Persist)
 	}
-	if got := childSleep(dl, 0, 1); got != 0 {
+	if got := childSleep(dl, d.Node().Steps(), 0, 1); got != 0 {
 		t.Fatalf("dependent step slept: %b", got)
 	}
 }
@@ -119,8 +122,8 @@ func TestPORSilentDivergenceNotReduced(t *testing.T) {
 	vars := map[event.Var]event.Val{"y": 0}
 	cfg := core.NewConfig(prog, vars)
 
-	pl := planPOR(cfg, lang.ProgSteps(cfg.P))
-	if pl.persist == maskBit(1) {
+	pl := planOf(cfg)
+	if pl.Persist == maskBit(1) {
 		t.Fatal("diverging silent thread chosen as reducing singleton")
 	}
 

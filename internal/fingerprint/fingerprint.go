@@ -13,6 +13,7 @@
 package fingerprint
 
 import (
+	"encoding/binary"
 	"sync"
 
 	"repro/internal/event"
@@ -54,26 +55,25 @@ func (h *Hasher) Word(w uint64) {
 }
 
 // String and Bytes pack a length-prefixed byte sequence eight bytes
-// per word. The length prefix keeps the encoding prefix-free. The two
-// bodies are duplicated rather than shared through a generic helper:
-// a call through a shape dictionary leaks its pointer parameters, so
-// the generic form made every caller's Hasher escape to the heap —
-// one allocation per fingerprint on the explorer's admit path.
+// per word, little-endian, the last word zero-padded. The length
+// prefix keeps the encoding prefix-free. The two bodies are duplicated
+// rather than shared through a generic helper: a call through a shape
+// dictionary leaks its pointer parameters, so the generic form made
+// every caller's Hasher escape to the heap — one allocation per
+// fingerprint on the explorer's admit path.
 
 // String absorbs a length-prefixed string.
 func (h *Hasher) String(s string) {
 	h.Word(uint64(len(s)))
-	var w uint64
-	var nb uint
-	for i := 0; i < len(s); i++ {
-		w |= uint64(s[i]) << (8 * nb)
-		nb++
-		if nb == 8 {
-			h.Word(w)
-			w, nb = 0, 0
-		}
+	for ; len(s) >= 8; s = s[8:] {
+		h.Word(uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56)
 	}
-	if nb > 0 {
+	if len(s) > 0 {
+		var w uint64
+		for i := 0; i < len(s); i++ {
+			w |= uint64(s[i]) << (8 * i)
+		}
 		h.Word(w)
 	}
 }
@@ -81,17 +81,14 @@ func (h *Hasher) String(s string) {
 // Bytes absorbs a length-prefixed byte slice.
 func (h *Hasher) Bytes(b []byte) {
 	h.Word(uint64(len(b)))
-	var w uint64
-	var nb uint
-	for i := 0; i < len(b); i++ {
-		w |= uint64(b[i]) << (8 * nb)
-		nb++
-		if nb == 8 {
-			h.Word(w)
-			w, nb = 0, 0
-		}
+	for ; len(b) >= 8; b = b[8:] {
+		h.Word(binary.LittleEndian.Uint64(b))
 	}
-	if nb > 0 {
+	if len(b) > 0 {
+		var w uint64
+		for i := 0; i < len(b); i++ {
+			w |= uint64(b[i]) << (8 * i)
+		}
 		h.Word(w)
 	}
 }

@@ -4,7 +4,7 @@ import "repro/internal/event"
 
 // This file computes static variable footprints of commands — the
 // over-approximation of the variables a residual program may ever read
-// or write. The explorer's partial-order reduction (internal/explore)
+// or write. The partial-order-reduction planner (PlanPOR, plan.go)
 // uses footprints to justify singleton persistent sets: a thread whose
 // next access can never conflict with any variable another live thread
 // may touch can be explored alone, because every deferred transition

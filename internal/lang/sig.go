@@ -2,9 +2,7 @@ package lang
 
 import (
 	"encoding/binary"
-	"sync"
 
-	"repro/internal/event"
 	"repro/internal/fingerprint"
 )
 
@@ -165,44 +163,29 @@ func AppendComSig(buf []byte, c Com) []byte {
 }
 
 // AppendProgSig appends the canonical encoding of p to buf: the thread
-// count followed by each thread's command. It is AppendProgSigWith
-// replacing nothing.
-func AppendProgSig(buf []byte, p Prog) []byte { return AppendProgSigWith(buf, p, 0, nil) }
-
-// AppendProgSigWith appends the canonical encoding of p[t ↦ c] — the
-// program a step of thread t leaves behind when c is its residual —
-// without building that program. t == 0 (the initialising thread,
-// which runs no command) replaces nothing.
-func AppendProgSigWith(buf []byte, p Prog, t event.Thread, c Com) []byte {
+// count followed by each thread's command.
+func AppendProgSig(buf []byte, p Prog) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(p)))
-	for i, ci := range p {
-		if i+1 == int(t) {
-			ci = c
-		}
-		buf = AppendComSig(buf, ci)
+	for _, c := range p {
+		buf = AppendComSig(buf, c)
 	}
 	return buf
 }
 
-// sigBufPool recycles the scratch buffers of ConfigFingerprint.
-var sigBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
-
 // ConfigFingerprint is the one definition of configuration identity
 // shared by every backend: the 128-bit hash of a memory state's
-// fingerprint followed by the signature of the program p[t ↦ c]
-// (t == 0: p itself). A backend's Config.Fingerprint is the t == 0
-// case; its successor enumerator passes the stepping thread and its
-// residual, so a successor's identity is known before the successor
-// is built, and the program half of the prediction is the same
-// computation as the built configuration's.
-func ConfigFingerprint(state fingerprint.FP, p Prog, t event.Thread, c Com) fingerprint.FP {
+// fingerprint followed by the signature of the program p. Backends
+// compute it as Node.Fingerprint, which hashes the interned program's
+// cached signature — the same bytes; this form re-serialises p and is
+// what the incremental audit checks the cached one against.
+func ConfigFingerprint(state fingerprint.FP, p Prog) fingerprint.FP {
+	return configFingerprint(state, string(AppendProgSig(nil, p)))
+}
+
+func configFingerprint(state fingerprint.FP, sig string) fingerprint.FP {
 	h := fingerprint.NewHasher()
 	h.Word(state.Hi)
 	h.Word(state.Lo)
-	bp := sigBufPool.Get().(*[]byte)
-	buf := AppendProgSigWith((*bp)[:0], p, t, c)
-	h.Bytes(buf)
-	*bp = buf
-	sigBufPool.Put(bp)
+	h.String(sig)
 	return h.Sum()
 }

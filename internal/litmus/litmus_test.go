@@ -76,7 +76,7 @@ func TestPetersonMutualExclusion(t *testing.T) {
 	})
 	if res.Violation != nil {
 		bad := res.Violation.(core.Config)
-		t.Fatalf("mutual exclusion violated:\n%s\n%s", bad.P, bad.S)
+		t.Fatalf("mutual exclusion violated:\n%s\n%s", bad.Program(), bad.S)
 	}
 	if res.Explored < 100 {
 		t.Fatalf("suspiciously small exploration: %d", res.Explored)

@@ -113,8 +113,9 @@ type Config interface {
 type Choice struct {
 	// FP is the successor's predicted Fingerprint.
 	FP fingerprint.FP
-	// Res is the stepping thread's residual command after the step.
-	Res lang.Com
+	// Res is the successor's program: the parent's interned program
+	// node stepped by the choice's thread (lang.Node.Next).
+	Res *lang.Node
 	// W is the observed write (RAR memory steps; unused otherwise).
 	// The face of a CAS follows from it: the update face when the
 	// write's value is the expected one, the failing read otherwise.

@@ -92,7 +92,7 @@ func PetersonInvariants() []PetersonInvariant {
 		}},
 		{6, "pc_t ∈ {3,4,5,6} ⇒ flag_t =_t true", func(c core.Config) bool {
 			for _, t := range threads {
-				pc := PC(c.P.Thread(t))
+				pc := PC(c.Program().Thread(t))
 				if pc >= 3 && pc <= 6 && !DV(c.S, t, flagVar(t), event.True) {
 					return false
 				}
@@ -101,7 +101,7 @@ func PetersonInvariants() []PetersonInvariant {
 		}},
 		{7, "pc_t ∈ {4,5,6} ⇒ flag_t ↪ turn", func(c core.Config) bool {
 			for _, t := range threads {
-				pc := PC(c.P.Thread(t))
+				pc := PC(c.Program().Thread(t))
 				if pc >= 4 && pc <= 6 && !VO(c.S, flagVar(t), "turn") {
 					return false
 				}
@@ -111,8 +111,8 @@ func PetersonInvariants() []PetersonInvariant {
 		{8, "pc_t, pc_t̂ ∈ {4,5,6} ⇒ flag_t̂ =_t true ∨ turn =_t̂ t", func(c core.Config) bool {
 			for _, t := range threads {
 				th := other(t)
-				pct := PC(c.P.Thread(t))
-				pcth := PC(c.P.Thread(th))
+				pct := PC(c.Program().Thread(t))
+				pcth := PC(c.Program().Thread(th))
 				if pct >= 4 && pct <= 6 && pcth >= 4 && pcth <= 6 {
 					if !DV(c.S, t, flagVar(th), event.True) &&
 						!DV(c.S, th, "turn", event.Val(t)) {
@@ -125,8 +125,8 @@ func PetersonInvariants() []PetersonInvariant {
 		{9, "pc_t = 5 ∧ pc_t̂ ∈ {4,5,6} ⇒ turn =_t̂ t", func(c core.Config) bool {
 			for _, t := range threads {
 				th := other(t)
-				pcth := PC(c.P.Thread(th))
-				if PC(c.P.Thread(t)) == 5 && pcth >= 4 && pcth <= 6 {
+				pcth := PC(c.Program().Thread(th))
+				if PC(c.Program().Thread(t)) == 5 && pcth >= 4 && pcth <= 6 {
 					if !DV(c.S, th, "turn", event.Val(t)) {
 						return false
 					}
@@ -136,7 +136,7 @@ func PetersonInvariants() []PetersonInvariant {
 		}},
 		{10, "pc_t = 2 ⇒ flag_t =_t false", func(c core.Config) bool {
 			for _, t := range threads {
-				if PC(c.P.Thread(t)) == 2 && !DV(c.S, t, flagVar(t), event.False) {
+				if PC(c.Program().Thread(t)) == 2 && !DV(c.S, t, flagVar(t), event.False) {
 					return false
 				}
 			}
@@ -167,7 +167,7 @@ func CheckPetersonInvariants(c core.Config) []int {
 // configuration satisfying invariant (9): a double critical section
 // would give turn =_1 2 and turn =_2 1, contradicting Lemma 5.4.
 func Theorem58(c core.Config) bool {
-	return PC(c.P.Thread(1)) != 5 || PC(c.P.Thread(2)) != 5
+	return PC(c.Program().Thread(1)) != 5 || PC(c.Program().Thread(2)) != 5
 }
 
 // DeriveTheorem58 replays the proof of Theorem 5.8 on a configuration:

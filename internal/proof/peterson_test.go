@@ -50,7 +50,7 @@ func TestPetersonInvariantsInductive(t *testing.T) {
 		v := res.Violation.(core.Config)
 		bad := CheckPetersonInvariants(v)
 		t.Fatalf("invariants %v violated in reachable state:\npc1=%d pc2=%d\n%s",
-			bad, PC(v.P.Thread(1)), PC(v.P.Thread(2)), v.S)
+			bad, PC(v.Program().Thread(1)), PC(v.Program().Thread(2)), v.S)
 	}
 	if res.Explored < 500 {
 		t.Fatalf("exploration too small to be meaningful: %d", res.Explored)
@@ -137,7 +137,7 @@ func TestExample57MessagePassing(t *testing.T) {
 		MaxEvents: 12,
 		Property: func(c model.Config) bool {
 			cc := c.(core.Config)
-			if lang.AtLabel(cc.P.Thread(2)) == "consume" {
+			if lang.AtLabel(cc.Program().Thread(2)) == "consume" {
 				return DV(cc.S, 2, "d", 5)
 			}
 			return true
@@ -152,7 +152,7 @@ func TestExample57MessagePassing(t *testing.T) {
 		MaxEvents: 12,
 		Property: func(c model.Config) bool {
 			cc := c.(core.Config)
-			if lang.Terminated(cc.P.Thread(1)) {
+			if lang.Terminated(cc.Program().Thread(1)) {
 				return DV(cc.S, 1, "d", 5) && VO(cc.S, "d", "f")
 			}
 			return true
@@ -181,7 +181,7 @@ func TestExample57RelaxedLosesProperty(t *testing.T) {
 		MaxEvents: 12,
 	}, func(c model.Config) bool {
 		cc := c.(core.Config)
-		return lang.AtLabel(cc.P.Thread(2)) == "consume" && !DV(cc.S, 2, "d", 5)
+		return lang.AtLabel(cc.Program().Thread(2)) == "consume" && !DV(cc.S, 2, "d", 5)
 	})
 	if !found {
 		t.Fatal("relaxed MP unexpectedly preserves the determinate value")

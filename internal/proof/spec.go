@@ -106,7 +106,7 @@ func AtPC(t event.Thread, lines ...int) func(core.Config) bool {
 		want[l] = true
 	}
 	return func(c core.Config) bool {
-		return want[PC(c.P.Thread(t))]
+		return want[PC(c.Program().Thread(t))]
 	}
 }
 

@@ -60,7 +60,7 @@ func TestPetersonViaAnnotations(t *testing.T) {
 	res := CheckAnnotations(core.NewConfig(p, vars), PetersonAnnotations(),
 		explore.Options{MaxEvents: 11})
 	if !res.OK() {
-		t.Fatalf("annotation %q failed at:\n%s", res.Failed.Name, res.At.P)
+		t.Fatalf("annotation %q failed at:\n%s", res.Failed.Name, res.At.Program())
 	}
 	if res.Explored < 300 {
 		t.Fatalf("exploration too small: %d", res.Explored)
@@ -102,14 +102,14 @@ func TestMessagePassingViaAnnotations(t *testing.T) {
 		{
 			Name: "payload determinate past the loop",
 			When: func(c core.Config) bool {
-				return lang.AtLabel(c.P.Thread(2)) == "consume"
+				return lang.AtLabel(c.Program().Thread(2)) == "consume"
 			},
 			Then: DVAssertion{T: 2, X: "d", V: 5},
 		},
 		{
 			Name: "producer post-condition",
 			When: func(c core.Config) bool {
-				return lang.Terminated(c.P.Thread(1))
+				return lang.Terminated(c.Program().Thread(1))
 			},
 			Then: Either(VOAssertion{X: "d", Y: "f"}, DVAssertion{T: 1, X: "d", V: 5}),
 		},

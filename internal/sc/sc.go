@@ -127,21 +127,28 @@ func (s *State) Signature() string {
 	return b.String()
 }
 
-// Config is a configuration (P, store) over the SC model.
+// Config is a configuration (P, store) over the SC model. The program
+// is carried as its node in an intern table (lang.Table).
 type Config struct {
-	P lang.Prog
-	S *State
+	node *lang.Node
+	S    *State
 }
 
 var _ model.Config = Config{}
 
-// NewConfig pairs a program with an initial SC store.
+// NewConfig pairs a program with an initial SC store. It interns p
+// into a fresh table, which the configuration's successors share.
 func NewConfig(p lang.Prog, vars map[event.Var]event.Val) Config {
-	return Config{P: p, S: Init(vars)}
+	return Config{node: lang.NewTable().Intern(p), S: Init(vars)}
 }
 
-// Program returns the residual program.
-func (c Config) Program() lang.Prog { return c.P }
+// Node returns the configuration's interned program.
+func (c Config) Node() *lang.Node { return c.node }
+
+// Program returns the residual program. It is shared by every
+// configuration carrying the same interned node and must not be
+// modified.
+func (c Config) Program() lang.Prog { return c.node.Prog() }
 
 // Progress is constantly zero: an SC configuration carries no growing
 // event set, the (program, store) space is finite, and exploration is
@@ -149,7 +156,7 @@ func (c Config) Program() lang.Prog { return c.P }
 func (c Config) Progress() int { return 0 }
 
 // Key identifies the configuration exactly, for deduplication audits.
-func (c Config) Key() string { return c.P.String() + "\x00" + c.S.Signature() }
+func (c Config) Key() string { return c.node.Prog().String() + "\x00" + c.S.Signature() }
 
 // Fingerprint returns a 128-bit identity of the configuration: the
 // store's multiset hash combined with the binary program signature.
@@ -157,11 +164,11 @@ func (c Config) Key() string { return c.P.String() + "\x00" + c.S.Signature() }
 // only with 128-bit hash probability (auditable via the engine's
 // collision-check mode).
 func (c Config) Fingerprint() fingerprint.FP {
-	return lang.ConfigFingerprint(fingerprint.Finalize(c.S.acc, len(c.S.store)), c.P, 0, nil)
+	return c.node.Fingerprint(fingerprint.Finalize(c.S.acc, len(c.S.store)))
 }
 
 // Terminated reports whether every thread has terminated.
-func (c Config) Terminated() bool { return c.P.Terminated() }
+func (c Config) Terminated() bool { return c.node.Terminated() }
 
 // AppendStepChoices appends the choices of one program step — at most
 // one under SC (none when a read's variable is uninitialised: stuck).
@@ -174,31 +181,31 @@ func (c Config) Terminated() bool { return c.P.Terminated() }
 func (c Config) AppendStepChoices(out []model.Choice, ps lang.ProgStep) []model.Choice {
 	t, s := ps.T, ps.S
 	acc, n := c.S.acc, len(c.S.store)
-	var res lang.Com
+	var res *lang.Node
 	switch s.Kind {
 	case lang.StepSilent:
-		res = s.Apply(0)
+		res = c.node.Next(t, 0)
 	case lang.StepWrite:
-		res = s.Apply(0)
+		res = c.node.Next(t, 0)
 		acc, n = c.S.writeAcc(s.Loc, s.WVal)
 	case lang.StepRead, lang.StepUpdate, lang.StepCas:
 		v, ok := c.S.Read(s.Loc)
 		if !ok {
 			return out // uninitialised variable: stuck
 		}
-		res = s.Apply(v)
+		res = c.node.Next(t, v)
 		if s.Kind == lang.StepUpdate || (s.Kind == lang.StepCas && v == s.Exp) {
 			acc, n = c.S.writeAcc(s.Loc, s.WVal)
 		}
 	}
 	return append(out, model.Choice{
-		FP:  lang.ConfigFingerprint(fingerprint.Finalize(acc, n), c.P, t, res),
+		FP:  res.Fingerprint(fingerprint.Finalize(acc, n)),
 		Res: res,
 	})
 }
 
 // Build constructs the successor the choice of step ps describes,
-// reusing its residual.
+// reusing its program node.
 func (c Config) Build(ps lang.ProgStep, ch model.Choice) Config {
 	s, ns := ps.S, c.S
 	switch s.Kind {
@@ -209,7 +216,7 @@ func (c Config) Build(ps lang.ProgStep, ch model.Choice) Config {
 			ns = c.S.write(s.Loc, s.WVal)
 		}
 	}
-	return Config{P: c.P.WithThread(ps.T, ch.Res), S: ns}
+	return Config{node: ch.Res, S: ns}
 }
 
 // AppendStepSuccessors builds the choice of one program step, if any,
@@ -228,7 +235,7 @@ func (c Config) AppendStepSuccessors(out []Config, ps lang.ProgStep) []Config {
 // AppendStepSuccessors over the enabled steps.
 func (c Config) Successors() []Config {
 	var out []Config
-	for _, ps := range lang.ProgSteps(c.P) {
+	for _, ps := range c.node.Steps() {
 		out = c.AppendStepSuccessors(out, ps)
 	}
 	return out
@@ -247,18 +254,25 @@ func (c Config) StepsAcyclic() bool { return false }
 
 // AuditIncremental cross-checks the eagerly maintained store hash
 // against a from-scratch recomputation (the SC analogue of the RAR
-// backend's derived-order audit — everything else about an SC
-// configuration is stored directly, not derived).
+// backend's derived-order audit), the program node's memo against the
+// program alone (lang.Node.Audit), and the fingerprint against the
+// serialised program.
 func (c Config) AuditIncremental() []string {
 	var fresh fingerprint.Acc
 	for x, v := range c.S.store {
 		fresh.Add(entryItem(x, v))
 	}
+	var bad []string
 	if fresh != c.S.acc {
-		return []string{fmt.Sprintf("store hash drifted: maintained=%x/%x fresh=%x/%x",
-			c.S.acc.Hi, c.S.acc.Lo, fresh.Hi, fresh.Lo)}
+		bad = append(bad, fmt.Sprintf("store hash drifted: maintained=%x/%x fresh=%x/%x",
+			c.S.acc.Hi, c.S.acc.Lo, fresh.Hi, fresh.Lo))
 	}
-	return nil
+	bad = append(bad, c.node.Audit()...)
+	state := fingerprint.Finalize(c.S.acc, len(c.S.store))
+	if got, want := c.Fingerprint(), lang.ConfigFingerprint(state, c.Program()); got != want {
+		bad = append(bad, fmt.Sprintf("fingerprint %x differs from the serialised program's %x", got, want))
+	}
+	return bad
 }
 
 // DeltaLabel renders the write the transition prev → c performed, or

@@ -28,18 +28,18 @@ func TestStoreBasics(t *testing.T) {
 }
 
 func TestFingerprintTracksStore(t *testing.T) {
-	p := lang.Prog{lang.SkipC()}
-	a := Config{P: p, S: Init(map[event.Var]event.Val{"x": 1, "y": 2})}
-	b := Config{P: p, S: Init(map[event.Var]event.Val{"y": 2, "x": 1})}
+	p := lang.NewTable().Intern(lang.Prog{lang.SkipC()})
+	a := Config{node: p, S: Init(map[event.Var]event.Val{"x": 1, "y": 2})}
+	b := Config{node: p, S: Init(map[event.Var]event.Val{"y": 2, "x": 1})}
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatal("fingerprint depends on store construction order")
 	}
-	c := Config{P: p, S: a.S.write("x", 5)}
+	c := Config{node: p, S: a.S.write("x", 5)}
 	if c.Fingerprint() == a.Fingerprint() {
 		t.Fatal("fingerprint blind to store change")
 	}
 	// Write-back restores the identity (the multiset hash subtracts).
-	d := Config{P: p, S: c.S.write("x", 1)}
+	d := Config{node: p, S: c.S.write("x", 1)}
 	if d.Fingerprint() != a.Fingerprint() {
 		t.Fatal("fingerprint not restored after write-back")
 	}

@@ -27,7 +27,7 @@ const (
 // configuration.
 func (c Config) AppendSnapshot(buf []byte) []byte {
 	buf = append(buf, snapshotTag, snapshotVersion)
-	buf = lang.AppendProgSig(buf, c.P)
+	buf = append(buf, c.node.Sig()...)
 	keys := make([]string, 0, len(c.S.store))
 	for x := range c.S.store {
 		keys = append(keys, string(x))
@@ -88,5 +88,5 @@ func (scModel) Restore(data []byte) (model.Config, error) {
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("sc: %d trailing bytes after snapshot", len(rest))
 	}
-	return Config{P: p, S: Init(vars)}, nil
+	return Config{node: lang.NewTable().Intern(p), S: Init(vars)}, nil
 }

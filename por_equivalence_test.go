@@ -60,7 +60,7 @@ func TestCheckPORTestdataSC(t *testing.T) {
 	}
 	for name, cfg := range testdataConfigs(t) {
 		t.Run(name, func(t *testing.T) {
-			scCfg := m.New(cfg.P, scInitOf(t, name))
+			scCfg := m.New(cfg.Program(), scInitOf(t, name))
 			for _, workers := range []int{1, 8} {
 				a := explore.CheckPOR(scCfg, explore.Options{Workers: workers})
 				if !a.SetsCompared {
