@@ -28,7 +28,6 @@ package core
 import (
 	"sync"
 
-	"repro/internal/bits"
 	"repro/internal/fingerprint"
 	"repro/internal/relation"
 )
@@ -55,8 +54,7 @@ func (s *State) recycle() {
 	// A discarded successor has no concurrent users, so the memo can
 	// be reset without taking its mutex.
 	s.memo.hbP, s.memo.ecoP, s.memo.combP = relation.Rel{}, relation.Rel{}, relation.Rel{}
-	s.memo.covered = bits.Set{}
-	s.memo.hbOK, s.memo.ecoOK, s.memo.combOK, s.memo.cwOK = false, false, false, false
+	s.memo.hbOK, s.memo.ecoOK, s.memo.combOK = false, false, false
 	s.memo.obs = nil
 	s.alloc.Release()
 	statePool.Put(s)

@@ -20,12 +20,13 @@ package core
 //     pairs are untouched.
 //   - comb = eco?;hb?: old pairs are compositions of old pairs; g's
 //     row and column follow from the hb/eco extensions above.
-//   - CW gains at most {w}, when g is an update.
 //
-// The engine therefore inherits the parent's memoised hb/eco/comb/CW
-// and propagates only g's edges, at O(n²/64) word operations per state
-// instead of the O(n³/64) Floyd–Warshall closures the scratch path
-// pays. When the extension is g's row alone — always for hb, and for
+// (CW gains at most {w}, when g is an update; it is not derived but
+// kept as a row of the index block, which rule RMW edits at build
+// time.) The engine therefore inherits the parent's memoised
+// hb/eco/comb and propagates only g's edges, at O(n²/64) word
+// operations per state instead of the O(n³/64) Floyd–Warshall
+// closures the scratch path pays. When the extension is g's row alone — always for hb, and for
 // eco and comb when w is mo-maximal — it needs no copy at all: the
 // first such successor extends the parent's closure in place by
 // winning its claim (Rel.Extend; state.go's type comment has the
@@ -45,8 +46,10 @@ import (
 
 // incProvenance links a successor to the parent it was derived from:
 // the appended event g, the observed write w, the stepping thread, and
-// which edge groups the rule added. parent is cleared once the derived
-// orders have been inherited, releasing the ancestor chain.
+// which edge groups the rule added. parent is cleared once hb, eco and
+// comb have all been inherited, which every enumeration of a memory
+// step forces (observability is read off comb), so an expanded state
+// pins no ancestor and an unexpanded one pins at most its parent.
 type incProvenance struct {
 	parent   *State
 	g        int          // index of the event this step appended
@@ -64,8 +67,8 @@ func (s *State) linkParent(parent *State, g int, w event.Tag, t event.Thread, rf
 	}
 }
 
-// hbRef, ecoRef, combRef and cwRef return the state's memoised derived
-// values, computing them first if needed. The returned values are
+// hbRef, ecoRef and combRef return the state's memoised derived
+// closures, computing them first if needed. The returned values are
 // immutable once memoised, so a child may read them after the parent's
 // lock is released — and, having won the parent's claim, write the one
 // row past their end (Rel.Extend). Lock order is strictly child →
@@ -89,22 +92,16 @@ func (s *State) combRef() *relation.Rel {
 	return s.combLocked()
 }
 
-func (s *State) cwRef() *bits.Set {
-	s.memo.mu.Lock()
-	defer s.memo.mu.Unlock()
-	return s.coveredLocked()
-}
-
-// maybeDetachLocked drops the parent link once every derived value has
-// been inherited, releasing the ancestor State (its shell, index block
-// and memo sets). What the successor shares with it — a prefix of its
-// event list or closures, extended in place — stays reachable through
-// the successor's own slices. The derivations are split per closure —
+// maybeDetachLocked drops the parent link once every derived closure
+// has been inherited, releasing the ancestor State (its shell, index
+// block and memo sets). What the successor shares with it — a prefix
+// of its event list or closures, extended in place — stays reachable
+// through the successor's own slices. The derivations are split per closure —
 // a configuration only visited by a property check typically needs hb
 // alone, and deriving eco/comb for it would triple the cost of the
 // frontier.
 func (s *State) maybeDetachLocked() {
-	if s.memo.hbOK && s.memo.ecoOK && s.memo.combOK && s.memo.cwOK {
+	if s.memo.hbOK && s.memo.ecoOK && s.memo.combOK {
 		s.inc.parent = nil
 	}
 }
@@ -267,21 +264,6 @@ func rowOnlyClaim(c *relation.Claim, moSucc bits.Set) *relation.Claim {
 	return nil
 }
 
-// deriveCWLocked extends the parent's CW: an update covers the write
-// it reads, so CW' = CW ∪ {w | g ∈ U}.
-func (s *State) deriveCWLocked(p *State) {
-	pcw := p.cwRef()
-	n := len(s.events)
-	cov := s.alloc.NewSet(n)
-	cov.Or(*pcw)
-	if s.events[s.inc.g].isUpdate() {
-		cov.Set(s.inc.w)
-	}
-	s.memo.covered = cov
-	s.memo.cwOK = true
-	s.maybeDetachLocked()
-}
-
 // AuditIncremental recomputes every derived order and maintained index
 // from first principles and compares them with the incrementally
 // maintained values, returning one description per mismatch. It is the
@@ -298,7 +280,6 @@ func (s *State) AuditIncremental() []string {
 	hb := s.hbLocked()
 	eco := s.ecoLocked()
 	comb := s.combLocked()
-	cw := s.coveredLocked()
 	s.memo.mu.Unlock()
 
 	sHB := s.scratchHB()
@@ -313,9 +294,8 @@ func (s *State) AuditIncremental() []string {
 	if !comb.Equal(sComb) {
 		report("comb: incremental %s != scratch %s", comb, sComb)
 	}
-	sCW := s.scratchCW()
-	if !cw.Equal(sCW) {
-		report("cw: incremental %s != scratch %s", cw, sCW)
+	if cw, sCW := s.coveredRow(), s.scratchCW(); !cw.Equal(sCW) {
+		report("cw: maintained %s != scratch %s", cw, sCW)
 	}
 
 	// sb is reconstructible from the event list: a program event j is

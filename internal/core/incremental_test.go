@@ -1,9 +1,9 @@
 package core
 
 // Property tests for the incremental derived-order engine: along any
-// transition sequence, the inherited-and-extended hb/eco/comb/CW and
-// the maintained indexes must agree exactly with from-scratch
-// recomputation (AuditIncremental returns nothing).
+// transition sequence, the inherited-and-extended hb/eco/comb and the
+// maintained indexes (CW among them) must agree exactly with
+// from-scratch recomputation (AuditIncremental returns nothing).
 
 import (
 	"math/rand"

@@ -271,31 +271,14 @@ func (s *State) owInto(out bits.Set, ew bits.Set) bits.Set {
 
 // CoveredWrites returns CW_σ: writes immediately followed in rf by an
 // update (§3.2). Inserting after a covered write would break update
-// atomicity, so writes and updates may not be placed there.
-func (s *State) CoveredWrites() bits.Set {
-	s.memo.mu.Lock()
-	defer s.memo.mu.Unlock()
-	return s.coveredLocked().Clone()
-}
-
-// coveredLocked returns the memoised CW_σ; memo.mu must be held and
-// the result must not be mutated. Successors inherit the parent's CW
-// through the incremental derivation (a step extends CW by at most the
-// observed write, when the new event is an update).
-func (s *State) coveredLocked() *bits.Set {
-	if !s.memo.cwOK {
-		if p := s.inc.parent; p != nil {
-			s.deriveCWLocked(p)
-		} else {
-			s.memo.covered = s.scratchCW()
-			s.memo.cwOK = true
-		}
-	}
-	return &s.memo.covered
-}
+// atomicity, so writes and updates may not be placed there. CW is a
+// row of the index block, maintained at build time (rule RMW adds the
+// write it reads), so this is a copy, not a derivation.
+func (s *State) CoveredWrites() bits.Set { return s.coveredRow().Clone() }
 
 // scratchCW computes CW from first principles: the rf sources of the
-// updates, by a scan of the event records.
+// updates, by a scan of the event records. The audit compares the
+// maintained row with it.
 func (s *State) scratchCW() bits.Set {
 	out := bits.New(len(s.events))
 	for _, e := range s.events {
@@ -341,13 +324,13 @@ func (s *State) appendObservable(dst []event.Tag, t event.Thread, x event.Var, u
 		return dst
 	}
 	xs := s.varWrites(id)
+	var cw bits.Set
+	if uncovered {
+		cw = s.coveredRow()
+	}
 	s.memo.mu.Lock()
 	defer s.memo.mu.Unlock()
 	ow := s.observableLocked(t)
-	var cw bits.Set
-	if uncovered {
-		cw = *s.coveredLocked()
-	}
 	for i := xs.Next(0); i >= 0; i = xs.Next(i + 1) {
 		if ow.Test(i) && !cw.Test(i) {
 			dst = append(dst, event.Tag(i))

@@ -39,12 +39,21 @@ import (
 // (Figure 3's (D, sb) + e), so sb is read off the per-thread index.
 // rf is not stored either: it is the records' rf fields. mo is a flat
 // word slab (relation.Rel), and the indexes are rows of one word block
-// (idx). A successor copies its parent's mo and index block into one
-// slab its allocator carves per state and edits them in place. It also
-// records its provenance (the inc field) so the derived closures
+// (idx): Wr ∩ D, CW_σ, the writes of each variable and the events of
+// each thread. A successor copies its parent's mo and index block into
+// one slab its allocator carves per state and edits them in place. It
+// also records its provenance (the inc field) so the derived closures
 // hb/eco/comb are not recomputed from scratch but inherited from the
 // parent's memoised closures and extended by the new event's edges
 // alone — see incremental.go.
+//
+// Lifetime: the provenance link is dropped as soon as hb, eco and comb
+// are inherited, and enumerating any memory step derives all three
+// (observability is read off comb). So an unexpanded state pins at
+// most its parent, and an expanded one pins no ancestor: a silent step
+// shares the state with its successor configuration, whose expansion
+// enumerates the memory steps. The live states of a search are its
+// frontier and their parents, not the chains behind them.
 //
 // D and the memoised hbP/ecoP/combP are append-only histories, and a
 // successor shares them with its parent where it can. Each is
@@ -71,11 +80,12 @@ type State struct {
 	//
 	//	words [0, nv)          lastW: σ.last(x), the mo-maximal write, per variable id
 	//	row 0                  Wr ∩ D
-	//	rows 1 .. nv           the writes to each variable id
-	//	rows nv+1 .. nv+nthr   the events of each thread id, from thread 0
+	//	row 1                  CW_σ: the writes an update reads from
+	//	rows 2 .. nv+1         the writes to each variable id
+	//	rows nv+2 .. nv+1+nthr the events of each thread id, from thread 0
 	//
 	// It replaces the full-event rescans of EncounteredWrites, HBCone,
-	// Last, WritesTo and sb.
+	// Last, WritesTo, CoveredWrites and sb.
 	idx  []uint64
 	nthr int // thread rows in idx: thread ids 0 .. nthr-1
 
@@ -109,11 +119,9 @@ type State struct {
 		mu        sync.Mutex
 		hbP, ecoP relation.Rel // transposed closures: row g = predecessors of g
 		combP     relation.Rel // (eco? ; hb?)⁻¹ — thread-independent EW kernel
-		covered   bits.Set     // CW
 		hbOK      bool
 		ecoOK     bool
 		combOK    bool
-		cwOK      bool
 		// obs holds EW_σ(t) and OW_σ(t) for the thread ids below nthr,
 		// carved on the first query: obsFlagWords(nthr) words flag the
 		// computed rows, then nthr EW rows, then nthr OW rows.
@@ -183,24 +191,35 @@ func (s *State) row(r int) bits.Set {
 	return bits.FromWords(s.idx[off:off+st:off+st], n)
 }
 
+// fixedRows is the number of index rows before the per-variable write
+// rows: Wr ∩ D and CW_σ.
+const fixedRows = 2
+
+// indexRows is the number of index rows for nv variables and nthr
+// thread rows.
+func indexRows(nv, nthr int) int { return fixedRows + nv + nthr }
+
 // indexWords is the size of the index block for nv variables, nthr
 // thread rows and an n-event carrier.
-func indexWords(nv, nthr, n int) int { return nv + (1+nv+nthr)*stride(n) }
+func indexWords(nv, nthr, n int) int { return nv + indexRows(nv, nthr)*stride(n) }
 
 // obsFlagWords is the number of flag words of the EW/OW memo.
 func obsFlagWords(nthr int) int { return (2*nthr + 63) >> 6 }
 
 // slabWords is what a state carves beyond its relations: the index
-// block, the EW/OW memo and three scratch or memo sets.
+// block, the EW/OW memo and the two scratch sets of the eco and comb
+// extensions.
 func slabWords(nv, nthr, n int) int {
 	st := stride(n)
-	return indexWords(nv, nthr, n) + obsFlagWords(nthr) + (2*nthr+3)*st
+	return indexWords(nv, nthr, n) + obsFlagWords(nthr) + (2*nthr+2)*st
 }
 
-// writesRow returns Wr ∩ D; varWrites returns the writes to variable
-// id x in tag order. Both alias the index; do not mutate.
+// writesRow returns Wr ∩ D; coveredRow returns CW_σ; varWrites returns
+// the writes to variable id x in tag order. All alias the index; do
+// not mutate.
 func (s *State) writesRow() bits.Set      { return s.row(0) }
-func (s *State) varWrites(x int) bits.Set { return s.row(1 + x) }
+func (s *State) coveredRow() bits.Set     { return s.row(1) }
+func (s *State) varWrites(x int) bits.Set { return s.row(fixedRows + x) }
 
 // threadEvs returns the event set of thread t (the zero set when t has
 // no events). The result aliases the index; do not mutate.
@@ -208,7 +227,7 @@ func (s *State) threadEvs(t event.Thread) bits.Set {
 	if t < 0 || int(t) >= s.nthr {
 		return bits.Set{}
 	}
-	return s.row(1 + len(s.names) + int(t))
+	return s.row(fixedRows + len(s.names) + int(t))
 }
 
 // varID returns the id of variable x.
@@ -388,9 +407,10 @@ func (s *State) ThreadEvents(t event.Thread) []event.Tag {
 // block are copied into the successor's own allocator (one memmove
 // each, or one per row when the row stride grows) and the index is
 // then edited in place: e joins its thread's row and, for a write, the
-// write rows. sb needs no edit: it is derived from the thread rows. The
-// memoised orders are left to be inherited through the inc provenance
-// set by the caller.
+// write rows; rule RMW then adds the write it reads to the CW row. sb
+// needs no edit: it is derived from the thread rows. The memoised
+// orders are left to be inherited through the inc provenance set by
+// the caller.
 func (s *State) grow(t event.Thread, e evRec) *State {
 	n := len(s.events) + 1
 	g := n - 1
@@ -408,7 +428,7 @@ func (s *State) grow(t event.Thread, e evRec) *State {
 		copy(out.idx, s.idx)
 	} else {
 		copy(out.idx[:nv], s.idx[:nv])
-		for r := 0; r < 1+nv+s.nthr; r++ {
+		for r := 0; r < indexRows(nv, s.nthr); r++ {
 			copy(out.idx[nv+r*st:], s.idx[nv+r*ps:nv+(r+1)*ps])
 		}
 	}

@@ -120,10 +120,12 @@ func (s *State) StepRMW(t event.Thread, x event.Var, v event.Val, w event.Tag) (
 
 // rmw builds rule RMW's successor without re-validating its premises:
 // w must be in (OW_σ(t) \ CW_σ)|ₓ, and the new event updates w's
-// variable.
+// variable. The update covers w: CW' = CW ∪ {w}.
 func (s *State) rmw(t event.Thread, v event.Val, w event.Tag) *State {
 	we := s.events[w]
 	out := s.grow(t, newRec(event.UpdRA, int(we.x), t, we.wval, v).from(w))
+	cw := out.coveredRow()
+	cw.Set(int(w))
 	g := len(s.events)
 	out.notePair(fingerprint.LabelRF, int(w), g)
 	out.insertMO(int(w), g)
@@ -148,8 +150,8 @@ func (s *State) checkObserved(t event.Thread, x event.Var, w event.Tag, excludeC
 	}
 	s.memo.mu.Lock()
 	observable := s.observableLocked(t).Test(int(w))
-	covered := excludeCovered && s.coveredLocked().Test(int(w))
 	s.memo.mu.Unlock()
+	covered := excludeCovered && s.coveredRow().Test(int(w))
 	if !observable {
 		return fmt.Errorf("%w: %s by thread %d", ErrNotObservable, we, t)
 	}

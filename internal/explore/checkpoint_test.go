@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -275,28 +276,86 @@ func TestCheckpointAfterPanicReopensWork(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsUnqueuedWork: a property that panics leaves its
-// configuration admitted but never queued, so no frontier entry holds
-// the work below it. A resume of that checkpoint would report PROVED
-// over the unexplored rest (29 of mp's 35 states), so it is refused.
+// TestResumePanickingProperty: a property that panics un-admits the
+// configuration it was checking, and the panic is recorded against the
+// parent, which the checkpoint re-opens. The degraded run's checkpoint
+// therefore resumes: each parent is re-expanded, its configuration is
+// re-admitted and checked again, and the search reaches the
+// uninterrupted run's fixpoint. With several workers a configuration
+// may be rediscovered, and its entry relaxed, between admission and the
+// panic; that entry stays admitted and Resume refuses the checkpoint
+// rather than lose the relaxation, so the parallel case accepts either
+// outcome but never a different fixpoint.
+func TestResumePanickingProperty(t *testing.T) {
+	want := Run(mpConfig(), Options{Workers: 1})
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "panic.ckpt")
+			var calls atomic.Int32
+			panicAt := func(n int32) bool { return n == 4 }
+			if workers > 1 {
+				panicAt = func(n int32) bool { return n%7 == 0 }
+			}
+			res := Run(mpConfig(), Options{
+				Workers:        workers,
+				CheckpointPath: path,
+				Property: func(model.Config) bool {
+					if panicAt(calls.Add(1)) {
+						panic("injected")
+					}
+					return true
+				},
+			})
+			if len(res.Panics) == 0 || res.Verdict != VerdictBounded || res.CheckpointErr != nil {
+				t.Fatalf("degraded run: %d panics, verdict %v, checkpoint error %v",
+					len(res.Panics), res.Verdict, res.CheckpointErr)
+			}
+			if workers == 1 && len(res.Panics) != 1 {
+				t.Fatalf("serial degraded run: %d panics, want 1", len(res.Panics))
+			}
+			got, err := Resume(path, core.Model, Options{Workers: workers, Property: func(model.Config) bool { return true }})
+			if err != nil {
+				if workers > 1 && strings.Contains(err.Error(), "is not on the frontier") {
+					t.Logf("a relaxed entry kept the checkpoint from resuming: %v", err)
+					return
+				}
+				t.Fatalf("resume of the degraded run: %v", err)
+			}
+			if got.Verdict != VerdictProved || got.Explored != want.Explored || got.Terminated != want.Terminated {
+				t.Fatalf("resume: %v, %d explored, %d terminated; want PROVED, %d, %d",
+					got.Verdict, got.Explored, got.Terminated, want.Explored, want.Terminated)
+			}
+		})
+	}
+}
+
+// TestResumeRejectsUnqueuedWork: a checkpoint with an unexpanded entry
+// that no frontier item holds would resume to PROVED over the work
+// below it, so Resume refuses it. The checkpoint is a budget-cut one
+// with a frontier item removed by hand.
 func TestResumeRejectsUnqueuedWork(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hole.ckpt")
-	var calls atomic.Int32
-	res := Run(mpConfig(), Options{
-		Workers:        1,
-		CheckpointPath: path,
-		Property: func(model.Config) bool {
-			if calls.Add(1) == 4 {
-				panic("injected")
-			}
-			return true
-		},
-	})
-	if len(res.Panics) != 1 || res.Verdict != VerdictBounded {
-		t.Fatalf("degraded run: %d panics, verdict %v", len(res.Panics), res.Verdict)
+	res := Run(mpConfig(), Options{Workers: 1, MaxConfigs: 5, CheckpointPath: path})
+	if res.Stop != StopMaxConfigs || res.CheckpointErr != nil {
+		t.Fatalf("budget-cut run: stop %v, checkpoint error %v", res.Stop, res.CheckpointErr)
 	}
-	if got, err := Resume(path, core.Model, Options{Workers: 1}); err == nil {
+	ck, err := loadCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.Frontier) < 2 {
+		t.Fatalf("frontier of %d items; the test needs two", len(ck.Frontier))
+	}
+	ck.Frontier = ck.Frontier[1:]
+	if err := writeCheckpointFile(path, ck); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Resume(path, core.Model, Options{Workers: 1})
+	if err == nil {
 		t.Fatalf("resume over unqueued work succeeded: %v after %d states", got.Verdict, got.Explored)
+	}
+	if !strings.Contains(err.Error(), "is not on the frontier") {
+		t.Fatalf("resume refused for another reason: %v", err)
 	}
 }
 

@@ -362,7 +362,7 @@ func (r *run[C]) admit(cell *telemetry.Cell, cfg C, fp, parent fingerprint.FP, d
 	}
 	// The property runs outside every lock; it may be expensive and is
 	// documented as concurrently callable.
-	if r.property != nil && !r.property(cfg) {
+	if r.property != nil && !r.checkProperty(sh, e, cfg, fp, d, sleep) {
 		mc := model.Config(cfg)
 		r.violation.CompareAndSwap(nil, &mc)
 		r.stopWith(StopViolation)
@@ -375,6 +375,42 @@ func (r *run[C]) admit(cell *telemetry.Cell, cfg C, fp, parent fingerprint.FP, d
 		r.pool.push(item[C]{cfg: cfg, fp: fp})
 	}
 	return true, true
+}
+
+// checkProperty runs the property on cfg, which admit has just
+// inserted into shard sh under fp as entry e, at depth d with sleep
+// mask sleep. A property that panics (or exits the goroutine)
+// un-admits cfg on the way out. The panic is recorded against the
+// parent, which stays claimed in the live run and is re-opened by the
+// checkpoint, so a resume re-admits cfg and runs the property on it
+// again instead of meeting an admitted entry no frontier item holds.
+// No worker holds an item for the entry: it was never queued. If
+// another worker relaxed it in the meantime, dropping it would lose
+// that relaxation, so it stays and Resume refuses the checkpoint as
+// before. The telemetry counters keep the admission: they count
+// admission events, not seen-set entries.
+func (r *run[C]) checkProperty(sh *shard, e *entry, cfg C, fp fingerprint.FP, d int32, sleep threadMask) bool {
+	returned := false
+	defer func() {
+		if returned {
+			return
+		}
+		sh.mu.Lock()
+		drop := e.depth == d && e.sleep == sleep
+		if drop {
+			delete(sh.byFP, fp)
+		}
+		sh.mu.Unlock()
+		if drop {
+			r.explored.Add(-1)
+			if e.term {
+				r.terminated.Add(-1)
+			}
+		}
+	}()
+	ok := r.property(cfg)
+	returned = true
+	return ok
 }
 
 // rediscovered relaxes the known entry e of shard sh (whose lock the
