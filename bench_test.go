@@ -463,15 +463,18 @@ func BenchmarkE16_ScalingOperational(b *testing.B) {
 // writers — carriers the axiomatic baseline cannot touch (6!
 // modification orders per pre-execution) and wide enough that
 // per-successor closure maintenance dominates. It runs through the
-// sharded engine rather than the naive enumerator, serial and with
-// eight workers, so it doubles as the scaling row: the searches are
-// deterministic and states/op is pinned (bench-snapshot.sh records
-// it), making ns-per-state and the serial/8-worker ratio comparable
-// across commits. Run with -benchtime=1x: writers=6 explores several
-// hundred thousand configurations per search.
+// sharded engine rather than the naive enumerator, serial and with two
+// and eight workers, so it doubles as the scaling row: the searches
+// are deterministic and states/op is pinned (bench-snapshot.sh records
+// it), making ns-per-state and the serial/parallel ratios comparable
+// across commits. workers=2 matches a two-CPU machine, where it is the
+// row that shows scaling; workers=8 oversubscribes such a machine and
+// shows what idle workers and stealing cost. Run with -benchtime=1x:
+// writers=6 explores over a hundred thousand configurations per
+// search.
 func BenchmarkE16_ScalingWide(b *testing.B) {
 	for n := 5; n <= 6; n++ {
-		for _, workers := range []int{1, 8} {
+		for _, workers := range []int{1, 2, 8} {
 			name := fmt.Sprintf("writers=%d/serial", n)
 			if workers != 1 {
 				name = fmt.Sprintf("writers=%d/workers=%d", n, workers)

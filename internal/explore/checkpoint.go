@@ -84,7 +84,7 @@ type checkpointFile struct {
 
 // writeCheckpoint persists the current search state to
 // opts.CheckpointPath. Only called while the pool is stopped or
-// suspended (no workers running), so the shards and queue are stable.
+// suspended (no workers running), so the shards and deques are stable.
 func (r *run[C]) writeCheckpoint() error {
 	if r.opts.CheckpointPath == "" {
 		return nil
@@ -323,7 +323,7 @@ func resumeAs[C config[C]](path string, ck *checkpointFile, m model.Model, opts 
 		if e := r.shardOf(fi.FP).byFP[fi.FP]; e == nil {
 			return Result{}, fmt.Errorf("explore: checkpoint %s frontier config %v has no seen-set entry", path, fi.FP)
 		}
-		r.pool.push(item[C]{cfg: c, fp: fi.FP})
+		r.pool.push(0, item[C]{cfg: c, fp: fi.FP})
 		queued[fi.FP] = true
 	}
 	if len(ck.Violation) == 0 {

@@ -1,13 +1,14 @@
 package explore
 
 // The generic engine. Everything on the per-successor hot path — the
-// work pool, the seen-set admission, expansion, the POR loop — is
-// generic over the configuration type C, and Run instantiates it at
-// each backend's concrete type (core.Config, sc.Config; see
-// dispatch.go). Successors then flow through []C slices of struct
-// values and item[C] queue entries with zero interface boxing; the
-// boxed model.Config seam is only crossed at the edges (violation
-// reporting, checkpoint restore, trace output), which are cold.
+// work pool (pool.go), the seen-set admission, expansion, the POR
+// loop — is generic over the configuration type C, and Run
+// instantiates it at each backend's concrete type (core.Config,
+// sc.Config; see dispatch.go). Successors then flow through []C
+// slices of struct values and item[C] deque entries with zero
+// interface boxing; the boxed model.Config seam is only crossed at the
+// edges (violation reporting, checkpoint restore, trace output), which
+// are cold.
 //
 // The backend methods whose signatures mention the configuration type
 // itself (building a successor and the discard hand-back) cannot live
@@ -114,85 +115,6 @@ type item[C model.Config] struct {
 	fp  fingerprint.FP
 }
 
-// pool is the shared work pool: a FIFO of discovered configurations
-// plus the in-flight counter that detects quiescence.
-type pool[C model.Config] struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []item[C]
-	head    int
-	pending int // queued + currently-processing items
-	stopped bool
-	// tel, when non-nil, mirrors pending into the frontier gauge.
-	tel *telemetry.Registry
-}
-
-func (p *pool[C]) push(it item[C]) {
-	p.mu.Lock()
-	p.pending++
-	pending := p.pending
-	p.queue = append(p.queue, it)
-	p.mu.Unlock()
-	if p.tel != nil {
-		p.tel.SetGauge(telemetry.EngineGaugeFrontier, int64(pending))
-	}
-	p.cond.Signal()
-}
-
-// pop blocks until an item is available, the pool quiesces, or the
-// search is stopped. ok=false means the worker should exit.
-func (p *pool[C]) pop() (item[C], bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for p.head == len(p.queue) && p.pending > 0 && !p.stopped {
-		p.cond.Wait()
-	}
-	if p.stopped || p.head == len(p.queue) {
-		return item[C]{}, false
-	}
-	it := p.queue[p.head]
-	p.queue[p.head] = item[C]{} // release the config for GC
-	p.head++
-	// Keep the backing array proportional to the live frontier.
-	if p.head > 1024 && p.head > len(p.queue)/2 {
-		n := copy(p.queue, p.queue[p.head:])
-		p.queue = p.queue[:n]
-		p.head = 0
-	}
-	return it, true
-}
-
-func (p *pool[C]) done() {
-	p.mu.Lock()
-	p.pending--
-	pending := p.pending
-	p.mu.Unlock()
-	if p.tel != nil {
-		p.tel.SetGauge(telemetry.EngineGaugeFrontier, int64(pending))
-	}
-	if pending == 0 {
-		p.cond.Broadcast()
-	}
-}
-
-func (p *pool[C]) stop() {
-	p.mu.Lock()
-	p.stopped = true
-	p.mu.Unlock()
-	p.cond.Broadcast()
-}
-
-// resume clears the stop flag after a checkpoint suspension; the
-// re-started workers drain the queue the suspension left behind
-// (pending == queued items again, since every in-flight item was
-// either completed or unclaimed and re-queued before the workers
-// exited).
-func (p *pool[C]) resume() {
-	p.mu.Lock()
-	p.stopped = false
-	p.mu.Unlock()
-}
-
 type run[C config[C]] struct {
 	opts Options
 	// property is the per-state safety check; nil when none.
@@ -244,8 +166,7 @@ func newRun[C config[C]](opts Options) *run[C] {
 		tel:      opts.Metrics,
 		tracer:   opts.Tracer,
 	}
-	r.pool.cond = sync.NewCond(&r.pool.mu)
-	r.pool.tel = opts.Metrics
+	r.pool.init(opts.workers(), opts.Metrics)
 	if opts.CheckCollisions {
 		r.keys = newKeyAudit()
 	}
@@ -261,7 +182,7 @@ func runAs[C config[C]](c C, opts Options) Result {
 		r.tracer.Emit(telemetry.Record{Type: "begin", Name: "search", Worker: -1,
 			Args: map[string]any{"workers": opts.workers(), "max_events": r.maxEv, "por": opts.POR}})
 	}
-	r.admit(r.tel.Cell(0), c, c.Fingerprint(), fingerprint.FP{}, 0, 0)
+	r.admit(&worker{cell: r.tel.Cell(0)}, c, c.Fingerprint(), fingerprint.FP{}, 0, 0)
 	r.execute()
 	res := r.finalize()
 	if r.tracer != nil {
@@ -288,10 +209,9 @@ func (r *run[C]) shardOf(fp fingerprint.FP) *shard {
 // cfg violated the property — either way the search is stopping and
 // the parent must stay on the frontier. retained=false means the
 // engine holds no reference to cfg (it deduplicated without being
-// re-queued, or was rejected) and the caller may recycle it. cell is
-// the calling worker's telemetry cell (nil when metrics are
-// disabled).
-func (r *run[C]) admit(cell *telemetry.Cell, cfg C, fp, parent fingerprint.FP, d int32, sleep threadMask) (cont, retained bool) {
+// re-queued, or was rejected) and the caller may recycle it. w is the
+// calling worker, whose deque receives the queued configuration.
+func (r *run[C]) admit(w *worker, cfg C, fp, parent fingerprint.FP, d int32, sleep threadMask) (cont, retained bool) {
 	// Everything that calls into model code runs outside the shard
 	// lock: model methods may be expensive, and under fault injection
 	// they may panic — a panic below never wedges a shard mutex.
@@ -306,9 +226,9 @@ func (r *run[C]) admit(cell *telemetry.Cell, cfg C, fp, parent fingerprint.FP, d
 	e := sh.byFP[fp]
 	if e != nil {
 		// Known configuration: relax depth and sleep mask.
-		requeue := r.rediscovered(cell, sh, e, d, sleep)
+		requeue := r.rediscovered(w.cell, sh, e, d, sleep)
 		if requeue {
-			r.pool.push(item[C]{cfg: cfg, fp: fp})
+			r.pool.push(w.id, item[C]{cfg: cfg, fp: fp})
 		}
 		return true, requeue
 	}
@@ -337,11 +257,11 @@ func (r *run[C]) admit(cell *telemetry.Cell, cfg C, fp, parent fingerprint.FP, d
 	sh.insert(fp, e)
 	sh.mu.Unlock()
 
-	cell.Add(telemetry.EngineAdmitted, 1)
+	w.cell.Add(telemetry.EngineAdmitted, 1)
 	r.tel.MaxGauge(telemetry.EngineGaugeDepth, int64(d))
 	if term {
 		r.terminated.Add(1)
-		cell.Add(telemetry.EngineTerminated, 1)
+		w.cell.Add(telemetry.EngineTerminated, 1)
 	} else if atBound {
 		r.truncated.Store(true)
 	}
@@ -372,7 +292,7 @@ func (r *run[C]) admit(cell *telemetry.Cell, cfg C, fp, parent fingerprint.FP, d
 		return false, true
 	}
 	if e.expandable {
-		r.pool.push(item[C]{cfg: cfg, fp: fp})
+		r.pool.push(w.id, item[C]{cfg: cfg, fp: fp})
 	}
 	return true, true
 }
@@ -492,7 +412,7 @@ func (r *run[C]) recordPanic(it item[C], d int32, v any) {
 // Under CheckIncremental it also audits the prediction: the built
 // configuration's Fingerprint must equal the fingerprint the engine
 // deduplicated it by, and each disagreement counts as a mismatch.
-func (r *run[C]) build(cell *telemetry.Cell, parent C, ps lang.ProgStep, ch *model.Choice) C {
+func (r *run[C]) build(parent C, ps lang.ProgStep, ch *model.Choice) C {
 	s := parent.Build(ps, *ch)
 	if r.opts.CheckIncremental && s.Fingerprint() != ch.FP {
 		r.mismatches.Add(1)
@@ -507,10 +427,14 @@ func (r *run[C]) discard(cell *telemetry.Cell, parent, succ C) {
 	parent.Discard(succ)
 }
 
-// scratch is one worker's reusable expansion buffers: the choices of
-// one expansion with the index of each choice's step and its child
-// sleep mask.
-type scratch struct {
+// worker is one worker's identity for a leg of the search: the index
+// of its deque in the pool, its telemetry cell (nil when metrics are
+// disabled) and its reusable expansion buffers — the choices of one
+// expansion with the index of each choice's step and its child sleep
+// mask.
+type worker struct {
+	id      int
+	cell    *telemetry.Cell
 	choices []model.Choice
 	stepOf  []int
 	sleeps  []threadMask
@@ -530,8 +454,9 @@ type scratch struct {
 // silent chains drain to termination in the full and the reduced
 // search alike (the reduction is bypassed there: the handful of
 // silent-only frontier states is not worth planning over).
-func (r *run[C]) expand(cell *telemetry.Cell, it item[C], d int32, sl threadMask, ws *scratch) bool {
+func (r *run[C]) expand(w *worker, it item[C], d int32, sl threadMask) bool {
 	cfg := it.cfg
+	cell := w.cell
 	cell.Add(telemetry.EngineExpansions, 1)
 	node := cfg.Node()
 	steps := node.Steps()
@@ -542,7 +467,7 @@ func (r *run[C]) expand(cell *telemetry.Cell, it item[C], d int32, sl threadMask
 		pl = node.Plan(cfg.StepsAcyclic())
 	}
 	var pruned uint64
-	chs, stepOf, sleeps := ws.choices[:0], ws.stepOf[:0], ws.sleeps[:0]
+	chs, stepOf, sleeps := w.choices[:0], w.stepOf[:0], w.sleeps[:0]
 	for j, ps := range steps {
 		var cs threadMask
 		if pl.OK {
@@ -559,7 +484,7 @@ func (r *run[C]) expand(cell *telemetry.Cell, it item[C], d int32, sl threadMask
 			sleeps = append(sleeps, cs)
 		}
 	}
-	ws.choices, ws.stepOf, ws.sleeps = chs, stepOf, sleeps
+	w.choices, w.stepOf, w.sleeps = chs, stepOf, sleeps
 	cell.Add(telemetry.EngineSuccessors, uint64(len(chs)))
 	if pruned != 0 {
 		cell.Add(telemetry.EnginePORPruned, pruned)
@@ -573,7 +498,7 @@ func (r *run[C]) expand(cell *telemetry.Cell, it item[C], d int32, sl threadMask
 		if r.stop.Load() != 0 {
 			return false
 		}
-		if !r.offer(cell, it, steps[stepOf[i]], &chs[i], d+1, sleeps[i]) {
+		if !r.offer(w, it, steps[stepOf[i]], &chs[i], d+1, sleeps[i]) {
 			return false
 		}
 	}
@@ -589,22 +514,22 @@ func (r *run[C]) expand(cell *telemetry.Cell, it item[C], d int32, sl threadMask
 // the race between probe and admission pays one discarded build, not
 // a wrong answer. Under CheckCollisions every choice is built, since
 // the audit compares every candidate's Key. It reports admit's cont.
-func (r *run[C]) offer(cell *telemetry.Cell, it item[C], ps lang.ProgStep, ch *model.Choice, d int32, sleep threadMask) bool {
+func (r *run[C]) offer(w *worker, it item[C], ps lang.ProgStep, ch *model.Choice, d int32, sleep threadMask) bool {
 	if r.keys == nil {
 		sh := r.shardOf(ch.FP)
 		sh.mu.Lock()
 		if e := sh.byFP[ch.FP]; e != nil {
-			if r.rediscovered(cell, sh, e, d, sleep) {
-				r.pool.push(item[C]{cfg: r.build(cell, it.cfg, ps, ch), fp: ch.FP})
+			if r.rediscovered(w.cell, sh, e, d, sleep) {
+				r.pool.push(w.id, item[C]{cfg: r.build(it.cfg, ps, ch), fp: ch.FP})
 			}
 			return true
 		}
 		sh.mu.Unlock()
 	}
-	s := r.build(cell, it.cfg, ps, ch)
-	cont, retained := r.admit(cell, s, ch.FP, it.fp, d, sleep)
+	s := r.build(it.cfg, ps, ch)
+	cont, retained := r.admit(w, s, ch.FP, it.fp, d, sleep)
 	if !retained {
-		r.discard(cell, it.cfg, s)
+		r.discard(w.cell, it.cfg, s)
 	}
 	return cont
 }
@@ -614,10 +539,10 @@ func (r *run[C]) offer(cell *telemetry.Cell, it item[C], ps lang.ProgStep, ch *m
 // claimed) and the worker moves on — the rest of the search finishes
 // in degraded mode. An expansion aborted by a stop signal or budget
 // rejection is unclaimed and re-queued so the frontier stays sound.
-func (r *run[C]) process(cell *telemetry.Cell, it item[C], ws *scratch) {
+func (r *run[C]) process(w *worker, it item[C]) {
 	d, sl, live := r.claim(it)
 	if !live {
-		cell.Add(telemetry.EngineStaleClaims, 1)
+		w.cell.Add(telemetry.EngineStaleClaims, 1)
 		return
 	}
 	completed := false
@@ -628,13 +553,13 @@ func (r *run[C]) process(cell *telemetry.Cell, it item[C], ws *scratch) {
 		}
 		if !completed {
 			r.unclaim(it)
-			r.pool.push(it)
+			r.pool.push(w.id, it)
 		}
 	}()
 	if r.opts.Hooks != nil {
 		r.opts.Hooks.BeforeExpand(it.fp, int(d))
 	}
-	completed = r.expand(cell, it, d, sl, ws)
+	completed = r.expand(w, it, d, sl)
 }
 
 // traceBatchEvery is how many processed items a worker batches
@@ -642,13 +567,13 @@ func (r *run[C]) process(cell *telemetry.Cell, it item[C], ws *scratch) {
 // a large search stays cheap.
 const traceBatchEvery = 1024
 
-func (r *run[C]) worker(id int) {
-	cell := r.tel.Cell(id)
+// work drains the pool as worker id until it quiesces or is stopped.
+func (r *run[C]) work(id int) {
+	w := &worker{id: id, cell: r.tel.Cell(id)}
 	r.tracer.Begin("worker", id)
-	var ws scratch
 	var processed uint64
 	for {
-		it, ok := r.pool.pop()
+		it, ok := r.pool.pop(id, w.cell)
 		if !ok {
 			break
 		}
@@ -656,42 +581,45 @@ func (r *run[C]) worker(id int) {
 			// A stop signal raced past the pool flag (e.g. it fired in
 			// the narrow window of a checkpoint resume): hand the item
 			// back untouched, re-stop and exit.
-			r.pool.push(it)
-			r.pool.done()
+			r.pool.push(id, it)
+			r.pool.done(id)
 			r.pool.stop()
 			break
 		}
-		cell.Add(telemetry.EnginePoolClaims, 1)
-		r.process(cell, it, &ws)
-		r.pool.done()
+		w.cell.Add(telemetry.EnginePoolClaims, 1)
+		r.process(w, it)
+		r.pool.done(id)
 		if processed++; r.tracer != nil && processed%traceBatchEvery == 0 {
 			r.tracer.Count("expansion_batch", id, map[string]any{
-				"expansions": cell.Get(telemetry.EngineExpansions),
+				"expansions": w.cell.Get(telemetry.EngineExpansions),
 				"explored":   r.explored.Load(),
 			})
 		}
 	}
 	if r.tracer != nil {
-		r.tracer.End("worker", id, map[string]any{"claims": cell.Get(telemetry.EnginePoolClaims)})
+		r.tracer.End("worker", id, map[string]any{"claims": w.cell.Get(telemetry.EnginePoolClaims)})
 	}
 }
 
 // runWorkers runs one pool-draining leg: the workers exit when the
 // pool quiesces or a stop signal drains it.
 func (r *run[C]) runWorkers() {
-	if w := r.opts.workers(); w <= 1 {
+	n := len(r.pool.deques)
+	if n == 1 {
 		// Serial is the same engine with the one worker run inline:
-		// the FIFO pool makes the search breadth-first and the
+		// its deque is a FIFO, so the search is breadth-first and the
 		// truncated prefix deterministic.
-		r.worker(0)
+		r.work(0)
 		return
 	}
+	// Each worker owns a deque and descends depth-first through its own
+	// successors; the others steal its oldest items (see pool.go).
 	var wg sync.WaitGroup
-	for i := 0; i < r.opts.workers(); i++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			r.worker(id)
+			r.work(id)
 		}(i)
 	}
 	wg.Wait()
@@ -796,7 +724,7 @@ func (r *run[C]) finalize() Result {
 }
 
 // frontierItems returns the configurations admitted but not fully
-// expanded, deduplicated by fingerprint: the queue remainder (minus
+// expanded, deduplicated by fingerprint: the deques' remainders (minus
 // stale re-queues) plus panicked configurations. Only called after
 // the workers have exited — it reads the pool and shards unlocked.
 func (r *run[C]) frontierItems() []item[C] {
@@ -813,11 +741,14 @@ func (r *run[C]) frontierItems() []item[C] {
 		seen[it.fp] = true
 		out = append(out, it)
 	}
-	for _, it := range r.pool.queue[r.pool.head:] {
-		if e := r.shardOf(it.fp).byFP[it.fp]; e != nil && e.expanded() {
-			continue // stale re-queue
+	for i := range r.pool.deques {
+		d := &r.pool.deques[i]
+		for _, it := range d.items[d.head:] {
+			if e := r.shardOf(it.fp).byFP[it.fp]; e != nil && e.expanded() {
+				continue // stale re-queue
+			}
+			add(it)
 		}
-		add(it)
 	}
 	// Panicked configurations stay claimed in the live run (no retry),
 	// but they are unexpanded work: a resume retries them.

@@ -20,15 +20,20 @@
 // search.
 //
 // There is exactly one engine: a sharded, barrier-free search in which
-// workers pull configurations from a shared pool and push successors
-// as they find them, deduplicating through a seen-set sharded by
-// fingerprint bits. Serial exploration is the same engine at
-// Workers=1 (the single worker drains the FIFO pool in breadth-first
-// order, so a state's recorded depth is its shortest distance from the
-// root). With more workers, discovery order is nondeterministic, so a
-// state may first be reached along a non-shortest path; when a shorter
-// path is found later the state's depth is relaxed and — if it was
-// already expanded — it is re-queued so the improvement propagates.
+// each worker owns a deque of the work pool (pool.go), pops
+// configurations from it and pushes successors onto it as it finds
+// them, deduplicating through a seen-set sharded by fingerprint bits.
+// Serial exploration is the same engine at Workers=1 (the single deque
+// is a FIFO drained in breadth-first order, so a state's recorded
+// depth is its shortest distance from the root). With more workers,
+// each pops the successors of its own latest expansion first, in the
+// order they were built, and an idle worker steals the oldest item of
+// another deque: the workers descend depth-first, which keeps the
+// frontier narrow, and discovery order is nondeterministic. A state
+// may therefore first be reached along a non-shortest path; when a
+// shorter path is found later the state's depth is relaxed and — if
+// it was already expanded — it is re-queued so the improvement
+// propagates.
 // Sleep masks relax the same way, by intersection: re-reaching a known
 // state with a smaller sleep set weakens the stored mask and re-queues
 // the state. Both relaxations are monotone, so at quiescence every state
@@ -133,8 +138,9 @@ type Options struct {
 	Hooks Hooks
 	// Metrics, when non-nil, receives engine counters through
 	// per-worker telemetry cells — expansions, successors, admissions,
-	// fingerprint dedup hits, POR-pruned steps, arena recycles,
-	// checkpoint writes — plus live frontier and max-depth gauges.
+	// fingerprint dedup hits, POR-pruned steps, arena recycles, pool
+	// claims and steals, parked time, checkpoint writes — plus live
+	// frontier, frontier-peak and max-depth gauges.
 	// Build it with telemetry.NewEngineRegistry; snapshot it during or
 	// after the search (the registry is safe for concurrent use and
 	// may be shared across searches, accumulating totals). When nil,

@@ -38,9 +38,15 @@ const (
 	// backend recycles their storage into its arena, the sc backend
 	// has nothing to recycle but is counted alike.
 	EngineDiscards
-	// EnginePoolClaims counts items workers pulled from the shared
-	// work pool.
+	// EnginePoolClaims counts items workers pulled from the work pool
+	// (their own deque or another's).
 	EnginePoolClaims
+	// EnginePoolSteals counts items a worker took from another
+	// worker's deque.
+	EnginePoolSteals
+	// EnginePoolWaitNS counts nanoseconds workers spent parked with
+	// every deque empty while work was in flight elsewhere.
+	EnginePoolWaitNS
 	// EngineStaleClaims counts pool items that were already expanded
 	// at their best depth/sleep when claimed (stale re-queues).
 	EngineStaleClaims
@@ -59,6 +65,9 @@ const (
 	EngineGaugeFrontier Gauge = iota
 	// EngineGaugeDepth is the maximum depth admitted so far.
 	EngineGaugeDepth
+	// EngineGaugeFrontierPeak is the largest value the frontier gauge
+	// has reached.
+	EngineGaugeFrontierPeak
 
 	numEngineGauges // keep last
 )
@@ -74,14 +83,17 @@ var engineCounterNames = [numEngineCounters]string{
 	EngineBoundSuppressed:  "bound_suppressed",
 	EngineDiscards:         "arena_discards",
 	EnginePoolClaims:       "pool_claims",
+	EnginePoolSteals:       "pool_steals",
+	EnginePoolWaitNS:       "pool_wait_ns",
 	EngineStaleClaims:      "stale_claims",
 	EngineCheckpointWrites: "checkpoint_writes",
 	EnginePanics:           "panics_isolated",
 }
 
 var engineGaugeNames = [numEngineGauges]string{
-	EngineGaugeFrontier: "frontier",
-	EngineGaugeDepth:    "max_depth",
+	EngineGaugeFrontier:     "frontier",
+	EngineGaugeDepth:        "max_depth",
+	EngineGaugeFrontierPeak: "frontier_peak",
 }
 
 // EngineSchema returns the engine metric schema.

@@ -6,9 +6,16 @@
 #
 # Usage (from the repo root):
 #
-#   bash scripts/bench-snapshot.sh                 # full harness, label = short commit
+#   bash scripts/bench-snapshot.sh                 # baseline rows, label = short commit
 #   bash scripts/bench-snapshot.sh -bench 'E13'    # one family
+#   bash scripts/bench-snapshot.sh -bench .        # the whole harness
 #   BENCH_LABEL=baseline bash scripts/bench-snapshot.sh
+#
+# The default pattern is the row set of the committed baselines
+# (BENCH_pr*.json, the perf gate's reference): the E13 Peterson, E16
+# wide-scaling, DS-suite and E17 model families. -bench overrides it,
+# and the snapshot records the pattern it ran in its "pattern" field,
+# so a baseline's row set is stated, not inferred from its names.
 #
 # Extra arguments are passed through to `go test` (e.g. -benchtime 3x).
 # BENCH_TIME overrides the iteration count (default 10x: single-digit
@@ -26,7 +33,7 @@
 # malformed file when the bench run breaks.
 set -euo pipefail
 
-pattern='.'
+pattern='E13_PetersonVerify|E13_ThreeThreadPeterson|E16_ScalingWide|DSSuite|E17_Model'
 args=''
 while [ $# -gt 0 ]; do
     case "$1" in
@@ -58,7 +65,9 @@ if [ "$nbench" -eq 0 ]; then
     exit 1
 fi
 
-awk -v commit="$commit" -v label="$label" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
+# The pattern goes through the environment: awk -v would process the
+# backslash escapes a regular expression may contain.
+BENCH_PATTERN="$pattern" awk -v commit="$commit" -v label="$label" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
     -v goversion="$(go env GOVERSION)" -v goos="$(go env GOOS)" -v goarch="$(go env GOARCH)" '
 function jsonstr(s) { gsub(/\\/, "\\\\", s); gsub(/"/, "\\\"", s); return s }
 /^cpu: /  { sub(/^cpu: /, ""); cpu = $0 }
@@ -76,6 +85,7 @@ END {
     printf "{\n"
     printf "  \"label\": \"%s\",\n", jsonstr(label)
     printf "  \"commit\": \"%s\",\n", jsonstr(commit)
+    printf "  \"pattern\": \"%s\",\n", jsonstr(ENVIRON["BENCH_PATTERN"])
     printf "  \"date\": \"%s\",\n", jsonstr(date)
     printf "  \"go\": \"%s\",\n", jsonstr(goversion)
     printf "  \"os\": \"%s\",\n", jsonstr(goos)
