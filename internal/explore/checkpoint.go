@@ -44,7 +44,9 @@ import (
 // caller blob (Options.CheckpointExtra/ResumeExtra).
 const checkpointVersion = 2
 
-// checkpointEntry is one serialised seen-set record.
+// checkpointEntry is one serialised seen-set record. Expandable is
+// always !Term; it stays in the format so older checkpoints decode
+// unchanged.
 type checkpointEntry struct {
 	FP            fingerprint.FP
 	Depth         int32
@@ -53,6 +55,27 @@ type checkpointEntry struct {
 	ExpandedSleep uint64
 	Expandable    bool
 	Term          bool
+}
+
+// entry is the seen-set record ce restores.
+func (ce *checkpointEntry) entry() entry {
+	e := newEntry(ce.Depth, threadMask(ce.Sleep), ce.Term)
+	e.expandedAt = ce.ExpandedAt
+	e.expandedSleep = threadMask(ce.ExpandedSleep)
+	return e
+}
+
+// check reports why ce cannot be a seen-set record, or nil.
+func (ce *checkpointEntry) check() error {
+	switch {
+	case ce.Expandable == ce.Term:
+		return fmt.Errorf("entry %v: expandable=%v with term=%v", ce.FP, ce.Expandable, ce.Term)
+	case ce.Depth < 0 || ce.Depth > maxDepth:
+		return fmt.Errorf("entry %v: depth %d outside [0, %d]", ce.FP, ce.Depth, maxDepth)
+	case ce.ExpandedAt < -1:
+		return fmt.Errorf("entry %v: expanded at %d", ce.FP, ce.ExpandedAt)
+	}
+	return nil
 }
 
 // checkpointItem is one serialised frontier configuration.
@@ -106,15 +129,15 @@ func (r *run[C]) writeCheckpoint() error {
 		ck.Violation = (*v).AppendSnapshot(nil)
 	}
 	for i := range r.shards {
-		for fp, e := range r.shards[i].byFP {
+		for fp, e := range r.shards[i].seen.all {
 			ce := checkpointEntry{
 				FP:            fp,
-				Depth:         e.depth,
+				Depth:         e.depth(),
 				ExpandedAt:    e.expandedAt,
 				Sleep:         uint64(e.sleep),
 				ExpandedSleep: uint64(e.expandedSleep),
-				Expandable:    e.expandable,
-				Term:          e.term,
+				Expandable:    !e.term(),
+				Term:          e.term(),
 			}
 			if panicked[fp] {
 				// The live run does not retry a panicked expansion,
@@ -217,6 +240,11 @@ func decodeCheckpoint(r io.Reader) (*checkpointFile, error) {
 	if ck.Explored != len(ck.Entries) {
 		return nil, fmt.Errorf("inconsistent: %d entries for Explored=%d", len(ck.Entries), ck.Explored)
 	}
+	for i := range ck.Entries {
+		if err := ck.Entries[i].check(); err != nil {
+			return nil, err
+		}
+	}
 	return &ck, nil
 }
 
@@ -272,20 +300,13 @@ func resumeAs[C config[C]](path string, ck *checkpointFile, m model.Model, opts 
 	r := newRun[C](opts)
 	r.nInit = ck.NInit
 	nTerm := 0
-	for _, ce := range ck.Entries {
-		e := &entry{
-			depth:         ce.Depth,
-			expandedAt:    ce.ExpandedAt,
-			sleep:         threadMask(ce.Sleep),
-			expandedSleep: threadMask(ce.ExpandedSleep),
-			expandable:    ce.Expandable,
-			term:          ce.Term,
-		}
-		sh := r.shardOf(ce.FP)
-		if _, dup := sh.byFP[ce.FP]; dup {
+	for i := range ck.Entries {
+		ce := &ck.Entries[i]
+		t := &r.shardOf(ce.FP).seen
+		if t.find(ce.FP) != nil {
 			return Result{}, fmt.Errorf("explore: checkpoint %s has duplicate entry %v", path, ce.FP)
 		}
-		sh.insert(ce.FP, e)
+		t.insert(ce.FP, ce.entry())
 		if ce.Term {
 			nTerm++
 		}
@@ -320,7 +341,7 @@ func resumeAs[C config[C]](path string, ck *checkpointFile, m model.Model, opts 
 			return Result{}, fmt.Errorf("explore: checkpoint %s frontier snapshot drifted: restored %v, recorded %v",
 				path, got, fi.FP)
 		}
-		if e := r.shardOf(fi.FP).byFP[fi.FP]; e == nil {
+		if r.shardOf(fi.FP).seen.find(fi.FP) == nil {
 			return Result{}, fmt.Errorf("explore: checkpoint %s frontier config %v has no seen-set entry", path, fi.FP)
 		}
 		r.pool.push(0, item[C]{cfg: c, fp: fi.FP})
@@ -332,7 +353,7 @@ func resumeAs[C config[C]](path string, ck *checkpointFile, m model.Model, opts 
 		// queued, is exempt). An unqueued one would never be expanded,
 		// and the resumed search would report PROVED over the hole.
 		for _, ce := range ck.Entries {
-			if e := r.shardOf(ce.FP).byFP[ce.FP]; e.expandable && !e.expanded() && !queued[ce.FP] {
+			if e := r.shardOf(ce.FP).seen.find(ce.FP); !e.term() && !e.expanded() && !queued[ce.FP] {
 				return Result{}, fmt.Errorf("explore: checkpoint %s is inconsistent: unexpanded entry %v is not on the frontier",
 					path, ce.FP)
 			}

@@ -3,6 +3,7 @@ package explore
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,10 +19,11 @@ import (
 // input — and a checkpoint that decodes must restore (or be rejected)
 // under either backend the same way. The seeds are real checkpoints:
 // the mp program cut and complete, and Peterson at bound 8 cut,
-// complete and violated, and cut under sc.
+// complete and violated, and cut under sc; plus the mp cut checkpoint
+// with one entry corrupted in each way decodeCheckpoint rejects.
 func FuzzLoadCheckpoint(f *testing.F) {
 	dir := f.TempDir()
-	addCheckpoint := func(name string, c model.Config, opts Options) {
+	addCheckpoint := func(name string, c model.Config, opts Options) []byte {
 		opts.Workers = 1
 		opts.CheckpointPath = filepath.Join(dir, name)
 		if res := Run(c, opts); res.CheckpointErr != nil {
@@ -32,10 +34,14 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(data)
+		return data
 	}
 	p, vars := petersonProg()
 	weak, wvars := petersonWeakProg()
-	addCheckpoint("mp-cut", mpConfig(), Options{MaxConfigs: 5})
+	mpCut := addCheckpoint("mp-cut", mpConfig(), Options{MaxConfigs: 5})
+	for _, bad := range badEntries {
+		f.Add(corruptEntry(f, mpCut, bad.edit))
+	}
 	addCheckpoint("mp", mpConfig(), Options{})
 	addCheckpoint("peterson-cut", core.NewConfig(p, vars), Options{MaxEvents: 8, MaxConfigs: 60})
 	addCheckpoint("peterson", core.NewConfig(p, vars), Options{MaxEvents: 8})
@@ -81,14 +87,62 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	})
 }
 
+// badEntries are the entry corruptions decodeCheckpoint rejects: each
+// describes a record no seen-set slot can hold.
+var badEntries = []struct {
+	name string
+	edit func(*checkpointEntry)
+}{
+	{"expandable-terminated", func(ce *checkpointEntry) { ce.Expandable, ce.Term = true, true }},
+	{"neither-expandable-nor-terminated", func(ce *checkpointEntry) { ce.Expandable, ce.Term = false, false }},
+	{"negative-depth", func(ce *checkpointEntry) { ce.Depth = -1 }},
+	{"depth-past-slot", func(ce *checkpointEntry) { ce.Depth = maxDepth + 1 }},
+	{"expanded-below-minus-one", func(ce *checkpointEntry) { ce.ExpandedAt = -2 }},
+}
+
+// corruptEntry re-encodes the checkpoint data with edit applied to its
+// first entry.
+func corruptEntry(tb testing.TB, data []byte, edit func(*checkpointEntry)) []byte {
+	tb.Helper()
+	var ck checkpointFile
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ck); err != nil {
+		tb.Fatal(err)
+	}
+	edit(&ck.Entries[0])
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&ck); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDecodeCheckpointRejectsEntries: each corruption in badEntries,
+// applied to an otherwise valid checkpoint, is a decode error.
+func TestDecodeCheckpointRejectsEntries(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mp-cut.ckpt")
+	if res := Run(mpConfig(), Options{Workers: 1, MaxConfigs: 5, CheckpointPath: path}); res.CheckpointErr != nil {
+		t.Fatal(res.CheckpointErr)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeCheckpoint(bytes.NewReader(data)); err != nil {
+		t.Fatalf("valid checkpoint: %v", err)
+	}
+	for _, bad := range badEntries {
+		if _, err := decodeCheckpoint(bytes.NewReader(corruptEntry(t, data, bad.edit))); err == nil {
+			t.Errorf("%s: decoded without error", bad.name)
+		}
+	}
+}
+
 // unfinished counts the checkpoint's entries with work left:
 // expandable, and not expanded at their recorded depth and sleep mask.
 func unfinished(ck *checkpointFile) int {
 	n := 0
-	for _, ce := range ck.Entries {
-		e := entry{depth: ce.Depth, expandedAt: ce.ExpandedAt, sleep: threadMask(ce.Sleep),
-			expandedSleep: threadMask(ce.ExpandedSleep), expandable: ce.Expandable}
-		if e.expandable && !e.expanded() {
+	for i := range ck.Entries {
+		if e := ck.Entries[i].entry(); !e.term() && !e.expanded() {
 			n++
 		}
 	}

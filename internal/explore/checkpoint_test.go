@@ -450,3 +450,30 @@ func TestCheckCollisionsCheckpointResume(t *testing.T) {
 		})
 	}
 }
+
+// TestResumeCommittedCheckpoint resumes a checkpoint committed under
+// testdata/: serial Peterson at MaxEvents=10 with the mutual-exclusion
+// property, cut by MaxConfigs=200, written at commit 7aa8f83 while the
+// seen-set was still a map of heap entries. The format is unchanged
+// since (checkpointVersion 2), so it must resume, serially and with two
+// workers, to the fixpoint of an uncut run.
+func TestResumeCommittedCheckpoint(t *testing.T) {
+	const path = "testdata/peterson-b10-cut-7aa8f83.gob"
+	p, vars := petersonProg()
+	want := Run(core.NewConfig(p, vars), Options{Workers: 1, MaxEvents: 10, Property: mutualExclusion})
+	if want.Verdict != VerdictProved {
+		t.Fatalf("uncut run: %v", want.Verdict)
+	}
+	for _, workers := range []int{1, 2} {
+		got, err := Resume(path, core.Model, Options{Workers: workers, Property: mutualExclusion})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got.Verdict != want.Verdict || got.Explored != want.Explored || got.Terminated != want.Terminated ||
+			got.Depth != want.Depth || got.Truncated != want.Truncated || got.Frontier != 0 {
+			t.Fatalf("workers=%d: resumed %v explored=%d term=%d depth=%d trunc=%v frontier=%d, want %v %d/%d/%d/%v/0",
+				workers, got.Verdict, got.Explored, got.Terminated, got.Depth, got.Truncated, got.Frontier,
+				want.Verdict, want.Explored, want.Terminated, want.Depth, want.Truncated)
+		}
+	}
+}

@@ -58,56 +58,12 @@ type config[C any] interface {
 	Discard(succ C)
 }
 
-// entry is one seen-set record: the best depth and smallest sleep mask
-// the configuration has been reached with, and the values it was last
-// expanded at (expandedAt -1 if never). Non-expandable configurations
-// (terminated or at the progress bound) only track depth.
-type entry struct {
-	depth         int32
-	expandedAt    int32
-	sleep         threadMask
-	expandedSleep threadMask
-	expandable    bool
-	term          bool
-}
-
-// relax folds a re-discovery at depth d with sleep mask sleep into
-// the entry and reports whether the entry must be re-expanded: its
-// depth or sleep mask improved below what it was last expanded with.
-func (e *entry) relax(d int32, sleep threadMask) (requeue bool) {
-	if d < e.depth {
-		e.depth = d
-		requeue = e.expandable && e.expandedAt >= 0 && e.expandedAt > d
-	}
-	if ns := e.sleep & sleep; ns != e.sleep {
-		e.sleep = ns
-		requeue = requeue || (e.expandable && e.expandedAt >= 0 && e.expandedSleep&^ns != 0)
-	}
-	return requeue
-}
-
-// expanded reports whether the entry has already been expanded at its
-// current best depth and with a sleep mask no larger than the current
-// one (so a queued item for it is stale).
-func (e *entry) expanded() bool {
-	return e.expandedAt >= 0 && e.expandedAt <= e.depth && e.expandedSleep&^e.sleep == 0
-}
-
 const numShards = 64
 
+// shard is one lock's share of the seen-set (seen.go).
 type shard struct {
 	mu   sync.Mutex
-	byFP map[fingerprint.FP]*entry // nil until the shard's first insert
-}
-
-// insert records e under fp; the caller holds mu (or owns the run).
-// The map is made on first use, so a tiny search pays only for the
-// shards it touches.
-func (sh *shard) insert(fp fingerprint.FP, e *entry) {
-	if sh.byFP == nil {
-		sh.byFP = make(map[fingerprint.FP]*entry)
-	}
-	sh.byFP[fp] = e
+	seen seenTable
 }
 
 type item[C model.Config] struct {
@@ -223,8 +179,7 @@ func (r *run[C]) admit(w *worker, cfg C, fp, parent fingerprint.FP, d int32, sle
 	sh := r.shardOf(fp)
 
 	sh.mu.Lock()
-	e := sh.byFP[fp]
-	if e != nil {
+	if e := sh.seen.find(fp); e != nil {
 		// Known configuration: relax depth and sleep mask.
 		requeue := r.rediscovered(w.cell, sh, e, d, sleep)
 		if requeue {
@@ -253,8 +208,7 @@ func (r *run[C]) admit(w *worker, cfg C, fp, parent fingerprint.FP, d int32, sle
 	// happens to take to it, since only some orders leave silent steps
 	// for last. Draining makes the bounded terminated set a function
 	// of the bound alone, which the POR and worker audits rely on.
-	e = &entry{depth: d, expandedAt: -1, sleep: sleep, expandable: !term, term: term}
-	sh.insert(fp, e)
+	sh.seen.insert(fp, newEntry(d, sleep, term))
 	sh.mu.Unlock()
 
 	w.cell.Add(telemetry.EngineAdmitted, 1)
@@ -282,7 +236,7 @@ func (r *run[C]) admit(w *worker, cfg C, fp, parent fingerprint.FP, d int32, sle
 	}
 	// The property runs outside every lock; it may be expensive and is
 	// documented as concurrently callable.
-	if r.property != nil && !r.checkProperty(sh, e, cfg, fp, d, sleep) {
+	if r.property != nil && !r.checkProperty(sh, cfg, fp, d, sleep, term) {
 		mc := model.Config(cfg)
 		r.violation.CompareAndSwap(nil, &mc)
 		r.stopWith(StopViolation)
@@ -291,16 +245,16 @@ func (r *run[C]) admit(w *worker, cfg C, fp, parent fingerprint.FP, d int32, sle
 		// parent returns to the frontier with the rest of its work.
 		return false, true
 	}
-	if e.expandable {
+	if !term {
 		r.pool.push(w.id, item[C]{cfg: cfg, fp: fp})
 	}
 	return true, true
 }
 
 // checkProperty runs the property on cfg, which admit has just
-// inserted into shard sh under fp as entry e, at depth d with sleep
-// mask sleep. A property that panics (or exits the goroutine)
-// un-admits cfg on the way out. The panic is recorded against the
+// inserted into shard sh under fp, at depth d with sleep mask sleep
+// (term says whether it is terminated). A property that panics (or
+// exits the goroutine) un-admits cfg on the way out. The panic is recorded against the
 // parent, which stays claimed in the live run and is re-opened by the
 // checkpoint, so a resume re-admits cfg and runs the property on it
 // again instead of meeting an admitted entry no frontier item holds.
@@ -309,21 +263,24 @@ func (r *run[C]) admit(w *worker, cfg C, fp, parent fingerprint.FP, d int32, sle
 // that relaxation, so it stays and Resume refuses the checkpoint as
 // before. The telemetry counters keep the admission: they count
 // admission events, not seen-set entries.
-func (r *run[C]) checkProperty(sh *shard, e *entry, cfg C, fp fingerprint.FP, d int32, sleep threadMask) bool {
+func (r *run[C]) checkProperty(sh *shard, cfg C, fp fingerprint.FP, d int32, sleep threadMask, term bool) bool {
 	returned := false
 	defer func() {
 		if returned {
 			return
 		}
 		sh.mu.Lock()
-		drop := e.depth == d && e.sleep == sleep
+		// The table may have grown since admission, so fp is found
+		// again; only this un-admit ever deletes it.
+		e := sh.seen.find(fp)
+		drop := e.depth() == d && e.sleep == sleep
 		if drop {
-			delete(sh.byFP, fp)
+			sh.seen.remove(fp)
 		}
 		sh.mu.Unlock()
 		if drop {
 			r.explored.Add(-1)
-			if e.term {
+			if term {
 				r.terminated.Add(-1)
 			}
 		}
@@ -355,13 +312,13 @@ func (r *run[C]) claim(it item[C]) (int32, threadMask, bool) {
 	sh := r.shardOf(it.fp)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e := sh.byFP[it.fp]
+	e := sh.seen.find(it.fp)
 	if e == nil || e.expanded() {
 		return 0, 0, false
 	}
-	e.expandedAt = e.depth
+	e.expandedAt = e.depth()
 	e.expandedSleep = e.sleep
-	return e.depth, e.sleep, true
+	return e.expandedAt, e.sleep, true
 }
 
 // unclaim reverts a claim whose expansion did not complete (stop
@@ -373,7 +330,7 @@ func (r *run[C]) unclaim(it item[C]) {
 	sh := r.shardOf(it.fp)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e := sh.byFP[it.fp]; e != nil {
+	if e := sh.seen.find(it.fp); e != nil {
 		e.expandedAt = -1
 		e.expandedSleep = 0
 	}
@@ -518,7 +475,7 @@ func (r *run[C]) offer(w *worker, it item[C], ps lang.ProgStep, ch *model.Choice
 	if r.keys == nil {
 		sh := r.shardOf(ch.FP)
 		sh.mu.Lock()
-		if e := sh.byFP[ch.FP]; e != nil {
+		if e := sh.seen.find(ch.FP); e != nil {
 			if r.rediscovered(w.cell, sh, e, d, sleep) {
 				r.pool.push(w.id, item[C]{cfg: r.build(it.cfg, ps, ch), fp: ch.FP})
 			}
@@ -706,11 +663,15 @@ func (r *run[C]) finalize() Result {
 	res.CheckpointErr = r.ckErr
 	res.FingerprintCollisions = r.keys.collisions()
 	res.ClosureMismatches = int(r.mismatches.Load())
+	seenBytes := 0
 	for i := range r.shards {
-		for _, e := range r.shards[i].byFP {
-			res.Depth = max(res.Depth, int(e.depth))
+		t := &r.shards[i].seen
+		for _, e := range t.all {
+			res.Depth = max(res.Depth, int(e.depth()))
 		}
+		seenBytes += t.bytes()
 	}
+	r.tel.SetGauge(telemetry.EngineGaugeSeenBytes, int64(seenBytes))
 	res.Frontier = len(r.frontierItems())
 	switch {
 	case res.Violation != nil:
@@ -734,8 +695,8 @@ func (r *run[C]) frontierItems() []item[C] {
 		if seen[it.fp] {
 			return
 		}
-		e := r.shardOf(it.fp).byFP[it.fp]
-		if e == nil || !e.expandable {
+		e := r.shardOf(it.fp).seen.find(it.fp)
+		if e == nil || e.term() {
 			return
 		}
 		seen[it.fp] = true
@@ -744,7 +705,7 @@ func (r *run[C]) frontierItems() []item[C] {
 	for i := range r.pool.deques {
 		d := &r.pool.deques[i]
 		for _, it := range d.items[d.head:] {
-			if e := r.shardOf(it.fp).byFP[it.fp]; e != nil && e.expanded() {
+			if e := r.shardOf(it.fp).seen.find(it.fp); e != nil && e.expanded() {
 				continue // stale re-queue
 			}
 			add(it)

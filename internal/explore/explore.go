@@ -22,7 +22,8 @@
 // There is exactly one engine: a sharded, barrier-free search in which
 // each worker owns a deque of the work pool (pool.go), pops
 // configurations from it and pushes successors onto it as it finds
-// them, deduplicating through a seen-set sharded by fingerprint bits.
+// them, deduplicating through a seen-set sharded by fingerprint bits
+// into flat open-addressed tables (seen.go).
 // Serial exploration is the same engine at Workers=1 (the single deque
 // is a FIFO drained in breadth-first order, so a state's recorded
 // depth is its shortest distance from the root). With more workers,

@@ -68,6 +68,9 @@ const (
 	// EngineGaugeFrontierPeak is the largest value the frontier gauge
 	// has reached.
 	EngineGaugeFrontierPeak
+	// EngineGaugeSeenBytes is the size of the seen-set's slot arrays
+	// across all shards, set when a search finishes.
+	EngineGaugeSeenBytes
 
 	numEngineGauges // keep last
 )
@@ -94,6 +97,7 @@ var engineGaugeNames = [numEngineGauges]string{
 	EngineGaugeFrontier:     "frontier",
 	EngineGaugeDepth:        "max_depth",
 	EngineGaugeFrontierPeak: "frontier_peak",
+	EngineGaugeSeenBytes:    "seen_bytes",
 }
 
 // EngineSchema returns the engine metric schema.

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	perfgate -baseline BENCH_pr23.json -current BENCH_ci.json
+//	perfgate -baseline BENCH_pr24.json -current BENCH_ci.json
 //	perfgate -baseline ... -current ... -tolerance 10   # percent
 //
 // Exit status: 0 when every common benchmark is within band, 1 on any
