@@ -3,10 +3,10 @@ package cli
 // Telemetry is the shared observability flag set of the frontends:
 // -progress[=interval] prints live search progress to stderr, -trace
 // writes the structured JSONL search trace (convert with c11trace),
-// and -metrics prints a final engine counter summary. Like profiles,
-// the active telemetry is flushed by Exit on every exit path — a
-// SIGINT-cut run (exit 2) still gets its final progress line and a
-// complete, parseable trace file.
+// and -metrics prints a final summary of the engine counters and
+// gauges. Like profiles, the active telemetry is flushed by Exit on
+// every exit path — a SIGINT-cut run (exit 2) still gets its final
+// progress line and a complete, parseable trace file.
 
 import (
 	"flag"
@@ -28,7 +28,8 @@ type Telemetry struct {
 	ProgressInterval time.Duration
 	// TracePath is the -trace output path for the JSONL search trace.
 	TracePath string
-	// Summary enables the -metrics final counter dump to stderr.
+	// Summary enables the -metrics final counter and gauge dump to
+	// stderr.
 	Summary bool
 
 	reg      *telemetry.Registry
@@ -48,7 +49,7 @@ func (t *Telemetry) Register(fs *flag.FlagSet) {
 	fs.StringVar(&t.TracePath, "trace", "",
 		"write a JSONL search trace (worker lifecycle, expansion batches, budget events) to this path; convert with c11trace")
 	fs.BoolVar(&t.Summary, "metrics", false,
-		"print the final engine metric counters to stderr when the run ends")
+		"print the final engine metric counters and gauges to stderr when the run ends")
 }
 
 // progressFlag parses -progress as a bool-or-duration: the bare flag
@@ -144,8 +145,8 @@ func (t *Telemetry) Tracer() *telemetry.Tracer { return t.tracer }
 
 // Stop flushes everything: the reporter prints its final progress
 // line, the tracer is flushed and closed, and -metrics prints the
-// counter summary. Idempotent — a deferred Stop after an Exit-flushed
-// one does nothing.
+// counter and gauge summary. Idempotent — a deferred Stop after an
+// Exit-flushed one does nothing.
 func (t *Telemetry) Stop() {
 	t.reporter.Stop()
 	if t.tracer != nil {
@@ -156,15 +157,23 @@ func (t *Telemetry) Stop() {
 	}
 	if t.Summary && t.reg != nil {
 		t.Summary = false
-		snap := t.reg.Snapshot()
-		var b strings.Builder
-		b.WriteString("metrics:")
-		for i, name := range snap.CounterNames {
-			fmt.Fprintf(&b, " %s=%d", name, snap.CounterVals[i])
-		}
-		fmt.Fprintln(os.Stderr, b.String())
+		fmt.Fprintln(os.Stderr, metricsLine(t.reg.Snapshot()))
 	}
 	if activeTelemetry == t {
 		activeTelemetry = nil
 	}
+}
+
+// metricsLine renders the -metrics summary: every counter, then every
+// gauge, in schema order, as name=value after a "metrics:" prefix.
+func metricsLine(s telemetry.Snapshot) string {
+	var b strings.Builder
+	b.WriteString("metrics:")
+	for i, name := range s.CounterNames {
+		fmt.Fprintf(&b, " %s=%d", name, s.CounterVals[i])
+	}
+	for i, name := range s.GaugeNames {
+		fmt.Fprintf(&b, " %s=%d", name, s.GaugeVals[i])
+	}
+	return b.String()
 }

@@ -40,8 +40,9 @@ import (
 )
 
 // checkpointVersion is bumped on any incompatible format change;
-// Resume rejects other versions. Version 2 added the opaque Extra
-// caller blob (Options.CheckpointExtra/ResumeExtra).
+// Resume rejects other versions. Version 2 added an opaque caller blob,
+// Extra, that the format no longer has: gob skips a field the target
+// type lacks, so v2 files that carry one still decode and resume.
 const checkpointVersion = 2
 
 // checkpointEntry is one serialised seen-set record. Expandable is
@@ -99,10 +100,6 @@ type checkpointFile struct {
 	Violation []byte
 	Entries   []checkpointEntry
 	Frontier  []checkpointItem
-	// Extra is the opaque caller blob of Options.CheckpointExtra,
-	// handed back verbatim through Options.ResumeExtra. The engine
-	// never interprets it.
-	Extra []byte
 }
 
 // writeCheckpoint persists the current search state to
@@ -152,9 +149,6 @@ func (r *run[C]) writeCheckpoint() error {
 			FP:       it.fp,
 			Snapshot: it.cfg.AppendSnapshot(nil),
 		})
-	}
-	if r.opts.CheckpointExtra != nil {
-		ck.Extra = r.opts.CheckpointExtra()
 	}
 	if err := writeCheckpointFile(r.opts.CheckpointPath, &ck); err != nil {
 		return err
@@ -248,19 +242,6 @@ func decodeCheckpoint(r io.Reader) (*checkpointFile, error) {
 	return &ck, nil
 }
 
-// PeekExtra returns the opaque caller blob stored in the checkpoint
-// at path (nil when none was recorded) without restoring the search.
-// Callers whose blob determines how to resume — the verification
-// service stores the original request there, and needs it to pick the
-// model and budgets before calling Resume — read it with this first.
-func PeekExtra(path string) ([]byte, error) {
-	ck, err := loadCheckpointFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ck.Extra, nil
-}
-
 // Resume continues a checkpointed search of model m under opts. The
 // search-identity parameters (MaxEvents, POR) are taken from the
 // checkpoint — they are part of what the seen-set means — while
@@ -275,9 +256,6 @@ func Resume(path string, m model.Model, opts Options) (Result, error) {
 	ck, err := loadCheckpointFile(path)
 	if err != nil {
 		return Result{}, err
-	}
-	if opts.ResumeExtra != nil {
-		opts.ResumeExtra(ck.Extra)
 	}
 	opts.MaxEvents = ck.MaxEvents
 	opts.POR = ck.POR

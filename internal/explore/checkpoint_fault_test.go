@@ -144,63 +144,3 @@ func TestCheckpointPrefixNeverLoads(t *testing.T) {
 		}
 	}
 }
-
-func TestCheckpointExtraRoundTrip(t *testing.T) {
-	// The opaque caller blob survives the checkpoint and is handed back
-	// on resume, before exploration continues.
-	path := filepath.Join(t.TempDir(), "extra.ckpt")
-	blob := []byte("outcome-set v1: a=1;b=0;")
-	res := Run(mpConfig(), Options{
-		Workers:         1,
-		MaxConfigs:      5,
-		CheckpointPath:  path,
-		CheckpointExtra: func() []byte { return blob },
-	})
-	if res.CheckpointErr != nil {
-		t.Fatalf("checkpoint: %v", res.CheckpointErr)
-	}
-	var got []byte
-	restored := false
-	if _, err := Resume(path, core.Model, Options{
-		Workers:     1,
-		ResumeExtra: func(b []byte) { got = b; restored = true },
-	}); err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if !restored || !bytes.Equal(got, blob) {
-		t.Fatalf("ResumeExtra got %q (called=%v), want %q", got, restored, blob)
-	}
-}
-
-func TestCheckpointOnCut(t *testing.T) {
-	// With CheckpointOnCut, only runs that end with resumable
-	// unexpanded work write the final checkpoint.
-	dir := t.TempDir()
-
-	clean := filepath.Join(dir, "clean.ckpt")
-	res := Run(mpConfig(), Options{Workers: 1, CheckpointPath: clean, CheckpointOnCut: true})
-	if res.Verdict != VerdictProved || res.CheckpointErr != nil {
-		t.Fatalf("clean run: %+v", res)
-	}
-	if _, err := os.Stat(clean); !os.IsNotExist(err) {
-		t.Fatalf("quiescent run wrote a checkpoint (stat err %v)", err)
-	}
-
-	cut := filepath.Join(dir, "cut.ckpt")
-	res = Run(mpConfig(), Options{Workers: 1, MaxConfigs: 5, CheckpointPath: cut, CheckpointOnCut: true})
-	if res.Stop != StopMaxConfigs || res.CheckpointErr != nil {
-		t.Fatalf("cut run: %+v", res)
-	}
-	if _, err := os.Stat(cut); err != nil {
-		t.Fatalf("budget-cut run wrote no checkpoint: %v", err)
-	}
-	// And the checkpoint it wrote completes to the clean fixpoint.
-	want := Run(mpConfig(), Options{Workers: 1})
-	got, err := Resume(cut, core.Model, Options{Workers: 1})
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if got.Explored != want.Explored || got.Verdict != want.Verdict {
-		t.Fatalf("resumed %+v, want %+v", got, want)
-	}
-}

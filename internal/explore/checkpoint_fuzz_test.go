@@ -14,13 +14,14 @@ import (
 )
 
 // FuzzLoadCheckpoint feeds arbitrary bytes to the checkpoint decoder
-// behind Resume and PeekExtra. Corrupt input must come back as an
-// error — no panic, no hang, no allocation out of proportion to the
-// input — and a checkpoint that decodes must restore (or be rejected)
-// under either backend the same way. The seeds are real checkpoints:
-// the mp program cut and complete, and Peterson at bound 8 cut,
-// complete and violated, and cut under sc; plus the mp cut checkpoint
-// with one entry corrupted in each way decodeCheckpoint rejects.
+// behind Resume. Corrupt input must come back as an error — no panic,
+// no hang, no allocation out of proportion to the input — and a
+// checkpoint that decodes must restore (or be rejected) under either
+// backend the same way. The seeds are real checkpoints: the mp program
+// cut and complete, and Peterson at bound 8 cut, complete and
+// violated, and cut under sc; the committed mp cut checkpoint that
+// carries the dropped Extra field; plus the mp cut checkpoint with one
+// entry corrupted in each way decodeCheckpoint rejects.
 func FuzzLoadCheckpoint(f *testing.F) {
 	dir := f.TempDir()
 	addCheckpoint := func(name string, c model.Config, opts Options) []byte {
@@ -47,6 +48,11 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	addCheckpoint("peterson", core.NewConfig(p, vars), Options{MaxEvents: 8})
 	addCheckpoint("peterson-weak", core.NewConfig(weak, wvars), Options{MaxEvents: 8, Property: mutualExclusion})
 	addCheckpoint("peterson-sc-cut", sc.NewConfig(p, vars), Options{MaxConfigs: 20})
+	extra, err := os.ReadFile("testdata/mp-cut-extra-0128a7b.gob")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(extra)
 
 	// A done context returns from the resumed search before any
 	// expansion, so that resume runs only the restore path; a second

@@ -451,29 +451,44 @@ func TestCheckCollisionsCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestResumeCommittedCheckpoint resumes a checkpoint committed under
-// testdata/: serial Peterson at MaxEvents=10 with the mutual-exclusion
-// property, cut by MaxConfigs=200, written at commit 7aa8f83 while the
-// seen-set was still a map of heap entries. The format is unchanged
-// since (checkpointVersion 2), so it must resume, serially and with two
-// workers, to the fixpoint of an uncut run.
+// TestResumeCommittedCheckpoint resumes checkpoints committed under
+// testdata/, each to the fixpoint of its uncut run, serially and with
+// two workers. The format is unchanged since they were written
+// (checkpointVersion 2), so both must resume:
+//   - serial Peterson at MaxEvents=10 with the mutual-exclusion
+//     property, cut by MaxConfigs=200, written at commit 7aa8f83 while
+//     the seen-set was still a map of heap entries;
+//   - serial mp cut by MaxConfigs=5, written at commit 0128a7b with a
+//     non-empty Extra caller blob, a field the format has since
+//     dropped and the decoder must skip.
 func TestResumeCommittedCheckpoint(t *testing.T) {
-	const path = "testdata/peterson-b10-cut-7aa8f83.gob"
 	p, vars := petersonProg()
-	want := Run(core.NewConfig(p, vars), Options{Workers: 1, MaxEvents: 10, Property: mutualExclusion})
-	if want.Verdict != VerdictProved {
-		t.Fatalf("uncut run: %v", want.Verdict)
-	}
-	for _, workers := range []int{1, 2} {
-		got, err := Resume(path, core.Model, Options{Workers: workers, Property: mutualExclusion})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	mp := Run(mpConfig(), Options{Workers: 1})
+	mp.Truncated = true // the MaxConfigs cut marked it, and the flag is sticky across a resume
+	for _, tc := range []struct {
+		path string
+		want Result
+		prop func(model.Config) bool
+	}{
+		{"testdata/peterson-b10-cut-7aa8f83.gob",
+			Run(core.NewConfig(p, vars), Options{Workers: 1, MaxEvents: 10, Property: mutualExclusion}), mutualExclusion},
+		{"testdata/mp-cut-extra-0128a7b.gob", mp, nil},
+	} {
+		want := tc.want
+		if want.Verdict != VerdictProved {
+			t.Fatalf("%s: uncut run: %v", tc.path, want.Verdict)
 		}
-		if got.Verdict != want.Verdict || got.Explored != want.Explored || got.Terminated != want.Terminated ||
-			got.Depth != want.Depth || got.Truncated != want.Truncated || got.Frontier != 0 {
-			t.Fatalf("workers=%d: resumed %v explored=%d term=%d depth=%d trunc=%v frontier=%d, want %v %d/%d/%d/%v/0",
-				workers, got.Verdict, got.Explored, got.Terminated, got.Depth, got.Truncated, got.Frontier,
-				want.Verdict, want.Explored, want.Terminated, want.Depth, want.Truncated)
+		for _, workers := range []int{1, 2} {
+			got, err := Resume(tc.path, core.Model, Options{Workers: workers, Property: tc.prop})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.path, workers, err)
+			}
+			if got.Verdict != want.Verdict || got.Explored != want.Explored || got.Terminated != want.Terminated ||
+				got.Depth != want.Depth || got.Truncated != want.Truncated || got.Frontier != 0 {
+				t.Fatalf("%s workers=%d: resumed %v explored=%d term=%d depth=%d trunc=%v frontier=%d, want %v %d/%d/%d/%v/0",
+					tc.path, workers, got.Verdict, got.Explored, got.Terminated, got.Depth, got.Truncated, got.Frontier,
+					want.Verdict, want.Explored, want.Terminated, want.Depth, want.Truncated)
+			}
 		}
 	}
 }

@@ -626,27 +626,11 @@ func (r *run[C]) execute() {
 	if monDone != nil {
 		close(monDone)
 	}
-	if r.opts.CheckpointPath != "" && r.wantFinalCheckpoint() {
+	if r.opts.CheckpointPath != "" {
 		if err := r.writeCheckpoint(); err != nil && r.ckErr == nil {
 			r.ckErr = err
 		}
 	}
-}
-
-// wantFinalCheckpoint decides whether the end-of-run checkpoint is
-// written: always, unless CheckpointOnCut restricts it to runs that
-// ended with resumable unexpanded work (a budget/cancellation stop or
-// isolated panics). Quiescent and violated runs are then skipped —
-// their verdict is final and a resume would be a no-op.
-func (r *run[C]) wantFinalCheckpoint() bool {
-	if !r.opts.CheckpointOnCut {
-		return true
-	}
-	switch StopCause(r.requested.Load()) {
-	case StopMaxConfigs, StopDeadline, StopCancelled, StopMemory:
-		return true
-	}
-	return len(r.panics) > 0
 }
 
 // finalize computes the Result after all workers have exited.

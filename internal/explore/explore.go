@@ -167,28 +167,6 @@ type Options struct {
 	// CheckpointEvery is the periodic checkpoint interval; zero means
 	// only the final checkpoint is written.
 	CheckpointEvery time.Duration
-	// CheckpointOnCut, when true, suppresses the final checkpoint
-	// unless the search was actually cut short with unexpanded work —
-	// a budget stop, a cancellation, or isolated panics. A run that
-	// reached quiescence or a definite violation has nothing a resume
-	// could add, so callers that checkpoint only as a drain/crash
-	// safety net (the verification service) skip the serialisation
-	// cost on every clean completion. Periodic checkpoints
-	// (CheckpointEvery) are unaffected.
-	CheckpointOnCut bool
-	// CheckpointExtra, when non-nil, contributes an opaque caller blob
-	// to every checkpoint written (periodic and final). It is called
-	// at the checkpoint's quiescent cut — no workers are running — so
-	// it may read state the Property mutates without extra locking.
-	// Resume hands the blob back through ResumeExtra; the engine never
-	// interprets it. Callers use it to persist search-adjacent state
-	// the seen-set cannot reconstruct (e.g. the outcome set a property
-	// accumulated before the interruption).
-	CheckpointExtra func() []byte
-	// ResumeExtra, when non-nil, receives the CheckpointExtra blob of
-	// the checkpoint being resumed (nil when the checkpoint carried
-	// none) before exploration continues.
-	ResumeExtra func([]byte)
 
 	// CheckCollisions audits the fingerprints against the exact
 	// canonical string keys (model.Config.Key): every configuration

@@ -89,7 +89,7 @@ func TestTelemetryAccuracyParallel(t *testing.T) {
 	}
 }
 
-// TestTelemetrySharedRegistryAccumulates covers the c11litmus/serve
+// TestTelemetrySharedRegistryAccumulates covers the c11litmus/c11fuzz
 // usage: one registry across several searches accumulates totals.
 func TestTelemetrySharedRegistryAccumulates(t *testing.T) {
 	reg := telemetry.NewEngineRegistry()

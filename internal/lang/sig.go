@@ -53,9 +53,9 @@ func appendString(buf []byte, s string) []byte {
 
 // AppendStringSig appends a length-prefixed string — the signature
 // format's shared variable-length field encoding — so callers
-// composing higher-level signatures (the litmus-test cache identity of
-// the verification service) stay within the same prefix-free
-// discipline instead of inventing a second framing.
+// composing higher-level signatures (the litmus-test identity) stay
+// within the same prefix-free discipline instead of inventing a second
+// framing.
 func AppendStringSig(buf []byte, s string) []byte {
 	return appendString(buf, s)
 }

@@ -4,12 +4,9 @@ package litmus
 // signature encoding of internal/lang. Two Test values with the same
 // semantics — same program structure, initial memory, observation
 // list and expectation sets — produce identical signatures, and any
-// structural difference changes the bytes. The verification service
-// hashes this (together with the model name and the effective search
-// options) into its result-cache key, so identical queries are cache
-// hits and retries are idempotent regardless of how the request was
-// spelled (test Name and JSON field order deliberately do not
-// participate).
+// structural difference changes the bytes; the test Name deliberately
+// does not participate. The DS tier's round-trip test compares a
+// parsed scenario with the built one by it.
 
 import (
 	"encoding/binary"

@@ -1,9 +1,8 @@
 package telemetry
 
 // The engine metric schema, shared by the exploration engine (which
-// feeds it), the CLIs (which sample it for progress lines and final
-// summaries) and the verification service (which exposes it at
-// /metrics). The Counter/Gauge constants below index EngineSchema in
+// feeds it) and the CLIs (which sample it for progress lines and final
+// summaries). The Counter/Gauge constants below index EngineSchema in
 // declaration order — keep the two lists in lockstep.
 
 // Engine counters, in EngineSchema order.

@@ -7,10 +7,7 @@ package telemetry
 // and Cell never allocate, which is what lets the engine keep its
 // zero-allocs-per-state guarantee with metrics enabled.
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Counter indexes a counter within a Schema (the schema's Counters
 // slice order). Gauge likewise.
@@ -20,8 +17,7 @@ type Counter int
 type Gauge int
 
 // Schema names a registry's counters and gauges. Names are
-// snake_case; they become Prometheus metric names (counters get a
-// _total suffix on exposition).
+// snake_case.
 type Schema struct {
 	Counters []string
 	Gauges   []string
@@ -215,22 +211,4 @@ func (s Snapshot) Gauge(name string) int64 {
 		}
 	}
 	return 0
-}
-
-// Counters returns the snapshot's counters as a name→value map, in
-// no particular order (use CounterNames for schema order).
-func (s Snapshot) Counters() map[string]uint64 {
-	m := make(map[string]uint64, len(s.CounterNames))
-	for i, n := range s.CounterNames {
-		m[n] = s.CounterVals[i]
-	}
-	return m
-}
-
-// SortedCounterNames returns the counter names sorted
-// lexicographically — the exposition order used by WritePrometheus.
-func (s Snapshot) SortedCounterNames() []string {
-	out := append([]string(nil), s.CounterNames...)
-	sort.Strings(out)
-	return out
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -120,26 +119,6 @@ func TestRegistryAddAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("nil registry path allocates: %v allocs/run", allocs)
-	}
-}
-
-func TestWritePrometheus(t *testing.T) {
-	r := New(Schema{Counters: []string{"beta", "alpha"}, Gauges: []string{"g"}})
-	r.Add(0, 2) // beta
-	r.Add(1, 5) // alpha
-	r.SetGauge(0, -3)
-	var b strings.Builder
-	if err := r.Snapshot().WritePrometheus(&b, "test"); err != nil {
-		t.Fatal(err)
-	}
-	want := "# TYPE test_alpha_total counter\n" +
-		"test_alpha_total 5\n" +
-		"# TYPE test_beta_total counter\n" +
-		"test_beta_total 2\n" +
-		"# TYPE test_g gauge\n" +
-		"test_g -3\n"
-	if b.String() != want {
-		t.Errorf("exposition mismatch:\ngot:\n%swant:\n%s", b.String(), want)
 	}
 }
 

@@ -6,7 +6,7 @@
 #
 # Usage (from the repo root):
 #
-#   bash scripts/bench-snapshot.sh                 # baseline rows, label = short commit
+#   bash scripts/bench-snapshot.sh                 # baseline rows, label = short commit (+"-dirty")
 #   bash scripts/bench-snapshot.sh -bench 'E13'    # one family
 #   bash scripts/bench-snapshot.sh -bench .        # the whole harness
 #   BENCH_LABEL=baseline bash scripts/bench-snapshot.sh
@@ -48,7 +48,13 @@ while [ $# -gt 0 ]; do
     esac
 done
 
+# A tracked tree that differs from HEAD is marked <sha>-dirty, so a
+# snapshot taken before its change is committed does not pass for one
+# of HEAD itself.
 commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+if [ "$commit" != unknown ] && ! git diff --quiet HEAD; then
+    commit="$commit-dirty"
+fi
 label="${BENCH_LABEL:-$commit}"
 out="BENCH_${label}.json"
 raw=$(mktemp)
