@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -165,11 +166,11 @@ func main() {
 		badConfig := res.Violation.(core.Config)
 		if badInvariants := proof.CheckPetersonInvariants(badConfig); len(badInvariants) > 0 {
 			fmt.Printf("invariants violated: %v\n", badInvariants)
-			for _, inv := range proof.PetersonInvariants() {
-				for _, id := range badInvariants {
-					if inv.ID == id {
-						fmt.Printf("  (%d) %s\n", inv.ID, inv.Name)
-					}
+			named := 0 // an invariant's obligations share its ID and name
+			for _, a := range proof.PetersonInvariants() {
+				if a.ID != named && slices.Contains(badInvariants, a.ID) {
+					fmt.Printf("  (%d) %s\n", a.ID, a.Name)
+					named = a.ID
 				}
 			}
 		}

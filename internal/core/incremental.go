@@ -306,11 +306,11 @@ func (s *State) AuditIncremental() []string {
 	n := len(s.events)
 	sSB := relation.New(n)
 	for j := 0; j < n; j++ {
-		if s.events[j].tid == int32(event.InitThread) {
+		if s.events[j].tid == int16(event.InitThread) {
 			continue
 		}
 		for i := 0; i < j; i++ {
-			if s.events[i].tid == s.events[j].tid || s.events[i].tid == int32(event.InitThread) {
+			if s.events[i].tid == s.events[j].tid || s.events[i].tid == int16(event.InitThread) {
 				sSB.Add(j, i)
 			}
 		}
@@ -347,6 +347,11 @@ func (s *State) AuditIncremental() []string {
 			continue
 		}
 		byThread[e.tid].Set(i)
+		// The stored canonical position is the event's rank in its
+		// thread's row.
+		if r := s.threadEvs(e.thread()).Rank(i); int(e.pos) != r {
+			report("pos: event %d stores position %d, its thread row ranks it %d", i, e.pos, r)
+		}
 		if e.isWrite() {
 			wr.Set(i)
 			byVar[e.x].Set(i)
@@ -365,7 +370,7 @@ func (s *State) AuditIncremental() []string {
 			report("writes[%s]: maintained %s != scan %s", s.names[x], got, want)
 		}
 		// σ.last(x) is the unique write to x with no mo successor.
-		lw := int(s.lastW(x))
+		lw := int(s.LastOf(x))
 		if !want.Test(lw) {
 			report("lastW[%s]: %d is not a write to %s", s.names[x], lw, s.names[x])
 			continue

@@ -7,6 +7,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/event"
@@ -126,4 +127,29 @@ func TestIncrementalColdAncestors(t *testing.T) {
 	// And ancestors afterwards (their memos were warmed recursively).
 	mustAudit(t, s3, "cold chain s3")
 	mustAudit(t, s1, "cold chain s1")
+}
+
+// TestPositionAuditCatchesCorruption changes one event's stored
+// canonical position and checks that the incremental audit reports it.
+func TestPositionAuditCatchesCorruption(t *testing.T) {
+	s := Init(map[event.Var]event.Val{"x": 0, "y": 0})
+	ix, _ := s.InitialFor("x")
+	iy, _ := s.InitialFor("y")
+	s, _, err := s.StepWrite(1, false, "x", 1, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, e, err := s.StepRead(1, false, "y", iy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAudit(t, s, "before corruption")
+	if got := s.posOf(int(e.Tag)); got != 1 {
+		t.Fatalf("second event of thread 1 stored at position %d", got)
+	}
+	s.events[e.Tag].pos = 0
+	bad := s.AuditIncremental()
+	if len(bad) != 1 || !strings.HasPrefix(bad[0], "pos:") {
+		t.Fatalf("audit of a corrupted position reported %q, want one pos: mismatch", bad)
+	}
 }

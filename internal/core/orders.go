@@ -319,7 +319,7 @@ func (s *State) AppendInsertionPointsFor(dst []event.Tag, t event.Thread, x even
 // appendObservable appends OW_σ(t)|ₓ, less CW_σ when uncovered is set,
 // to dst in tag order: a walk of x's write row.
 func (s *State) appendObservable(dst []event.Tag, t event.Thread, x event.Var, uncovered bool) []event.Tag {
-	id, ok := s.varID(x)
+	id, ok := s.VarID(x)
 	if !ok {
 		return dst
 	}
@@ -343,22 +343,26 @@ func (s *State) appendObservable(dst []event.Tag, t event.Thread, x event.Var, u
 // any valid state; §5.1). The maximum is maintained on every mo splice
 // (insertMO), so this is an index lookup, not an O(writes²) mo scan.
 func (s *State) Last(x event.Var) (event.Tag, bool) {
-	id, ok := s.varID(x)
+	id, ok := s.VarID(x)
 	if !ok {
 		return 0, false
 	}
-	return s.lastW(id), true
+	return s.LastOf(id), true
 }
 
 // UpdateOnly reports whether x is an update-only variable in σ: every
 // modification of x is an update or an initialising write (§5.1).
 // Update-only variables admit the last-modification lemma (Lemma 5.6).
+// A variable the state does not know has no modification, so it is
+// update-only.
 func (s *State) UpdateOnly(x event.Var) bool {
-	id, ok := s.varID(x)
-	if !ok {
-		return true
-	}
-	xs := s.varWrites(id)
+	id, ok := s.VarID(x)
+	return !ok || s.UpdateOnlyOf(id)
+}
+
+// UpdateOnlyOf is UpdateOnly for the variable with id x.
+func (s *State) UpdateOnlyOf(x int) bool {
+	xs := s.varWrites(x)
 	for g := xs.Next(0); g >= 0; g = xs.Next(g + 1) {
 		if e := s.events[g]; !e.isUpdate() && !e.isInit() {
 			return false

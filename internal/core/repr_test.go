@@ -60,8 +60,8 @@ func TestRepresentationPointerFree(t *testing.T) {
 // of their record type are stored exactly and that ids past it are
 // rejected, never truncated.
 func TestEventIDBounds(t *testing.T) {
-	r := newRec(event.UpdRA, math.MaxInt32, math.MaxInt32, -1, math.MinInt64)
-	if r.x != math.MaxInt32 || r.thread() != math.MaxInt32 || r.rval != -1 || r.wval != math.MinInt64 {
+	r := newRec(event.UpdRA, math.MaxInt32, math.MaxInt16, -1, math.MinInt64)
+	if r.x != math.MaxInt32 || r.thread() != math.MaxInt16 || r.rval != -1 || r.wval != math.MinInt64 {
 		t.Fatalf("record at the id bound stored as %+v", r)
 	}
 	for _, c := range []struct {
@@ -69,9 +69,10 @@ func TestEventIDBounds(t *testing.T) {
 		t event.Thread
 	}{
 		{math.MaxInt32 + 1, 1},
-		{0, math.MaxInt32 + 1},
-		{0, 1<<32 + 1}, // would truncate to thread 1
-		{-1 << 32, 1},  // would truncate to variable 0
+		{0, math.MaxInt16 + 1},
+		{0, 1<<16 + 1}, // would truncate to thread 1
+		{0, 1<<32 + 1},
+		{-1 << 32, 1}, // would truncate to variable 0
 	} {
 		func() {
 			defer func() {

@@ -129,19 +129,22 @@ type State struct {
 	}
 }
 
-// evRec is one event of D: its kind, variable id, thread, values and,
-// for a read or update, its rf source. It is pointer-free, so event
-// slices are neither scanned by the garbage collector nor copied with
-// write barriers. Event rebuilds the event.Event with the variable's
-// name.
+// evRec is one event of D: its kind, variable id, thread, canonical
+// position, values and, for a read or update, its rf source. It is
+// pointer-free, so event slices are neither scanned by the garbage
+// collector nor copied with write barriers. Event rebuilds the
+// event.Event with the variable's name.
 type evRec struct {
 	rval, wval event.Val
 	x          int32 // variable id: the tag of x's initialising write
-	tid        int32
 	// rf is the tag of the write a read or update reads from (its
 	// unique rf-predecessor); unused for plain writes. A tag is below
 	// |D|, which int32 holds for any state that fits in memory.
-	rf   int32
+	rf int32
+	// pos is the event's canonical position (posOf), fixed when the
+	// event is appended: appending never renames an existing event.
+	pos  int32
+	tid  int16 // at most maxThread
 	kind event.Kind
 }
 
@@ -149,15 +152,16 @@ type evRec struct {
 // holds a row per thread id up to the largest one seen.
 const maxThread = 1<<10 - 1
 
-// newRec packs an event record. The ids are narrowed to int32; an id
-// that does not fit is a programming error (the step rules reject
-// thread ids above maxThread, and variable ids are tags of the
-// initialising writes), so it panics rather than truncate.
+// newRec packs an event record. The variable id is narrowed to int32
+// and the thread id to int16; an id that does not fit is a programming
+// error (the step rules reject thread ids above maxThread, and variable
+// ids are tags of the initialising writes), so it panics rather than
+// truncate. grow and Init set the position.
 func newRec(k event.Kind, x int, t event.Thread, rval, wval event.Val) evRec {
-	if int(int32(x)) != x || int(int32(t)) != int(t) {
+	if int(int32(x)) != x || int(int16(t)) != int(t) {
 		panic(fmt.Sprintf("core: event ids out of range: variable %d, thread %d", x, t))
 	}
-	return evRec{rval: rval, wval: wval, x: int32(x), tid: int32(t), kind: k}
+	return evRec{rval: rval, wval: wval, x: int32(x), tid: int16(t), kind: k}
 }
 
 // from sets the rf source of a read or update record.
@@ -170,7 +174,7 @@ func (e evRec) thread() event.Thread { return event.Thread(e.tid) }
 func (e evRec) isRead() bool         { return e.kind.IsRead() }
 func (e evRec) isWrite() bool        { return e.kind.IsWrite() }
 func (e evRec) isUpdate() bool       { return e.kind.IsUpdate() }
-func (e evRec) isInit() bool         { return e.tid == int32(event.InitThread) && e.isWrite() }
+func (e evRec) isInit() bool         { return e.tid == int16(event.InitThread) && e.isWrite() }
 func (e evRec) releasing() bool      { return e.kind.Releasing() }
 func (e evRec) acquiring() bool      { return e.kind.Acquiring() }
 
@@ -230,13 +234,39 @@ func (s *State) threadEvs(t event.Thread) bits.Set {
 	return s.row(fixedRows + len(s.names) + int(t))
 }
 
-// varID returns the id of variable x.
-func (s *State) varID(x event.Var) (int, bool) {
+// VarID returns the id of variable x: its index in the variable table
+// every state derived from one Init shares, which is also the tag of
+// its initialising write. The id-based accessors (LastOf, UpdateOnlyOf)
+// let a caller that asks about the same variable many times resolve
+// its name once.
+func (s *State) VarID(x event.Var) (int, bool) {
 	return slices.BinarySearch(s.names, x)
 }
 
-// lastW returns σ.last(x) for variable id x.
-func (s *State) lastW(x int) event.Tag { return event.Tag(s.idx[x]) }
+// VarTable identifies a variable table: states with equal VarTables
+// have the same variables, so a variable's id in one is its id in the
+// other. Every state derived from one Init shares its table. A
+// VarTable keeps its table alive, so it is never mistaken for a later
+// one at the same address.
+type VarTable struct {
+	names *event.Var
+	n     int
+}
+
+// VarTable returns the identity of s's variable table.
+func (s *State) VarTable() VarTable {
+	if len(s.names) == 0 {
+		return VarTable{}
+	}
+	return VarTable{names: &s.names[0], n: len(s.names)}
+}
+
+// LastOf returns σ.last(x) for the variable with id x.
+func (s *State) LastOf(x int) event.Tag { return event.Tag(s.idx[x]) }
+
+// WriteValue returns the value written by event g, without rebuilding
+// the event (zero for a pure read).
+func (s *State) WriteValue(g event.Tag) event.Val { return s.events[g].wval }
 
 // Init returns an initial state σ₀ = ((I, ∅), ∅, ∅) with one
 // initialising write per variable (§3.1). Variables are sorted so that
@@ -263,6 +293,7 @@ func Init(vars map[event.Var]event.Val) *State {
 	wr, init := s.writesRow(), s.threadEvs(event.InitThread)
 	for i, x := range names {
 		s.events[i] = newRec(event.WrX, i, event.InitThread, 0, vars[x])
+		s.events[i].pos = int32(i)
 		s.idx[i] = uint64(i)
 		wr.Set(i)
 		init.Set(i)
@@ -339,7 +370,7 @@ func (s *State) SBHas(a, b event.Tag) bool {
 		return false
 	}
 	ta, tb := s.events[a].tid, s.events[b].tid
-	return tb != int32(event.InitThread) && (ta == int32(event.InitThread) || ta == tb)
+	return tb != int16(event.InitThread) && (ta == int16(event.InitThread) || ta == tb)
 }
 
 // RFHas reports (a, b) ∈ rf: b is a read or update whose source is a.
@@ -363,7 +394,7 @@ func (s *State) Writes() bits.Set { return s.writesRow().Clone() }
 // (unsorted by mo; use Last or MO for ordering). Served from the
 // per-variable write index.
 func (s *State) WritesTo(x event.Var) []event.Tag {
-	id, ok := s.varID(x)
+	id, ok := s.VarID(x)
 	if !ok {
 		return nil
 	}
@@ -385,7 +416,7 @@ func (s *State) Initials() []event.Tag {
 
 // InitialFor returns the initialising write to x: its tag is x's id.
 func (s *State) InitialFor(x event.Var) (event.Tag, bool) {
-	id, ok := s.varID(x)
+	id, ok := s.VarID(x)
 	return event.Tag(id), ok
 }
 
@@ -417,7 +448,6 @@ func (s *State) grow(t event.Thread, e evRec) *State {
 	nv := len(s.names)
 	out := statePool.Get().(*State)
 	out.events = relation.Extend(s.events, &s.tails.events)
-	out.events[g] = e
 	out.names = s.names
 	out.nthr = max(s.nthr, int(t)+1)
 	out.fpAcc = s.fpAcc
@@ -435,6 +465,8 @@ func (s *State) grow(t event.Thread, e evRec) *State {
 	tEvs := out.threadEvs(t)
 	pos := tEvs.Count()
 	tEvs.Set(g)
+	e.pos = int32(pos)
+	out.events[g] = e
 	if e.isWrite() {
 		wr, xs := out.writesRow(), out.varWrites(int(e.x))
 		wr.Set(g)
@@ -458,10 +490,9 @@ func (s *State) Fingerprint() fingerprint.FP {
 
 // posOf returns the canonical position of event g: its index within
 // its thread's event sequence (for initialising writes, the
-// variable-sorted index — which coincides with tag order).
-func (s *State) posOf(g int) int {
-	return s.threadEvs(s.events[g].thread()).Rank(g)
-}
+// variable-sorted index — which coincides with tag order). It is
+// stored in the record when the event is appended.
+func (s *State) posOf(g int) int { return int(s.events[g].pos) }
 
 // notePair accumulates a new rf/mo pair (a, b) into the fingerprint;
 // both events must already be indexed.

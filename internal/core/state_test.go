@@ -179,3 +179,38 @@ func TestUpdateOnly(t *testing.T) {
 	}
 	_ = e1
 }
+
+// TestIDAccessors checks the id-based reads against the name-based
+// ones, and that successors keep their root's variable table while an
+// equal initialisation built apart gets its own.
+func TestIDAccessors(t *testing.T) {
+	s := Init(map[event.Var]event.Val{"turn": 1, "flag": 0})
+	g, _ := s.Last("turn")
+	s1, _, err := s.StepRMW(1, "turn", 2, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iflag, _ := s1.InitialFor("flag")
+	s2, w, err := s1.StepWrite(2, false, "flag", 7, iflag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []event.Var{"flag", "turn"} {
+		id, ok := s2.VarID(x)
+		last, _ := s2.Last(x)
+		if !ok || s2.LastOf(id) != last || s2.UpdateOnlyOf(id) != s2.UpdateOnly(x) ||
+			s2.WriteValue(last) != s2.Event(last).WrVal() {
+			t.Errorf("%s: id-based reads disagree with the name-based ones", x)
+		}
+	}
+	if s2.WriteValue(w.Tag) != 7 {
+		t.Fatalf("write value %d", s2.WriteValue(w.Tag))
+	}
+	if _, ok := s2.VarID("w"); ok {
+		t.Fatal("unknown variable has an id")
+	}
+	other := Init(map[event.Var]event.Val{"turn": 1, "flag": 0})
+	if s2.VarTable() != s.VarTable() || other.VarTable() == s.VarTable() {
+		t.Fatal("VarTable does not follow the shared variable table")
+	}
+}

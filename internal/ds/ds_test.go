@@ -1,15 +1,21 @@
 package ds
 
 import (
+	"bytes"
 	"flag"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/event"
 	"repro/internal/explore"
+	"repro/internal/lang"
+	"repro/internal/litmus"
 	"repro/internal/model"
 	"repro/internal/parser"
 	"repro/internal/proof"
@@ -178,11 +184,82 @@ func TestLitRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := parsed.AppendSig(nil), s.Test.AppendSig(nil); string(got) != string(want) {
-			t.Errorf("%s: reparsed test signature differs from the built test", s.Test.Name)
+		if diff := testDiff(parsed, s.Test); diff != "" {
+			t.Errorf("%s: reparsed test differs from the built test in its %s", s.Test.Name, diff)
 		}
-		if parsed.MaxEvents != s.Test.MaxEvents {
-			t.Errorf("%s: maxevents dropped in round trip", s.Test.Name)
+	}
+}
+
+// testDiff names the first part in which two litmus tests differ, ""
+// when they agree on everything but the name: the program (by its
+// signature), the initial memory, the observed registers in order,
+// each expectation set as a set of outcomes over the observed
+// registers, and the event bound.
+func testDiff(a, b *litmus.Test) string {
+	outcomes := func(t *litmus.Test, set []litmus.Outcome) []string {
+		keys := make([]string, len(set))
+		for i, o := range set {
+			keys[i] = o.Key(t.Observe)
+		}
+		slices.Sort(keys)
+		return keys
+	}
+	switch {
+	case !bytes.Equal(lang.AppendProgSig(nil, a.Prog), lang.AppendProgSig(nil, b.Prog)):
+		return "program"
+	case !maps.Equal(a.Init, b.Init):
+		return "initial memory"
+	case !slices.Equal(a.Observe, b.Observe):
+		return "observed registers"
+	case !slices.Equal(outcomes(a, a.Allowed), outcomes(b, b.Allowed)):
+		return "allowed outcomes"
+	case !slices.Equal(outcomes(a, a.Forbidden), outcomes(b, b.Forbidden)):
+		return "forbidden outcomes"
+	case !slices.Equal(outcomes(a, a.SCAllowed), outcomes(b, b.SCAllowed)):
+		return "SC-allowed outcomes"
+	case !slices.Equal(outcomes(a, a.SCForbidden), outcomes(b, b.SCForbidden)):
+		return "SC-forbidden outcomes"
+	case a.MaxEvents != b.MaxEvents:
+		return "event bound"
+	}
+	return ""
+}
+
+// TestTestDiffSeesEachPart checks the round trip's comparison: it
+// ignores the name and the order of an expectation set, and reports a
+// change to any other part.
+func TestTestDiffSeesEachPart(t *testing.T) {
+	base := func() *litmus.Test {
+		return &litmus.Test{
+			Name:      "base",
+			Prog:      lang.Prog{lang.AssignC("x", lang.V(1)), lang.AssignC("a", lang.X("x"))},
+			Init:      map[event.Var]event.Val{"x": 0, "a": 0},
+			Observe:   []event.Var{"a"},
+			Allowed:   []litmus.Outcome{{"a": 0}, {"a": 1}},
+			Forbidden: []litmus.Outcome{{"a": 2}},
+			MaxEvents: 10,
+		}
+	}
+	same := base()
+	same.Name = "renamed"
+	same.Allowed = []litmus.Outcome{{"a": 1}, {"a": 0}}
+	if diff := testDiff(same, base()); diff != "" {
+		t.Fatalf("renamed and reordered test differs in its %s", diff)
+	}
+	for want, mutate := range map[string]func(*litmus.Test){
+		"program":               func(tc *litmus.Test) { tc.Prog[0] = lang.AssignRelC("x", lang.V(1)) },
+		"initial memory":        func(tc *litmus.Test) { tc.Init["x"] = 1 },
+		"observed registers":    func(tc *litmus.Test) { tc.Observe = []event.Var{"a", "x"} },
+		"allowed outcomes":      func(tc *litmus.Test) { tc.Allowed = tc.Allowed[:1] },
+		"forbidden outcomes":    func(tc *litmus.Test) { tc.Forbidden = nil },
+		"SC-allowed outcomes":   func(tc *litmus.Test) { tc.SCAllowed = []litmus.Outcome{{"a": 1}} },
+		"SC-forbidden outcomes": func(tc *litmus.Test) { tc.SCForbidden = []litmus.Outcome{{"a": 0}} },
+		"event bound":           func(tc *litmus.Test) { tc.MaxEvents = 11 },
+	} {
+		tc := base()
+		mutate(tc)
+		if got := testDiff(tc, base()); got != want {
+			t.Errorf("changing the %s: testDiff reports %q", want, got)
 		}
 	}
 }

@@ -52,14 +52,15 @@ type Table struct {
 	// Slabs the nodes are carved from. Each grows geometrically, so a
 	// tiny search pays for a handful of small chunks and a large one
 	// for logarithmically many.
-	nodeSlab []Node
-	comSlab  []Com
-	stepSlab []ProgStep
-	slotSlab []slot
-	offSlab  []int32
-	byteSlab []byte
-	edgeSlab []edge
-	planSlab []Plan
+	nodeSlab  []Node
+	comSlab   []Com
+	stepSlab  []ProgStep
+	slotSlab  []slot
+	offSlab   []int32
+	byteSlab  []byte
+	edgeSlab  []edge
+	planSlab  []Plan
+	classSlab []classMemo
 }
 
 // NewTable returns an empty intern table.
@@ -78,7 +79,58 @@ type Node struct {
 	slots []slot
 	// plans memoises PlanPOR for acyclic = false, true.
 	plans [2]atomic.Pointer[Plan]
-	term  bool
+	// classes holds the classifications Classes has computed, newest
+	// first.
+	classes atomic.Pointer[classMemo]
+	term    bool
+}
+
+// A Classifier sorts each thread's residual command into one of at
+// most 256 classes (the verification layer's program counters, say);
+// Node.Classes computes the classes once per node. Nodes key their
+// memo by the Classifier pointer, so declare each one once, as a
+// package-level variable.
+type Classifier struct{ of func(Com) uint8 }
+
+// NewClassifier returns the classifier that of computes.
+func NewClassifier(of func(Com) uint8) *Classifier { return &Classifier{of: of} }
+
+// classMemo is one immutable entry of a node's classification list.
+type classMemo struct {
+	cl   *Classifier
+	v    []uint8 // v[i] is thread i+1's class
+	next *classMemo
+}
+
+// Classes returns the class of each thread's command, thread t's at
+// index t-1, computed on the first call per node; later calls are a
+// lock-free lookup. The slice is shared and must not be modified.
+func (n *Node) Classes(cl *Classifier) []uint8 {
+	for m := n.classes.Load(); m != nil; m = m.next {
+		if m.cl == cl {
+			return m.v
+		}
+	}
+	tab := n.tab
+	tab.mu.Lock()
+	v := carve(&tab.byteSlab, len(n.prog))
+	tab.mu.Unlock()
+	// v is this call's own until published, so the classifier runs
+	// outside the lock.
+	for i, c := range n.prog {
+		v[i] = cl.of(c)
+	}
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	for m := n.classes.Load(); m != nil; m = m.next {
+		if m.cl == cl {
+			return m.v
+		}
+	}
+	m := &carve(&tab.classSlab, 1)[0]
+	*m = classMemo{cl: cl, v: v, next: n.classes.Load()}
+	n.classes.Store(m)
+	return v
 }
 
 // slot is one thread's successor memo: its enabled step (nil once the
@@ -292,7 +344,8 @@ func (n *Node) fill(t event.Thread, sl *slot, k, v event.Val) *Node {
 // Audit recomputes everything the node memoises from its program alone
 // and describes each disagreement (nil when all agree): the signature,
 // termination, the enabled steps, the plan under both values of
-// acyclic, and the program behind every successor edge filled so far.
+// acyclic, every classification Classes has computed, and the program
+// behind every successor edge filled so far.
 // It drives the backends' AuditIncremental.
 func (n *Node) Audit() []string {
 	var bad []string
@@ -310,6 +363,13 @@ func (n *Node) Audit() []string {
 	for _, acyclic := range []bool{false, true} {
 		if got, want := n.Plan(acyclic), PlanPOR(p, fresh, acyclic); got != want {
 			bad = append(bad, fmt.Sprintf("program %s: cached plan (acyclic=%v) %+v, fresh %+v", p, acyclic, got, want))
+		}
+	}
+	for m := n.classes.Load(); m != nil; m = m.next {
+		for i, c := range p {
+			if got, want := m.v[i], m.cl.of(c); got != want {
+				bad = append(bad, fmt.Sprintf("program %s: cached class %d of thread %d, fresh %d", p, got, i+1, want))
+			}
 		}
 	}
 	for _, ps := range fresh {

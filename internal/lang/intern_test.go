@@ -3,6 +3,7 @@ package lang
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/event"
@@ -128,6 +129,7 @@ func TestInternAuditReportsCorruption(t *testing.T) {
 		n := NewTable().Intern(Prog{AssignC("y", X("x")), AssignC("x", V(1))})
 		n.Next(1, 3)
 		n.Plan(true)
+		n.Classes(threadKinds)
 		return n
 	}
 	if bad := build().Audit(); len(bad) != 0 {
@@ -141,6 +143,7 @@ func TestInternAuditReportsCorruption(t *testing.T) {
 		{"steps", "steps", func(n *Node) { n.steps[1].S.WVal++ }},
 		{"plan", "plan", func(n *Node) { n.plans[1].Load().Persist ^= 3 }},
 		{"successor", "successor", func(n *Node) { n.slots[0].edges.Load().to = n }},
+		{"class", "class", func(n *Node) { n.Classes(threadKinds)[0]++ }},
 	} {
 		n := build()
 		tc.corrupt(n)
@@ -152,8 +155,8 @@ func TestInternAuditReportsCorruption(t *testing.T) {
 }
 
 // TestNextRaceOneNode races 16 goroutines through one missing
-// successor slot, and through one plan memo: all must see one node and
-// one plan. Run under -race.
+// successor slot, one plan memo and one classification memo: all must
+// see one node, one plan and one class vector. Run under -race.
 func TestNextRaceOneNode(t *testing.T) {
 	const goroutines = 16
 	for round := 0; round < 20; round++ {
@@ -166,6 +169,7 @@ func TestNextRaceOneNode(t *testing.T) {
 			done  sync.WaitGroup
 			got   [goroutines]*Node
 			plans [goroutines]Plan
+			kinds [goroutines][]uint8
 		)
 		start.Add(1)
 		for g := 0; g < goroutines; g++ {
@@ -175,6 +179,7 @@ func TestNextRaceOneNode(t *testing.T) {
 				start.Wait()
 				got[g] = n.Next(1, 1)
 				plans[g] = n.Plan(false)
+				kinds[g] = n.Classes(threadKinds)
 			}(g)
 		}
 		start.Done()
@@ -186,6 +191,9 @@ func TestNextRaceOneNode(t *testing.T) {
 			if plans[g] != plans[0] {
 				t.Fatalf("round %d: goroutine %d planned %+v, goroutine 0 %+v", round, g, plans[g], plans[0])
 			}
+			if &kinds[g][0] != &kinds[0][0] {
+				t.Fatalf("round %d: goroutine %d got its own copy of the memoised classes", round, g)
+			}
 		}
 	}
 }
@@ -194,13 +202,68 @@ func TestNextHitAllocatesNothing(t *testing.T) {
 	n := NewTable().Intern(Prog{AssignC("y", X("x")), AssignC("x", V(1))})
 	n.Next(1, 2)
 	n.Next(2, 0)
+	n.Classes(threadKinds)
 	var sink *Node
 	allocs := testing.AllocsPerRun(100, func() {
 		sink = n.Next(1, 2)
 		sink = n.Next(2, 0)
 		_ = sink.Prog()
+		_ = sink.Classes(threadKinds)
 	})
 	if allocs != 0 {
-		t.Fatalf("cache-hit Next and Prog allocate %.1f times per run", allocs)
+		t.Fatalf("cache-hit Next, Prog and Classes allocate %.1f times per run", allocs)
+	}
+}
+
+// threadKinds and threadSkips are test classifiers: each thread's
+// command kind, counting evaluations in kindEvals, and whether it is
+// skip.
+var (
+	kindEvals   atomic.Int64
+	threadKinds = NewClassifier(func(c Com) uint8 {
+		kindEvals.Add(1)
+		switch c.(type) {
+		case Skip:
+			return 1
+		case Assign:
+			return 2
+		}
+		return 3
+	})
+	threadSkips = NewClassifier(func(c Com) uint8 {
+		if _, ok := c.(Skip); ok {
+			return 1
+		}
+		return 0
+	})
+)
+
+// TestClassesOncePerNode checks that a classifier runs once per thread
+// of each node, that each node keeps its own classes, and that two
+// classifiers share a node without mixing, even while a table is
+// still allocating (the classes are carved from the table's slabs,
+// which signatures also use).
+func TestClassesOncePerNode(t *testing.T) {
+	tab := NewTable()
+	a := tab.Intern(Prog{AssignC("x", V(1)), SkipC()})
+	before := kindEvals.Load()
+	ka := a.Classes(threadKinds)
+	b := a.Next(1, 0)
+	for i := 0; i < 3; i++ {
+		if got := a.Classes(threadKinds); got[0] != 2 || got[1] != 1 || &got[0] != &ka[0] {
+			t.Fatalf("node a: %v", got)
+		}
+		if got := b.Classes(threadKinds); got[0] != 1 || got[1] != 1 {
+			t.Fatalf("node b: %v", got)
+		}
+		if got := a.Classes(threadSkips); got[0] != 0 || got[1] != 1 {
+			t.Fatalf("second classifier on node a: %v", got)
+		}
+	}
+	if n := kindEvals.Load() - before; n != 4 {
+		t.Fatalf("classifier ran %d times on two nodes of two threads", n)
+	}
+	if a.Sig() != string(AppendProgSig(nil, a.Prog())) || b.Sig() != string(AppendProgSig(nil, b.Prog())) {
+		t.Fatal("classes overwrote a signature")
 	}
 }

@@ -51,15 +51,6 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// AppendStringSig appends a length-prefixed string — the signature
-// format's shared variable-length field encoding — so callers
-// composing higher-level signatures (the litmus-test identity) stay
-// within the same prefix-free discipline instead of inventing a second
-// framing.
-func AppendStringSig(buf []byte, s string) []byte {
-	return appendString(buf, s)
-}
-
 // AppendExprSig appends the canonical encoding of e to buf.
 func AppendExprSig(buf []byte, e Expr) []byte {
 	switch x := e.(type) {

@@ -24,39 +24,36 @@ import (
 // happens-before an event of t). Under this condition a read of x by
 // t can only return v.
 func DV(s *core.State, t event.Thread, x event.Var, v event.Val) bool {
-	last, ok := s.Last(x)
-	if !ok {
-		return false
-	}
-	if s.Event(last).WrVal() != v { // condition (1)
-		return false
-	}
-	return s.InHBCone(t, last) // condition (2)
+	id, ok := s.VarID(x)
+	return ok && dvOf(s, t, id, v)
+}
+
+// dvOf is DV for the variable with id x.
+func dvOf(s *core.State, t event.Thread, x int, v event.Val) bool {
+	last := s.LastOf(x)
+	return s.WriteValue(last) == v && // condition (1)
+		s.InHBCone(t, last) // condition (2)
 }
 
 // DVValue returns the value v for which x =σ_t v holds, if any.
 func DVValue(s *core.State, t event.Thread, x event.Var) (event.Val, bool) {
-	last, ok := s.Last(x)
-	if !ok {
+	id, ok := s.VarID(x)
+	if !ok || !s.InHBCone(t, s.LastOf(id)) {
 		return 0, false
 	}
-	v := s.Event(last).WrVal()
-	if DV(s, t, x, v) {
-		return v, true
-	}
-	return 0, false
+	return s.WriteValue(s.LastOf(id)), true
 }
 
 // VO reports the variable-ordering assertion x ↪σ y (Definition 5.5):
 // the last write to x happens-before the last write to y.
 func VO(s *core.State, x, y event.Var) bool {
-	lx, okx := s.Last(x)
-	ly, oky := s.Last(y)
-	if !okx || !oky {
-		return false
-	}
-	return s.HBHas(lx, ly)
+	idx, okx := s.VarID(x)
+	idy, oky := s.VarID(y)
+	return okx && oky && voOf(s, idx, idy)
 }
+
+// voOf is VO for the variables with ids x and y.
+func voOf(s *core.State, x, y int) bool { return s.HBHas(s.LastOf(x), s.LastOf(y)) }
 
 // Assertion is a state predicate of the proof calculus.
 type Assertion interface {

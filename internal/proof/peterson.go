@@ -2,6 +2,7 @@ package proof
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/event"
@@ -25,15 +26,26 @@ import (
 //	5 — in the critical section         (line 5)
 //	6 — about to reset its flag         (line 6)
 //	7 — terminated
+//
+// It panics on a command of no Peterson line.
 func PC(c lang.Com) int {
+	pc := classify(c)
+	if pc == 0 {
+		panic(fmt.Sprintf("proof: unclassifiable command %s", c))
+	}
+	return pc
+}
+
+// classify is PC, with 0 for a command of no Peterson line.
+func classify(c lang.Com) int {
 	switch x := c.(type) {
 	case lang.Skip:
 		return 7
 	case lang.Seq:
-		if p := PC(x.C1); p != 7 {
+		if p := classify(x.C1); p != 7 {
 			return p
 		}
-		return PC(x.C2)
+		return classify(x.C2)
 	case lang.Assign:
 		// Classification works across the weakened variants too: an
 		// assignment to turn is line 3 (the swap's replacement), a
@@ -52,111 +64,74 @@ func PC(c lang.Com) int {
 		return 4
 	case lang.Label:
 		return 5
-	default:
-		panic(fmt.Sprintf("proof: unclassifiable command %T", c))
 	}
+	return 0
 }
 
-// flagVar returns flag_t. The invariants evaluate it on every explored
-// configuration, so the two Peterson flags are pre-built rather than
-// formatted each time.
-func flagVar(t event.Thread) event.Var {
-	switch t {
-	case 1:
-		return "flag1"
-	case 2:
-		return "flag2"
+// pcs memoises classify per program: a search visits few programs.
+var pcs = lang.NewClassifier(func(c lang.Com) uint8 { return uint8(classify(c)) })
+
+// pcOf returns PC of thread t in n's program, read from the memo. Like
+// PC it panics on a thread of no Peterson line, but only when asked
+// about that thread: generic annotations run on any program.
+func pcOf(n *lang.Node, t event.Thread) int {
+	if pc := n.Classes(pcs)[t-1]; pc != 0 {
+		return int(pc)
 	}
-	return event.Var(fmt.Sprintf("flag%d", t))
+	return PC(n.Prog().Thread(t))
 }
 
-// PetersonInvariant identifies one of the invariants (4)–(10).
-type PetersonInvariant struct {
-	ID    int
-	Name  string
-	Holds func(c core.Config) bool
-}
-
-// PetersonInvariants returns the seven invariants of Lemma D.1,
-// indexed (4)–(10) as in §5.2. other(t) is written t̂.
-func PetersonInvariants() []PetersonInvariant {
-	other := func(t event.Thread) event.Thread { return 3 - t }
-	threads := []event.Thread{1, 2}
-
-	return []PetersonInvariant{
-		{4, "turn is update-only", func(c core.Config) bool {
-			return c.S.UpdateOnly("turn")
-		}},
-		{5, "turn =_1 2 ∨ turn =_2 1", func(c core.Config) bool {
-			return DV(c.S, 1, "turn", 2) || DV(c.S, 2, "turn", 1)
-		}},
-		{6, "pc_t ∈ {3,4,5,6} ⇒ flag_t =_t true", func(c core.Config) bool {
-			for _, t := range threads {
-				pc := PC(c.Program().Thread(t))
-				if pc >= 3 && pc <= 6 && !DV(c.S, t, flagVar(t), event.True) {
-					return false
-				}
-			}
-			return true
-		}},
-		{7, "pc_t ∈ {4,5,6} ⇒ flag_t ↪ turn", func(c core.Config) bool {
-			for _, t := range threads {
-				pc := PC(c.Program().Thread(t))
-				if pc >= 4 && pc <= 6 && !VO(c.S, flagVar(t), "turn") {
-					return false
-				}
-			}
-			return true
-		}},
-		{8, "pc_t, pc_t̂ ∈ {4,5,6} ⇒ flag_t̂ =_t true ∨ turn =_t̂ t", func(c core.Config) bool {
-			for _, t := range threads {
-				th := other(t)
-				pct := PC(c.Program().Thread(t))
-				pcth := PC(c.Program().Thread(th))
-				if pct >= 4 && pct <= 6 && pcth >= 4 && pcth <= 6 {
-					if !DV(c.S, t, flagVar(th), event.True) &&
-						!DV(c.S, th, "turn", event.Val(t)) {
-						return false
-					}
-				}
-			}
-			return true
-		}},
-		{9, "pc_t = 5 ∧ pc_t̂ ∈ {4,5,6} ⇒ turn =_t̂ t", func(c core.Config) bool {
-			for _, t := range threads {
-				th := other(t)
-				pcth := PC(c.Program().Thread(th))
-				if PC(c.Program().Thread(t)) == 5 && pcth >= 4 && pcth <= 6 {
-					if !DV(c.S, th, "turn", event.Val(t)) {
-						return false
-					}
-				}
-			}
-			return true
-		}},
-		{10, "pc_t = 2 ⇒ flag_t =_t false", func(c core.Config) bool {
-			for _, t := range threads {
-				if PC(c.Program().Thread(t)) == 2 && !DV(c.S, t, flagVar(t), event.False) {
-					return false
-				}
-			}
-			return true
-		}},
+// PetersonInvariants returns the invariants (4)–(10) of Lemma D.1 as
+// an annotation list, grouped by invariant ID in that order. Each of
+// (6)–(10) quantifies over the threads t ∈ {1, 2}, with t̂ = 3 − t
+// the other one, and is one obligation per thread; all obligations of
+// one invariant carry its ID and name.
+func PetersonInvariants() []Annotation {
+	anns := []Annotation{
+		{ID: 4, Name: "turn is update-only", Then: UpdateOnlyAssertion{X: "turn"}},
+		{ID: 5, Name: "turn =_1 2 ∨ turn =_2 1", Then: Either(
+			DVAssertion{T: 1, X: "turn", V: 2},
+			DVAssertion{T: 2, X: "turn", V: 1},
+		)},
 	}
+	for t := event.Thread(1); t <= 2; t++ {
+		th := 3 - t
+		flag, flagTh := event.Var(fmt.Sprintf("flag%d", t)), event.Var(fmt.Sprintf("flag%d", th))
+		anns = append(anns,
+			Annotation{ID: 6, Name: "pc_t ∈ {3,4,5,6} ⇒ flag_t =_t true",
+				When: AtPC(t, 3, 4, 5, 6), Then: DVAssertion{T: t, X: flag, V: event.True}},
+			Annotation{ID: 7, Name: "pc_t ∈ {4,5,6} ⇒ flag_t ↪ turn",
+				When: AtPC(t, 4, 5, 6), Then: VOAssertion{X: flag, Y: "turn"}},
+			Annotation{ID: 8, Name: "pc_t, pc_t̂ ∈ {4,5,6} ⇒ flag_t̂ =_t true ∨ turn =_t̂ t",
+				When: Both(AtPC(t, 4, 5, 6), AtPC(th, 4, 5, 6)),
+				Then: Either(DVAssertion{T: t, X: flagTh, V: event.True}, DVAssertion{T: th, X: "turn", V: event.Val(t)})},
+			Annotation{ID: 9, Name: "pc_t = 5 ∧ pc_t̂ ∈ {4,5,6} ⇒ turn =_t̂ t",
+				When: Both(AtPC(t, 5), AtPC(th, 4, 5, 6)), Then: DVAssertion{T: th, X: "turn", V: event.Val(t)}},
+			Annotation{ID: 10, Name: "pc_t = 2 ⇒ flag_t =_t false",
+				When: AtPC(t, 2), Then: DVAssertion{T: t, X: flag, V: event.False}},
+		)
+	}
+	// Group the obligations by invariant, thread 1's first.
+	slices.SortStableFunc(anns, func(a, b Annotation) int { return a.ID - b.ID })
+	return anns
 }
 
-// petersonInvariants is the memoised invariant table:
-// CheckPetersonInvariants runs on every explored configuration, and
-// rebuilding the closures per call dominated its allocation profile.
-var petersonInvariants = PetersonInvariants()
+// peterson is the compiled invariant list; invariant (9)'s obligations
+// are peterson.anns[inv9Lo:inv9Hi].
+var (
+	peterson       = compile(PetersonInvariants())
+	inv9Lo, inv9Hi = slices.IndexFunc(peterson.anns, func(a Annotation) bool { return a.ID == 9 }),
+		slices.IndexFunc(peterson.anns, func(a Annotation) bool { return a.ID > 9 })
+)
 
 // CheckPetersonInvariants evaluates all invariants on a configuration
 // and returns the IDs of those violated (empty when all hold).
 func CheckPetersonInvariants(c core.Config) []int {
 	var bad []int
-	for _, inv := range petersonInvariants {
-		if !inv.Holds(c) {
-			bad = append(bad, inv.ID)
+	n := len(peterson.anns)
+	for i := peterson.check(c, 0, n); i < n; i = peterson.check(c, i+1, n) {
+		if id := peterson.anns[i].ID; len(bad) == 0 || bad[len(bad)-1] != id {
+			bad = append(bad, id)
 		}
 	}
 	return bad
@@ -167,7 +142,7 @@ func CheckPetersonInvariants(c core.Config) []int {
 // configuration satisfying invariant (9): a double critical section
 // would give turn =_1 2 and turn =_2 1, contradicting Lemma 5.4.
 func Theorem58(c core.Config) bool {
-	return PC(c.Program().Thread(1)) != 5 || PC(c.Program().Thread(2)) != 5
+	return pcOf(c.Node(), 1) != 5 || pcOf(c.Node(), 2) != 5
 }
 
 // DeriveTheorem58 replays the proof of Theorem 5.8 on a configuration:
@@ -178,11 +153,7 @@ func Theorem58(c core.Config) bool {
 // exclusion; it returns false exactly when the premise (invariant 9)
 // fails, making the paper's proof inapplicable.
 func DeriveTheorem58(c core.Config) bool {
-	inv9 := &petersonInvariants[5]
-	if inv9.ID != 9 {
-		panic("proof: invariant table out of order")
-	}
-	if !inv9.Holds(c) {
+	if peterson.check(c, inv9Lo, inv9Hi) < inv9Hi {
 		return false // premise missing: the caller's invariant proof failed
 	}
 	// With (9), pc_1 = pc_2 = 5 would give turn =_2 1 ∧ turn =_1 2,

@@ -188,17 +188,27 @@ func TestExample57RelaxedLosesProperty(t *testing.T) {
 	}
 }
 
+// The invariant list: (4) and (5) are single unguarded obligations,
+// each of (6)–(10) one guarded obligation per thread, grouped by ID in
+// order and named once per invariant.
 func TestPetersonInvariantTableShape(t *testing.T) {
-	invs := PetersonInvariants()
-	if len(invs) != 7 {
-		t.Fatalf("invariant count = %d", len(invs))
+	anns := PetersonInvariants()
+	if len(anns) != 12 {
+		t.Fatalf("obligation count = %d", len(anns))
 	}
-	for i, inv := range invs {
-		if inv.ID != i+4 {
-			t.Fatalf("invariant %d has ID %d", i, inv.ID)
+	for i, a := range anns {
+		want := 4 + i
+		if i >= 2 {
+			want = 6 + (i-2)/2
 		}
-		if inv.Name == "" || inv.Holds == nil {
-			t.Fatalf("invariant %d incomplete", inv.ID)
+		if a.ID != want {
+			t.Fatalf("obligation %d has ID %d, want %d", i, a.ID, want)
+		}
+		if a.Name == "" || a.Then == nil || (a.When == nil) != (a.ID < 6) {
+			t.Fatalf("obligation %d of invariant %d incomplete", i, a.ID)
+		}
+		if i > 0 && anns[i-1].ID == a.ID && anns[i-1].Name != a.Name {
+			t.Fatalf("invariant %d has names %q and %q", a.ID, anns[i-1].Name, a.Name)
 		}
 	}
 	// All hold initially.

@@ -53,11 +53,10 @@ func TestGuardHelpers(t *testing.T) {
 	}
 }
 
-// The generic engine verifies Peterson exactly as the bespoke checker
-// does.
+// The generic engine proves Peterson from its invariant list.
 func TestPetersonViaAnnotations(t *testing.T) {
 	p, vars := litmus.Peterson()
-	res := CheckAnnotations(core.NewConfig(p, vars), PetersonAnnotations(),
+	res := CheckAnnotations(core.NewConfig(p, vars), PetersonInvariants(),
 		explore.Options{MaxEvents: 11})
 	if !res.OK() {
 		t.Fatalf("annotation %q failed at:\n%s", res.Failed.Name, res.At.Program())
@@ -71,13 +70,13 @@ func TestPetersonViaAnnotations(t *testing.T) {
 // first broken obligation, which must be invariant (4).
 func TestWeakTurnAnnotationDiagnosis(t *testing.T) {
 	p, vars := litmus.PetersonWeakTurn()
-	res := CheckAnnotations(core.NewConfig(p, vars), PetersonAnnotations(),
+	res := CheckAnnotations(core.NewConfig(p, vars), PetersonInvariants(),
 		explore.Options{MaxEvents: 11})
 	if res.OK() {
 		t.Fatal("weak-turn variant passed the annotations")
 	}
-	if !strings.Contains(res.Failed.Name, "(4)") {
-		t.Fatalf("first failure = %q, want invariant (4)", res.Failed.Name)
+	if res.Failed.ID != 4 {
+		t.Fatalf("first failure = (%d) %s, want invariant (4)", res.Failed.ID, res.Failed.Name)
 	}
 	if res.At == nil {
 		t.Fatal("no witness configuration")
@@ -136,4 +135,27 @@ func TestUnguardedAnnotation(t *testing.T) {
 	if res2.OK() || res2.Failed.Name != "impossible" {
 		t.Fatal("false annotation not caught")
 	}
+}
+
+// A program-counter guard reaches PC's panic only for the thread it
+// asks about: annotations guarded on a classifiable thread run on a
+// program whose other thread has no Peterson line.
+func TestAtPCPanicsOnlyForItsThread(t *testing.T) {
+	p := lang.Prog{
+		lang.SwapC("t", 1),
+		lang.IfC(lang.Eq(lang.X("t"), lang.V(0)), lang.SkipC(), lang.SkipC()),
+	}
+	cfg := core.NewConfig(p, map[event.Var]event.Val{"t": 0})
+	res := CheckAnnotations(cfg, []Annotation{
+		{Name: "t update-only at the swap", When: AtPC(1, 3), Then: UpdateOnlyAssertion{X: "t"}},
+	}, explore.Options{MaxEvents: 6, Workers: 1})
+	if !res.OK() {
+		t.Fatalf("annotation %q failed", res.Failed.Name)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a guard on the unclassifiable thread did not panic")
+		}
+	}()
+	AtPC(2, 4)(cfg)
 }
