@@ -1,41 +1,43 @@
-package cli_test
+package main
 
 import (
 	"context"
 	"flag"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/cli"
 	"repro/internal/explore"
+	"repro/internal/litmus"
 )
 
 // TestBudgetFlagParsing drives the registered flag set through the
-// spellings the frontends accept and checks what lands in the Budget.
+// spellings the subcommands accept and checks what lands in the
+// budget.
 func TestBudgetFlagParsing(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
-		want cli.Budget
+		want budget
 		bad  bool
 	}{
-		{name: "defaults", args: nil, want: cli.Budget{}},
+		{name: "defaults", args: nil, want: budget{}},
 		{
 			name: "all budgets",
 			args: []string{"-timeout", "1500ms", "-max-states", "4096", "-max-mem", "256"},
-			want: cli.Budget{Timeout: 1500 * time.Millisecond, MaxStates: 4096, MaxMemMB: 256},
+			want: budget{timeout: 1500 * time.Millisecond, maxStates: 4096, maxMemMB: 256},
 		},
 		{
 			name: "checkpointing",
 			args: []string{"-checkpoint", "s.ckpt", "-checkpoint-every", "2s"},
-			want: cli.Budget{Checkpoint: "s.ckpt", CheckpointEvery: 2 * time.Second},
+			want: budget{checkpoint: "s.ckpt", checkpointEvery: 2 * time.Second},
 		},
 		{
 			name: "resume",
 			args: []string{"-resume", "old.ckpt"},
-			want: cli.Budget{Resume: "old.ckpt"},
+			want: budget{resume: "old.ckpt"},
 		},
 		{name: "bad duration", args: []string{"-timeout", "fast"}, bad: true},
 		{name: "bad int", args: []string{"-max-states", "many"}, bad: true},
@@ -44,8 +46,8 @@ func TestBudgetFlagParsing(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := flag.NewFlagSet("test", flag.ContinueOnError)
 			fs.SetOutput(io.Discard)
-			var b cli.Budget
-			b.Register(fs)
+			var s session
+			s.register(fs, budgetFlags|checkpointFlags)
 			err := fs.Parse(tc.args)
 			if tc.bad {
 				if err == nil {
@@ -56,8 +58,8 @@ func TestBudgetFlagParsing(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse %v: %v", tc.args, err)
 			}
-			if b != tc.want {
-				t.Fatalf("parsed %v:\n got %+v\nwant %+v", tc.args, b, tc.want)
+			if s.budget != tc.want {
+				t.Fatalf("parsed %v:\n got %+v\nwant %+v", tc.args, s.budget, tc.want)
 			}
 		})
 	}
@@ -67,22 +69,22 @@ func TestBudgetFlagParsing(t *testing.T) {
 func TestBudgetValidate(t *testing.T) {
 	cases := []struct {
 		name string
-		b    cli.Budget
+		b    budget
 		ok   bool
 	}{
-		{name: "zero budget", b: cli.Budget{}, ok: true},
-		{name: "full budget", b: cli.Budget{Timeout: time.Second, MaxStates: 10, MaxMemMB: 1}, ok: true},
-		{name: "periodic with path", b: cli.Budget{Checkpoint: "a.ckpt", CheckpointEvery: time.Second}, ok: true},
-		{name: "periodic without path", b: cli.Budget{CheckpointEvery: time.Second}, ok: false},
-		{name: "negative states", b: cli.Budget{MaxStates: -1}, ok: false},
-		{name: "negative memory", b: cli.Budget{MaxMemMB: -5}, ok: false},
-		{name: "negative timeout", b: cli.Budget{Timeout: -time.Second}, ok: false},
+		{name: "zero budget", b: budget{}, ok: true},
+		{name: "full budget", b: budget{timeout: time.Second, maxStates: 10, maxMemMB: 1}, ok: true},
+		{name: "periodic with path", b: budget{checkpoint: "a.ckpt", checkpointEvery: time.Second}, ok: true},
+		{name: "periodic without path", b: budget{checkpointEvery: time.Second}, ok: false},
+		{name: "negative states", b: budget{maxStates: -1}, ok: false},
+		{name: "negative memory", b: budget{maxMemMB: -5}, ok: false},
+		{name: "negative timeout", b: budget{timeout: -time.Second}, ok: false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.b.Validate()
+			err := tc.b.validate()
 			if (err == nil) != tc.ok {
-				t.Fatalf("Validate(%+v) = %v, want ok=%v", tc.b, err, tc.ok)
+				t.Fatalf("validate(%+v) = %v, want ok=%v", tc.b, err, tc.ok)
 			}
 		})
 	}
@@ -91,15 +93,15 @@ func TestBudgetValidate(t *testing.T) {
 // TestBudgetApply checks the translation of parsed budgets into engine
 // options: zero values must leave engine defaults alone, non-zero
 // values must land in the right Options fields with the right units,
-// and the time budget reaches the engine only as the context Start
+// and the time budget reaches the engine only as the context start
 // built — carrying the -timeout deadline when one was given.
 func TestBudgetApply(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
 		name string
-		b    cli.Budget
-		// start calls b.Start before Apply; the applied context must
-		// then be the one Start returned.
+		b    budget
+		// start calls b.start before apply; the applied context must
+		// then be the one start returned.
 		start bool
 		in    explore.Options
 		want  explore.Options
@@ -109,61 +111,63 @@ func TestBudgetApply(t *testing.T) {
 	}{
 		{
 			name: "zero budget preserves engine defaults",
-			b:    cli.Budget{},
+			b:    budget{},
 			in:   explore.Options{MaxEvents: 12, MaxConfigs: 999},
 			want: explore.Options{MaxEvents: 12, MaxConfigs: 999},
 		},
 		{
 			name: "state budget overrides the cap",
-			b:    cli.Budget{MaxStates: 50},
+			b:    budget{maxStates: 50},
 			in:   explore.Options{MaxConfigs: 999},
 			want: explore.Options{MaxConfigs: 50},
 		},
 		{
 			name: "memory budget converts MiB to bytes",
-			b:    cli.Budget{MaxMemMB: 3},
+			b:    budget{maxMemMB: 3},
 			want: explore.Options{MaxMemBytes: 3 << 20},
 		},
 		{
 			name:     "timeout is copied through",
-			b:        cli.Budget{Timeout: 7 * time.Second},
+			b:        budget{timeout: 7 * time.Second},
 			start:    true,
 			deadline: 7 * time.Second,
 		},
 		{
 			name: "checkpoint path and interval",
-			b:    cli.Budget{Checkpoint: "x.ckpt", CheckpointEvery: time.Minute},
+			b:    budget{checkpoint: "x.ckpt", checkpointEvery: time.Minute},
 			want: explore.Options{CheckpointPath: "x.ckpt", CheckpointEvery: time.Minute},
 		},
 		{
 			name:  "signal context is threaded",
-			b:     cli.Budget{},
+			b:     budget{},
 			start: true,
 		},
 		{
 			name: "nil context leaves an existing one",
-			b:    cli.Budget{},
+			b:    budget{},
 			in:   explore.Options{Context: ctx},
 			want: explore.Options{Context: ctx},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			s := session{budget: tc.b}
 			got, want := tc.in, tc.want
 			before := time.Now()
 			if tc.start {
-				started, release := tc.b.Start()
+				var release context.CancelFunc
+				s.ctx, release = s.budget.start()
 				defer release()
-				want.Context = started
+				want.Context = s.ctx
 			}
-			tc.b.Apply(&got)
+			s.apply(&got)
 			if got.MaxConfigs != want.MaxConfigs ||
 				got.MaxMemBytes != want.MaxMemBytes ||
 				got.CheckpointPath != want.CheckpointPath ||
 				got.CheckpointEvery != want.CheckpointEvery ||
 				got.Context != want.Context ||
 				got.MaxEvents != want.MaxEvents {
-				t.Fatalf("Apply(%+v) on %+v:\n got %+v\nwant %+v", tc.b, tc.in, got, want)
+				t.Fatalf("apply(%+v) on %+v:\n got %+v\nwant %+v", tc.b, tc.in, got, want)
 			}
 			var dl time.Time
 			hasDeadline := false
@@ -176,7 +180,7 @@ func TestBudgetApply(t *testing.T) {
 			case tc.deadline > 0 && !hasDeadline:
 				t.Fatal("applied context carries no deadline for -timeout")
 			case tc.deadline > 0 && (dl.Before(before.Add(tc.deadline)) || dl.After(time.Now().Add(tc.deadline))):
-				t.Fatalf("deadline %v is not -timeout %v after Start", dl, tc.deadline)
+				t.Fatalf("deadline %v is not -timeout %v after start", dl, tc.deadline)
 			}
 		})
 	}
@@ -190,25 +194,25 @@ func TestExitCode(t *testing.T) {
 		res  explore.Result
 		want int
 	}{
-		{name: "proved", res: explore.Result{Verdict: explore.VerdictProved}, want: cli.ExitProved},
-		{name: "violated", res: explore.Result{Verdict: explore.VerdictViolated}, want: cli.ExitViolation},
-		{name: "bounded", res: explore.Result{Verdict: explore.VerdictBounded}, want: cli.ExitBounded},
+		{name: "proved", res: explore.Result{Verdict: explore.VerdictProved}, want: exitProved},
+		{name: "violated", res: explore.Result{Verdict: explore.VerdictViolated}, want: exitViolation},
+		{name: "bounded", res: explore.Result{Verdict: explore.VerdictBounded}, want: exitBounded},
 		{
 			name: "violation outranks a budget stop",
 			res:  explore.Result{Verdict: explore.VerdictViolated, Stop: explore.StopDeadline},
-			want: cli.ExitViolation,
+			want: exitViolation,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := cli.ExitCode(tc.res); got != tc.want {
-				t.Fatalf("ExitCode(%+v) = %d, want %d", tc.res, got, tc.want)
+			if got := exitCode(tc.res); got != tc.want {
+				t.Fatalf("exitCode(%+v) = %d, want %d", tc.res, got, tc.want)
 			}
 		})
 	}
 }
 
-// TestDescribe checks the one-line governance rendering frontends
+// TestDescribe checks the one-line governance rendering subcommands
 // append to their output (the strings the signal tests grep for).
 func TestDescribe(t *testing.T) {
 	cases := []struct {
@@ -237,17 +241,57 @@ func TestDescribe(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := cli.Describe(tc.res)
+			got := describe(tc.res)
 			for _, want := range tc.contains {
 				if !strings.Contains(got, want) {
-					t.Errorf("Describe(%+v) = %q, missing %q", tc.res, got, want)
+					t.Errorf("describe(%+v) = %q, missing %q", tc.res, got, want)
 				}
 			}
 			for _, bad := range tc.absent {
 				if strings.Contains(got, bad) {
-					t.Errorf("Describe(%+v) = %q, unexpectedly contains %q", tc.res, got, bad)
+					t.Errorf("describe(%+v) = %q, unexpectedly contains %q", tc.res, got, bad)
 				}
 			}
 		})
+	}
+}
+
+// TestMetricsLineGauges: the -metrics summary carries every counter
+// and then every gauge of the registry, in order, so a search's
+// frontier_peak and seen_bytes are readable from any subcommand run.
+func TestMetricsLineGauges(t *testing.T) {
+	s := session{metrics: true}
+	stop, err := s.startTelemetry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	opts := explore.Options{Workers: 1}
+	s.apply(&opts)
+	litmus.Suite()[0].Run(opts)
+
+	snap := s.reg.Snapshot()
+	line := metricsLine(snap)
+	if !strings.HasPrefix(line, "metrics: expansions=") {
+		t.Fatalf("summary does not start with the first counter: %q", line)
+	}
+	fields := strings.Fields(strings.TrimPrefix(line, "metrics:"))
+	names := append(append([]string(nil), snap.CounterNames...), snap.GaugeNames...)
+	if len(fields) != len(names) {
+		t.Fatalf("summary has %d fields, want %d counters and gauges: %q", len(fields), len(names), line)
+	}
+	for i, name := range names {
+		if !strings.HasPrefix(fields[i], name+"=") {
+			t.Fatalf("field %d is %q, want %s=…", i, fields[i], name)
+		}
+	}
+	for _, g := range []string{"frontier_peak", "seen_bytes"} {
+		v := snap.Gauge(g)
+		if v <= 0 {
+			t.Errorf("gauge %s = %d after a search, want > 0", g, v)
+		}
+		if want := fmt.Sprintf(" %s=%d", g, v); !strings.Contains(line, want) {
+			t.Errorf("summary lacks %q: %q", want, line)
+		}
 	}
 }

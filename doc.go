@@ -40,12 +40,12 @@
 //	internal/parser      textual litmus front end
 //	internal/gen         random litmus-program generator, delta-
 //	                     debugging shrinker and differential-fuzzing
-//	                     oracle battery (cmd/c11fuzz; docs/fuzzing.md)
+//	                     oracle battery (c11 fuzz; docs/fuzzing.md)
 //	internal/vis         dot / ASCII execution diagrams
 //
-// The executables under cmd/ (c11litmus, c11explore, c11equiv,
-// c11verify, c11fuzz) and the programs under examples/ exercise the public
-// surface; bench_test.go at this root regenerates every experiment,
+// The c11 command (cmd/c11: subcommands verify, explore, litmus,
+// equiv, fuzz and trace) and the programs under examples/ exercise
+// the public surface; bench_test.go at this root regenerates every experiment,
 // and PERF.md records the exploration hot-path numbers and how to
 // reproduce them. ARCHITECTURE.md is the top-to-bottom tour: the
 // layer map, the data flow between packages, and where the
@@ -76,7 +76,7 @@
 //
 // The from-scratch formulas survive as an audit:
 // explore.Options.CheckIncremental (flag -checkincremental on
-// c11explore and c11verify) recomputes every derived order at every
+// c11 explore and c11 verify) recomputes every derived order at every
 // explored configuration and counts disagreements — expected zero,
 // asserted across the testdata litmus suite by
 // incremental_equivalence_test.go.
@@ -86,7 +86,7 @@
 // Fingerprint deduplication merges commuting interleavings only after
 // they have been generated; the explorer's independence-based
 // reduction (explore.Options.POR, flag -por, default on for the
-// binaries) avoids generating them. Two enabled steps of different
+// command line) avoids generating them. Two enabled steps of different
 // threads commute when either is silent or they touch no common
 // variable with a write (lang.StepsCommute — non-commutation is
 // exactly interference through the eco/mo structure, since every new

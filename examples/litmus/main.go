@@ -1,7 +1,7 @@
 // Litmus: the text front end, end to end.
 //
 // The example parses a litmus file (embedded below; the same syntax is
-// accepted by cmd/c11litmus -f), runs it through the operational
+// accepted by c11 litmus -f), runs it through the operational
 // explorer, and cross-checks the outcome set against the axiomatic
 // generate-and-test procedure — soundness and completeness at work on
 // a user-written test.

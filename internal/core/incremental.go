@@ -268,8 +268,8 @@ func rowOnlyClaim(c *relation.Claim, moSucc bits.Set) *relation.Claim {
 // from first principles and compares them with the incrementally
 // maintained values, returning one description per mismatch. It is the
 // correctness guard behind explore.Options.CheckIncremental and the
-// c11explore/c11verify -checkincremental flags; the expected result is
-// always empty.
+// -checkincremental flag of c11 explore and c11 verify; the expected
+// result is always empty.
 func (s *State) AuditIncremental() []string {
 	var bad []string
 	report := func(format string, args ...any) {

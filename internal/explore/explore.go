@@ -152,7 +152,7 @@ type Options struct {
 	// Tracer, when non-nil, receives structured JSONL trace records:
 	// search and worker lifecycle spans, periodic expansion-batch
 	// counter samples, and stop/checkpoint/panic instants. The stream
-	// converts to Chrome trace_event format via cmd/c11trace. Tracing
+	// converts to Chrome trace_event format via `c11 trace`. Tracing
 	// is deliberately coarse (never per-successor), so it stays cheap
 	// on large searches. Nil disables it.
 	Tracer *telemetry.Tracer

@@ -89,7 +89,7 @@ func TestTelemetryAccuracyParallel(t *testing.T) {
 	}
 }
 
-// TestTelemetrySharedRegistryAccumulates covers the c11litmus/c11fuzz
+// TestTelemetrySharedRegistryAccumulates covers the c11 litmus/c11 fuzz
 // usage: one registry across several searches accumulates totals.
 func TestTelemetrySharedRegistryAccumulates(t *testing.T) {
 	reg := telemetry.NewEngineRegistry()

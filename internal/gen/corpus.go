@@ -5,8 +5,8 @@ package gen
 // needed to regenerate it (the seed and the generator parameters in
 // flag form) and to re-judge it (the failure detail and the replay
 // command). The files are ordinary litmus files — the header is
-// comments — so every repository tool (c11explore, c11litmus, the
-// replay mode of c11fuzz) runs them unchanged.
+// comments — so every subcommand (c11 explore, c11 litmus, the replay
+// mode of c11 fuzz) runs them unchanged.
 
 import (
 	"fmt"
@@ -38,13 +38,13 @@ func WriteRepro(dir string, r Repro) (string, error) {
 	path := filepath.Join(dir, name)
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "// c11fuzz reproducer: %s\n", r.Fail.Kind)
+	fmt.Fprintf(&b, "// c11 fuzz reproducer: %s\n", r.Fail.Kind)
 	for _, line := range strings.Split(r.Fail.Detail, "\n") {
 		fmt.Fprintf(&b, "// detail: %s\n", line)
 	}
-	fmt.Fprintf(&b, "// seed %d, generated by: c11fuzz -seed %d -n 1 %s\n",
+	fmt.Fprintf(&b, "// seed %d, generated by: c11 fuzz -seed %d -n 1 %s\n",
 		r.Seed, r.Seed, r.Params)
-	fmt.Fprintf(&b, "// replay: c11fuzz -replay %s\n", path)
+	fmt.Fprintf(&b, "// replay: c11 fuzz -replay %s\n", path)
 	b.WriteString(r.Shrunk.Format())
 	if r.Orig != nil {
 		b.WriteString("\n// original (pre-shrink) program:\n")

@@ -11,7 +11,8 @@
 // parallel engine equivalence. Any discrepancy is minimised by a
 // greedy delta-debugging shrinker (Shrink) that preserves the failure
 // while the program still shrinks, and written to a reproducible
-// corpus (WriteRepro) keyed by its seed. cmd/c11fuzz is the front end.
+// corpus (WriteRepro) keyed by its seed. c11 fuzz (cmd/c11) is the
+// front end.
 //
 // Programs are emitted through the parser's grammar printer, so every
 // artifact round-trips parse → print → reparse (Check enforces this as

@@ -11,7 +11,7 @@ import (
 
 // The differential fuzz smoke: a fixed seed window through the whole
 // oracle battery, zero failures expected. This is the in-tree version
-// of the CI c11fuzz run, small enough for `go test ./...`.
+// of the CI c11 fuzz run, small enough for `go test ./...`.
 func TestDifferentialFuzzSmoke(t *testing.T) {
 	n := int64(12)
 	if testing.Short() {

@@ -421,16 +421,16 @@ func Suite() []*Test {
 		},
 
 		// The Gen-* tests below were found by the random program
-		// generator (cmd/c11fuzz) and promoted from its stream: each
+		// generator (c11 fuzz) and promoted from its stream: each
 		// exhibits a weak behaviour — an RA-reachable, SC-forbidden
 		// outcome — through a shape the hand-written tests above do
 		// not cover (RMW mixed with plain writes, arithmetic guards,
 		// non-atomic writes, negative values). The verdicts are the
 		// exact outcome sets of exhaustive explorations under both
 		// backends; the same programs ship as testdata/gen-*.lit. Each
-		// is regenerable: c11fuzz -seed <s> -n 1.
+		// is regenerable: c11 fuzz -seed <s> -n 1.
 		{
-			Name: "Gen-2+2W-late", // c11fuzz seed 66
+			Name: "Gen-2+2W-late", // c11 fuzz seed 66
 			Prog: lang.Prog{
 				lang.SeqC(rd("r1_0", "x1"), wr("x0", 2)),
 				lang.SeqC(wr("x0", 1), wr("x1", 2), rd("r2_0", "x1")),
@@ -453,7 +453,7 @@ func Suite() []*Test {
 			SCForbidden: []Outcome{{"r1_0": 2, "r2_0": 2, "x0": 1, "x1": 2}},
 		},
 		{
-			Name: "Gen-swap-mo", // c11fuzz seed 3
+			Name: "Gen-swap-mo", // c11 fuzz seed 3
 			Prog: lang.Prog{
 				lang.SeqC(
 					wr("x1", 1),
@@ -484,7 +484,7 @@ func Suite() []*Test {
 			SCForbidden: []Outcome{{"r1_0": 1, "x0": 1, "x1": 2}},
 		},
 		{
-			Name: "Gen-swap-stale", // c11fuzz seed 37
+			Name: "Gen-swap-stale", // c11 fuzz seed 37
 			Prog: lang.Prog{
 				lang.SeqC(
 					rd("r1_0", "x1"),
@@ -516,7 +516,7 @@ func Suite() []*Test {
 			SCForbidden: []Outcome{{"r1_0": 0, "r2_0": 0, "x0": 1, "x1": -1}},
 		},
 		{
-			Name: "Gen-guard-swap", // c11fuzz seed 52
+			Name: "Gen-guard-swap", // c11 fuzz seed 52
 			Prog: lang.Prog{
 				lang.SeqC(
 					wr("x1", 1),
@@ -555,7 +555,7 @@ func Suite() []*Test {
 			// derived values widen the axiomatic value domain enough
 			// to make the generate-and-test baseline minutes-slow, so
 			// it is exercised through the operational pipeline.)
-			Name: "Gen-ctrl-dep", // c11fuzz seed 33
+			Name: "Gen-ctrl-dep", // c11 fuzz seed 33
 			Prog: lang.Prog{
 				lang.IfC(lang.Ne(lang.X("x0"), lang.V(2)),
 					lang.SeqC(

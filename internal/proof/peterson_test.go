@@ -222,7 +222,7 @@ func TestPetersonInvariantTableShape(t *testing.T) {
 	}
 }
 
-// DeriveTheorem58 runs on every configuration of a c11verify search;
+// DeriveTheorem58 runs on every configuration of a c11 verify search;
 // it reads the memoised invariant table, so once a state's derived
 // orders are memoised a call allocates nothing.
 func TestDeriveTheorem58AllocatesNothing(t *testing.T) {

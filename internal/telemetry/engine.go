@@ -1,11 +1,11 @@
 package telemetry
 
-// The engine metric schema, shared by the exploration engine (which
-// feeds it) and the CLIs (which sample it for progress lines and final
-// summaries). The Counter/Gauge constants below index EngineSchema in
-// declaration order — keep the two lists in lockstep.
+// The engine metrics, fed by the exploration engine and sampled by the
+// command line for progress lines and final summaries. The constants
+// below index the registry's storage, and the name tables give each
+// its snake_case name.
 
-// Engine counters, in EngineSchema order.
+// Engine counters.
 const (
 	// EngineExpansions counts configurations expanded (claims that
 	// reached the successor loop).
@@ -57,7 +57,7 @@ const (
 	numEngineCounters // keep last
 )
 
-// Engine gauges, in EngineSchema order.
+// Engine gauges.
 const (
 	// EngineGaugeFrontier is the live work-pool pending count (queued
 	// plus in-flight items).
@@ -99,16 +99,6 @@ var engineGaugeNames = [numEngineGauges]string{
 	EngineGaugeSeenBytes:    "seen_bytes",
 }
 
-// EngineSchema returns the engine metric schema.
-func EngineSchema() Schema {
-	return Schema{
-		Counters: engineCounterNames[:],
-		Gauges:   engineGaugeNames[:],
-	}
-}
-
-// NewEngineRegistry builds a registry with the engine schema — the
-// value to hand to explore.Options.Metrics.
-func NewEngineRegistry() *Registry {
-	return New(EngineSchema())
-}
+// NewEngineRegistry builds a registry of the engine counters and
+// gauges — the value to hand to explore.Options.Metrics.
+func NewEngineRegistry() *Registry { return new(Registry) }

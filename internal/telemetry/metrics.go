@@ -3,25 +3,19 @@ package telemetry
 // The metrics registry. Counters are striped: each worker owns a
 // padded cell of plain atomic counters, so concurrent increments from
 // different workers never contend on a cache line, and a snapshot
-// sums the stripes. Everything is preallocated at construction — Add
-// and Cell never allocate, which is what lets the engine keep its
-// zero-allocs-per-state guarantee with metrics enabled.
+// sums the stripes. The registry is engine-only: its counters and
+// gauges are the Engine* constants of engine.go, so all storage is
+// fixed-size arrays — Add and Cell never allocate, which is what lets
+// the engine keep its zero-allocs-per-state guarantee with metrics
+// enabled.
 
 import "sync/atomic"
 
-// Counter indexes a counter within a Schema (the schema's Counters
-// slice order). Gauge likewise.
+// Counter indexes an engine counter (the Engine* counter constants).
 type Counter int
 
-// Gauge indexes a gauge within a Schema.
+// Gauge indexes an engine gauge (the EngineGauge* constants).
 type Gauge int
-
-// Schema names a registry's counters and gauges. Names are
-// snake_case.
-type Schema struct {
-	Counters []string
-	Gauges   []string
-}
 
 // numStripes is the number of independent counter cells. Workers
 // above the stripe count share cells (atomics keep that correct, it
@@ -32,10 +26,14 @@ const numStripes = 16
 // stripes never share a line (64 bytes = 8 uint64 words).
 const cacheLineWords = 8
 
+// cellPad is the padding that rounds a cell up to whole cache lines.
+const cellPad = (cacheLineWords - int(numEngineCounters)%cacheLineWords) % cacheLineWords
+
 // Cell is one stripe's counter view. Increments on distinct cells
 // are contention-free. The zero of *Cell (nil) discards all adds.
 type Cell struct {
-	counts []atomic.Uint64
+	counts [numEngineCounters]atomic.Uint64
+	_      [cellPad]uint64
 }
 
 // Add increments counter ctr by d. Nil-safe: a nil cell does nothing.
@@ -54,45 +52,11 @@ func (c *Cell) Get(ctr Counter) uint64 {
 	return c.counts[ctr].Load()
 }
 
-// Registry is a set of striped counters plus gauges, all
-// preallocated. Construct with New; the zero value and nil are both
-// inert (every method is nil-safe).
+// Registry is the engine's striped counters plus gauges. Construct
+// with NewEngineRegistry; nil is inert (every method is nil-safe).
 type Registry struct {
-	schema Schema
-	stride int
-	counts []atomic.Uint64 // numStripes * stride, cache-line padded
-	gauges []atomic.Int64
 	cells  [numStripes]Cell
-}
-
-// New builds a registry for the given schema. The schema is copied;
-// all storage is allocated up front.
-func New(s Schema) *Registry {
-	r := &Registry{
-		schema: Schema{
-			Counters: append([]string(nil), s.Counters...),
-			Gauges:   append([]string(nil), s.Gauges...),
-		},
-	}
-	n := len(r.schema.Counters)
-	r.stride = (n + cacheLineWords - 1) / cacheLineWords * cacheLineWords
-	if r.stride == 0 {
-		r.stride = cacheLineWords
-	}
-	r.counts = make([]atomic.Uint64, numStripes*r.stride)
-	r.gauges = make([]atomic.Int64, len(r.schema.Gauges))
-	for i := range r.cells {
-		r.cells[i] = Cell{counts: r.counts[i*r.stride : i*r.stride+n]}
-	}
-	return r
-}
-
-// Schema returns the registry's schema (shared slices; do not mutate).
-func (r *Registry) Schema() Schema {
-	if r == nil {
-		return Schema{}
-	}
-	return r.schema
+	gauges [numEngineGauges]atomic.Int64
 }
 
 // Cell returns worker i's counter cell. Workers beyond the stripe
@@ -123,8 +87,8 @@ func (r *Registry) Total(ctr Counter) uint64 {
 		return 0
 	}
 	var t uint64
-	for i := 0; i < numStripes; i++ {
-		t += r.counts[i*r.stride+int(ctr)].Load()
+	for i := range r.cells {
+		t += r.cells[i].counts[ctr].Load()
 	}
 	return t
 }
@@ -160,9 +124,11 @@ func (r *Registry) GaugeValue(g Gauge) int64 {
 }
 
 // Snapshot is a point-in-time aggregation of a registry: counter
-// totals summed across stripes plus gauge values, in schema order.
+// totals summed across stripes plus gauge values, in the order of the
+// Engine* constants.
 // Concurrent increments during the snapshot land in either the
-// snapshot or the next one — each counter read is atomic.
+// snapshot or the next one — each counter read is atomic. The name
+// slices are shared by every snapshot; do not mutate them.
 type Snapshot struct {
 	CounterNames []string
 	CounterVals  []uint64
@@ -177,10 +143,10 @@ func (r *Registry) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	s := Snapshot{
-		CounterNames: r.schema.Counters,
-		CounterVals:  make([]uint64, len(r.schema.Counters)),
-		GaugeNames:   r.schema.Gauges,
-		GaugeVals:    make([]int64, len(r.schema.Gauges)),
+		CounterNames: engineCounterNames[:],
+		CounterVals:  make([]uint64, numEngineCounters),
+		GaugeNames:   engineGaugeNames[:],
+		GaugeVals:    make([]int64, numEngineGauges),
 	}
 	for c := range s.CounterVals {
 		s.CounterVals[c] = r.Total(Counter(c))

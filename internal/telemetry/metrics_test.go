@@ -49,13 +49,13 @@ func TestRegistryStripedTotals(t *testing.T) {
 }
 
 func TestRegistryCellSharing(t *testing.T) {
-	r := New(Schema{Counters: []string{"x"}})
+	r := NewEngineRegistry()
 	// Workers beyond the stripe count wrap onto existing cells; the
 	// totals must still be exact.
 	for w := 0; w < 3*numStripes; w++ {
-		r.Cell(w).Add(0, 1)
+		r.Cell(w).Add(EnginePanics, 1)
 	}
-	if got := r.Total(0); got != 3*numStripes {
+	if got := r.Total(EnginePanics); got != 3*numStripes {
 		t.Fatalf("Total = %d, want %d", got, 3*numStripes)
 	}
 	if r.Cell(-1) != r.Cell(0) {
@@ -122,21 +122,16 @@ func TestRegistryAddAllocFree(t *testing.T) {
 	}
 }
 
+// TestEngineSchemaConsistency: every engine counter and gauge has a
+// distinct, non-empty name.
 func TestEngineSchemaConsistency(t *testing.T) {
-	s := EngineSchema()
-	if len(s.Counters) != int(numEngineCounters) {
-		t.Fatalf("engine schema has %d counter names for %d counters", len(s.Counters), numEngineCounters)
-	}
-	if len(s.Gauges) != int(numEngineGauges) {
-		t.Fatalf("engine schema has %d gauge names for %d gauges", len(s.Gauges), numEngineGauges)
-	}
 	seen := map[string]bool{}
-	for i, n := range s.Counters {
+	for i, n := range append(engineCounterNames[:], engineGaugeNames[:]...) {
 		if n == "" {
-			t.Fatalf("counter %d has no name", i)
+			t.Fatalf("metric %d has no name", i)
 		}
 		if seen[n] {
-			t.Fatalf("duplicate counter name %q", n)
+			t.Fatalf("duplicate metric name %q", n)
 		}
 		seen[n] = true
 	}

@@ -101,7 +101,7 @@ func TestPORSerialParallelEquivalenceLitmusSuite(t *testing.T) {
 }
 
 // TestPORDrainRegression pins the silent-drain fix the fuzzer forced:
-// testdata/gen-por-drain.lit is a shrunk c11fuzz reproducer on which,
+// testdata/gen-por-drain.lit is a shrunk c11 fuzz reproducer on which,
 // before the fix, the reduced search missed terminated configurations
 // at truncating bounds (11 and 13 among the ones below) — their final
 // silent steps were frozen at the progress bound in the reduced
