@@ -634,8 +634,9 @@ func BenchmarkE17_ModelPeterson(b *testing.B) {
 	b.Run("sc", func(b *testing.B) { run(b, sc.Model) })
 }
 
-// BenchmarkE17_ModelDiff measures the full differential mode: both
-// backends on one litmus test plus the outcome-set diff.
+// BenchmarkE17_ModelDiff measures the full differential mode
+// (litmus.Test.Compare): both backends on one litmus test plus the
+// outcome-set comparison.
 func BenchmarkE17_ModelDiff(b *testing.B) {
 	var sb *litmus.Test
 	for _, tc := range litmus.Suite() {
@@ -645,8 +646,8 @@ func BenchmarkE17_ModelDiff(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d := sb.Diff(core.Model, sc.Model, explore.Options{MaxEvents: 20})
-		if d.Agree() {
+		c := sb.Compare(core.Model, sc.Model, explore.Options{MaxEvents: 20})
+		if !c.Differ() {
 			b.Fatal("SB must differ between RA and SC")
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 
@@ -14,7 +13,6 @@ import (
 	"repro/internal/event"
 	"repro/internal/explore"
 	"repro/internal/lang"
-	"repro/internal/litmus"
 	"repro/internal/model"
 	"repro/internal/model/backends"
 	"repro/internal/parser"
@@ -26,17 +24,15 @@ import (
 // pluggable memory model — the RA operational semantics (-model rar,
 // the default) or sequential consistency (-model sc) — and reports
 // reachable terminal executions, optionally rendering one execution
-// as Graphviz dot or an ASCII diagram. With -diff it runs both models
-// on the same program and reports the outcome-set difference: exactly
-// the weak-memory behaviours. With -races it additionally searches
-// for reachable non-atomic data races.
+// as Graphviz dot or an ASCII diagram. With -races it additionally
+// searches for reachable non-atomic data races. (The RA/SC outcome-set
+// difference of a program is litmus -f FILE -model all.)
 func exploreCmd(fs *flag.FlagSet, s *session) func() int {
 	var (
 		file      = fs.String("f", "", "program file to explore")
 		example   = fs.String("example", "", "rebuild a paper example (3.2)")
 		modelName = fs.String("model", "rar",
 			"memory model: "+strings.Join(backends.Names(), " | "))
-		diff    = fs.Bool("diff", false, "run both models and report outcome-set differences")
 		maxEv   = fs.Int("max", 20, "maximum non-initial events per state (rar model)")
 		dot     = fs.Bool("dot", false, "print a dot graph of one terminal execution (rar model)")
 		ascii   = fs.Bool("ascii", false, "print an ASCII diagram of one terminal execution (rar model)")
@@ -60,9 +56,6 @@ func exploreCmd(fs *flag.FlagSet, s *session) func() int {
 			return fail(err)
 		}
 		// Flag validation up front, before any exploration is paid for.
-		if *racesFl && *diff {
-			return fail(fmt.Errorf("-races and -diff are separate modes; run them one at a time"))
-		}
 		if *racesFl && m.Name() != "rar" {
 			return fail(fmt.Errorf("-races needs the rar model (data races are defined over the C11 happens-before order)"))
 		}
@@ -94,13 +87,10 @@ func exploreCmd(fs *flag.FlagSet, s *session) func() int {
 				return fail(err)
 			}
 			cfg = m.New(prog, f.Init)
-		} else if *diff || *racesFl || *checkPORFl {
-			return fail(fmt.Errorf("-resume continues a plain exploration; it cannot drive -diff, -races or -checkpor"))
+		} else if *racesFl || *checkPORFl {
+			return fail(fmt.Errorf("-resume continues a plain exploration; it cannot drive -races or -checkpor"))
 		}
 
-		if *diff {
-			return runDiff(f, prog, opts)
-		}
 		if *checkPORFl {
 			return checkPOR(m, cfg, opts)
 		}
@@ -160,51 +150,6 @@ func readProgram(path string) (*parser.File, error) {
 		return nil, fmt.Errorf("read program: %w", err)
 	}
 	return parser.Parse(path, string(src))
-}
-
-// runDiff compares the RA and SC outcome sets of the program: the
-// difference is the program's weak-memory behaviours. The observation
-// set comes from the file's observe clause, falling back to every
-// initialised variable.
-func runDiff(f *parser.File, prog lang.Prog, opts explore.Options) int {
-	observe := f.Observe
-	if len(observe) == 0 {
-		for x := range f.Init {
-			observe = append(observe, x)
-		}
-		sort.Slice(observe, func(i, j int) bool { return observe[i] < observe[j] })
-	}
-	tc := &litmus.Test{Name: f.Name, Prog: prog, Init: f.Init, Observe: observe}
-	ra, _ := backends.Get("rar")
-	sc, _ := backends.Get("sc")
-	d := tc.Diff(ra, sc, opts)
-	fmt.Println(d)
-	if len(d.OnlyA) > 0 {
-		fmt.Println("weak behaviours (reachable under rar, forbidden under sc):")
-		for _, k := range d.OnlyA {
-			fmt.Printf("    %s\n", k)
-		}
-	}
-	if d.TruncatedA || d.TruncatedB {
-		// A cut search leaves its outcome set a prefix: outcomes on
-		// either side of the diff may just not have been reached yet.
-		fmt.Println("note: a search was truncated; the diff is relative to the bound (raise -max)")
-	}
-	if len(d.OnlyB) == 0 {
-		return exitProved
-	}
-	// Both searches complete and SC refines RA: an SC-only outcome is a
-	// backend bug. When the rar search was cut, it is an artefact of
-	// the bound instead.
-	header, code := "BUG: outcomes reachable under sc but not rar:", exitViolation
-	if d.TruncatedA {
-		header, code = "outcomes reachable under sc but missing from the truncated rar search:", exitProved
-	}
-	fmt.Println(header)
-	for _, k := range d.OnlyB {
-		fmt.Printf("    %s\n", k)
-	}
-	return code
 }
 
 // reportRaces prints a race verdict, with a shortest witness when a

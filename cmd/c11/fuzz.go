@@ -20,39 +20,19 @@ import (
 // closure audit, the fingerprint-collision audit, and serial-vs-
 // parallel engine equivalence — all in-process. A failing program is
 // minimised by the greedy shrinker while it keeps failing the same
-// oracle, and written to the corpus directory with its seed and the
-// generator parameters, so the finding is reproducible from the
-// header alone. -timeout is the deadline of every oracle search, and
-// no new program starts past it; -max-states caps each search (0 =
-// gen's default of 32768).
+// oracle, and written to the corpus directory with its seed, so the
+// finding is reproducible from the header alone. Programs use the
+// generator's default parameters. -timeout is the deadline of every
+// oracle search, and no new program starts past it; -max-states caps
+// each search (0 = gen's default of 32768).
 func fuzzCmd(fs *flag.FlagSet, s *session) func() int {
 	var (
-		seed   = fs.Int64("seed", 1, "base seed; program i uses seed+i")
-		n      = fs.Int("n", 100, "number of programs to generate")
-		corpus = fs.String("corpus", "fuzz-corpus", "directory for shrunk reproducers")
-		replay = fs.String("replay", "", "re-judge every .lit file in this directory instead of generating")
-		keep   = fs.String("keep", "", "also write every generated program (failing or not) into this directory")
-		v      = fs.Bool("v", false, "per-program progress lines")
-
-		threads   = fs.Int("threads", 0, "max threads per program (default 3)")
-		vars      = fs.Int("vars", 0, "shared variables (default 2)")
-		stmts     = fs.Int("stmts", 0, "max top-level statements per thread (default 4)")
-		values    = fs.Int("values", 0, "value domain 1..values (default 2)")
-		evbudget  = fs.Int("evbudget", 0, "per-thread worst-case memory-event budget (default 6)")
-		depth     = fs.Int("depth", 0, "max if/while nesting (default 2)")
-		loopiters = fs.Int("loopiters", 0, "bounded-loop iterations (default 2)")
-		arrlen    = fs.Int("arrlen", 0, "shared-array cell count (default 2)")
-		pswap     = fs.Int("pswap", 0, "RMW density percent (default 15)")
-		pif       = fs.Int("pif", 0, "branch density percent (default 20)")
-		pwhile    = fs.Int("pwhile", 0, "loop density percent (default 10)")
-		prel      = fs.Int("prel", 0, "release-write density percent (default 30)")
-		pacq      = fs.Int("pacq", 0, "acquire-load density percent (default 30)")
-		pna       = fs.Int("pna", 0, "non-atomic density percent (default 10)")
-		pneg      = fs.Int("pneg", 0, "negative-value density percent (default 5)")
-		pexpr     = fs.Int("pexpr", 0, "compound-expression density percent (default 15)")
-		pcas      = fs.Int("pcas", 0, "CAS statement/branch/retry-loop density percent (default 10)")
-		parr      = fs.Int("parr", 0, "array-access density percent (default 10)")
-
+		seed    = fs.Int64("seed", 1, "base seed; program i uses seed+i")
+		n       = fs.Int("n", 100, "number of programs to generate")
+		corpus  = fs.String("corpus", "fuzz-corpus", "directory for shrunk reproducers")
+		replay  = fs.String("replay", "", "re-judge every .lit file in this directory instead of generating")
+		keep    = fs.String("keep", "", "also write every generated program (failing or not) into this directory")
+		v       = fs.Bool("v", false, "per-program progress lines")
 		maxEv   = fs.Int("max", 0, "RAR exploration bound (default: derived per program)")
 		workers = fs.Int("workers", 0, "parallel width of the serial-vs-parallel oracle (default 8)")
 	)
@@ -65,20 +45,13 @@ func fuzzCmd(fs *flag.FlagSet, s *session) func() int {
 		if *replay != "" {
 			return replayDir(*replay, opts, *v)
 		}
-		params := gen.Params{
-			Threads: *threads, Vars: *vars, Stmts: *stmts, Values: *values,
-			Budget: *evbudget, Depth: *depth, LoopIters: *loopiters, ArrLen: *arrlen,
-			PSwap: *pswap, PIf: *pif, PWhile: *pwhile, PRel: *prel,
-			PAcq: *pacq, PNA: *pna, PNeg: *pneg, PExpr: *pexpr,
-			PCas: *pcas, PArr: *parr,
-		}
-		return fuzz(*seed, *n, params, opts, *corpus, *keep, *v)
+		return fuzz(*seed, *n, opts, *corpus, *keep, *v)
 	}
 }
 
 // fuzz generates and judges n programs, shrinking and writing any
 // failure, and prints a run summary. Returns the exit status.
-func fuzz(seed int64, n int, params gen.Params, opts gen.CheckOpts, corpus, keep string, verbose bool) int {
+func fuzz(seed int64, n int, opts gen.CheckOpts, corpus, keep string, verbose bool) int {
 	start := time.Now()
 	failures, weak, truncated := 0, 0, 0
 	ran := 0
@@ -88,7 +61,7 @@ func fuzz(seed int64, n int, params gen.Params, opts gen.CheckOpts, corpus, keep
 			break
 		}
 		s := seed + int64(i)
-		prog := gen.Generate(s, params)
+		prog := gen.Generate(s, gen.Params{})
 		ran++
 		if keep != "" {
 			writeKept(keep, prog)
@@ -117,7 +90,7 @@ func fuzz(seed int64, n int, params gen.Params, opts gen.CheckOpts, corpus, keep
 		fmt.Printf("seed %d FAILED %s — shrinking...\n", s, rep.Failure)
 		shrunk := gen.Shrink(prog.File, gen.Predicate(rep.Failure.Kind, po))
 		path, err := gen.WriteRepro(corpus, gen.Repro{
-			Seed: s, Params: params, Fail: rep.Failure,
+			Seed: s, Fail: rep.Failure,
 			Shrunk: shrunk, Orig: prog.File,
 		})
 		if err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -18,9 +19,12 @@ import (
 // model: the built-in catalog plus the data-structure tier by default,
 // or a litmus file given with -f. The catalog carries per-model
 // expected verdicts (-model rar checks the RA expectations, -model sc
-// the SC ones, -model all both). Under -model all a test also fails
-// when an outcome is reachable under sc but not under rar and neither
-// search was truncated: SC must refine RA. With -x it additionally
+// the SC ones, -model all both). Under -model all each test runs
+// through litmus.Test.Compare: the outcomes reachable under rar but not
+// sc (the weak behaviours) are printed, and the test also fails when
+// an outcome is reachable under sc but not under a complete rar search:
+// SC must refine RA. A file without an observe clause observes every
+// initialised variable. With -x it additionally
 // cross-checks the RA operational outcome set against the axiomatic
 // generate-and-test baseline (loop-free tests only).
 func litmusCmd(fs *flag.FlagSet, s *session) func() int {
@@ -58,6 +62,12 @@ func litmusCmd(fs *flag.FlagSet, s *session) func() int {
 			if err != nil {
 				return fail(err)
 			}
+			if len(tc.Observe) == 0 {
+				for x := range tc.Init {
+					tc.Observe = append(tc.Observe, x)
+				}
+				slices.Sort(tc.Observe)
+			}
 			tests = []*litmus.Test{tc}
 		} else {
 			tests = litmus.Suite()
@@ -81,20 +91,28 @@ func litmusCmd(fs *flag.FlagSet, s *session) func() int {
 			}
 			ran++
 			scn, isDS := scenarios[tc]
-			var reps []litmus.Report
-			for _, m := range models {
-				eopts := explore.Options{MaxEvents: *maxEv, Workers: *workers}
-				if isDS && tc.MaxEvents > 0 {
-					// A scenario's expectations are exact *at* its
-					// pinned bound (the .lit maxevents clause); -max
-					// does not apply.
-					eopts.MaxEvents = tc.MaxEvents
-				}
-				// One registry across the whole suite: the progress
-				// line and -metrics summary accumulate over all tests.
-				s.apply(&eopts)
-				rep := tc.RunModel(m, eopts)
-				reps = append(reps, rep)
+			eopts := explore.Options{MaxEvents: *maxEv, Workers: *workers}
+			if isDS && tc.MaxEvents > 0 {
+				// A scenario's expectations are exact *at* its pinned
+				// bound (the .lit maxevents clause); -max does not
+				// apply.
+				eopts.MaxEvents = tc.MaxEvents
+			}
+			// One registry across the whole suite: the progress line
+			// and -metrics summary accumulate over all tests.
+			s.apply(&eopts)
+			var (
+				reps []litmus.Report
+				cmp  litmus.Comparison
+			)
+			if *modelName == "all" {
+				// backends.All lists rar, then sc.
+				cmp = tc.Compare(models[0], models[1], eopts)
+				reps = []litmus.Report{cmp.RA, cmp.SC}
+			} else {
+				reps = []litmus.Report{tc.RunModel(models[0], eopts)}
+			}
+			for _, rep := range reps {
 				if rep.Truncated && !isDS {
 					// DS scenarios with retry/spin loops truncate at
 					// their pinned bound by design — the bound is part
@@ -113,7 +131,7 @@ func litmusCmd(fs *flag.FlagSet, s *session) func() int {
 						fmt.Printf("    %s\n", k)
 					}
 				}
-				if s.ctx.Err() != nil {
+				if rep.Truncated && s.ctx.Err() != nil {
 					// The search was interrupted mid-flight: its
 					// partial outcome set would read as missing
 					// expectations, but the run is inconclusive, not
@@ -139,17 +157,14 @@ func litmusCmd(fs *flag.FlagSet, s *session) func() int {
 				}
 			}
 			if *modelName == "all" {
-				// reps are rar then sc, in backends.All order.
-				ra, sc := reps[0], reps[1]
-				onlySC := outcomesMissing(sc.Outcomes, ra.Outcomes)
-				if len(onlySC) > 0 || len(ra.Outcomes) != len(sc.Outcomes) {
+				if cmp.Differ() {
 					differing++
 				}
-				// The refinement is only conclusive over complete
-				// searches; a truncated outcome set is a prefix (DS
-				// scenarios truncate at their pinned bound by design).
-				if len(onlySC) > 0 && !ra.Truncated && !sc.Truncated {
-					fmt.Printf("    BUG: SC-only outcomes break refinement: %v\n", onlySC)
+				for _, k := range cmp.RAOnly {
+					fmt.Printf("    rar-only outcome: %s\n", k)
+				}
+				if cmp.RefinementBroken() {
+					fmt.Printf("    BUG: SC-only outcomes break refinement: %v\n", cmp.SCOnly)
 					failures++
 				}
 			}
@@ -195,16 +210,4 @@ func litmusCmd(fs *flag.FlagSet, s *session) func() int {
 		}
 		return code
 	}
-}
-
-// outcomesMissing lists, sorted, the outcomes of a that b lacks.
-func outcomesMissing(a, b map[string]bool) []string {
-	var only []string
-	for k := range a {
-		if !b[k] {
-			only = append(only, k)
-		}
-	}
-	sort.Strings(only)
-	return only
 }

@@ -5,11 +5,11 @@
 //	c11 verify   machine-check the Peterson verification: invariants
 //	             (4)-(10), Theorem 5.8, and the weakened variants
 //	c11 explore  explore one program's bounded state space under a
-//	             memory model; render executions, find data races,
-//	             diff the RA and SC outcome sets
+//	             memory model; render executions, find data races
 //	c11 litmus   run the litmus catalog and the data-structure tier
 //	             (or one .lit file) against per-model expectations;
-//	             -model all also checks SC ⊆ RA on every test
+//	             -model all also prints the RA-only outcomes and
+//	             checks SC ⊆ RA on every test
 //	c11 equiv    check Definition 4.2 against Definition C.3 over
 //	             enumerated candidate executions (Theorem C.5)
 //	c11 fuzz     differentially fuzz the backends with generated
@@ -20,7 +20,7 @@
 // Examples:
 //
 //	c11 verify -max 14 -variant weak-turn
-//	c11 explore -f testdata/sb.lit -diff
+//	c11 litmus -f testdata/sb.lit -model all
 //	c11 litmus -model all
 //	c11 equiv -events 4 -vars 2
 //	c11 fuzz -seed 1 -n 500

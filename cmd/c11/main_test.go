@@ -18,11 +18,12 @@ func TestSubcommandExitCodes(t *testing.T) {
 		{[]string{"verify", "-variant", "weak-turn", "-max", "40", "-por=false", "-workers", "1"}, exitViolation},
 		{[]string{"verify", "-variant", "strong"}, exitInternal},
 		{[]string{"explore", "-f", "../../testdata/peterson.lit", "-max", "12", "-max-states", "50"}, exitBounded},
-		{[]string{"explore", "-f", "../../testdata/sb.lit", "-diff"}, exitProved},
+		{[]string{"explore", "-f", "../../testdata/sb.lit", "-diff"}, exitInternal},
 		{[]string{"explore", "-f", "../../testdata/na-mp.lit", "-races", "-max", "12"}, exitProved},
 		{[]string{"explore", "-example", "3.2"}, exitProved},
 		{[]string{"explore"}, exitInternal},
 		{[]string{"litmus", "-run", "SB", "-model", "all"}, exitProved},
+		{[]string{"litmus", "-f", "../../testdata/sb.lit", "-model", "all"}, exitProved},
 		{[]string{"litmus", "-checkpoint", "x"}, exitInternal},
 		{[]string{"equiv", "-events", "2", "-random", "10", "-seed", "1"}, exitProved},
 		{[]string{"equiv", "-diff"}, exitInternal},

@@ -35,8 +35,8 @@
 //	internal/sc          sequential consistency as a second full model
 //	                     backend behind the same combination rules
 //	                     (§3.3); the baseline of differential model
-//	                     checking (-diff: RAR-only outcomes are exactly
-//	                     the weak behaviours)
+//	                     checking (c11 litmus -model all: RAR-only
+//	                     outcomes are exactly the weak behaviours)
 //	internal/parser      textual litmus front end
 //	internal/gen         random litmus-program generator, delta-
 //	                     debugging shrinker and differential-fuzzing

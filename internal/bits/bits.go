@@ -59,15 +59,6 @@ func (s *Set) Clear(i int) {
 	s.words[i/wordBits] &^= 1 << uint(i%wordBits)
 }
 
-// SetTo sets bit i to v.
-func (s *Set) SetTo(i int, v bool) {
-	if v {
-		s.Set(i)
-	} else {
-		s.Clear(i)
-	}
-}
-
 // Clone returns an independent copy of s.
 func (s Set) Clone() Set {
 	w := make([]uint64, len(s.words))
@@ -144,34 +135,6 @@ func (s *Set) And(t Set) {
 	for i := m; i < len(s.words); i++ {
 		s.words[i] = 0
 	}
-}
-
-// AndNot sets s to s &^ t. Capacities may differ; words absent from
-// either side read as zero.
-func (s *Set) AndNot(t Set) {
-	m := len(t.words)
-	if len(s.words) < m {
-		m = len(s.words)
-	}
-	for i := 0; i < m; i++ {
-		s.words[i] &^= t.words[i]
-	}
-}
-
-// OrChanged sets s to s | t and reports whether s changed. Like Or, t
-// may be smaller than s but not larger.
-func (s *Set) OrChanged(t Set) bool {
-	s.checkAtMost(t)
-	changed := false
-	for i, w := range t.words {
-		old := s.words[i]
-		nw := old | w
-		if nw != old {
-			s.words[i] = nw
-			changed = true
-		}
-	}
-	return changed
 }
 
 // OrAnd sets s to s | (a & b) in one word-parallel pass — the fused
@@ -334,13 +297,6 @@ func (s Set) Members() []int {
 	out := make([]int, 0, s.Count())
 	s.ForEach(func(i int) { out = append(out, i) })
 	return out
-}
-
-// Reset removes every member, keeping capacity.
-func (s *Set) Reset() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
 }
 
 // String renders the set as {a, b, c}.

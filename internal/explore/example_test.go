@@ -36,18 +36,24 @@ func ExampleRun() {
 	fmt.Printf("explored=%d terminated=%d truncated=%v\n",
 		res.Explored, res.Terminated, res.Truncated)
 
-	// Collect the distinct final (a, b) outcomes. POR prunes commuting
+	// Collect the distinct final (a, b) outcomes with a property that
+	// records each terminated configuration and never fails; one
+	// worker runs it, so the set needs no lock. POR prunes commuting
 	// interleavings but preserves every terminated configuration, so
 	// the outcome set is identical with the reduction on.
-	outcomes := explore.Outcomes(cfg, explore.Options{MaxEvents: 10, Workers: 1, POR: true},
-		func(c model.Config) string {
-			s := c.(core.Config).S
-			val := func(x event.Var) event.Val {
-				g, _ := s.Last(x)
-				return s.Event(g).WrVal()
+	outcomes := map[string]bool{}
+	explore.Run(cfg, explore.Options{MaxEvents: 10, Workers: 1, POR: true,
+		Property: func(c model.Config) bool {
+			if c.Terminated() {
+				s := c.(core.Config).S
+				val := func(x event.Var) event.Val {
+					g, _ := s.Last(x)
+					return s.Event(g).WrVal()
+				}
+				outcomes[fmt.Sprintf("a=%d b=%d", val("a"), val("b"))] = true
 			}
-			return fmt.Sprintf("a=%d b=%d", val("a"), val("b"))
-		})
+			return true
+		}})
 	keys := make([]string, 0, len(outcomes))
 	for k := range outcomes {
 		keys = append(keys, k)

@@ -61,7 +61,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/fingerprint"
@@ -339,29 +338,4 @@ func FindTrace(c model.Config, opts Options, pred func(model.Config) bool) (Trac
 	}
 	slices.Reverse(tr.Configs)
 	return tr, true
-}
-
-// Outcomes explores to termination and returns the multiplicity-free
-// set of summaries of terminated configurations, as produced by
-// summarise. Terminated configurations are preserved by the
-// partial-order reduction, so Outcomes is reduction-safe: opts.POR
-// changes the work, not the answer. Any property in opts is replaced
-// by the summariser. A budget-cut run yields a partial set; inspect
-// Run's Result directly when that matters.
-func Outcomes(c model.Config, opts Options, summarise func(model.Config) string) map[string]bool {
-	out := map[string]bool{}
-	var mu sync.Mutex
-	o := opts
-	o.TypedProperty = nil // the summariser below is the property
-	o.Property = func(cfg model.Config) bool {
-		if cfg.Terminated() {
-			key := summarise(cfg)
-			mu.Lock()
-			out[key] = true
-			mu.Unlock()
-		}
-		return true
-	}
-	Run(c, o)
-	return out
 }

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -187,14 +188,33 @@ func TestFindTraceAbsent(t *testing.T) {
 	}
 }
 
+// outcomes explores c and returns the set of summaries of its
+// terminated configurations, collected by a property that never fails.
+func outcomes(c model.Config, opts Options, summarise func(model.Config) string) map[string]bool {
+	out := map[string]bool{}
+	var mu sync.Mutex
+	opts.Property = func(cfg model.Config) bool {
+		if cfg.Terminated() {
+			key := summarise(cfg)
+			mu.Lock()
+			out[key] = true
+			mu.Unlock()
+		}
+		return true
+	}
+	Run(c, opts)
+	return out
+}
+
 func TestOutcomes(t *testing.T) {
 	for name, opts := range map[string]Options{
 		"plain": {},
-		// Outcomes replaces the caller's property, typed or boxed.
-		"typed-property": {TypedProperty: func(core.Config) bool { return true }},
+		// POR prunes commuting interleavings but keeps every
+		// terminated configuration.
+		"por": {POR: true},
 	} {
 		t.Run(name, func(t *testing.T) {
-			out := Outcomes(mpConfig(), opts, func(c model.Config) string {
+			out := outcomes(mpConfig(), opts, func(c model.Config) string {
 				s := c.(core.Config).S
 				ga, _ := s.Last("a")
 				gb, _ := s.Last("b")

@@ -144,7 +144,7 @@ func TestPORSilentDivergenceNotReduced(t *testing.T) {
 	}
 }
 
-// TestPORReductionOutcomesPreserved cross-checks Outcomes with and
+// TestPORReductionOutcomesPreserved cross-checks the outcome sets with and
 // without reduction on a program whose interleavings mostly commute.
 func TestPORReductionOutcomesPreserved(t *testing.T) {
 	prog := lang.Prog{
@@ -165,8 +165,8 @@ func TestPORReductionOutcomesPreserved(t *testing.T) {
 		}
 		return out
 	}
-	full := Outcomes(core.NewConfig(prog, vars), Options{MaxEvents: 12, Workers: 1}, sum)
-	red := Outcomes(core.NewConfig(prog, vars), Options{MaxEvents: 12, Workers: 1, POR: true}, sum)
+	full := outcomes(core.NewConfig(prog, vars), Options{MaxEvents: 12, Workers: 1}, sum)
+	red := outcomes(core.NewConfig(prog, vars), Options{MaxEvents: 12, Workers: 1, POR: true}, sum)
 	if len(full) != len(red) {
 		t.Fatalf("outcome sets differ: full=%d reduced=%d", len(full), len(red))
 	}

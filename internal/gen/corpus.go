@@ -2,11 +2,10 @@ package gen
 
 // Corpus layout: one .lit file per reproducer, named
 // <kind>-seed<seed>.lit, carrying a comment header with everything
-// needed to regenerate it (the seed and the generator parameters in
-// flag form) and to re-judge it (the failure detail and the replay
-// command). The files are ordinary litmus files — the header is
-// comments — so every subcommand (c11 explore, c11 litmus, the replay
-// mode of c11 fuzz) runs them unchanged.
+// needed to regenerate it (the seed) and to re-judge it (the failure
+// detail and the replay command). The files are ordinary litmus
+// files — the header is comments — so every subcommand (c11 explore,
+// c11 litmus, the replay mode of c11 fuzz) runs them unchanged.
 
 import (
 	"fmt"
@@ -20,9 +19,8 @@ import (
 
 // Repro describes one written reproducer.
 type Repro struct {
-	Seed   int64
-	Params Params
-	Fail   *Failure
+	Seed int64
+	Fail *Failure
 	// Shrunk is the minimised file; Orig the program as generated.
 	Shrunk, Orig *parser.File
 }
@@ -42,8 +40,7 @@ func WriteRepro(dir string, r Repro) (string, error) {
 	for _, line := range strings.Split(r.Fail.Detail, "\n") {
 		fmt.Fprintf(&b, "// detail: %s\n", line)
 	}
-	fmt.Fprintf(&b, "// seed %d, generated by: c11 fuzz -seed %d -n 1 %s\n",
-		r.Seed, r.Seed, r.Params)
+	fmt.Fprintf(&b, "// seed %d, generated by: c11 fuzz -seed %d -n 1\n", r.Seed, r.Seed)
 	fmt.Fprintf(&b, "// replay: c11 fuzz -replay %s\n", path)
 	b.WriteString(r.Shrunk.Format())
 	if r.Orig != nil {

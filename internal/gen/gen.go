@@ -114,16 +114,6 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// String renders the parameters in flag form, for corpus headers.
-func (p Params) String() string {
-	p = p.withDefaults()
-	return fmt.Sprintf(
-		"-threads %d -vars %d -stmts %d -values %d -evbudget %d -depth %d -loopiters %d -arrlen %d "+
-			"-pswap %d -pif %d -pwhile %d -prel %d -pacq %d -pna %d -pneg %d -pexpr %d -pcas %d -parr %d",
-		p.Threads, p.Vars, p.Stmts, p.Values, p.Budget, p.Depth, p.LoopIters, p.ArrLen,
-		p.PSwap, p.PIf, p.PWhile, p.PRel, p.PAcq, p.PNA, p.PNeg, p.PExpr, p.PCas, p.PArr)
-}
-
 // Program is one generated artifact: the file, the seed that produced
 // it, and the worst-case number of memory events along any execution
 // path — the exploration bound that makes verdicts exhaustive.

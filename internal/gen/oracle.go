@@ -172,13 +172,13 @@ func Check(f *parser.File, opts CheckOpts) (rep Report) {
 	}
 
 	// Differential outcome comparison: SC ⊆ RA refinement.
-	d := test.Diff(rar, sc, eopts)
-	rep.Weak = d.OnlyA
-	rep.ExploredRA, rep.ExploredSC = d.ExploredA, d.ExploredB
-	rep.TruncatedRA = d.TruncatedA
-	if len(d.OnlyB) > 0 && !d.TruncatedA {
+	c := test.Compare(rar, sc, eopts)
+	rep.Weak = c.RAOnly
+	rep.ExploredRA, rep.ExploredSC = c.RA.Explored, c.SC.Explored
+	rep.TruncatedRA = c.RA.Truncated
+	if c.RefinementBroken() {
 		rep.Failure = &Failure{Kind: FailRefinement,
-			Detail: "sc-only outcomes: " + strings.Join(d.OnlyB, " ")}
+			Detail: "sc-only outcomes: " + strings.Join(c.SCOnly, " ")}
 	}
 	return rep
 }

@@ -48,7 +48,7 @@ func TestCorpusWriteLoad(t *testing.T) {
 	p := Generate(9, Params{})
 	fail := &Failure{Kind: FailPOR, Detail: "synthetic detail\nsecond line"}
 	path, err := WriteRepro(dir, Repro{
-		Seed: 9, Params: Params{}, Fail: fail, Shrunk: p.File, Orig: p.File,
+		Seed: 9, Fail: fail, Shrunk: p.File, Orig: p.File,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestCorpusWriteLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"por-divergence", "seed 9", "synthetic detail", "second line", "-replay"} {
+	for _, want := range []string{"por-divergence", "generated by: c11 fuzz -seed 9 -n 1\n", "synthetic detail", "second line", "-replay"} {
 		if !strings.Contains(string(src), want) {
 			t.Fatalf("header missing %q:\n%s", want, src)
 		}

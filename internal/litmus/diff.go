@@ -1,96 +1,60 @@
 package litmus
 
-// Differential model checking: run the same test under two memory
-// models and diff the reachable outcome sets. Because every backend
-// renders outcomes through the shared model.Config.Summarise format,
-// the sets are directly comparable; the difference RAR \ SC is
+// Differential model checking: run the same test under the RAR and
+// the SC backend and compare the reachable outcome sets. Because every
+// backend renders outcomes through the shared model.Config.Summarise
+// format, the sets are directly comparable; the difference RAR \ SC is
 // exactly the test's weak behaviours (store buffering, the stale read
 // of relaxed message passing, IRIW disagreement, …), and SC \ RAR
-// must always be empty — SC refines RAR, so a non-empty right column
-// is a bug in one of the backends, not a property of the program.
+// must always be empty — SC refines RAR, so an SC-only outcome over a
+// complete RAR search is a bug in one of the backends, not a property
+// of the program.
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/explore"
 	"repro/internal/model"
 )
 
-// DiffReport is the outcome-set comparison of one test under two
-// models.
-type DiffReport struct {
-	Test *Test
-	// ModelA and ModelB name the compared backends.
-	ModelA, ModelB string
-	// OutcomesA and OutcomesB are the reachable outcome sets.
-	OutcomesA, OutcomesB map[string]bool
-	// OnlyA and OnlyB list outcomes reachable under exactly one
-	// model, sorted. With A=rar and B=sc, OnlyA are the weak
-	// behaviours and OnlyB must be empty.
-	OnlyA, OnlyB []string
-	// ExploredA and ExploredB count distinct configurations each
-	// search visited (the state-space cost of the weaker model).
-	ExploredA, ExploredB int
-	// TruncatedA and TruncatedB report that a search did not cover its
-	// full bounded space — a progress/configuration bound cut it, or a
-	// resource budget (deadline, cancellation, memory) stopped it
-	// early. A truncated search makes the diff relative to what was
-	// explored.
-	TruncatedA, TruncatedB bool
+// Comparison is one test run under the RAR and the SC backend.
+type Comparison struct {
+	// RA and SC are the two runs, with their outcome sets and
+	// per-model verdicts.
+	RA, SC Report
+	// RAOnly are the weak behaviours: outcomes reachable under RAR but
+	// not under SC. SCOnly are outcomes reachable under SC but not
+	// under RAR. Both are sorted.
+	RAOnly, SCOnly []string
 }
 
-// Agree reports whether the models produced identical outcome sets.
-func (d DiffReport) Agree() bool { return len(d.OnlyA) == 0 && len(d.OnlyB) == 0 }
-
-// String renders a one-line summary.
-func (d DiffReport) String() string {
-	status := "AGREE"
-	if !d.Agree() {
-		status = "DIFFER"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-24s %s  %s=%d outcomes (%d states), %s=%d outcomes (%d states)",
-		d.Test.Name, status,
-		d.ModelA, len(d.OutcomesA), d.ExploredA,
-		d.ModelB, len(d.OutcomesB), d.ExploredB)
-	if len(d.OnlyA) > 0 {
-		fmt.Fprintf(&b, "  only-%s: %s", d.ModelA, strings.Join(d.OnlyA, " "))
-	}
-	if len(d.OnlyB) > 0 {
-		fmt.Fprintf(&b, "  only-%s: %s", d.ModelB, strings.Join(d.OnlyB, " "))
-	}
-	return b.String()
+// Compare runs the test under ra and then sc — the RAR and the SC
+// backend — and compares the outcome sets. opts applies to both runs.
+func (t *Test) Compare(ra, sc model.Model, opts explore.Options) Comparison {
+	c := Comparison{RA: t.RunModel(ra, opts), SC: t.RunModel(sc, opts)}
+	c.RAOnly = missing(c.RA.Outcomes, c.SC.Outcomes)
+	c.SCOnly = missing(c.SC.Outcomes, c.RA.Outcomes)
+	return c
 }
 
-// Diff runs the test under both models and compares the outcome sets.
-// Expectations are not checked (use RunModel for verdicts); the diff
-// is purely observational.
-func (t *Test) Diff(a, b model.Model, opts explore.Options) DiffReport {
-	if opts.MaxEvents == 0 {
-		opts.MaxEvents = t.MaxEvents
-	}
-	d := DiffReport{Test: t, ModelA: a.Name(), ModelB: b.Name()}
+// Differ reports whether the outcome sets differ.
+func (c Comparison) Differ() bool { return len(c.RAOnly) > 0 || len(c.SCOnly) > 0 }
 
-	resA, outA := runOutcomes(a.New(t.Prog, t.Init), t.Observe, opts)
-	resB, outB := runOutcomes(b.New(t.Prog, t.Init), t.Observe, opts)
-	d.OutcomesA, d.OutcomesB = outA, outB
-	d.ExploredA, d.ExploredB = resA.Explored, resB.Explored
-	d.TruncatedA = resA.Truncated || resA.Stop != explore.StopNone
-	d.TruncatedB = resB.Truncated || resB.Stop != explore.StopNone
+// RefinementBroken reports a breach of SC ⊆ RA: an outcome reachable
+// under SC is missing from a complete RAR search. A truncated RAR
+// search leaves its outcome set a prefix, so an SC-only outcome is
+// then an artefact of the bound; a cut SC search only loses outcomes,
+// so an SC-only outcome it did reach is still a breach.
+func (c Comparison) RefinementBroken() bool { return len(c.SCOnly) > 0 && !c.RA.Truncated }
 
-	for k := range outA {
-		if !outB[k] {
-			d.OnlyA = append(d.OnlyA, k)
+// missing lists, sorted, the outcomes of a that b lacks.
+func missing(a, b map[string]bool) []string {
+	var only []string
+	for k := range a {
+		if !b[k] {
+			only = append(only, k)
 		}
 	}
-	for k := range outB {
-		if !outA[k] {
-			d.OnlyB = append(d.OnlyB, k)
-		}
-	}
-	sort.Strings(d.OnlyA)
-	sort.Strings(d.OnlyB)
-	return d
+	sort.Strings(only)
+	return only
 }

@@ -4,8 +4,9 @@
 // the SC backend of internal/sc — plus the Peterson mutual-exclusion
 // programs of Algorithm 1 (and deliberately weakened variants used as
 // negative controls). Each test runs through the model-generic
-// explorer under a chosen backend; Diff runs two backends on the same
-// test and reports the outcome-set difference (the weak behaviours).
+// explorer under a chosen backend; Compare runs it under RAR and SC and
+// reports the outcome-set difference (the weak behaviours) and whether
+// SC ⊆ RA refinement broke.
 // At litmus sizes the RAR verdicts are additionally cross-checked
 // against the axiomatic generate-and-test baseline.
 package litmus
@@ -142,8 +143,7 @@ func (t *Test) RunModel(m model.Model, opts explore.Options) Report {
 
 // CheckOutcomes evaluates the named model's catalog expectations
 // against an already-computed outcome set (keys in the Summarise
-// format), returning the violated ones. Lets differential callers
-// check verdicts from a Diff's outcome sets without re-exploring.
+// format), returning the violated ones, without re-exploring.
 func (t *Test) CheckOutcomes(modelName string, outcomes map[string]bool) (missingAllowed, reachedForbidden []string) {
 	allowed, forbidden := t.Expectations(modelName)
 	for _, o := range allowed {

@@ -390,18 +390,6 @@ func UnionOf(rs ...Rel) Rel {
 	return out
 }
 
-// IntersectOf returns the intersection of the given relations.
-func IntersectOf(rs ...Rel) Rel {
-	if len(rs) == 0 {
-		return New(0)
-	}
-	out := rs[0].Clone()
-	for _, s := range rs[1:] {
-		out.Intersect(s)
-	}
-	return out
-}
-
 // Compose returns r ; s — the relational composition
 // {(a,c) | ∃b. (a,b) ∈ r ∧ (b,c) ∈ s}.
 func Compose(r, s Rel) Rel {
@@ -556,41 +544,8 @@ func (r Rel) Count() int {
 	return c
 }
 
-// Image returns R[S] = {b | ∃a ∈ S. (a,b) ∈ R}.
-func (r Rel) Image(s bits.Set) bits.Set {
-	out := bits.New(r.n)
-	for a := s.Next(0); a >= 0; a = s.Next(a + 1) {
-		if a < r.n {
-			out.Or(r.Row(a))
-		}
-	}
-	return out
-}
-
-// PreImage returns R⁻¹[S] = {a | ∃b ∈ S. (a,b) ∈ R}.
-func (r Rel) PreImage(s bits.Set) bits.Set {
-	out := bits.New(r.n)
-	for a := 0; a < r.n; a++ {
-		if r.Row(a).Intersects(s) {
-			out.Set(a)
-		}
-	}
-	return out
-}
-
 // Successors returns R[{a}] as a fresh set.
 func (r Rel) Successors(a int) bits.Set { return r.Row(a).Clone() }
-
-// Predecessors returns R⁻¹[{a}] as a fresh set.
-func (r Rel) Predecessors(a int) bits.Set {
-	out := bits.New(r.n)
-	for i := 0; i < r.n; i++ {
-		if r.Has(i, a) {
-			out.Set(i)
-		}
-	}
-	return out
-}
 
 // RestrictTo returns r ∩ (S × S).
 func (r Rel) RestrictTo(s bits.Set) Rel {
@@ -629,26 +584,6 @@ func (r Rel) WithoutIdentity() Rel {
 	return out
 }
 
-// Dom returns {a | ∃b. (a,b) ∈ r}.
-func (r Rel) Dom() bits.Set {
-	out := bits.New(r.n)
-	for a := 0; a < r.n; a++ {
-		if !r.Row(a).Empty() {
-			out.Set(a)
-		}
-	}
-	return out
-}
-
-// Ran returns {b | ∃a. (a,b) ∈ r}.
-func (r Rel) Ran() bits.Set {
-	out := bits.New(r.n)
-	for a := 0; a < r.n; a++ {
-		out.Or(r.Row(a))
-	}
-	return out
-}
-
 // TotalOver reports whether r linearly orders the members of s:
 // for all distinct a, b in s, (a,b) ∈ r or (b,a) ∈ r.
 func (r Rel) TotalOver(s bits.Set) bool {
@@ -661,13 +596,6 @@ func (r Rel) TotalOver(s bits.Set) bool {
 		}
 	}
 	return true
-}
-
-// StrictOrderOver reports whether r restricted to s is a strict total
-// order: irreflexive, transitive and total over s.
-func (r Rel) StrictOrderOver(s bits.Set) bool {
-	sub := r.RestrictTo(s)
-	return sub.Irreflexive() && sub.Transitive() && sub.TotalOver(s)
 }
 
 // Topological returns one linearization of r restricted to the members
@@ -753,32 +681,6 @@ func (r Rel) Linearizations(f func(perm []int) bool) bool {
 		return true
 	}
 	return rec()
-}
-
-// IsLinearization reports whether seq is a permutation of 0..n-1 that
-// respects r: (a,b) ∈ r implies a appears before b.
-func (r Rel) IsLinearization(seq []int) bool {
-	if len(seq) != r.n {
-		return false
-	}
-	pos := make([]int, r.n)
-	seen := make([]bool, r.n)
-	for i, e := range seq {
-		if e < 0 || e >= r.n || seen[e] {
-			return false
-		}
-		seen[e] = true
-		pos[e] = i
-	}
-	for a := 0; a < r.n; a++ {
-		row := r.Row(a)
-		for b := row.Next(0); b >= 0; b = row.Next(b + 1) {
-			if pos[a] >= pos[b] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // String renders the relation as a sorted pair list.

@@ -52,7 +52,8 @@ func TestUnionIntersectSubtract(t *testing.T) {
 	if u.Count() != 3 || !u.Has(0, 1) || !u.Has(2, 3) {
 		t.Fatalf("union = %v", u)
 	}
-	i := IntersectOf(a, b)
+	i := a.Clone()
+	i.Intersect(b)
 	if i.Count() != 1 || !i.Has(1, 2) {
 		t.Fatalf("intersect = %v", i)
 	}
@@ -173,20 +174,14 @@ func TestSubsetEqualEmpty(t *testing.T) {
 	}
 }
 
+// The image of a point is its successor set; its pre-image is the
+// successor set under the converse.
 func TestImagePreImage(t *testing.T) {
 	r := pairsRel(5, [2]int{0, 2}, [2]int{1, 2}, [2]int{1, 3})
-	img := r.Image(bits.Of(5, 0, 1))
-	if !img.Equal(bits.Of(5, 2, 3)) {
-		t.Fatalf("image = %v", img)
-	}
-	pre := r.PreImage(bits.Of(5, 3))
-	if !pre.Equal(bits.Of(5, 1)) {
-		t.Fatalf("preimage = %v", pre)
-	}
 	if got := r.Successors(1); !got.Equal(bits.Of(5, 2, 3)) {
 		t.Fatalf("successors = %v", got)
 	}
-	if got := r.Predecessors(2); !got.Equal(bits.Of(5, 0, 1)) {
+	if got := r.Converse().Successors(2); !got.Equal(bits.Of(5, 0, 1)) {
 		t.Fatalf("predecessors = %v", got)
 	}
 }
@@ -207,21 +202,11 @@ func TestRestrictFilterWithoutID(t *testing.T) {
 	}
 }
 
-func TestDomRan(t *testing.T) {
-	r := pairsRel(4, [2]int{0, 2}, [2]int{1, 2})
-	if !r.Dom().Equal(bits.Of(4, 0, 1)) {
-		t.Fatalf("dom = %v", r.Dom())
-	}
-	if !r.Ran().Equal(bits.Of(4, 2)) {
-		t.Fatalf("ran = %v", r.Ran())
-	}
-}
-
 func TestTotalAndStrictOrder(t *testing.T) {
 	// 0 < 1 < 2 strict total order (transitively closed).
 	r := pairsRel(4, [2]int{0, 1}, [2]int{1, 2}, [2]int{0, 2})
 	s := bits.Of(4, 0, 1, 2)
-	if !r.TotalOver(s) || !r.StrictOrderOver(s) {
+	if !r.TotalOver(s) {
 		t.Fatal("strict order misreported")
 	}
 	// Missing 0-2 pair: total fails after restriction? Actually TotalOver
@@ -229,11 +214,6 @@ func TestTotalAndStrictOrder(t *testing.T) {
 	r2 := pairsRel(4, [2]int{0, 1}, [2]int{1, 2})
 	if r2.TotalOver(s) {
 		t.Fatal("incomparable pair missed")
-	}
-	// Non-transitive but total: not a strict order.
-	r3 := pairsRel(3, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 0})
-	if r3.StrictOrderOver(bits.Of(3, 0, 1, 2)) {
-		t.Fatal("cyclic relation accepted as strict order")
 	}
 }
 
@@ -243,7 +223,7 @@ func TestTopological(t *testing.T) {
 	if !ok {
 		t.Fatal("topological failed on dag")
 	}
-	if !r.IsLinearization(seq) {
+	if !isLinearization(r, seq) {
 		t.Fatalf("sequence %v not a linearization", seq)
 	}
 	if _, ok := pairsRel(2, [2]int{0, 1}, [2]int{1, 0}).Topological(); ok {
@@ -260,7 +240,7 @@ func TestLinearizationsEnumeration(t *testing.T) {
 	r := pairsRel(3, [2]int{0, 1})
 	var count int
 	done := r.Linearizations(func(p []int) bool {
-		if !r.IsLinearization(p) {
+		if !isLinearization(r, p) {
 			t.Fatalf("emitted non-linearization %v", p)
 		}
 		count++
@@ -283,18 +263,45 @@ func TestLinearizationsEnumeration(t *testing.T) {
 	}
 }
 
+// isLinearization reports whether seq is a permutation of 0..n-1 that
+// respects r: (a,b) ∈ r implies a appears before b. It is the oracle
+// the Topological and Linearizations tests judge their output by.
+func isLinearization(r Rel, seq []int) bool {
+	n := r.Size()
+	if len(seq) != n {
+		return false
+	}
+	pos := make([]int, n)
+	seen := make([]bool, n)
+	for i, e := range seq {
+		if e < 0 || e >= n || seen[e] {
+			return false
+		}
+		seen[e] = true
+		pos[e] = i
+	}
+	for _, p := range r.Pairs() {
+		if pos[p[0]] >= pos[p[1]] {
+			return false
+		}
+	}
+	return true
+}
+
+// The oracle itself rejects order violations and non-permutations, so
+// the tests that rely on it cannot pass vacuously.
 func TestIsLinearizationRejects(t *testing.T) {
 	r := pairsRel(3, [2]int{0, 1})
-	if r.IsLinearization([]int{1, 0, 2}) {
+	if isLinearization(r, []int{1, 0, 2}) {
 		t.Fatal("order violation accepted")
 	}
-	if r.IsLinearization([]int{0, 1}) {
+	if isLinearization(r, []int{0, 1}) {
 		t.Fatal("short sequence accepted")
 	}
-	if r.IsLinearization([]int{0, 0, 1}) {
+	if isLinearization(r, []int{0, 0, 1}) {
 		t.Fatal("duplicate accepted")
 	}
-	if r.IsLinearization([]int{0, 1, 7}) {
+	if isLinearization(r, []int{0, 1, 7}) {
 		t.Fatal("out-of-range accepted")
 	}
 }
@@ -399,12 +406,12 @@ func TestQuickTopologicalValid(t *testing.T) {
 			}
 		}
 		seq, ok := r.Topological()
-		if !ok || !r.IsLinearization(seq) {
+		if !ok || !isLinearization(r, seq) {
 			return false
 		}
 		valid := true
 		r.Linearizations(func(p []int) bool {
-			if !r.IsLinearization(p) {
+			if !isLinearization(r, p) {
 				valid = false
 				return false
 			}
@@ -592,7 +599,7 @@ func TestGrowWordBoundaries(t *testing.T) {
 				}
 			}
 			// The new last row and column are usable and start empty.
-			if !r.Row(n-1).Empty() || !r.PreImage(bits.Of(n, n-1)).Empty() {
+			if !r.Row(n-1).Empty() || !r.Converse().Row(n-1).Empty() {
 				t.Fatalf("%v at %d: new row or column not empty", path, n)
 			}
 			r.Add(n-1, 0)

@@ -11,23 +11,18 @@ import (
 	"repro/internal/explore"
 	"repro/internal/lang"
 	"repro/internal/litmus"
-	"repro/internal/model"
 	"repro/internal/sc"
 
 	coremodel "repro/internal/core"
 )
 
-// outcomes explores a config under the unified engine and returns the
-// terminated outcome set over the observed variables.
-func outcomes(c model.Config, observe []event.Var) map[string]bool {
-	return explore.Outcomes(c, explore.Options{MaxEvents: 20}, func(cfg model.Config) string {
-		return cfg.Summarise(observe)
-	})
-}
-
 func TestUpdateAtomicUnderSC(t *testing.T) {
-	p := lang.Prog{lang.SwapC("t", 1), lang.SwapC("t", 2)}
-	out := outcomes(sc.NewConfig(p, map[event.Var]event.Val{"t": 0}), []event.Var{"t"})
+	tc := &litmus.Test{
+		Prog:    lang.Prog{lang.SwapC("t", 1), lang.SwapC("t", 2)},
+		Init:    map[event.Var]event.Val{"t": 0},
+		Observe: []event.Var{"t"},
+	}
+	out := tc.RunModel(sc.Model, explore.Options{}).Outcomes
 	if len(out) != 2 || !out["t=1;"] || !out["t=2;"] {
 		t.Fatalf("outcomes = %v", out)
 	}
@@ -36,48 +31,45 @@ func TestUpdateAtomicUnderSC(t *testing.T) {
 // SC forbids the store-buffering weak outcome that RA allows — the
 // defining difference between the two plugged-in models.
 func TestSBDiffersBetweenSCAndRA(t *testing.T) {
-	p := lang.Prog{
-		lang.SeqC(lang.AssignRelC("x", lang.V(1)), lang.AssignC("a", lang.XA("y"))),
-		lang.SeqC(lang.AssignRelC("y", lang.V(1)), lang.AssignC("b", lang.XA("x"))),
+	tc := &litmus.Test{
+		Prog: lang.Prog{
+			lang.SeqC(lang.AssignRelC("x", lang.V(1)), lang.AssignC("a", lang.XA("y"))),
+			lang.SeqC(lang.AssignRelC("y", lang.V(1)), lang.AssignC("b", lang.XA("x"))),
+		},
+		Init:    map[event.Var]event.Val{"x": 0, "y": 0, "a": 0, "b": 0},
+		Observe: []event.Var{"a", "b"},
 	}
-	vars := map[event.Var]event.Val{"x": 0, "y": 0, "a": 0, "b": 0}
-	observe := []event.Var{"a", "b"}
-
-	scOut := outcomes(sc.NewConfig(p, vars), observe)
-	if scOut["a=0;b=0;"] {
+	c := tc.Compare(coremodel.Model, sc.Model, explore.Options{MaxEvents: 20})
+	if c.SC.Outcomes["a=0;b=0;"] {
 		t.Fatal("SC allowed the SB weak outcome")
 	}
-	if !scOut["a=1;b=1;"] {
-		t.Fatalf("SC outcomes degenerate: %v", scOut)
+	if !c.SC.Outcomes["a=1;b=1;"] {
+		t.Fatalf("SC outcomes degenerate: %v", c.SC.Outcomes)
 	}
-
-	raOut := outcomes(coremodel.NewConfig(p, vars), observe)
-	if !raOut["a=0;b=0;"] {
-		t.Fatal("RA forbade the SB weak outcome")
+	if len(c.RAOnly) != 1 || c.RAOnly[0] != "a=0;b=0;" {
+		t.Fatalf("RA-only outcomes = %v, want the SB weak outcome", c.RAOnly)
 	}
 	// SC outcomes are a subset of RA outcomes.
-	for k := range scOut {
-		if !raOut[k] {
-			t.Fatalf("SC outcome %q not reachable under RA", k)
-		}
+	if len(c.SCOnly) != 0 {
+		t.Fatalf("SC outcomes %v not reachable under RA", c.SCOnly)
 	}
 }
 
 // Every litmus test's SC outcome set is contained in its RA outcome
 // set (SC refines RA), and the explicitly forbidden RA outcomes are
-// absent under SC too — via the litmus diff machinery, so this also
+// absent under SC too — via litmus.Test.Compare, so this also
 // exercises the differential mode end to end.
 func TestSCRefinesRAOnSuite(t *testing.T) {
 	for _, tc := range litmus.Suite() {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
 			t.Parallel()
-			d := tc.Diff(coremodel.Model, sc.Model, explore.Options{MaxEvents: 20})
-			if len(d.OnlyB) != 0 {
-				t.Fatalf("SC-only outcomes break refinement: %v", d.OnlyB)
+			c := tc.Compare(coremodel.Model, sc.Model, explore.Options{MaxEvents: 20})
+			if len(c.SCOnly) != 0 {
+				t.Fatalf("SC-only outcomes break refinement: %v", c.SCOnly)
 			}
 			for _, o := range tc.Forbidden {
-				if d.OutcomesB[o.Key(tc.Observe)] {
+				if c.SC.Outcomes[o.Key(tc.Observe)] {
 					t.Fatal("forbidden outcome reachable under SC")
 				}
 			}
@@ -108,15 +100,17 @@ func TestPetersonSafeUnderSC(t *testing.T) {
 }
 
 func BenchmarkSCOutcomes(b *testing.B) {
-	p := lang.Prog{
-		lang.SeqC(lang.AssignC("x", lang.V(1)), lang.AssignC("a", lang.X("y"))),
-		lang.SeqC(lang.AssignC("y", lang.V(1)), lang.AssignC("b", lang.X("x"))),
+	tc := &litmus.Test{
+		Prog: lang.Prog{
+			lang.SeqC(lang.AssignC("x", lang.V(1)), lang.AssignC("a", lang.X("y"))),
+			lang.SeqC(lang.AssignC("y", lang.V(1)), lang.AssignC("b", lang.X("x"))),
+		},
+		Init:    map[event.Var]event.Val{"x": 0, "y": 0, "a": 0, "b": 0},
+		Observe: []event.Var{"a", "b"},
 	}
-	vars := map[event.Var]event.Val{"x": 0, "y": 0, "a": 0, "b": 0}
-	observe := []event.Var{"a", "b"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if len(outcomes(sc.NewConfig(p, vars), observe)) == 0 {
+		if len(tc.RunModel(sc.Model, explore.Options{}).Outcomes) == 0 {
 			b.Fatal("no outcomes")
 		}
 	}
