@@ -91,7 +91,9 @@ func litmusCmd(fs *flag.FlagSet, s *session) func() int {
 			}
 			ran++
 			scn, isDS := scenarios[tc]
-			eopts := explore.Options{MaxEvents: *maxEv, Workers: *workers}
+			// The reduction keeps every terminated configuration, so the
+			// outcome sets are those of the full search.
+			eopts := explore.Options{MaxEvents: *maxEv, Workers: *workers, POR: true}
 			if isDS && tc.MaxEvents > 0 {
 				// A scenario's expectations are exact *at* its pinned
 				// bound (the .lit maxevents clause); -max does not

@@ -44,7 +44,7 @@ func (c Config) Successors() []Config {
 	return out
 }
 
-// tagBufPool recycles the observed-write scratch buffers of the
+// tagBufPool reuses the observed-write scratch buffers of the
 // successor hot path: one Get/Put per memory step instead of one
 // slice allocation per step per state.
 var tagBufPool = sync.Pool{New: func() any { b := make([]event.Tag, 0, 16); return &b }}

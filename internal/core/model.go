@@ -13,9 +13,8 @@ import (
 // seam (internal/model): Config implements model.Config, and Model is
 // the backend the frontends select with -model rar. The explorer
 // instantiates its engine at Config and drives it through the typed
-// AppendStepChoices and Build (interp.go) and Discard below; the
-// axiomatic cross-checks and the proof layer use Successors and the
-// State accessors directly.
+// AppendStepChoices and Build (interp.go); the axiomatic cross-checks
+// and the proof layer use Successors and the State accessors directly.
 
 // Model is the RAR backend: the paper's release-acquire fragment of
 // C11 behind the model.Model interface.
@@ -41,18 +40,10 @@ func (c Config) Program() lang.Prog { return c.node.Prog() }
 // (the engine subtracts the initial configuration's count).
 func (c Config) Progress() int { return c.S.NumEvents() }
 
-// Discard hands back a built successor the explorer proved it will
-// never use again — one that lost an admission race, was rejected by
-// the state budget, or was built for the collision audit and
-// deduplicated — so its state can be recycled. c is the configuration
-// succ was expanded from; successors of silent steps share its state
-// and own nothing recyclable.
-func (c Config) Discard(succ Config) {
-	if succ.S == c.S {
-		return
-	}
-	succ.S.recycle()
-}
+// Discard does nothing: a successor nobody keeps is left to the
+// garbage collector. It remains only because the benchmark's layer
+// probe (perfbench/workloads.go) passes it as its discard hook.
+func (c Config) Discard(Config) {}
 
 // StepsAcyclic: every memory step appends an event, so non-silent
 // transitions strictly grow Progress and never close a cycle.

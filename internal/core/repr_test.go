@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"repro/internal/event"
+	"repro/internal/lang"
 )
 
 // hasPointers reports whether values of typ hold a pointer the garbage
@@ -99,5 +100,30 @@ func TestEventIDBounds(t *testing.T) {
 		if _, _, err := s.StepRead(tid, false, "x", 0); !errors.Is(err, ErrBadThread) {
 			t.Errorf("StepRead by thread %d: err %v, want ErrBadThread", tid, err)
 		}
+	}
+}
+
+// TestSuccessorFootprint pins what one memory-step successor costs:
+// the State shell, the slab its allocator carves mo and the index
+// block from, and a copy of the event list (the parent's events claim
+// is taken by the first successor, so every later one copies). The
+// shell stays at most 480 bytes.
+func TestSuccessorFootprint(t *testing.T) {
+	if n := unsafe.Sizeof(State{}); n > 480 {
+		t.Errorf("State is %d bytes, want at most 480", n)
+	}
+	c := NewConfig(lang.Prog{lang.AssignC("x", lang.V(1)), lang.AssignC("y", lang.V(1))},
+		map[event.Var]event.Val{"x": 0, "y": 0})
+	ps := c.Node().Steps()[0]
+	chs := c.AppendStepChoices(nil, ps)
+	if len(chs) != 1 || chs[0].Progress != c.Progress()+1 {
+		t.Fatalf("want one memory-step choice, got %+v", chs)
+	}
+	var sink Config
+	if n := testing.AllocsPerRun(100, func() { sink = c.Build(ps, chs[0]) }); n != 3 {
+		t.Errorf("a memory-step Build makes %v allocations, want 3", n)
+	}
+	if got, want := sink.Fingerprint(), chs[0].FP; got != want {
+		t.Errorf("built fingerprint %v, predicted %v", got, want)
 	}
 }

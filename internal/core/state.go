@@ -64,8 +64,8 @@ import (
 // otherwise it copies (relation.Extend, Rel.Extend). The aliasing
 // invariants: the rows (events) below a state's n are immutable once
 // the state is published; only the claim winner writes row n; and a
-// discarded claimer keeps its claim and never hands shared storage to
-// statePool or to its allocator's Release.
+// claimer keeps its claim even when nobody keeps the claimer, so its
+// siblings copy.
 type State struct {
 	events []evRec // D; index is the event's Tag
 	// names maps a variable id to its name. Init sorts the variables
@@ -446,7 +446,7 @@ func (s *State) grow(t event.Thread, e evRec) *State {
 	n := len(s.events) + 1
 	g := n - 1
 	nv := len(s.names)
-	out := statePool.Get().(*State)
+	out := new(State)
 	out.events = relation.Extend(s.events, &s.tails.events)
 	out.names = s.names
 	out.nthr = max(s.nthr, int(t)+1)

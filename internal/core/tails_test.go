@@ -61,11 +61,10 @@ func (h history) check(t *testing.T, s *State, name string) {
 // TestClaimedTailsAliasing drives the aliasing rules of the claimable
 // tails: one parent with a claiming successor (which extends the
 // parent's event list and closures in place), a copying successor
-// (which may extend only hb in place), and
-// a third successor that is discarded and whose shell the pool then
-// reuses; and a discarded claimer, whose claim stays taken so its
-// sibling copies. No parent may change, and the incremental audit must
-// be clean on every state.
+// (which may extend only hb in place), and a third successor that is
+// dropped before its sibling's child is built; and a dropped claimer,
+// whose claim stays taken so its sibling copies. No parent may change,
+// and the incremental audit must be clean on every state.
 func TestClaimedTailsAliasing(t *testing.T) {
 	must := func(s *State, _ event.Event, err error) *State {
 		t.Helper()
@@ -114,35 +113,30 @@ func TestClaimedTailsAliasing(t *testing.T) {
 		}
 	}
 
-	// The discarded successor, then a grandchild that reuses its shell.
+	// A dropped successor, then a grandchild built after it.
 	dropped := must(p.StepRead(2, true, "x", 2))
-	mustAudit(t, dropped, "discarded")
-	Config{S: p}.Discard(Config{S: dropped})
+	mustAudit(t, dropped, "dropped")
 	grandchild := must(claimer.StepWrite(1, false, "x", 3, 2))
-	if grandchild == dropped {
-		t.Log("grandchild reuses the discarded shell")
-	}
 	mustAudit(t, grandchild, "grandchild")
 
-	// A discarded claimer keeps its claim: its sibling copies, and sees
-	// none of what the discarded claimer wrote into the shared tail.
+	// A dropped claimer keeps its claim: its sibling copies, and sees
+	// none of what the dropped claimer wrote into the shared tail.
 	ch := historyOf(copier)
 	lost := must(copier.StepRead(2, false, "x", 2))
-	mustAudit(t, lost, "discarded claimer")
+	mustAudit(t, lost, "dropped claimer")
 	if &lost.events[0] != &copier.events[0] || backing(lost.memo.hbP) != backing(copier.memo.hbP) ||
 		backing(lost.memo.ecoP) != backing(copier.memo.ecoP) || backing(lost.memo.combP) != backing(copier.memo.combP) {
-		t.Fatal("discarded claimer did not claim")
+		t.Fatal("dropped claimer did not claim")
 	}
 	lostFP := lost.Fingerprint()
-	Config{S: copier}.Discard(Config{S: lost})
 	sibling := must(copier.StepRead(2, false, "x", 2))
-	mustAudit(t, sibling, "sibling of a discarded claimer")
+	mustAudit(t, sibling, "sibling of a dropped claimer")
 	if &sibling.events[0] == &copier.events[0] || backing(sibling.memo.hbP) == backing(copier.memo.hbP) ||
 		backing(sibling.memo.ecoP) == backing(copier.memo.ecoP) || backing(sibling.memo.combP) == backing(copier.memo.combP) {
 		t.Error("sibling extended a tail already claimed")
 	}
 	if sibling.Fingerprint() != lostFP {
-		t.Error("sibling and discarded claimer differ")
+		t.Error("sibling and dropped claimer differ")
 	}
 
 	ph.check(t, p, "parent")

@@ -46,8 +46,6 @@ func (c countingCfg) Key() string {
 	return c.Config.Key()
 }
 
-func (c countingCfg) Discard(succ countingCfg) { c.Config.Discard(succ.Config) }
-
 // runCounting explores the Peterson workload through the test backend.
 func runCounting(tb *testBackend, opts Options) (Result, telemetry.Snapshot) {
 	p, vars := petersonProg()
@@ -75,9 +73,6 @@ func TestDuplicatesAreNeverBuilt(t *testing.T) {
 		want := int64(admitted - 1 + requeues)
 		if got := tb.builds.Load(); got != want {
 			t.Errorf("por=%v: built %d successors, want admitted-1+requeues = %d", por, got, want)
-		}
-		if got := snap.Counter("arena_discards"); got != 0 {
-			t.Errorf("por=%v: %d discards in a serial run", por, got)
 		}
 	}
 }

@@ -11,8 +11,8 @@ package explore
 // are cold.
 //
 // The backend methods whose signatures mention the configuration type
-// itself (building a successor and the discard hand-back) cannot live
-// on model.Config, so the engine's type constraint config[C] adds
+// itself (building a successor, returning its interned program) cannot
+// live on model.Config, so the engine's type constraint config[C] adds
 // them: every backend call is a direct method call on C.
 //
 // Expansion is fingerprint first, build second: a backend enumerates
@@ -47,15 +47,6 @@ type config[C any] interface {
 	// Build after AppendStepChoices is the backend's one successor
 	// construction (its AppendStepSuccessors is the same pair).
 	Build(ps lang.ProgStep, ch model.Choice) C
-	// Discard is told about a built successor the engine will never
-	// use again. Duplicates and bound-suppressed choices are never
-	// built, so this sees only successors that lost an admission race
-	// to another worker, were rejected by the MaxConfigs cap, or were
-	// built for the CheckCollisions audit and deduplicated. The
-	// backend may recycle its allocations; the receiver is the
-	// configuration it was expanded from (successors of silent steps
-	// share state with it).
-	Discard(succ C)
 }
 
 const numShards = 64
@@ -160,14 +151,14 @@ func (r *run[C]) shardOf(fp fingerprint.FP) *shard {
 // have found fp unseen, but another worker can admit it in between.
 // Re-discoveries at a shorter depth or with a smaller sleep mask relax
 // the recorded values and re-queue already-expanded entries so the
-// improvements propagate. cont=false means the caller must stop
+// improvements propagate. It returns false when the caller must stop
 // expanding: the admission was rejected by the MaxConfigs budget or
 // cfg violated the property — either way the search is stopping and
-// the parent must stay on the frontier. retained=false means the
-// engine holds no reference to cfg (it deduplicated without being
-// re-queued, or was rejected) and the caller may recycle it. w is the
-// calling worker, whose deque receives the queued configuration.
-func (r *run[C]) admit(w *worker, cfg C, fp, parent fingerprint.FP, d int32, sleep threadMask) (cont, retained bool) {
+// the parent must stay on the frontier. A configuration the engine
+// does not keep (deduplicated without being re-queued, or rejected) is
+// left to the garbage collector. w is the calling worker, whose deque
+// receives the queued configuration.
+func (r *run[C]) admit(w *worker, cfg C, fp, parent fingerprint.FP, d int32, sleep threadMask) bool {
 	// Everything that calls into model code runs outside the shard
 	// lock: model methods may be expensive, and under fault injection
 	// they may panic — a panic below never wedges a shard mutex.
@@ -185,7 +176,7 @@ func (r *run[C]) admit(w *worker, cfg C, fp, parent fingerprint.FP, d int32, sle
 		if requeue {
 			r.pool.push(w.id, item[C]{cfg: cfg, fp: fp})
 		}
-		return true, requeue
+		return true
 	}
 	// Fresh configuration: honour the MaxConfigs admission cap.
 	n := r.explored.Add(1)
@@ -198,7 +189,7 @@ func (r *run[C]) admit(w *worker, cfg C, fp, parent fingerprint.FP, d int32, sle
 		// keeping the frontier sound for checkpoint/resume under a
 		// larger budget.
 		r.stopWith(StopMaxConfigs)
-		return false, false
+		return false
 	}
 	// Configurations at the progress bound stay expandable: their
 	// memory successors are suppressed (expand filters them), but
@@ -243,12 +234,12 @@ func (r *run[C]) admit(w *worker, cfg C, fp, parent fingerprint.FP, d int32, sle
 		// The violating configuration is admitted (it is in the seen
 		// set), but the parent's remaining successors are not: the
 		// parent returns to the frontier with the rest of its work.
-		return false, true
+		return false
 	}
 	if !term {
 		r.pool.push(w.id, item[C]{cfg: cfg, fp: fp})
 	}
-	return true, true
+	return true
 }
 
 // checkProperty runs the property on cfg, which admit has just
@@ -377,13 +368,6 @@ func (r *run[C]) build(parent C, ps lang.ProgStep, ch *model.Choice) C {
 	return s
 }
 
-// discard hands a successor the engine will never use again back to
-// the backend for recycling.
-func (r *run[C]) discard(cell *telemetry.Cell, parent, succ C) {
-	cell.Add(telemetry.EngineDiscards, 1)
-	parent.Discard(succ)
-}
-
 // worker is one worker's identity for a leg of the search: the index
 // of its deque in the pool, its telemetry cell (nil when metrics are
 // disabled) and its reusable expansion buffers — the choices of one
@@ -468,9 +452,9 @@ func (r *run[C]) expand(w *worker, it item[C], d int32, sl threadMask) bool {
 // known fingerprint is relaxed in place and the successor is built
 // only if the entry must be re-queued. An unseen one is built and
 // handed to admit, which re-checks freshness — a worker that loses
-// the race between probe and admission pays one discarded build, not
+// the race between probe and admission pays one wasted build, not
 // a wrong answer. Under CheckCollisions every choice is built, since
-// the audit compares every candidate's Key. It reports admit's cont.
+// the audit compares every candidate's Key. It reports admit's result.
 func (r *run[C]) offer(w *worker, it item[C], ps lang.ProgStep, ch *model.Choice, d int32, sleep threadMask) bool {
 	if r.keys == nil {
 		sh := r.shardOf(ch.FP)
@@ -483,12 +467,7 @@ func (r *run[C]) offer(w *worker, it item[C], ps lang.ProgStep, ch *model.Choice
 		}
 		sh.mu.Unlock()
 	}
-	s := r.build(it.cfg, ps, ch)
-	cont, retained := r.admit(w, s, ch.FP, it.fp, d, sleep)
-	if !retained {
-		r.discard(w.cell, it.cfg, s)
-	}
-	return cont
+	return r.admit(w, r.build(it.cfg, ps, ch), ch.FP, it.fp, d, sleep)
 }
 
 // process claims and expands one item, isolating panics from model

@@ -138,9 +138,9 @@ type Options struct {
 	Hooks Hooks
 	// Metrics, when non-nil, receives engine counters through
 	// per-worker telemetry cells — expansions, successors, admissions,
-	// fingerprint dedup hits, POR-pruned steps, arena recycles, pool
-	// claims and steals, parked time, checkpoint writes — plus live
-	// frontier, frontier-peak and max-depth gauges.
+	// fingerprint dedup hits, POR-pruned steps, pool claims and steals,
+	// parked time, checkpoint writes — plus live frontier,
+	// frontier-peak and max-depth gauges.
 	// Build it with telemetry.NewEngineRegistry; snapshot it during or
 	// after the search (the registry is safe for concurrent use and
 	// may be shared across searches, accumulating totals). When nil,

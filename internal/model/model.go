@@ -29,7 +29,7 @@ import (
 // program paired with a model-specific memory state. Configurations
 // are immutable values; each backend's concrete configuration type
 // (core.Config, sc.Config) carries its own typed successor methods
-// (AppendStepChoices, Build, AppendStepSuccessors, Discard), which
+// (AppendStepChoices, Build, AppendStepSuccessors), which
 // internal/explore instantiates its engine over, so no method here
 // mentions successors and the successor path never boxes. The
 // interface is the frontend seam for dispatch, traces, properties and

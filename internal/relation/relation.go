@@ -43,44 +43,34 @@ type Rel struct {
 // Allocator carves the word slabs of a successor state's relations,
 // index rows and per-state bit sets out of one backing slab, so
 // building a state costs one allocation rather than one per relation.
-// A fresh life's first slab is sized for slabRels relations over the
-// carrier plus the extra words its owner asks for at Init. Everything
+// Its first slab is sized for slabRels relations over the carrier
+// plus the extra words its owner asks for at Init. Everything
 // it carves is owned by the allocator's owner alone: carves are capped
 // (no spare capacity), so Extend never shares one, and successors copy
 // what they inherit from them.
 type Allocator struct {
 	chunk  []uint64 // uncarved tail of the newest slab
 	stride int      // words per row of the carrier given to Init
-	slab   int      // words in a life's first fresh slab
+	slab   int      // words in the next fresh slab
 	free   []uint64 // spare inline words for NewSet
 	// inline backs small NewSet carves inside the owner's own
 	// allocation.
 	inline [8]uint64
-
-	// Slab recycling (Release): slabs records every slab handed out in
-	// the allocator's current life; spare holds zeroed slabs retained
-	// from a previous life, consumed before any fresh allocation. This
-	// lets a pooled owner (a discarded successor state) recarve the
-	// same backing memory instead of allocating for every successor.
-	slabs [][]uint64
-	spare [][]uint64
 }
 
-// slabRels sizes a life's first slab: the one relation a successor
-// state copies per step (mo; its hb/eco/comb closures come from Extend,
-// and rf lives in the event records). Later slabs of the same life
-// hold slabSets rows (or one oversized carve).
+// slabRels sizes the first slab: the one relation a successor state
+// copies per step (mo; its hb/eco/comb closures come from Extend, and
+// rf lives in the event records). Later slabs hold slabSets rows (or
+// one oversized carve).
 const (
 	slabRels = 1
 	slabSets = 16
 )
 
-// Init (re)initialises an allocator for an n-element carrier; callers
+// Init initialises a zero allocator for an n-element carrier; callers
 // embed the Allocator in a larger per-state structure to save its
-// separate allocation. extra words beyond the
-// relations are reserved in the first slab for Words and NewSet
-// carves. The allocator must not have carved storage that is still
-// referenced.
+// separate allocation. extra words beyond the relations are reserved
+// in the first slab for Words and NewSet carves.
 func (a *Allocator) Init(n, extra int) {
 	a.stride = strideOf(n)
 	a.slab = slabRels*n*a.stride + extra
@@ -91,55 +81,16 @@ func (a *Allocator) Init(n, extra int) {
 	}
 }
 
-// Release retains the allocator's slabs for reuse after a future Init
-// and clears what this life carved. The caller guarantees nothing
-// carved in this life is referenced anymore — in this repository, that
-// the owning state was discarded before it was ever expanded, audited
-// or stored.
-func (a *Allocator) Release() {
-	// Push in reverse so the life's first (largest) slab is recarved
-	// first. Only the carved prefix of the newest slab is dirty.
-	for i := len(a.slabs) - 1; i >= 0; i-- {
-		s := a.slabs[i]
-		if i == len(a.slabs)-1 {
-			clear(s[:len(s)-len(a.chunk)])
-		} else {
-			clear(s)
-		}
-		a.spare = append(a.spare, s)
-	}
-	clear(a.slabs)
-	a.slabs = a.slabs[:0]
-	a.inline = [8]uint64{} // NewSet carves must come out zeroed
-	a.chunk = nil
-	a.free = nil
-}
-
 // Words carves k zeroed words from the current slab, starting a new
-// one (a retained spare if one fits, else a fresh allocation) when the
-// current slab is exhausted. The result is capped, so it can never
-// spill into the next carve. Not safe for concurrent use; callers
-// synchronise exactly as they do for relation mutation.
+// one when the current slab is exhausted: the first sized at Init,
+// later ones for slabSets rows (or one oversized carve). The
+// result is capped, so it can never spill into the next carve. Not
+// safe for concurrent use; callers synchronise exactly as they do for
+// relation mutation.
 func (a *Allocator) Words(k int) []uint64 {
 	if len(a.chunk) < k {
-		a.chunk = nil
-		// Prefer a slab retained by Release: already zeroed.
-		for len(a.spare) > 0 {
-			s := a.spare[len(a.spare)-1]
-			a.spare = a.spare[:len(a.spare)-1]
-			if len(s) >= k {
-				a.chunk = s
-				break
-			}
-		}
-		if a.chunk == nil {
-			size := slabSets * a.stride
-			if len(a.slabs) == 0 {
-				size = a.slab
-			}
-			a.chunk = make([]uint64, max(k, size))
-		}
-		a.slabs = append(a.slabs, a.chunk)
+		a.chunk = make([]uint64, max(k, a.slab))
+		a.slab = slabSets * a.stride
 	}
 	words := a.chunk[:k:k]
 	a.chunk = a.chunk[k:]

@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -485,32 +484,6 @@ func BenchmarkUnionRow(b *testing.B) {
 	}
 }
 
-// BenchmarkGrowRecycle measures the successor hot path with slab
-// recycling: grow a parent by one element into an allocator, extend
-// the new row, then release the allocator so the next iteration
-// recarves the retained slab — the allocation profile of a
-// dedup-discarded successor. The carriers span a one-word row (4), the
-// bound-120 Peterson search (2 words) and a 5-word row (300), where
-// the flat copy moves the most words per row.
-func BenchmarkGrowRecycle(b *testing.B) {
-	for _, n := range []int{4, 32, 120, 300} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			parent := FromPairs(n, [][2]int{{0, 1}, {1, 2}, {3, n - 1}})
-			var a Allocator
-			a.Init(n+1, 0)
-			src := bits.New(n)
-			src.Set(n / 2)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				child := parent.GrowAlloc(n+1, &a)
-				child.UnionRow(n, src)
-				a.Release()
-				a.Init(n+1, 0)
-			}
-		})
-	}
-}
-
 // newAllocator returns an allocator for an n-element carrier.
 func newAllocator(n int) *Allocator {
 	a := new(Allocator)
@@ -566,6 +539,31 @@ func TestGrowChildIsolation(t *testing.T) {
 	parent.Add(1, 1)
 	if child.Has(1, 1) || sibling.Has(1, 1) || plain.Has(1, 1) {
 		t.Fatal("parent mutation leaked into a child")
+	}
+
+	// A grandchild grown from the carved child into an allocator of its
+	// own keeps its pairs when the child is scribbled over and the
+	// child's allocator carves on.
+	grand := child.GrowAlloc(5, newAllocator(5))
+	want = want.Grow(5)
+	child.UnionRow(0, bits.Of(4, 0, 1, 2, 3))
+	child.Remove(2, 0)
+	w := a.Words(4)
+	for i, x := range w {
+		if x != 0 {
+			t.Fatalf("carved word %d not zeroed: %#x", i, x)
+		}
+		w[i] = ^uint64(0)
+	}
+	s := a.NewSet(4)
+	if !s.Empty() {
+		t.Fatalf("carved set not zeroed: %s", s)
+	}
+	for i := 0; i < 4; i++ {
+		s.Set(i)
+	}
+	if !grand.Equal(want) {
+		t.Fatalf("grandchild diverged: %s, want %s", grand, want)
 	}
 }
 
@@ -694,17 +692,16 @@ func TestUnionRow(t *testing.T) {
 	}
 }
 
-// TestAllocatorRecycling drives the slab-recycling contract of
-// Allocator.Release: after a Release + Init cycle the allocator
-// recarves its retained slabs, and the relations and sets it hands out
-// must come back zeroed and owned — never aliasing storage of a
-// previous life or of the parent the new life grows from. Each case
-// dirties the first life differently before recycling.
+// TestAllocatorRecycling pins that an allocator never hands out
+// storage twice: after each case carves and scribbles, later carves
+// from the same allocator — a relation grown from a parent, relations
+// beyond the first slab, a set, raw words — come out zeroed and owned,
+// never aliasing an earlier carve or the parent they grow from.
 func TestAllocatorRecycling(t *testing.T) {
 	parent := FromPairs(3, [][2]int{{0, 1}, {1, 2}})
 	cases := []struct {
 		name  string
-		dirty func(a *Allocator) // first life: carve and scribble
+		dirty func(a *Allocator) // carve and scribble
 	}{
 		{"rows", func(a *Allocator) {
 			r := parent.GrowAlloc(4, a)
@@ -725,7 +722,7 @@ func TestAllocatorRecycling(t *testing.T) {
 			w[0] = 4
 		}},
 		{"many-rows", func(a *Allocator) {
-			// Outgrow the first slab so several slabs recycle.
+			// Outgrow the first slab so later carves start new slabs.
 			for k := 0; k < 3; k++ {
 				r := New(40).GrowAlloc(40, a)
 				for i := 0; i < 40; i++ {
@@ -736,14 +733,10 @@ func TestAllocatorRecycling(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var a Allocator
-			a.Init(4, 0)
-			tc.dirty(&a)
-			a.Release()
-			a.Init(4, 0)
+			a := newAllocator(4)
+			tc.dirty(a)
 
-			// Second life: everything carved must be zeroed and owned.
-			child := parent.GrowAlloc(4, &a)
+			child := parent.GrowAlloc(4, a)
 			if !child.Row(3).Empty() {
 				t.Fatalf("fresh row not empty: %s", child.Row(3))
 			}
@@ -753,18 +746,16 @@ func TestAllocatorRecycling(t *testing.T) {
 				}
 			}
 			for k := 0; k < 3; k++ {
-				if r := New(40).GrowAlloc(40, &a); !r.Empty() {
-					t.Fatalf("recarved relation not zeroed: %s", r)
+				if r := New(40).GrowAlloc(40, a); !r.Empty() {
+					t.Fatalf("carved relation not zeroed: %s", r)
 				}
 			}
-			s := a.NewSet(4)
-			if !s.Empty() {
-				t.Fatalf("recycled NewSet not zeroed: %s", s)
+			if s := a.NewSet(4); !s.Empty() {
+				t.Fatalf("NewSet not zeroed: %s", s)
 			}
 			if w := a.Words(2); w[0] != 0 || w[1] != 0 {
-				t.Fatalf("recycled Words not zeroed: %v", w)
+				t.Fatalf("Words not zeroed: %v", w)
 			}
-			// Ownership: mutating the child must never leak upward.
 			snapshot := parent.Clone()
 			child.Add(0, 2)
 			child.Add(3, 1)
@@ -773,34 +764,5 @@ func TestAllocatorRecycling(t *testing.T) {
 				t.Fatalf("child mutation leaked into parent: %s vs %s", parent, snapshot)
 			}
 		})
-	}
-}
-
-// TestAllocatorRecycleKeepsDescendantsIntact pins the safety argument
-// of the arena path: recycling an allocator only clears storage carved
-// in its own life. A child grown from a parent carved in one allocator
-// owns a copy in its own allocator, so releasing the parent's
-// allocator (or an unrelated one) never disturbs the child.
-func TestAllocatorRecycleKeepsDescendantsIntact(t *testing.T) {
-	var pa, ca Allocator
-	pa.Init(3, 0)
-	ca.Init(4, 0)
-	parent := FromPairs(3, [][2]int{{0, 1}}).GrowAlloc(3, &pa)
-	child := parent.GrowAlloc(4, &ca)
-	child.Add(0, 2)
-	snapshot := child.Clone()
-
-	pa.Release()
-	var other Allocator
-	other.Init(4, 0)
-	tmp := other.Words(1)
-	tmp[0] = 2
-	other.Release()
-
-	if !child.Equal(snapshot) {
-		t.Fatalf("child diverged after release: %s vs %s", child, snapshot)
-	}
-	if !child.Has(0, 1) {
-		t.Fatal("child lost the pair inherited from its released parent")
 	}
 }

@@ -221,8 +221,8 @@ func (c Config) Build(ps lang.ProgStep, ch model.Choice) Config {
 
 // AppendStepSuccessors builds the choice of one program step, if any,
 // appending the successor to out. This is the explorer-independent
-// successor construction; Successors is its union over the enabled
-// steps.
+// successor construction; a caller wanting every successor loops it
+// over Node().Steps().
 func (c Config) AppendStepSuccessors(out []Config, ps lang.ProgStep) []Config {
 	var buf [1]model.Choice
 	for _, ch := range c.AppendStepChoices(buf[:0], ps) {
@@ -230,21 +230,6 @@ func (c Config) AppendStepSuccessors(out []Config, ps lang.ProgStep) []Config {
 	}
 	return out
 }
-
-// Successors returns the enabled SC transitions: the union of
-// AppendStepSuccessors over the enabled steps.
-func (c Config) Successors() []Config {
-	var out []Config
-	for _, ps := range c.node.Steps() {
-		out = c.AppendStepSuccessors(out, ps)
-	}
-	return out
-}
-
-// Discard is the explorer's hand-back of a successor it will never use
-// again. SC states are immutable and left to the garbage collector, so
-// there is nothing to recycle.
-func (c Config) Discard(Config) {}
 
 // StepsAcyclic: an SC configuration is just (program, store), so a
 // spin loop re-reading an unchanged store revisits configurations —

@@ -52,7 +52,7 @@ func TestFingerprintTracksStore(t *testing.T) {
 // is still a write transition; DeltaLabel must not render it as τ.
 func TestDeltaLabelSameValueWrite(t *testing.T) {
 	c := NewConfig(lang.Prog{lang.AssignC("x", lang.V(0))}, map[event.Var]event.Val{"x": 0})
-	succ := c.Successors()
+	succ := c.AppendStepSuccessors(nil, c.Node().Steps()[0])
 	if len(succ) != 1 {
 		t.Fatalf("want 1 successor, got %d", len(succ))
 	}
@@ -61,7 +61,7 @@ func TestDeltaLabelSameValueWrite(t *testing.T) {
 	}
 	// And reads/silent steps stay τ.
 	r := NewConfig(lang.Prog{lang.AssignC("r", lang.X("x"))}, map[event.Var]event.Val{"x": 7, "r": 0})
-	rs := r.Successors()
+	rs := r.AppendStepSuccessors(nil, r.Node().Steps()[0])
 	if got := rs[0].DeltaLabel(r); got != "τ" {
 		t.Fatalf("read DeltaLabel = %q, want τ", got)
 	}
@@ -70,12 +70,12 @@ func TestDeltaLabelSameValueWrite(t *testing.T) {
 func TestSuccessorsDeterministicReads(t *testing.T) {
 	p := lang.Prog{lang.AssignC("r", lang.X("x"))}
 	c := NewConfig(p, map[event.Var]event.Val{"x": 7, "r": 0})
-	succ := c.Successors()
+	succ := c.AppendStepSuccessors(nil, c.Node().Steps()[0])
 	if len(succ) != 1 {
 		t.Fatalf("SC read must be deterministic, got %d successors", len(succ))
 	}
 	// The read value is the store value.
-	succ2 := succ[0].Successors() // the write of r
+	succ2 := succ[0].AppendStepSuccessors(nil, succ[0].Node().Steps()[0]) // the write of r
 	if len(succ2) != 1 {
 		t.Fatal("write step missing")
 	}

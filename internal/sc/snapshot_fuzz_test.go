@@ -29,7 +29,9 @@ func FuzzRestore(f *testing.F) {
 			return
 		}
 		c := r.(sc.Config)
-		c.Successors()
+		for _, ps := range c.Node().Steps() {
+			c.AppendStepSuccessors(nil, ps)
+		}
 		again, err := sc.Model.Restore(c.AppendSnapshot(nil))
 		if err != nil {
 			t.Fatalf("re-snapshot does not restore: %v", err)

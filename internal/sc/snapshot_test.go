@@ -34,8 +34,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if r.Key() != c.Key() {
 			t.Fatalf("key drifted:\n got %q\nwant %q", r.Key(), c.Key())
 		}
-		for _, s := range c.Successors() {
-			walk(s, depth+1)
+		for _, ps := range c.Node().Steps() {
+			for _, s := range c.AppendStepSuccessors(nil, ps) {
+				walk(s, depth+1)
+			}
 		}
 	}
 	walk(NewConfig(p, vars), 0)

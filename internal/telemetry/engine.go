@@ -31,12 +31,6 @@ const (
 	// EngineBoundSuppressed counts successors suppressed by the
 	// progress bound (memory steps at the bound).
 	EngineBoundSuppressed
-	// EngineDiscards counts built successors handed back to the
-	// backend (an admission race lost to another worker, a budget
-	// rejection, a CheckCollisions build that deduplicated): the rar
-	// backend recycles their storage into its arena, the sc backend
-	// has nothing to recycle but is counted alike.
-	EngineDiscards
 	// EnginePoolClaims counts items workers pulled from the work pool
 	// (their own deque or another's).
 	EnginePoolClaims
@@ -83,7 +77,6 @@ var engineCounterNames = [numEngineCounters]string{
 	EngineRequeues:         "requeues",
 	EnginePORPruned:        "por_pruned_steps",
 	EngineBoundSuppressed:  "bound_suppressed",
-	EngineDiscards:         "arena_discards",
 	EnginePoolClaims:       "pool_claims",
 	EnginePoolSteals:       "pool_steals",
 	EnginePoolWaitNS:       "pool_wait_ns",

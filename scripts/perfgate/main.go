@@ -13,9 +13,14 @@
 //	perfgate -baseline BENCH_pr24.json -current BENCH_ci.json
 //	perfgate -baseline ... -current ... -tolerance 10   # percent
 //
+// Both snapshots must run each common benchmark for the same number of
+// iterations: per-op allocations amortise one-off setup over the
+// iterations, so a 3x row reads higher than the same code's 10x row.
+//
 // Exit status: 0 when every common benchmark is within band, 1 on any
-// regression or states/op drift, 2 on malformed input or when the two
-// snapshots share no benchmarks (an empty comparison must not pass).
+// regression or states/op drift, 2 on malformed input, when the two
+// snapshots share no benchmarks (an empty comparison must not pass) or
+// when a common benchmark's iteration counts differ.
 package main
 
 import (
@@ -35,9 +40,9 @@ type snapshot struct {
 // row is one benchmark's gated metrics. Metrics a row lacks (e.g.
 // kernel micro-benchmarks report no states/op) are simply not gated.
 type row struct {
-	states, allocs float64
-	hasStates      bool
-	hasAllocs      bool
+	iters, states, allocs float64
+	hasStates             bool
+	hasAllocs             bool
 }
 
 func load(path string) (map[string]row, string, error) {
@@ -56,6 +61,9 @@ func load(path string) (map[string]row, string, error) {
 			return nil, "", fmt.Errorf("%s: benchmark without a name", path)
 		}
 		var r row
+		if err := json.Unmarshal(b["iterations"], &r.iters); err != nil {
+			return nil, "", fmt.Errorf("%s: %s: bad iterations", path, name)
+		}
 		if raw, ok := b["states/op"]; ok {
 			if err := json.Unmarshal(raw, &r.states); err != nil {
 				return nil, "", fmt.Errorf("%s: %s: bad states/op", path, name)
@@ -106,6 +114,17 @@ func main() {
 		os.Exit(2)
 	}
 	sort.Strings(names)
+	mixed := false
+	for _, name := range names {
+		if b, c := base[name], cur[name]; b.iters != c.iters {
+			fmt.Fprintf(os.Stderr, "perfgate: %s ran %v iterations in %s but %v in %s — per-op allocations are only comparable at equal counts\n",
+				name, b.iters, *baseline, c.iters, *current)
+			mixed = true
+		}
+	}
+	if mixed {
+		os.Exit(2)
+	}
 
 	failures := 0
 	for _, name := range names {
