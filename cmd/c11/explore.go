@@ -40,12 +40,10 @@ func exploreCmd(fs *flag.FlagSet, s *session) func() int {
 		workers = fs.Int("workers", 0, "explorer parallelism (0 = GOMAXPROCS)")
 		por     = fs.Bool("por", true,
 			"partial-order reduction: explore commuting interleavings once (sleep sets + persistent-set heuristic)")
-		checkFP = fs.Bool("checkcollisions", false,
-			"audit the 128-bit fingerprints against the exact canonical signatures of every configuration reached (slow)")
 		checkInc = fs.Bool("checkincremental", false,
 			"recompute the model's incrementally maintained structures from scratch at each configuration and count disagreements")
-		checkPORFl = fs.Bool("checkpor", false,
-			"run the reduced and the full search and diff reachable-state fingerprints and property verdicts (zero divergences expected)")
+		auditFl = fs.Bool("audit", false,
+			"self-audit: the unreduced search with the incremental and collision audits, diffed against a serial and a parallel reduced search — property verdicts, terminated states, reachability (zero divergences expected)")
 	)
 	return func() int {
 		if *example != "" {
@@ -64,7 +62,6 @@ func exploreCmd(fs *flag.FlagSet, s *session) func() int {
 			MaxEvents:        *maxEv,
 			Workers:          *workers,
 			POR:              *por,
-			CheckCollisions:  *checkFP,
 			CheckIncremental: *checkInc,
 		}
 		s.apply(&opts)
@@ -87,12 +84,12 @@ func exploreCmd(fs *flag.FlagSet, s *session) func() int {
 				return fail(err)
 			}
 			cfg = m.New(prog, f.Init)
-		} else if *racesFl || *checkPORFl {
-			return fail(fmt.Errorf("-resume continues a plain exploration; it cannot drive -races or -checkpor"))
+		} else if *racesFl {
+			return fail(fmt.Errorf("-resume continues a plain exploration; it cannot drive -races"))
 		}
 
-		if *checkPORFl {
-			return checkPOR(m, cfg, opts)
+		if *auditFl {
+			return s.audit(m, cfg, opts)
 		}
 		var mu sync.Mutex
 		var sample model.Config
@@ -113,9 +110,6 @@ func exploreCmd(fs *flag.FlagSet, s *session) func() int {
 		fmt.Printf("model=%s explored %d configurations, %d terminated, depth %d, truncated=%v, por=%v\n",
 			m.Name(), res.Explored, res.Terminated, res.Depth, res.Truncated, *por)
 		fmt.Println(describe(res))
-		if *checkFP && audited("fingerprint collisions", res.FingerprintCollisions) {
-			return exitViolation
-		}
 		if *checkInc && audited("closure mismatches", res.ClosureMismatches) {
 			return exitViolation
 		}

@@ -34,7 +34,7 @@ func fuzzCmd(fs *flag.FlagSet, s *session) func() int {
 		keep    = fs.String("keep", "", "also write every generated program (failing or not) into this directory")
 		v       = fs.Bool("v", false, "per-program progress lines")
 		maxEv   = fs.Int("max", 0, "RAR exploration bound (default: derived per program)")
-		workers = fs.Int("workers", 0, "parallel width of the serial-vs-parallel oracle (default 8)")
+		workers = fs.Int("workers", 0, "parallel width of the self-audit's unreduced and parallel reduced searches (default 8)")
 	)
 	return func() int {
 		opts := gen.CheckOpts{MaxEvents: *maxEv, MaxConfigs: s.budget.maxStates, Workers: *workers,

@@ -21,6 +21,11 @@ func TestSubcommandExitCodes(t *testing.T) {
 		{[]string{"explore", "-f", "../../testdata/sb.lit", "-diff"}, exitInternal},
 		{[]string{"explore", "-f", "../../testdata/na-mp.lit", "-races", "-max", "12"}, exitProved},
 		{[]string{"explore", "-example", "3.2"}, exitProved},
+		{[]string{"explore", "-f", "../../testdata/sb.lit", "-max", "9", "-audit"}, exitProved},
+		{[]string{"verify", "-model", "sc", "-audit"}, exitProved},
+		{[]string{"explore", "-f", "../../testdata/peterson.lit", "-max", "320", "-audit", "-timeout", "50ms"}, exitBounded},
+		{[]string{"verify", "-max", "8", "-audit", "-checkpoint", "x"}, exitInternal},
+		{[]string{"explore", "-f", "../../testdata/sb.lit", "-checkpor"}, exitInternal},
 		{[]string{"explore"}, exitInternal},
 		{[]string{"litmus", "-run", "SB", "-model", "all"}, exitProved},
 		{[]string{"litmus", "-f", "../../testdata/sb.lit", "-model", "all"}, exitProved},

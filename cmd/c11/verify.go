@@ -39,8 +39,8 @@ func verifyCmd(fs *flag.FlagSet, s *session) func() int {
 			"partial-order reduction: explore commuting interleavings once (the invariant sweep then covers the reduced state space; run -por=false for the full one)")
 		checkInc = fs.Bool("checkincremental", false,
 			"audit the model's incrementally maintained structures against from-scratch recomputation at every configuration")
-		checkPORFl = fs.Bool("checkpor", false,
-			"run the reduced and the full search and diff reachable-state fingerprints and invariant verdicts (zero divergences expected)")
+		auditFl = fs.Bool("audit", false,
+			"self-audit: the unreduced search with the incremental and collision audits, diffed against a serial and a parallel reduced search — invariant verdicts, terminated states, reachability (zero divergences expected)")
 	)
 	return func() int {
 		var (
@@ -88,8 +88,8 @@ func verifyCmd(fs *flag.FlagSet, s *session) func() int {
 			Property:         property,
 		}
 		s.apply(&opts)
-		if *checkPORFl {
-			return checkPOR(m, m.New(prog, vars), opts)
+		if *auditFl {
+			return s.audit(m, m.New(prog, vars), opts)
 		}
 		res, err := s.execute(m, m.New(prog, vars), opts)
 		if err != nil {
@@ -156,13 +156,18 @@ func verifyCmd(fs *flag.FlagSet, s *session) func() int {
 	}
 }
 
-// checkPOR runs the reduced and the full search from cfg and diffs
-// them: -checkpor on verify and explore.
-func checkPOR(m model.Model, cfg model.Config, opts explore.Options) int {
-	audit := explore.CheckPOR(cfg, opts)
-	fmt.Printf("model=%s %s\n", m.Name(), audit)
-	if audit.Divergences() > 0 {
+// audit runs explore.Audit from cfg for -audit: exit 1 on any
+// divergence, 2 when a budget cut left the contracts uncompared.
+func (s *session) audit(m model.Model, cfg model.Config, opts explore.Options) int {
+	if s.budget.checkpoint != "" || s.budget.resume != "" {
+		return fail(fmt.Errorf("-audit runs three fresh searches; it cannot -checkpoint or -resume"))
+	}
+	a := explore.Audit(cfg, opts)
+	fmt.Printf("model=%s %s\n", m.Name(), a)
+	if a.Divergences() > 0 {
 		return exitViolation
+	} else if a.Cut {
+		return exitBounded
 	}
 	return exitProved
 }

@@ -99,9 +99,9 @@
 // as visible and never reduced over. The reduction preserves every
 // terminated configuration and all label-observable behaviour while
 // skipping commuting intermediate states. Its contract is auditable:
-// explore.CheckPOR (flag -checkpor) runs the reduced and the full
-// search and diffs property verdicts, terminated-state fingerprint
-// sets and reduced ⊆ full reachability — expected zero divergences,
-// asserted across the testdata litmus suite by
-// por_equivalence_test.go and in CI.
+// explore.Audit (flag -audit) runs the full search and the reduced one,
+// serially and in parallel, and diffs property verdicts,
+// terminated-state fingerprint sets and reduced ⊆ full reachability —
+// expected zero divergences, asserted across the testdata litmus suite
+// by por_equivalence_test.go and in CI.
 package repro

@@ -44,8 +44,8 @@ func TestDSCheckPOR(t *testing.T) {
 			}
 			cfg := core.NewConfig(prog, f.Init)
 			for _, workers := range []int{1, 8} {
-				a := explore.CheckPOR(cfg, explore.Options{MaxEvents: f.MaxEvents, Workers: workers})
-				if !a.SetsCompared {
+				a := explore.Audit(cfg, explore.Options{MaxEvents: f.MaxEvents, Workers: workers})
+				if !a.POR.SetsCompared || !a.Workers.SetsCompared {
 					t.Fatalf("workers=%d: audit did not compare fingerprint sets", workers)
 				}
 				if n := a.Divergences(); n != 0 {
@@ -74,8 +74,8 @@ func TestDSCheckPORSC(t *testing.T) {
 			}
 			cfg := m.New(prog, f.Init)
 			for _, workers := range []int{1, 8} {
-				a := explore.CheckPOR(cfg, explore.Options{Workers: workers})
-				if !a.SetsCompared {
+				a := explore.Audit(cfg, explore.Options{Workers: workers})
+				if !a.POR.SetsCompared || !a.Workers.SetsCompared {
 					t.Fatalf("workers=%d: audit did not compare fingerprint sets", workers)
 				}
 				if n := a.Divergences(); n != 0 {

@@ -151,55 +151,7 @@ func (x Exec) Restrict(keep []event.Tag) Exec {
 // reachable by different interleavings of the same per-thread event
 // sequences with the same rf and mo share a signature.
 func (x Exec) CanonicalSignature() string {
-	type keyed struct {
-		tid  event.Thread
-		pos  int
-		name string // tiebreak for init writes
-		tag  event.Tag
-	}
-	ks := make([]keyed, len(x.Events))
-	perThread := map[event.Thread]int{}
-	// Events of one thread appear in sb order, which for both
-	// core.State and the enumerators below coincides with tag order.
-	for i, e := range x.Events {
-		ks[i] = keyed{tid: e.TID, pos: perThread[e.TID], name: string(e.Var()), tag: e.Tag}
-		perThread[e.TID]++
-	}
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i].tid != ks[j].tid {
-			return ks[i].tid < ks[j].tid
-		}
-		if ks[i].tid == event.InitThread && ks[i].name != ks[j].name {
-			return ks[i].name < ks[j].name
-		}
-		return ks[i].pos < ks[j].pos
-	})
-	canon := make(map[event.Tag]int, len(ks))
-	var b strings.Builder
-	for i, k := range ks {
-		canon[k.tag] = i
-		fmt.Fprintf(&b, "%d:%s|", k.tid, x.Events[int(k.tag)].Act)
-	}
-	writePairs := func(label string, r relation.Rel) {
-		pairs := r.Pairs()
-		renamed := make([][2]int, 0, len(pairs))
-		for _, p := range pairs {
-			renamed = append(renamed, [2]int{canon[event.Tag(p[0])], canon[event.Tag(p[1])]})
-		}
-		sort.Slice(renamed, func(i, j int) bool {
-			if renamed[i][0] != renamed[j][0] {
-				return renamed[i][0] < renamed[j][0]
-			}
-			return renamed[i][1] < renamed[j][1]
-		})
-		b.WriteString(label)
-		for _, p := range renamed {
-			fmt.Fprintf(&b, "(%d,%d)", p[0], p[1])
-		}
-	}
-	writePairs("rf", x.RF)
-	writePairs("mo", x.MO)
-	return b.String()
+	return fingerprint.Signature(x.Events, x.RF, x.MO)
 }
 
 // Fingerprint returns the 128-bit binary equivalent of

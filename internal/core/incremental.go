@@ -41,6 +41,7 @@ import (
 
 	"repro/internal/bits"
 	"repro/internal/event"
+	"repro/internal/fingerprint"
 	"repro/internal/relation"
 )
 
@@ -380,6 +381,12 @@ func (s *State) AuditIncremental() []string {
 				report("lastW[%s]: %d has mo successor %d", s.names[x], lw, g)
 			}
 		}
+	}
+
+	// The fingerprint accumulator, extended item by item as events and
+	// pairs are added, against the from-scratch canonical hash.
+	if fp, want := s.Fingerprint(), fingerprint.Canonical(s.Events(), s.RF(), s.mo); fp != want {
+		report("fingerprint: maintained %x != canonical %x", fp, want)
 	}
 	return bad
 }

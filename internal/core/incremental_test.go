@@ -129,6 +129,24 @@ func TestIncrementalColdAncestors(t *testing.T) {
 	mustAudit(t, s1, "cold chain s1")
 }
 
+// TestFingerprintAuditCatchesCorruption scribbles the fingerprint
+// accumulator and checks that the incremental audit, which recomputes
+// the fingerprint from scratch, reports it.
+func TestFingerprintAuditCatchesCorruption(t *testing.T) {
+	s := Init(map[event.Var]event.Val{"x": 0, "y": 0})
+	ix, _ := s.InitialFor("x")
+	s, _, err := s.StepWrite(1, false, "x", 1, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAudit(t, s, "before corruption")
+	s.fpAcc.Lo++
+	bad := s.AuditIncremental()
+	if len(bad) != 1 || !strings.HasPrefix(bad[0], "fingerprint:") {
+		t.Fatalf("audit of a corrupted fingerprint reported %q, want one fingerprint: mismatch", bad)
+	}
+}
+
 // TestPositionAuditCatchesCorruption changes one event's stored
 // canonical position and checks that the incremental audit reports it.
 func TestPositionAuditCatchesCorruption(t *testing.T) {

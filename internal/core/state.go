@@ -14,7 +14,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -557,58 +556,12 @@ func (s *State) Signature() string {
 // the renamed events. Two interleavings of the same per-thread event
 // sequences producing the same relations share a canonical signature;
 // by Propositions 2.3/4.1 such states also have identical futures, so
-// the explorer uses this as its deduplication key (a symmetry
-// reduction the operational semantics enables: a state is a C11
-// state, not an interleaving).
+// the explorer deduplicates by it (a symmetry reduction the
+// operational semantics enables: a state is a C11 state, not an
+// interleaving) — through its 128-bit hash, Fingerprint, which the
+// CheckCollisions audit checks against this exact key.
 func (s *State) CanonicalSignature() string {
-	n := len(s.events)
-	type keyed struct {
-		tid  event.Thread
-		pos  int
-		name event.Var
-		tag  int
-	}
-	ks := make([]keyed, n)
-	perThread := map[event.Thread]int{}
-	for i, e := range s.events {
-		ks[i] = keyed{tid: e.thread(), pos: perThread[e.thread()], name: s.names[e.x], tag: i}
-		perThread[e.thread()]++
-	}
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i].tid != ks[j].tid {
-			return ks[i].tid < ks[j].tid
-		}
-		if ks[i].tid == event.InitThread && ks[i].name != ks[j].name {
-			return ks[i].name < ks[j].name
-		}
-		return ks[i].pos < ks[j].pos
-	})
-	canon := make([]int, n)
-	var b strings.Builder
-	for i, k := range ks {
-		canon[k.tag] = i
-		fmt.Fprintf(&b, "%d:%s|", k.tid, s.action(s.events[k.tag]))
-	}
-	appendRel := func(label string, r relation.Rel) {
-		pairs := r.Pairs()
-		renamed := make([][2]int, 0, len(pairs))
-		for _, p := range pairs {
-			renamed = append(renamed, [2]int{canon[p[0]], canon[p[1]]})
-		}
-		sort.Slice(renamed, func(i, j int) bool {
-			if renamed[i][0] != renamed[j][0] {
-				return renamed[i][0] < renamed[j][0]
-			}
-			return renamed[i][1] < renamed[j][1]
-		})
-		b.WriteString(label)
-		for _, p := range renamed {
-			fmt.Fprintf(&b, "(%d,%d)", p[0], p[1])
-		}
-	}
-	appendRel("rf", s.RF())
-	appendRel("mo", s.mo)
-	return b.String()
+	return fingerprint.Signature(s.Events(), s.RF(), s.mo)
 }
 
 // String renders a readable summary of the state.

@@ -8,62 +8,149 @@ import (
 	"repro/internal/model"
 )
 
-// PORAudit is the result of auditing a partial-order-reduced search
-// against the full search on the same workload (CheckPOR). The
-// reduction's contract has three checkable parts:
+// AuditReport is the result of Audit: three searches of one workload
+// and the contracts between them, every count expected to be zero.
 //
-//   - soundness: every configuration the reduced search explores is
-//     reachable in the full search (the reduced transition relation is
-//     a subset of the full one), so UnsoundExplored must be zero;
-//   - terminated-state preservation: the reduced search reaches
-//     exactly the terminated configurations of the full search, so
-//     MissingTerminated and ExtraTerminated must be zero;
-//   - verdict agreement: the property verdicts coincide, so
-//     VerdictDiverged must be false. (For properties that inspect
-//     arbitrary intermediate state this is an empirical check — the
-//     reduction only guarantees it for label-visible and
-//     terminated-state properties.)
+//   - Full, the unreduced search at the given parallelism, runs the
+//     CheckIncremental and CheckCollisions audits, so its
+//     ClosureMismatches and FingerprintCollisions are the audit's
+//     first two counts.
+//   - POR is the reduction's contract, Full against Reduced (the
+//     serial reduced search): the property verdicts coincide — for
+//     properties that inspect arbitrary intermediate state an
+//     empirical check, since the reduction only guarantees it for
+//     label-visible and terminated-state properties — and, when both
+//     complete, the terminated fingerprint sets coincide and every
+//     configuration Reduced explored is reachable in Full.
+//   - Workers is the engine's serial/parallel contract, Reduced
+//     against Parallel (the same reduced search at parallel width):
+//     Explored, Truncated and the verdict agree even under a MaxConfigs
+//     cut; Terminated, Depth and the terminated fingerprint sets are
+//     compared when both complete.
 //
-// The fingerprint-set comparisons are only meaningful when both runs
-// complete (no violation, no MaxConfigs cut); CheckPOR skips them —
-// leaving the counts zero — when either run stops early.
-type PORAudit struct {
-	// Full and Reduced are the two runs' results.
-	Full, Reduced Result
-	// MissingTerminated counts terminated configurations of the full
-	// search the reduced search never reached (must be zero).
-	MissingTerminated int
-	// ExtraTerminated counts terminated configurations of the reduced
-	// search absent from the full search (must be zero).
-	ExtraTerminated int
+// Set comparisons need complete searches (no violation, no MaxConfigs
+// cut): an early stop leaves the sets arbitrary prefixes. A
+// timing-dependent budget cut or isolated panics in any search stop
+// each at a scheduling-dependent point, so then no contract is
+// compared (Cut) rather than reporting noise.
+type AuditReport struct {
+	// Full, Reduced and Parallel are the three searches' results.
+	Full, Reduced, Parallel Result
+	// POR and Workers are the two pairwise contracts.
+	POR, Workers Contract
+	// Cut reports that a budget cut or panics left the contracts
+	// uncompared.
+	Cut bool
+}
+
+// Contract is one pairwise comparison of Audit's searches.
+type Contract struct {
+	// Diverged lists the result fields that disagreed.
+	Diverged []string
+	// MissingTerminated counts terminated configurations of the first
+	// search the second never reached; ExtraTerminated the converse.
+	MissingTerminated, ExtraTerminated int
 	// UnsoundExplored counts configurations the reduced search
-	// explored that the full search cannot reach (must be zero).
+	// explored that the full search cannot reach (POR contract only).
 	UnsoundExplored int
-	// VerdictDiverged reports disagreement on whether a property
-	// violation exists.
-	VerdictDiverged bool
-	// SetsCompared reports whether the fingerprint sets were diffed
-	// (false when a violation or the MaxConfigs cap stopped a run).
+	// SetsCompared reports whether the fingerprint sets were diffed.
 	SetsCompared bool
 }
 
-// Divergences returns the total number of contract violations.
-func (a PORAudit) Divergences() int {
-	n := a.MissingTerminated + a.ExtraTerminated + a.UnsoundExplored
-	if a.VerdictDiverged {
-		n++
+// Divergences returns the contract's number of violations.
+func (k Contract) Divergences() int {
+	return len(k.Diverged) + k.MissingTerminated + k.ExtraTerminated + k.UnsoundExplored
+}
+
+// note records field as diverged unless agree.
+func (k *Contract) note(field string, agree bool) {
+	if !agree {
+		k.Diverged = append(k.Diverged, field)
 	}
-	return n
+}
+
+// diffTerminated diffs the terminated fingerprint sets of two searches.
+func (k *Contract) diffTerminated(first, second *fpCollector) {
+	k.SetsCompared = true
+	k.MissingTerminated = first.terminated.MissingFrom(second.terminated)
+	k.ExtraTerminated = second.terminated.MissingFrom(first.terminated)
+}
+
+// String renders the contract's counts.
+func (k Contract) String() string {
+	return fmt.Sprintf("diverged=%v missing-term=%d extra-term=%d unsound=%d",
+		k.Diverged, k.MissingTerminated, k.ExtraTerminated, k.UnsoundExplored)
+}
+
+// Divergences returns the total number of audit failures.
+func (a AuditReport) Divergences() int {
+	return a.Full.ClosureMismatches + a.Full.FingerprintCollisions +
+		a.POR.Divergences() + a.Workers.Divergences()
 }
 
 // String renders a one-line audit summary.
-func (a PORAudit) String() string {
-	return fmt.Sprintf(
-		"por audit: full=%d reduced=%d (%.1f%%) divergences=%d (missing-term=%d extra-term=%d unsound=%d verdict-diverged=%v)",
+func (a AuditReport) String() string {
+	s := fmt.Sprintf(
+		"audit: full=%d reduced=%d (%.1f%%) parallel=%d divergences=%d (closure-mismatches=%d collisions=%d por: %s; workers: %s)",
 		a.Full.Explored, a.Reduced.Explored,
 		100*float64(a.Reduced.Explored)/float64(max(a.Full.Explored, 1)),
-		a.Divergences(), a.MissingTerminated, a.ExtraTerminated,
-		a.UnsoundExplored, a.VerdictDiverged)
+		a.Parallel.Explored, a.Divergences(),
+		a.Full.ClosureMismatches, a.Full.FingerprintCollisions, a.POR, a.Workers)
+	if a.Cut {
+		s += " cut: contracts not compared"
+	}
+	return s
+}
+
+// Audit is the engine's one self-audit of a workload. It runs three
+// searches under opts: the unreduced search at opts.Workers with the
+// CheckIncremental and CheckCollisions audits on, the reduced search
+// serially, and the reduced search at opts.Workers (GOMAXPROCS when
+// that is ≤ 1); AuditReport describes what it compares. opts.POR is
+// ignored; opts should set no CheckpointPath, which all three searches
+// would write.
+func Audit(c model.Config, opts Options) AuditReport {
+	full, reduced, parallel := newFPCollector(), newFPCollector(), newFPCollector()
+
+	fo := opts
+	fo.POR = false
+	fo.CheckIncremental, fo.CheckCollisions = true, true
+	fo.collect = full.observe
+
+	ro := opts
+	ro.POR = true
+	ro.Workers = 1
+	ro.CheckIncremental, ro.CheckCollisions = false, false
+	ro.collect = reduced.observe
+
+	po := ro
+	po.Workers = opts.Workers
+	if po.Workers <= 1 {
+		po.Workers = 0
+	}
+	po.collect = parallel.observe
+
+	a := AuditReport{Full: Run(c, fo), Reduced: Run(c, ro), Parallel: Run(c, po)}
+	if budgetCut(a.Full) || budgetCut(a.Reduced) || budgetCut(a.Parallel) {
+		a.Cut = true
+		return a
+	}
+
+	a.POR.note("verdict", sameVerdict(a.Full, a.Reduced))
+	if complete(a.Full) && complete(a.Reduced) {
+		a.POR.diffTerminated(full, reduced)
+		a.POR.UnsoundExplored = reduced.explored.MissingFrom(full.explored)
+	}
+
+	a.Workers.note("explored", a.Reduced.Explored == a.Parallel.Explored)
+	a.Workers.note("truncated", a.Reduced.Truncated == a.Parallel.Truncated)
+	a.Workers.note("verdict", sameVerdict(a.Reduced, a.Parallel))
+	if complete(a.Reduced) && complete(a.Parallel) {
+		a.Workers.note("terminated", a.Reduced.Terminated == a.Parallel.Terminated)
+		a.Workers.note("depth", a.Reduced.Depth == a.Parallel.Depth)
+		a.Workers.diffTerminated(reduced, parallel)
+	}
+	return a
 }
 
 // budgetCut reports whether the run was cut at a scheduling-dependent
@@ -71,6 +158,18 @@ func (a PORAudit) String() string {
 // its statistics incomparable to another run's.
 func budgetCut(res Result) bool {
 	return res.Stop.TimingDependent() || len(res.Panics) > 0
+}
+
+// complete reports whether the run reached its fixpoint: no violation
+// stopped it early and no budget cut it.
+func complete(res Result) bool {
+	return res.Violation == nil && res.Stop == StopNone
+}
+
+// sameVerdict reports whether two runs agree on whether a property
+// violation exists.
+func sameVerdict(a, b Result) bool {
+	return (a.Violation == nil) == (b.Violation == nil)
 }
 
 // fpCollector gathers the reachable and terminated fingerprint sets of
@@ -129,131 +228,4 @@ func (a *keyAudit) collisions() int {
 		return 0
 	}
 	return len(a.colliding)
-}
-
-// WorkersAudit is the result of auditing the engine's serial/parallel
-// equivalence contract on one workload (CheckWorkers): at quiescence
-// the sharded engine's results are documented to be independent of the
-// worker count whenever no MaxConfigs cut occurred. Explored and
-// Truncated must agree even under a cut; Terminated, Depth and the
-// terminated-state fingerprint sets are only compared (SetsCompared)
-// when both runs completed.
-type WorkersAudit struct {
-	// Serial and Parallel are the Workers=1 and Workers=N results.
-	Serial, Parallel Result
-	// StatsDiverged lists the result fields that disagreed.
-	StatsDiverged []string
-	// MissingTerminated and ExtraTerminated count terminated-state
-	// fingerprints reached by exactly one of the runs (must be zero).
-	MissingTerminated, ExtraTerminated int
-	// SetsCompared reports whether the full comparison ran (false when
-	// a violation or the MaxConfigs cap stopped a run).
-	SetsCompared bool
-}
-
-// Divergences returns the total number of contract violations.
-func (a WorkersAudit) Divergences() int {
-	return len(a.StatsDiverged) + a.MissingTerminated + a.ExtraTerminated
-}
-
-// String renders a one-line audit summary.
-func (a WorkersAudit) String() string {
-	return fmt.Sprintf(
-		"workers audit: serial=%d parallel=%d divergences=%d (stats=%v missing-term=%d extra-term=%d)",
-		a.Serial.Explored, a.Parallel.Explored, a.Divergences(),
-		a.StatsDiverged, a.MissingTerminated, a.ExtraTerminated)
-}
-
-// CheckWorkers runs the workload serially (Workers=1) and with the
-// given parallelism and diffs the results — the oracle behind the
-// fuzzing harness's serial-vs-parallel equivalence check, and the
-// programmatic form of the equivalence the repository's root tests
-// assert on the hand-written suite. workers ≤ 1 defaults to
-// GOMAXPROCS-sized parallelism (Options.Workers = 0).
-func CheckWorkers(c model.Config, opts Options, workers int) WorkersAudit {
-	serialFPs := newFPCollector()
-	so := opts
-	so.Workers = 1
-	so.collect = serialFPs.observe
-	parFPs := newFPCollector()
-	po := opts
-	po.Workers = workers
-	if workers <= 1 {
-		po.Workers = 0
-	}
-	po.collect = parFPs.observe
-
-	var a WorkersAudit
-	a.Serial = Run(c, so)
-	a.Parallel = Run(c, po)
-
-	// A timing-dependent budget cut (deadline, cancellation, memory)
-	// or a degraded run stops each search at an arbitrary,
-	// scheduling-dependent point: no statistic is comparable, so the
-	// audit reports nothing rather than noise.
-	if budgetCut(a.Serial) || budgetCut(a.Parallel) {
-		return a
-	}
-
-	diverged := func(field string, ok bool) {
-		if !ok {
-			a.StatsDiverged = append(a.StatsDiverged, field)
-		}
-	}
-	diverged("explored", a.Serial.Explored == a.Parallel.Explored)
-	diverged("truncated", a.Serial.Truncated == a.Parallel.Truncated)
-	diverged("verdict", (a.Serial.Violation == nil) == (a.Parallel.Violation == nil))
-
-	complete := a.Serial.Violation == nil && a.Parallel.Violation == nil &&
-		a.Serial.Stop == StopNone && a.Parallel.Stop == StopNone
-	if complete {
-		a.SetsCompared = true
-		diverged("terminated", a.Serial.Terminated == a.Parallel.Terminated)
-		diverged("depth", a.Serial.Depth == a.Parallel.Depth)
-		a.MissingTerminated = serialFPs.terminated.MissingFrom(parFPs.terminated)
-		a.ExtraTerminated = parFPs.terminated.MissingFrom(serialFPs.terminated)
-	}
-	return a
-}
-
-// CheckPOR runs the workload twice — once with partial-order reduction
-// and once without, both under the given options — and diffs the
-// searches: reachable- and terminated-state fingerprint sets and the
-// property verdicts, in the style of the CheckIncremental and
-// CheckCollisions audits. Zero Divergences certifies the reduction on
-// this workload. The cost is the full search plus the reduced one.
-func CheckPOR(c model.Config, opts Options) PORAudit {
-	full := newFPCollector()
-	fo := opts
-	fo.POR = false
-	fo.collect = full.observe
-	reduced := newFPCollector()
-	ro := opts
-	ro.POR = true
-	ro.collect = reduced.observe
-
-	var a PORAudit
-	a.Full = Run(c, fo)
-	a.Reduced = Run(c, ro)
-
-	// Under a timing-dependent budget cut or a degraded run the
-	// verdicts legitimately differ (one search may be cut before the
-	// violation); report nothing.
-	if budgetCut(a.Full) || budgetCut(a.Reduced) {
-		return a
-	}
-	a.VerdictDiverged = (a.Full.Violation == nil) != (a.Reduced.Violation == nil)
-
-	// Set diffs only make sense when both searches ran to their bound:
-	// an early stop (violation, MaxConfigs) leaves the sets arbitrary
-	// prefixes.
-	complete := a.Full.Violation == nil && a.Reduced.Violation == nil &&
-		a.Full.Stop == StopNone && a.Reduced.Stop == StopNone
-	if complete {
-		a.SetsCompared = true
-		a.MissingTerminated = full.terminated.MissingFrom(reduced.terminated)
-		a.ExtraTerminated = reduced.terminated.MissingFrom(full.terminated)
-		a.UnsoundExplored = reduced.explored.MissingFrom(full.explored)
-	}
-	return a
 }

@@ -16,7 +16,7 @@
 // sleep sets prune commuting interleavings that are covered elsewhere.
 // The reduced search preserves every terminated configuration and all
 // label-visible interleavings, but not every intermediate
-// configuration; CheckPOR (audit.go) diffs a reduced against a full
+// configuration; Audit (audit.go) diffs a reduced against a full
 // search.
 //
 // There is exactly one engine: a sharded, barrier-free search in which
@@ -95,8 +95,8 @@ type Options struct {
 	// skips intermediate configurations whose interleavings commute —
 	// a Property that inspects arbitrary state components may
 	// therefore miss violations that only occur at skipped
-	// configurations (a reported violation is always real). CheckPOR
-	// audits a workload's reduced search against its full search.
+	// configurations (a reported violation is always real). Audit
+	// checks a workload's reduced search against its full search.
 	POR bool
 	// Property, when non-nil, is evaluated once at every distinct
 	// reachable configuration; the first configuration where it
@@ -195,7 +195,7 @@ type Options struct {
 	CheckIncremental bool
 
 	// collect, when non-nil, observes every admitted configuration's
-	// fingerprint and whether it is terminated. Used by CheckPOR to
+	// fingerprint and whether it is terminated. Used by Audit to
 	// gather reachable sets; must be safe for concurrent use when
 	// Workers > 1. On Resume it is replayed over the checkpointed
 	// seen-set before exploration continues.

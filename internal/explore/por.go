@@ -59,7 +59,7 @@ package explore
 // dependent with everything — keeping the label-interleavings of the
 // full search. Properties that inspect other state components can
 // still distinguish reduced from full searches (absence of a violation
-// is relative to the reduction); CheckPOR audits exactly this.
+// is relative to the reduction); Audit checks exactly this.
 //
 // The reduction preserves: every terminated configuration, the
 // violation verdict for label-based and terminated-state properties,

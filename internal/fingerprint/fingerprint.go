@@ -14,6 +14,8 @@ package fingerprint
 
 import (
 	"encoding/binary"
+	"slices"
+	"strconv"
 	"sync"
 
 	"repro/internal/event"
@@ -168,12 +170,13 @@ func PairItem(label uint64, ta event.Thread, pa int, tb event.Thread, pb int) FP
 }
 
 // Set is a set of fingerprints — the currency of cross-run state-space
-// comparison. The explorer's partial-order-reduction audit
-// (explore.CheckPOR) collects the reachable and terminated fingerprint
-// sets of a reduced and a full search and diffs them: the reduced
-// reachable set must be contained in the full one (its transitions are
-// a subset) and the terminated sets must coincide (the reduction
-// preserves terminated configurations). The zero value is not ready;
+// comparison. The explorer's self-audit (explore.Audit) collects the
+// reachable and terminated fingerprint sets of a full, a serial reduced
+// and a parallel reduced search and diffs them: the reduced reachable
+// set must be contained in the full one (its transitions are a subset)
+// and the terminated sets must coincide (the reduction preserves
+// terminated configurations, the engine's result is independent of its
+// worker count). The zero value is not ready;
 // call NewSet. Set is not safe for concurrent use — guard it with a
 // mutex when collecting from a parallel exploration.
 type Set struct {
@@ -232,29 +235,19 @@ func (sc *scratch) resize(n, threads int) {
 	}
 }
 
-// Canonical fingerprints an execution ((D, sb), rf, mo) up to the
-// interleaving that built it, using the same multiset encoding that
-// core.State accumulates incrementally: every event contributes
-// EventItem under its (thread, position-in-thread) name — with
-// initialising writes positioned by variable-sorted order — and every
-// rf/mo pair contributes PairItem over the renamed endpoints; the
-// items combine commutatively (Acc) and Finalize seals the result. sb
-// is omitted — it is determined by the event order and thread
-// structure. The relations must have carrier len(events), with
-// events[i] at tag i.
-func Canonical(events []event.Event, rf, mo relation.Rel) FP {
-	n := len(events)
+// positions fills sc.pos with every event's canonical position: its
+// per-thread appearance (tag) order, except for initialising writes,
+// which sort by variable name (stable). It leaves each program
+// thread's event count in sc.counts and the initialising writes, in
+// canonical order, in sc.inits.
+func (sc *scratch) positions(events []event.Event) {
 	maxT := 0
 	for i := range events {
 		if t := int(events[i].TID); t > maxT {
 			maxT = t
 		}
 	}
-	sc := pool.Get().(*scratch)
-	sc.resize(n, maxT+1)
-
-	// Canonical positions: per-thread appearance order (tag order),
-	// except initialising writes, which sort by variable name (stable).
+	sc.resize(len(events), maxT+1)
 	for i := range events {
 		if t := int(events[i].TID); t != int(event.InitThread) {
 			sc.pos[i] = sc.counts[t]
@@ -271,6 +264,22 @@ func Canonical(events []event.Event, rf, mo relation.Rel) FP {
 	for p, tag := range sc.inits {
 		sc.pos[tag] = int32(p)
 	}
+}
+
+// Canonical fingerprints an execution ((D, sb), rf, mo) up to the
+// interleaving that built it, using the same multiset encoding that
+// core.State accumulates incrementally: every event contributes
+// EventItem under its (thread, position-in-thread) name — with
+// initialising writes positioned by variable-sorted order — and every
+// rf/mo pair contributes PairItem over the renamed endpoints; the
+// items combine commutatively (Acc) and Finalize seals the result. sb
+// is omitted — it is determined by the event order and thread
+// structure. The relations must have carrier len(events), with
+// events[i] at tag i.
+func Canonical(events []event.Event, rf, mo relation.Rel) FP {
+	n := len(events)
+	sc := pool.Get().(*scratch)
+	sc.positions(events)
 
 	var acc Acc
 	for i := range events {
@@ -290,4 +299,62 @@ func Canonical(events []event.Event, rf, mo relation.Rel) FP {
 	absorbRel(LabelMO, mo)
 	pool.Put(sc)
 	return Finalize(acc, n)
+}
+
+// Signature is the exact string form of the identity Canonical
+// hashes: the events under Canonical's renaming, listed in canonical order — initialising writes
+// first, then thread by thread — as "thread:action|", followed by
+// "rf" and "mo" and each relation's pairs "(a,b)" over the events'
+// indices in that order, sorted. Executions share a Signature exactly
+// when they differ only in the interleaving that built them; it is the
+// slow path explore.Options.CheckCollisions audits the fingerprints
+// against.
+func Signature(events []event.Event, rf, mo relation.Rel) string {
+	n := len(events)
+	sc := pool.Get().(*scratch)
+	sc.positions(events)
+	// The initialising writes (thread 0) come first; a program
+	// thread's events follow those of every lower thread.
+	off := make([]int, len(sc.counts))
+	next := len(sc.inits)
+	for t := 1; t < len(off); t++ {
+		off[t] = next
+		next += int(sc.counts[t])
+	}
+	canon, order := make([]int, n), make([]int, n)
+	for i := range events {
+		canon[i] = off[events[i].TID] + int(sc.pos[i])
+		order[canon[i]] = i
+	}
+	pool.Put(sc)
+
+	var b []byte
+	for _, i := range order {
+		b = strconv.AppendInt(b, int64(events[i].TID), 10)
+		b = append(b, ':')
+		b = append(b, events[i].Act.String()...)
+		b = append(b, '|')
+	}
+	var cols []int
+	appendRel := func(label string, r relation.Rel) {
+		b = append(b, label...)
+		for ca, a := range order {
+			cols = cols[:0]
+			row := r.Row(a)
+			for j := row.Next(0); j >= 0; j = row.Next(j + 1) {
+				cols = append(cols, canon[j])
+			}
+			slices.Sort(cols)
+			for _, cb := range cols {
+				b = append(b, '(')
+				b = strconv.AppendInt(b, int64(ca), 10)
+				b = append(b, ',')
+				b = strconv.AppendInt(b, int64(cb), 10)
+				b = append(b, ')')
+			}
+		}
+	}
+	appendRel("rf", rf)
+	appendRel("mo", mo)
+	return string(b)
 }

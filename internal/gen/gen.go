@@ -6,9 +6,10 @@
 // — configurable thread/variable counts, RMW/branch/loop densities,
 // annotation mix — each of which is run through a battery of oracles
 // (Check) layered on the existing machinery: SC ⊆ RA outcome
-// refinement, the partial-order-reduction audit, the incremental-
-// closure audit, the fingerprint-collision audit, and serial-vs-
-// parallel engine equivalence. Any discrepancy is minimised by a
+// refinement and, per backend, the engine's self-audit
+// (explore.Audit: the incremental-closure and fingerprint-collision
+// audits, the partial-order-reduction audit and serial-vs-parallel
+// engine equivalence). Any discrepancy is minimised by a
 // greedy delta-debugging shrinker (Shrink) that preserves the failure
 // while the program still shrinks, and written to a reproducible
 // corpus (WriteRepro) keyed by its seed. c11 fuzz (cmd/c11) is the

@@ -30,7 +30,7 @@ const (
 	// RA — SC refines RA, so this is a backend bug by construction.
 	FailRefinement Kind = "refinement"
 	// FailPOR: the reduced search diverged from the full one
-	// (explore.CheckPOR found missing/extra terminated states, unsound
+	// (explore.Audit found missing/extra terminated states, unsound
 	// reachability, or a verdict flip).
 	FailPOR Kind = "por-divergence"
 	// FailIncremental: the incrementally maintained derived structures
@@ -64,8 +64,8 @@ type CheckOpts struct {
 	// hits the cap skips the bound-sensitive oracles instead of
 	// reporting spurious divergences.
 	MaxConfigs int
-	// Workers is the parallel width of the serial-vs-parallel oracle
-	// (default 8).
+	// Workers is the parallel width of the audit's unreduced search
+	// and of its serial-vs-parallel oracle (default 8).
 	Workers int
 	// Context, when non-nil, is every oracle exploration's time
 	// budget: a deadline cuts each search through the engine's budget
@@ -133,45 +133,22 @@ func Check(f *parser.File, opts CheckOpts) (rep Report) {
 		Metrics: opts.Metrics, Tracer: opts.Tracer,
 	}
 
+	// One self-audit per model: its unreduced search carries the
+	// incremental and fingerprint audits and is the reference of the
+	// reduced searches (explore.Audit).
 	for _, m := range []model.Model{rar, sc} {
-		cfg := m.New(test.Prog, test.Init)
-
-		// Incremental-maintenance and fingerprint audits ride one full
-		// (unreduced) search; both count expected-zero quantities.
 		ao := eopts
-		ao.CheckIncremental = true
-		ao.CheckCollisions = true
-		res := explore.Run(cfg, ao)
-		if res.ClosureMismatches > 0 {
-			rep.Failure = &Failure{Kind: FailIncremental,
-				Detail: fmt.Sprintf("%s: %d closure mismatches", m.Name(), res.ClosureMismatches)}
-			return rep
-		}
-		if res.FingerprintCollisions > 0 {
-			rep.Failure = &Failure{Kind: FailCollision,
-				Detail: fmt.Sprintf("%s: %d colliding keys", m.Name(), res.FingerprintCollisions)}
-			return rep
-		}
-
-		// Reduced vs full search.
-		if audit := explore.CheckPOR(cfg, eopts); audit.Divergences() > 0 {
-			rep.Failure = &Failure{Kind: FailPOR,
-				Detail: fmt.Sprintf("%s: %s", m.Name(), audit)}
-			return rep
-		}
-
-		// Serial vs parallel engine, under the reduction (the sleep-mask
-		// relaxation machinery is exactly what this stresses).
-		wo := eopts
-		wo.POR = true
-		if audit := explore.CheckWorkers(cfg, wo, opts.Workers); audit.Divergences() > 0 {
-			rep.Failure = &Failure{Kind: FailWorkers,
-				Detail: fmt.Sprintf("%s: %s", m.Name(), audit)}
+		ao.Workers = opts.Workers
+		if fail := auditFailure(m.Name(), explore.Audit(m.New(test.Prog, test.Init), ao)); fail != nil {
+			rep.Failure = fail
 			return rep
 		}
 	}
 
-	// Differential outcome comparison: SC ⊆ RA refinement.
+	// Differential outcome comparison: SC ⊆ RA refinement. Outcome
+	// sets are read off terminated configurations, which the reduction
+	// preserves.
+	eopts.POR = true
 	c := test.Compare(rar, sc, eopts)
 	rep.Weak = c.RAOnly
 	rep.ExploredRA, rep.ExploredSC = c.RA.Explored, c.SC.Explored
@@ -181,6 +158,23 @@ func Check(f *parser.File, opts CheckOpts) (rep Report) {
 			Detail: "sc-only outcomes: " + strings.Join(c.SCOnly, " ")}
 	}
 	return rep
+}
+
+// auditFailure maps a self-audit's first failing count onto its Kind.
+func auditFailure(name string, a explore.AuditReport) *Failure {
+	switch {
+	case a.Full.ClosureMismatches > 0:
+		return &Failure{Kind: FailIncremental,
+			Detail: fmt.Sprintf("%s: %d closure mismatches", name, a.Full.ClosureMismatches)}
+	case a.Full.FingerprintCollisions > 0:
+		return &Failure{Kind: FailCollision,
+			Detail: fmt.Sprintf("%s: %d colliding keys", name, a.Full.FingerprintCollisions)}
+	case a.POR.Divergences() > 0:
+		return &Failure{Kind: FailPOR, Detail: fmt.Sprintf("%s: %s", name, a)}
+	case a.Workers.Divergences() > 0:
+		return &Failure{Kind: FailWorkers, Detail: fmt.Sprintf("%s: %s", name, a)}
+	}
+	return nil
 }
 
 // roundTrip checks parse∘print identity: the printed file must

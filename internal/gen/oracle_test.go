@@ -1,12 +1,15 @@
 package gen
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/parser"
+	"repro/internal/telemetry"
 )
 
 // The differential fuzz smoke: a fixed seed window through the whole
@@ -29,6 +32,38 @@ func TestDifferentialFuzzSmoke(t *testing.T) {
 		}
 	}
 	t.Logf("%d/%d programs with weak behaviours", weak, n)
+}
+
+// The battery pays for one unreduced search per model — the
+// self-audit's, which carries the incremental and fingerprint audits
+// and is the reference of the reduced searches; everything else runs
+// reduced.
+func TestCheckOneUnreducedSearchPerModel(t *testing.T) {
+	var buf bytes.Buffer
+	tr := telemetry.NewTracer(&buf)
+	p := Generate(1, Params{})
+	if rep := Check(p.File, CheckOpts{MaxEvents: p.Bound + 1, Workers: 2, Tracer: tr}); rep.Failure != nil {
+		t.Fatalf("seed 1 failed %s", rep.Failure)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	searches, unreduced := 0, 0
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var rec telemetry.Record
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Type == "begin" && rec.Name == "search" {
+			searches++
+			if rec.Args["por"] == false {
+				unreduced++
+			}
+		}
+	}
+	if unreduced != 2 {
+		t.Fatalf("%d unreduced searches of %d, want one per model", unreduced, searches)
+	}
 }
 
 // A predicate for a kind that does not occur reports false.

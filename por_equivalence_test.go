@@ -1,11 +1,11 @@
 package repro
 
 // Contract tests of the partial-order reduction (explore.Options.POR)
-// over both memory-model backends: the CheckPOR audit must report
-// zero divergences — identical property verdicts, identical
-// terminated-state fingerprint sets, and a reduced reachable set
-// contained in the full one — across the whole testdata litmus suite,
-// serial and parallel, under RAR and under SC; the worker counts must
+// over both memory-model backends: explore.Audit must report zero
+// divergences — identical property verdicts, identical terminated-state
+// fingerprint sets, a reduced reachable set contained in the full one,
+// and serial and parallel reduced searches that agree — across the
+// whole testdata litmus suite, under RAR and under SC; the worker counts must
 // agree on the reduced search's statistics (the sleep-mask fixpoint
 // is engine-order independent); the reduction must actually reduce
 // (the acceptance bar: ≥ 30% fewer configurations on the Peterson
@@ -33,8 +33,8 @@ func TestCheckPORTestdata(t *testing.T) {
 	for name, cfg := range testdataConfigs(t) {
 		t.Run(name, func(t *testing.T) {
 			for _, workers := range []int{1, 8} {
-				a := explore.CheckPOR(cfg, explore.Options{MaxEvents: 9, Workers: workers})
-				if !a.SetsCompared {
+				a := explore.Audit(cfg, explore.Options{MaxEvents: 9, Workers: workers})
+				if !a.POR.SetsCompared || !a.Workers.SetsCompared {
 					t.Fatalf("workers=%d: audit did not compare fingerprint sets", workers)
 				}
 				if n := a.Divergences(); n != 0 {
@@ -62,8 +62,8 @@ func TestCheckPORTestdataSC(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			scCfg := m.New(cfg.Program(), scInitOf(t, name))
 			for _, workers := range []int{1, 8} {
-				a := explore.CheckPOR(scCfg, explore.Options{Workers: workers})
-				if !a.SetsCompared {
+				a := explore.Audit(scCfg, explore.Options{Workers: workers})
+				if !a.POR.SetsCompared || !a.Workers.SetsCompared {
 					t.Fatalf("workers=%d: audit did not compare fingerprint sets", workers)
 				}
 				if n := a.Divergences(); n != 0 {
@@ -115,8 +115,8 @@ func TestPORDrainRegression(t *testing.T) {
 	}
 	for bound := 6; bound <= 16; bound++ {
 		for _, workers := range []int{1, 4} {
-			a := explore.CheckPOR(cfg, explore.Options{MaxEvents: bound, Workers: workers})
-			if !a.SetsCompared {
+			a := explore.Audit(cfg, explore.Options{MaxEvents: bound, Workers: workers})
+			if !a.POR.SetsCompared {
 				t.Fatalf("bound=%d workers=%d: sets not compared", bound, workers)
 			}
 			if n := a.Divergences(); n != 0 {
@@ -128,7 +128,7 @@ func TestPORDrainRegression(t *testing.T) {
 
 func TestPORReductionPeterson(t *testing.T) {
 	p, vars := litmus.Peterson()
-	a := explore.CheckPOR(core.NewConfig(p, vars), explore.Options{MaxEvents: 10, Workers: 1})
+	a := explore.Audit(core.NewConfig(p, vars), explore.Options{MaxEvents: 10, Workers: 1})
 	if n := a.Divergences(); n != 0 {
 		t.Fatalf("%d divergences: %s", n, a)
 	}
@@ -142,7 +142,7 @@ func TestPORReductionPeterson(t *testing.T) {
 
 func TestPORReductionPetersonSC(t *testing.T) {
 	p, vars := litmus.Peterson()
-	a := explore.CheckPOR(sc.NewConfig(p, vars), explore.Options{Workers: 1})
+	a := explore.Audit(sc.NewConfig(p, vars), explore.Options{Workers: 1})
 	if n := a.Divergences(); n != 0 {
 		t.Fatalf("%d divergences: %s", n, a)
 	}
@@ -193,7 +193,7 @@ func TestPORSCSpinLoopNotIgnored(t *testing.T) {
 	cfg := sc.NewConfig(prog, vars)
 
 	for _, workers := range []int{1, 8} {
-		a := explore.CheckPOR(cfg, explore.Options{Workers: workers})
+		a := explore.Audit(cfg, explore.Options{Workers: workers})
 		if n := a.Divergences(); n != 0 {
 			t.Fatalf("workers=%d: %d divergences: %s", workers, n, a)
 		}
