@@ -4,7 +4,10 @@
 // updates), and tagged events Evt = G × Act × T (§3.1).
 package event
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Thread identifies a thread. Thread 0 is reserved for the initialising
 // thread that writes the initial value of every variable (§3.1).
@@ -152,16 +155,29 @@ func (a Action) WrVal() Val {
 	return a.WVal
 }
 
-func (a Action) String() string {
+func (a Action) String() string { return string(a.AppendTo(nil)) }
+
+// AppendTo appends the rendering of a — "rd(x,1)", "updRA(x,0,1)" — to
+// buf and returns the extended slice.
+func (a Action) AppendTo(buf []byte) []byte {
 	switch a.Kind {
-	case RdX, RdAcq, RdNA:
-		return fmt.Sprintf("%s(%s,%d)", a.Kind, a.Loc, a.RVal)
-	case WrX, WrRel, WrNA:
-		return fmt.Sprintf("%s(%s,%d)", a.Kind, a.Loc, a.WVal)
-	case UpdRA:
-		return fmt.Sprintf("%s(%s,%d,%d)", a.Kind, a.Loc, a.RVal, a.WVal)
+	case RdX, RdAcq, RdNA, WrX, WrRel, WrNA, UpdRA:
+		buf = append(buf, a.Kind.String()...)
+		buf = append(buf, '(')
+		buf = append(buf, a.Loc...)
+		if a.Kind.IsRead() {
+			buf = append(buf, ',')
+			buf = strconv.AppendInt(buf, int64(a.RVal), 10)
+		}
+		if a.Kind.IsWrite() {
+			buf = append(buf, ',')
+			buf = strconv.AppendInt(buf, int64(a.WVal), 10)
+		}
+		return append(buf, ')')
 	default:
-		return fmt.Sprintf("act(%d)", a.Kind)
+		buf = append(buf, "act("...)
+		buf = strconv.AppendUint(buf, uint64(a.Kind), 10)
+		return append(buf, ')')
 	}
 }
 

@@ -86,10 +86,16 @@ func TestActionString(t *testing.T) {
 		"wr(x,3)":      Wr("x", 3),
 		"wrR(z,4)":     WrR("z", 4),
 		"updRA(t,1,2)": Upd("t", 1, 2),
+		"rdNA(d,-5)":   RdN("d", -5),
+		"wrNA(d,0)":    WrN("d", 0),
+		"act(9)":       {Kind: 9, Loc: "x"},
 	}
 	for want, a := range cases {
 		if got := a.String(); got != want {
 			t.Errorf("String = %q, want %q", got, want)
+		}
+		if got := string(a.AppendTo([]byte("p:"))); got != "p:"+want {
+			t.Errorf("AppendTo = %q, want %q", got, "p:"+want)
 		}
 	}
 }

@@ -332,7 +332,7 @@ func Signature(events []event.Event, rf, mo relation.Rel) string {
 	for _, i := range order {
 		b = strconv.AppendInt(b, int64(events[i].TID), 10)
 		b = append(b, ':')
-		b = append(b, events[i].Act.String()...)
+		b = events[i].Act.AppendTo(b)
 		b = append(b, '|')
 	}
 	var cols []int
