@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/explore"
-	"repro/internal/lang"
 	"repro/internal/model"
 	"repro/internal/model/backends"
 	"repro/internal/parser"
@@ -66,27 +65,18 @@ func exploreCmd(fs *flag.FlagSet, s *session) func() int {
 		}
 		s.apply(&opts)
 
-		var (
-			f    *parser.File
-			prog lang.Prog
-			cfg  model.Config
-		)
-		if s.budget.resume == "" {
-			// A fresh search needs a program; a resumed one restores
-			// its state (and bounds) from the checkpoint.
-			if *file == "" {
-				return fail(fmt.Errorf("need -f FILE, -example N or -resume CHECKPOINT"))
-			}
-			if f, err = readProgram(*file); err != nil {
-				return fail(err)
-			}
-			if prog, err = f.Prog(); err != nil {
-				return fail(err)
-			}
-			cfg = m.New(prog, f.Init)
-		} else if *racesFl {
-			return fail(fmt.Errorf("-resume continues a plain exploration; it cannot drive -races"))
+		if *file == "" {
+			return fail(fmt.Errorf("need -f FILE or -example N"))
 		}
+		f, err := readProgram(*file)
+		if err != nil {
+			return fail(err)
+		}
+		prog, err := f.Prog()
+		if err != nil {
+			return fail(err)
+		}
+		cfg := m.New(prog, f.Init)
 
 		if *auditFl {
 			return s.audit(m, cfg, opts)
@@ -103,10 +93,7 @@ func exploreCmd(fs *flag.FlagSet, s *session) func() int {
 			}
 			return true
 		}
-		res, err := s.execute(m, cfg, opts)
-		if err != nil {
-			return fail(err)
-		}
+		res := explore.Run(cfg, opts)
 		fmt.Printf("model=%s explored %d configurations, %d terminated, depth %d, truncated=%v, por=%v\n",
 			m.Name(), res.Explored, res.Terminated, res.Depth, res.Truncated, *por)
 		fmt.Println(describe(res))

@@ -75,9 +75,9 @@ type command struct {
 
 var commands = []command{
 	{"verify", "Machine-checks the paper's Peterson verification (invariants (4)-(10), Theorem 5.8).",
-		budgetFlags | checkpointFlags | profileFlags | telemetryFlags, verifyCmd},
+		budgetFlags | profileFlags | telemetryFlags, verifyCmd},
 	{"explore", "Explores the bounded state space of a program under a pluggable memory model.",
-		budgetFlags | checkpointFlags | profileFlags | telemetryFlags, exploreCmd},
+		budgetFlags | profileFlags | telemetryFlags, exploreCmd},
 	{"litmus", "Runs weak-memory litmus tests under a pluggable memory model.\nThe .lit file grammar accepted by -f is documented in docs/litmus-format.md\n(one worked example per file under testdata/).",
 		budgetFlags | profileFlags | telemetryFlags, litmusCmd},
 	{"equiv", "Checks Theorem C.5: Definitions 4.2 and C.3 agree on enumerated candidate executions.",

@@ -24,6 +24,7 @@ func TestSubcommandExitCodes(t *testing.T) {
 		{[]string{"explore", "-f", "../../testdata/sb.lit", "-max", "9", "-audit"}, exitProved},
 		{[]string{"verify", "-model", "sc", "-audit"}, exitProved},
 		{[]string{"explore", "-f", "../../testdata/peterson.lit", "-max", "320", "-audit", "-timeout", "50ms"}, exitBounded},
+		// -checkpoint is retired: an unknown flag on every subcommand.
 		{[]string{"verify", "-max", "8", "-audit", "-checkpoint", "x"}, exitInternal},
 		{[]string{"explore", "-f", "../../testdata/sb.lit", "-checkpor"}, exitInternal},
 		{[]string{"explore"}, exitInternal},

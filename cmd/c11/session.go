@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/explore"
-	"repro/internal/model"
 	"repro/internal/telemetry"
 )
 
@@ -23,12 +22,11 @@ import (
 type shared uint8
 
 const (
-	timeoutFlag     shared = 1 << iota // -timeout
-	statesFlag                         // -max-states
-	memFlag                            // -max-mem
-	checkpointFlags                    // -checkpoint, -checkpoint-every, -resume
-	profileFlags                       // -cpuprofile, -memprofile
-	telemetryFlags                     // -progress, -trace, -metrics
+	timeoutFlag    shared = 1 << iota // -timeout
+	statesFlag                        // -max-states
+	memFlag                           // -max-mem
+	profileFlags                      // -cpuprofile, -memprofile
+	telemetryFlags                    // -progress, -trace, -metrics
 
 	budgetFlags = timeoutFlag | statesFlag | memFlag
 )
@@ -43,13 +41,6 @@ type budget struct {
 	maxStates int
 	// maxMemMB bounds the process heap in MiB, polled (0 = none).
 	maxMemMB int
-	// checkpoint is the path the engine snapshots the search to, every
-	// checkpointEvery (0 = only a final snapshot).
-	checkpoint      string
-	checkpointEvery time.Duration
-	// resume is a checkpoint path to continue from instead of starting
-	// fresh.
-	resume string
 }
 
 // session is one subcommand invocation's shared state: the shared
@@ -85,14 +76,6 @@ func (s *session) register(fs *flag.FlagSet, set shared) {
 		fs.IntVar(&b.maxMemMB, "max-mem", 0,
 			"memory budget in MiB: the search stops when the polled heap exceeds it (0 = none)")
 	}
-	if set&checkpointFlags != 0 {
-		fs.StringVar(&b.checkpoint, "checkpoint", "",
-			"write a resumable snapshot of the search (seen-set + frontier) to this path")
-		fs.DurationVar(&b.checkpointEvery, "checkpoint-every", 0,
-			"also snapshot periodically at this interval (needs -checkpoint)")
-		fs.StringVar(&b.resume, "resume", "",
-			"continue a checkpointed search from this path instead of starting fresh")
-	}
 	if set&profileFlags != 0 {
 		fs.StringVar(&s.cpuProfile, "cpuprofile", "",
 			"write a pprof CPU profile of the run to this path")
@@ -111,10 +94,7 @@ func (s *session) register(fs *flag.FlagSet, set shared) {
 
 // validate checks flag consistency after parsing.
 func (b budget) validate() error {
-	if err := explore.CheckpointInterval(b.checkpoint, b.checkpointEvery); err != nil {
-		return fmt.Errorf("-checkpoint-every: %w", err)
-	}
-	if b.maxStates < 0 || b.maxMemMB < 0 || b.timeout < 0 || b.checkpointEvery < 0 {
+	if b.maxStates < 0 || b.maxMemMB < 0 || b.timeout < 0 {
 		return fmt.Errorf("budget flags must be non-negative")
 	}
 	return nil
@@ -124,8 +104,7 @@ func (b budget) validate() error {
 // on SIGINT or SIGTERM and, when -timeout is positive, at the deadline
 // that far from now. An interrupted search stops at its next admission
 // check with StopCancelled and is reported like any other budget cut:
-// partial statistics, a final checkpoint when -checkpoint is set, and
-// exit 2.
+// partial statistics and exit 2.
 func (b budget) start() (context.Context, context.CancelFunc) {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	if b.timeout <= 0 {
@@ -135,8 +114,8 @@ func (b budget) start() (context.Context, context.CancelFunc) {
 	return ctx, func() { cancel(); stopSignals() }
 }
 
-// apply folds the time budget, the state, memory and checkpoint
-// budgets and the telemetry sinks into engine options. Subcommands
+// apply folds the time budget, the state and memory budgets and the
+// telemetry sinks into engine options. Subcommands
 // that run many searches (litmus) apply it to each; the registry then
 // accumulates across them.
 func (s *session) apply(o *explore.Options) {
@@ -149,32 +128,12 @@ func (s *session) apply(o *explore.Options) {
 	if s.budget.maxMemMB > 0 {
 		o.MaxMemBytes = uint64(s.budget.maxMemMB) << 20
 	}
-	o.CheckpointPath = s.budget.checkpoint
-	o.CheckpointEvery = s.budget.checkpointEvery
 	if s.reg != nil {
 		o.Metrics = s.reg
 	}
 	if s.tracer != nil {
 		o.Tracer = s.tracer
 	}
-}
-
-// execute runs root under opts — or, when -resume was given, continues
-// the checkpointed search instead. The error is an internal failure;
-// budget cuts are reported through the Result verdict.
-func (s *session) execute(m model.Model, root model.Config, opts explore.Options) (explore.Result, error) {
-	if s.budget.resume != "" {
-		res, err := explore.Resume(s.budget.resume, m, opts)
-		if err != nil {
-			return res, fmt.Errorf("resume %s: %w", s.budget.resume, err)
-		}
-		return res, nil
-	}
-	res := explore.Run(root, opts)
-	if res.CheckpointErr != nil {
-		return res, fmt.Errorf("checkpoint: %w", res.CheckpointErr)
-	}
-	return res, nil
 }
 
 // exitCode maps an exploration result to the shared convention.

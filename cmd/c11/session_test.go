@@ -29,16 +29,9 @@ func TestBudgetFlagParsing(t *testing.T) {
 			args: []string{"-timeout", "1500ms", "-max-states", "4096", "-max-mem", "256"},
 			want: budget{timeout: 1500 * time.Millisecond, maxStates: 4096, maxMemMB: 256},
 		},
-		{
-			name: "checkpointing",
-			args: []string{"-checkpoint", "s.ckpt", "-checkpoint-every", "2s"},
-			want: budget{checkpoint: "s.ckpt", checkpointEvery: 2 * time.Second},
-		},
-		{
-			name: "resume",
-			args: []string{"-resume", "old.ckpt"},
-			want: budget{resume: "old.ckpt"},
-		},
+		// The checkpoint/resume flags are retired: unknown flags now.
+		{name: "checkpointing", args: []string{"-checkpoint", "s.ckpt", "-checkpoint-every", "2s"}, bad: true},
+		{name: "resume", args: []string{"-resume", "old.ckpt"}, bad: true},
 		{name: "bad duration", args: []string{"-timeout", "fast"}, bad: true},
 		{name: "bad int", args: []string{"-max-states", "many"}, bad: true},
 	}
@@ -47,7 +40,7 @@ func TestBudgetFlagParsing(t *testing.T) {
 			fs := flag.NewFlagSet("test", flag.ContinueOnError)
 			fs.SetOutput(io.Discard)
 			var s session
-			s.register(fs, budgetFlags|checkpointFlags)
+			s.register(fs, budgetFlags)
 			err := fs.Parse(tc.args)
 			if tc.bad {
 				if err == nil {
@@ -74,8 +67,6 @@ func TestBudgetValidate(t *testing.T) {
 	}{
 		{name: "zero budget", b: budget{}, ok: true},
 		{name: "full budget", b: budget{timeout: time.Second, maxStates: 10, maxMemMB: 1}, ok: true},
-		{name: "periodic with path", b: budget{checkpoint: "a.ckpt", checkpointEvery: time.Second}, ok: true},
-		{name: "periodic without path", b: budget{checkpointEvery: time.Second}, ok: false},
 		{name: "negative states", b: budget{maxStates: -1}, ok: false},
 		{name: "negative memory", b: budget{maxMemMB: -5}, ok: false},
 		{name: "negative timeout", b: budget{timeout: -time.Second}, ok: false},
@@ -133,11 +124,6 @@ func TestBudgetApply(t *testing.T) {
 			deadline: 7 * time.Second,
 		},
 		{
-			name: "checkpoint path and interval",
-			b:    budget{checkpoint: "x.ckpt", checkpointEvery: time.Minute},
-			want: explore.Options{CheckpointPath: "x.ckpt", CheckpointEvery: time.Minute},
-		},
-		{
 			name:  "signal context is threaded",
 			b:     budget{},
 			start: true,
@@ -163,8 +149,6 @@ func TestBudgetApply(t *testing.T) {
 			s.apply(&got)
 			if got.MaxConfigs != want.MaxConfigs ||
 				got.MaxMemBytes != want.MaxMemBytes ||
-				got.CheckpointPath != want.CheckpointPath ||
-				got.CheckpointEvery != want.CheckpointEvery ||
 				got.Context != want.Context ||
 				got.MaxEvents != want.MaxEvents {
 				t.Fatalf("apply(%+v) on %+v:\n got %+v\nwant %+v", tc.b, tc.in, got, want)

@@ -91,10 +91,7 @@ func verifyCmd(fs *flag.FlagSet, s *session) func() int {
 		if *auditFl {
 			return s.audit(m, m.New(prog, vars), opts)
 		}
-		res, err := s.execute(m, m.New(prog, vars), opts)
-		if err != nil {
-			return fail(err)
-		}
+		res := explore.Run(m.New(prog, vars), opts)
 
 		fmt.Printf("model=%s variant=%s bound=%d explored=%d depth=%d truncated=%v por=%v (%.2fs)\n",
 			m.Name(), *variant, *maxEv, res.Explored, res.Depth, res.Truncated, *por, time.Since(start).Seconds())
@@ -159,9 +156,6 @@ func verifyCmd(fs *flag.FlagSet, s *session) func() int {
 // audit runs explore.Audit from cfg for -audit: exit 1 on any
 // divergence, 2 when a budget cut left the contracts uncompared.
 func (s *session) audit(m model.Model, cfg model.Config, opts explore.Options) int {
-	if s.budget.checkpoint != "" || s.budget.resume != "" {
-		return fail(fmt.Errorf("-audit runs three fresh searches; it cannot -checkpoint or -resume"))
-	}
 	a := explore.Audit(cfg, opts)
 	fmt.Printf("model=%s %s\n", m.Name(), a)
 	if a.Divergences() > 0 {

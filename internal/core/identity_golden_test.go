@@ -24,11 +24,12 @@ const identityBound = 12
 // Fingerprint, CanonicalSignature, AppendSnapshot bytes and String
 // rendering; the sorted per-configuration digests fold into one digest
 // that must equal testdata/identity.golden. Equal fingerprints and
-// snapshot bytes are what let checkpoints written by an older build
-// resume under a newer one, so a representation change must pass this
-// test unedited. When the digest legitimately changes (a deliberate
-// fingerprint or snapshot format change, which also bumps the
-// checkpoint version), the failure message prints the new value.
+// snapshot bytes are what keep panic repro snapshots and the
+// FuzzRestore seeds written by an older build restorable under a newer
+// one, so a representation change must pass this test unedited. When
+// the digest legitimately changes (a deliberate fingerprint or
+// snapshot format change, which also bumps the snapshot version), the
+// failure message prints the new value.
 func TestIdentityGolden(t *testing.T) {
 	var digests [][sha256.Size]byte
 	configs := 0

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"repro/internal/event"
 	"repro/internal/fingerprint"
 	"repro/internal/lang"
@@ -44,11 +42,6 @@ func (c Config) Successors() []Config {
 	return out
 }
 
-// tagBufPool reuses the observed-write scratch buffers of the
-// successor hot path: one Get/Put per memory step instead of one
-// slice allocation per step per state.
-var tagBufPool = sync.Pool{New: func() any { b := make([]event.Tag, 0, 16); return &b }}
-
 // AppendStepChoices enumerates the interpreted transitions of one
 // enabled program step — one choice per memory-model choice of
 // observed write (a single τ choice for a silent step) — appending
@@ -56,7 +49,8 @@ var tagBufPool = sync.Pool{New: func() any { b := make([]event.Tag, 0, 16); retu
 // successor's predicted fingerprint, its interned program and the
 // observed write, so the explorer can deduplicate before building and
 // Build re-derives nothing. The observed-write candidates are drawn
-// into a pooled buffer.
+// into a stack buffer, so a memory step allocates no scratch (a step
+// with more candidates than it holds spills to the heap).
 func (c Config) AppendStepChoices(out []model.Choice, ps lang.ProgStep) []model.Choice {
 	t, s := ps.T, ps.S
 	if s.Kind == lang.StepSilent {
@@ -67,8 +61,8 @@ func (c Config) AppendStepChoices(out []model.Choice, ps lang.ProgStep) []model.
 			Progress: c.S.NumEvents(),
 		})
 	}
-	bp := tagBufPool.Get().(*[]event.Tag)
-	tags := (*bp)[:0]
+	var buf [32]event.Tag
+	tags := buf[:0]
 	switch s.Kind {
 	case lang.StepRead:
 		k := readKind(s)
@@ -121,8 +115,6 @@ func (c Config) AppendStepChoices(out []model.Choice, ps lang.ProgStep) []model.
 			}
 		}
 	}
-	*bp = tags
-	tagBufPool.Put(bp)
 	return out
 }
 
@@ -202,9 +194,12 @@ func writeKind(s lang.Step) event.Kind {
 // State.CanonicalSignature): same per-thread residual programs +
 // isomorphic C11 state ⇒ same futures, so exploring one representative
 // suffices. The explorer's hot path uses Fingerprint instead; Key is
-// the exact slow path kept for collision cross-checking.
+// the exact slow path kept for collision cross-checking. The program
+// part is the interned node's binary signature, the same program
+// identity Fingerprint hashes; signatures are prefix-free, so the
+// concatenation stays injective.
 func (c Config) Key() string {
-	return c.node.Prog().String() + "\x00" + c.S.CanonicalSignature()
+	return c.node.Sig() + "\x00" + c.S.CanonicalSignature()
 }
 
 // Fingerprint returns a 128-bit canonical identity for the

@@ -9,7 +9,9 @@ import (
 	"repro/internal/model"
 )
 
-// Snapshot support for the checkpoint layer (internal/explore). A RAR
+// Snapshots are the panic repro format: the explorer stores one per
+// isolated worker panic as PanicRecord.Snapshot, and Model.Restore
+// rebuilds the offending configuration from it. A RAR
 // configuration is serialised as its residual program plus a replay
 // script for its state: the initial valuation followed by every
 // non-initialising event in tag order, each recorded as (kind, thread,

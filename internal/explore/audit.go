@@ -107,8 +107,7 @@ func (a AuditReport) String() string {
 // CheckIncremental and CheckCollisions audits on, the reduced search
 // serially, and the reduced search at opts.Workers (GOMAXPROCS when
 // that is ≤ 1); AuditReport describes what it compares. opts.POR is
-// ignored; opts should set no CheckpointPath, which all three searches
-// would write.
+// ignored.
 func Audit(c model.Config, opts Options) AuditReport {
 	full, reduced, parallel := newFPCollector(), newFPCollector(), newFPCollector()
 
@@ -200,8 +199,7 @@ func (c *fpCollector) observe(fp fingerprint.FP, terminated bool) {
 // the search computes to the first exact canonical key seen with it,
 // and collects the distinct keys that later arrive under a fingerprint
 // already holding another. It has its own lock and sits beside the
-// seen-set, so the audited search keeps the one seen-set shape — and
-// checkpoints and resumes like any other.
+// seen-set, so the audited search keeps the one seen-set shape.
 type keyAudit struct {
 	mu        sync.Mutex
 	keyOf     map[fingerprint.FP]string

@@ -3,26 +3,17 @@ package explore
 // Resource governance: every exploration can be bounded by its context
 // (the one clock and cancel input), a state budget and a memory
 // budget, and reports how (and whether) it was cut through a StopCause
-// and a tri-state Verdict. The signalling discipline is built around two
-// atomics on the run:
-//
-//   - requested is the sticky first real cause (first-wins CAS): it is
-//     what Result.Stop reports, and it is never overwritten;
-//   - stop is the live pool signal workers poll between admissions.
-//     It may transiently hold stopCheckpoint — the internal cause the
-//     periodic-checkpoint monitor uses to suspend the pool — which is
-//     cleared again on resume. A real cause arriving during a
-//     suspension lands in requested and is adopted when the engine
-//     decides whether to resume, so no budget signal can be lost to a
-//     checkpoint race.
+// and a tri-state Verdict. One atomic on the run, stop, carries the
+// signal: the first cause wins it (CAS from zero) and is never
+// overwritten, workers poll it between admissions, and Result.Stop
+// reports it.
 //
 // Soundness under a cut: a worker whose expansion is interrupted (by a
 // stop signal, a rejected admission, or a panic in model code) leaves
 // its configuration unexpanded — the entry is unclaimed and re-queued
 // (or, for panics, captured as a repro artifact) — so the frontier
 // always accounts for every configuration whose successors have not
-// all been admitted. That is what makes a partial Result honest and a
-// checkpoint resumable.
+// all been admitted. That is what makes a partial Result honest.
 
 import (
 	"context"
@@ -54,9 +45,6 @@ const (
 	StopCancelled
 	// StopMemory: the heap exceeded MaxMemBytes.
 	StopMemory
-	// stopCheckpoint suspends the pool for a periodic checkpoint; it
-	// never escapes into a Result.
-	stopCheckpoint
 )
 
 func (c StopCause) String() string {
@@ -73,8 +61,6 @@ func (c StopCause) String() string {
 		return "cancelled"
 	case StopMemory:
 		return "memory"
-	case stopCheckpoint:
-		return "checkpoint"
 	default:
 		return fmt.Sprintf("StopCause(%d)", int32(c))
 	}
@@ -160,25 +146,13 @@ type PanicRecord struct {
 	Stack string
 }
 
-// stopWith signals a real stop cause: the first caller wins the sticky
-// requested slot, the live signal is set unless a checkpoint
-// suspension holds it (the suspension path adopts requested before
-// resuming), and the pool is drained.
+// stopWith signals a stop cause: the first caller wins the stop slot,
+// and the pool is drained.
 func (r *run[C]) stopWith(c StopCause) {
-	if r.requested.CompareAndSwap(0, int32(c)) && r.tracer != nil {
+	if r.stop.CompareAndSwap(0, int32(c)) && r.tracer != nil {
 		r.tracer.Instant("stop", -1, map[string]any{"cause": c.String()})
 	}
-	r.stop.CompareAndSwap(0, int32(c))
 	r.pool.stop()
-}
-
-// suspendForCheckpoint suspends the pool for a periodic checkpoint.
-// A no-op when any stop signal (real or checkpoint) is already live:
-// real causes write a final checkpoint anyway.
-func (r *run[C]) suspendForCheckpoint() {
-	if r.stop.CompareAndSwap(0, int32(stopCheckpoint)) {
-		r.pool.stop()
-	}
 }
 
 func (o Options) memPoll() time.Duration {
@@ -191,8 +165,7 @@ func (o Options) memPoll() time.Duration {
 // needMonitor reports whether any budget requires the watcher
 // goroutine; without one the engine spawns nothing extra.
 func (r *run[C]) needMonitor() bool {
-	return r.opts.Context != nil ||
-		r.opts.MaxMemBytes > 0 || (r.opts.CheckpointPath != "" && r.opts.CheckpointEvery > 0)
+	return r.opts.Context != nil || r.opts.MaxMemBytes > 0
 }
 
 // contextStop is the stop cause of a done context: StopDeadline for
@@ -206,20 +179,14 @@ func contextStop(ctx context.Context) StopCause {
 }
 
 // monitor watches the budgets and converts the first exhaustion into a
-// stop signal. It runs for the whole execute loop — across checkpoint
-// suspensions — and exits when done closes.
+// stop signal. It runs while the workers do and exits when done
+// closes.
 func (r *run[C]) monitor(done <-chan struct{}) {
 	var memC <-chan time.Time
 	if r.opts.MaxMemBytes > 0 {
 		tk := time.NewTicker(r.opts.memPoll())
 		defer tk.Stop()
 		memC = tk.C
-	}
-	var ckC <-chan time.Time
-	if r.opts.CheckpointPath != "" && r.opts.CheckpointEvery > 0 {
-		tk := time.NewTicker(r.opts.CheckpointEvery)
-		defer tk.Stop()
-		ckC = tk.C
 	}
 	var ctxC <-chan struct{}
 	if r.opts.Context != nil {
@@ -239,8 +206,6 @@ func (r *run[C]) monitor(done <-chan struct{}) {
 				r.stopWith(StopMemory)
 				memC = nil
 			}
-		case <-ckC:
-			r.suspendForCheckpoint()
 		}
 	}
 }

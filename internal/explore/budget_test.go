@@ -250,7 +250,7 @@ func TestViolationWinsOverBudget(t *testing.T) {
 func TestPanicIsolationRoot(t *testing.T) {
 	// The root expansion panics every time: the search degrades to
 	// exactly the root, with the panic captured as a repro artifact and
-	// the root left on the frontier for a post-fix resume.
+	// the root counted on the frontier as unexpanded work.
 	boom := hookFunc(func(fingerprint.FP, int) { panic("injected") })
 	res := Run(mpConfig(), Options{Workers: 1, Hooks: boom})
 	if res.Verdict != VerdictBounded {

@@ -7,8 +7,8 @@ package explore
 // sc.Config; see dispatch.go). Successors then flow through []C
 // slices of struct values and item[C] deque entries with zero
 // interface boxing; the boxed model.Config seam is only crossed at the
-// edges (violation reporting, checkpoint restore, trace output), which
-// are cold.
+// edges (violation reporting, panic records, trace output), which are
+// cold.
 //
 // The backend methods whose signatures mention the configuration type
 // itself (building a successor, returning its interned program) cannot
@@ -79,15 +79,12 @@ type run[C config[C]] struct {
 	mismatches atomic.Int64
 	violation  atomic.Pointer[model.Config]
 
-	// requested is the sticky first real stop cause; stop is the live
-	// signal workers poll (may transiently hold stopCheckpoint). See
-	// budget.go.
-	requested atomic.Int32
-	stop      atomic.Int32
+	// stop is the first stop cause (first-wins), which workers poll and
+	// Result.Stop reports. See budget.go.
+	stop atomic.Int32
 
-	panicMu    sync.Mutex
-	panics     []PanicRecord
-	panicItems []item[C]
+	panicMu sync.Mutex
+	panics  []PanicRecord
 
 	// tel and tracer are the observability sinks (both may be nil; the
 	// telemetry package's methods are nil-safe, so the hot path calls
@@ -99,17 +96,17 @@ type run[C config[C]] struct {
 	// keys is the CheckCollisions collector (nil otherwise); it sits
 	// beside the seen-set, never in it.
 	keys *keyAudit
-
-	ckErr error
 }
 
-// newRun builds the engine state for opts without admitting anything.
-func newRun[C config[C]](opts Options) *run[C] {
+// runAs explores the state space of c through one backend's typed
+// methods. Run (dispatch.go) picks the instantiation.
+func runAs[C config[C]](c C, opts Options) Result {
 	r := &run[C]{
 		opts:     opts,
 		property: typedProperty[C](opts),
 		maxEv:    opts.maxEvents(),
 		maxCfg:   opts.maxConfigs(),
+		nInit:    c.Progress(),
 		tel:      opts.Metrics,
 		tracer:   opts.Tracer,
 	}
@@ -117,14 +114,6 @@ func newRun[C config[C]](opts Options) *run[C] {
 	if opts.CheckCollisions {
 		r.keys = newKeyAudit()
 	}
-	return r
-}
-
-// runAs explores the state space of c through one backend's typed
-// methods. Run (dispatch.go) picks the instantiation.
-func runAs[C config[C]](c C, opts Options) Result {
-	r := newRun[C](opts)
-	r.nInit = c.Progress()
 	if r.tracer != nil {
 		r.tracer.Emit(telemetry.Record{Type: "begin", Name: "search", Worker: -1,
 			Args: map[string]any{"workers": opts.workers(), "max_events": r.maxEv, "por": opts.POR}})
@@ -186,8 +175,7 @@ func (r *run[C]) admit(w *worker, cfg C, fp, parent fingerprint.FP, d int32, sle
 		sh.mu.Unlock()
 		// The rejected configuration is not recorded anywhere, so the
 		// parent's expansion is incomplete: the caller re-queues it,
-		// keeping the frontier sound for checkpoint/resume under a
-		// larger budget.
+		// keeping the frontier sound.
 		r.stopWith(StopMaxConfigs)
 		return false
 	}
@@ -226,8 +214,10 @@ func (r *run[C]) admit(w *worker, cfg C, fp, parent fingerprint.FP, d int32, sle
 		}
 	}
 	// The property runs outside every lock; it may be expensive and is
-	// documented as concurrently callable.
-	if r.property != nil && !r.checkProperty(sh, cfg, fp, d, sleep, term) {
+	// documented as concurrently callable. A property that panics leaves
+	// cfg admitted, so it runs once per configuration however many paths
+	// reach it; process records the panic against the parent.
+	if r.property != nil && !r.property(cfg) {
 		mc := model.Config(cfg)
 		r.violation.CompareAndSwap(nil, &mc)
 		r.stopWith(StopViolation)
@@ -240,45 +230,6 @@ func (r *run[C]) admit(w *worker, cfg C, fp, parent fingerprint.FP, d int32, sle
 		r.pool.push(w.id, item[C]{cfg: cfg, fp: fp})
 	}
 	return true
-}
-
-// checkProperty runs the property on cfg, which admit has just
-// inserted into shard sh under fp, at depth d with sleep mask sleep
-// (term says whether it is terminated). A property that panics (or
-// exits the goroutine) un-admits cfg on the way out. The panic is recorded against the
-// parent, which stays claimed in the live run and is re-opened by the
-// checkpoint, so a resume re-admits cfg and runs the property on it
-// again instead of meeting an admitted entry no frontier item holds.
-// No worker holds an item for the entry: it was never queued. If
-// another worker relaxed it in the meantime, dropping it would lose
-// that relaxation, so it stays and Resume refuses the checkpoint as
-// before. The telemetry counters keep the admission: they count
-// admission events, not seen-set entries.
-func (r *run[C]) checkProperty(sh *shard, cfg C, fp fingerprint.FP, d int32, sleep threadMask, term bool) bool {
-	returned := false
-	defer func() {
-		if returned {
-			return
-		}
-		sh.mu.Lock()
-		// The table may have grown since admission, so fp is found
-		// again; only this un-admit ever deletes it.
-		e := sh.seen.find(fp)
-		drop := e.depth() == d && e.sleep == sleep
-		if drop {
-			sh.seen.remove(fp)
-		}
-		sh.mu.Unlock()
-		if drop {
-			r.explored.Add(-1)
-			if term {
-				r.terminated.Add(-1)
-			}
-		}
-	}()
-	ok := r.property(cfg)
-	returned = true
-	return ok
 }
 
 // rediscovered relaxes the known entry e of shard sh (whose lock the
@@ -314,8 +265,8 @@ func (r *run[C]) claim(it item[C]) (int32, threadMask, bool) {
 
 // unclaim reverts a claim whose expansion did not complete (stop
 // signal or budget rejection mid-expansion): the entry becomes
-// unexpanded again so a re-queued item — or a resumed run — picks it
-// back up. Monotonicity is preserved: un-expanding never invalidates
+// unexpanded again so the re-queued item counts on the frontier.
+// Monotonicity is preserved: un-expanding never invalidates
 // relaxations already propagated through admitted successors.
 func (r *run[C]) unclaim(it item[C]) {
 	sh := r.shardOf(it.fp)
@@ -328,9 +279,8 @@ func (r *run[C]) unclaim(it item[C]) {
 }
 
 // recordPanic captures an isolated worker panic as a repro artifact.
-// The entry stays claimed, so the live run does not retry what is
-// likely a deterministic panic; the checkpoint writer re-opens it (and
-// queues its snapshot) so an operator resume retries it after a fix.
+// The entry stays claimed, so the run does not retry what is likely a
+// deterministic panic.
 func (r *run[C]) recordPanic(it item[C], d int32, v any) {
 	rec := PanicRecord{
 		FP:      it.fp,
@@ -348,7 +298,6 @@ func (r *run[C]) recordPanic(it item[C], d int32, v any) {
 	}()
 	r.panicMu.Lock()
 	r.panics = append(r.panics, rec)
-	r.panicItems = append(r.panicItems, it)
 	r.panicMu.Unlock()
 	r.tel.Add(telemetry.EnginePanics, 1)
 	if r.tracer != nil {
@@ -514,12 +463,11 @@ func (r *run[C]) work(id int) {
 			break
 		}
 		if r.stop.Load() != 0 {
-			// A stop signal raced past the pool flag (e.g. it fired in
-			// the narrow window of a checkpoint resume): hand the item
-			// back untouched, re-stop and exit.
+			// A stop signal raced past the pool flag (stopWith sets it
+			// before stopping the pool): hand the item back untouched
+			// and exit.
 			r.pool.push(id, it)
 			r.pool.done(id)
-			r.pool.stop()
 			break
 		}
 		w.cell.Add(telemetry.EnginePoolClaims, 1)
@@ -537,9 +485,19 @@ func (r *run[C]) work(id int) {
 	}
 }
 
-// runWorkers runs one pool-draining leg: the workers exit when the
-// pool quiesces or a stop signal drains it.
-func (r *run[C]) runWorkers() {
+// execute drains the pool until quiescence or a stop. The budget
+// monitor (if any budget is set) runs alongside the workers.
+func (r *run[C]) execute() {
+	if ctx := r.opts.Context; ctx != nil && ctx.Err() != nil {
+		// Already spent: cut before any worker starts, so even a
+		// search too short for the monitor to catch reports it.
+		r.stopWith(contextStop(ctx))
+	}
+	if r.needMonitor() {
+		monDone := make(chan struct{})
+		defer close(monDone)
+		go r.monitor(monDone)
+	}
 	n := len(r.pool.deques)
 	if n == 1 {
 		// Serial is the same engine with the one worker run inline:
@@ -561,57 +519,6 @@ func (r *run[C]) runWorkers() {
 	wg.Wait()
 }
 
-// execute drives worker legs until quiescence or a real stop,
-// suspending and resuming around periodic checkpoints. The budget
-// monitor (if any budget is set) runs across all legs.
-func (r *run[C]) execute() {
-	if ctx := r.opts.Context; ctx != nil && ctx.Err() != nil {
-		// Already spent: cut before any worker starts, so even a
-		// search too short for the monitor to catch reports it.
-		r.stopWith(contextStop(ctx))
-	}
-	var monDone chan struct{}
-	if r.needMonitor() {
-		monDone = make(chan struct{})
-		go r.monitor(monDone)
-	}
-	for {
-		r.runWorkers()
-		if StopCause(r.stop.Load()) != stopCheckpoint {
-			break
-		}
-		// Periodic checkpoint: the pool is suspended and every entry
-		// is either fully expanded or back on the queue, so the
-		// snapshot is a consistent cut of the search.
-		if err := r.writeCheckpoint(); err != nil && r.ckErr == nil {
-			r.ckErr = err
-		}
-		// A real cause may have fired during the suspension: adopt it
-		// instead of resuming. stopWith cannot overwrite the live
-		// stopCheckpoint signal, so requested is the one place a raced
-		// cause can be.
-		if req := r.requested.Load(); req != 0 {
-			r.stop.Store(req)
-			break
-		}
-		r.stop.Store(0)
-		if req := r.requested.Load(); req != 0 {
-			// stopWith raced into the cleared window; re-adopt.
-			r.stop.Store(req)
-			break
-		}
-		r.pool.resume()
-	}
-	if monDone != nil {
-		close(monDone)
-	}
-	if r.opts.CheckpointPath != "" {
-		if err := r.writeCheckpoint(); err != nil && r.ckErr == nil {
-			r.ckErr = err
-		}
-	}
-}
-
 // finalize computes the Result after all workers have exited.
 func (r *run[C]) finalize() Result {
 	var res Result
@@ -621,9 +528,8 @@ func (r *run[C]) finalize() Result {
 	if v := r.violation.Load(); v != nil {
 		res.Violation = *v
 	}
-	res.Stop = StopCause(r.requested.Load())
+	res.Stop = StopCause(r.stop.Load())
 	res.Panics = r.panics
-	res.CheckpointErr = r.ckErr
 	res.FingerprintCollisions = r.keys.collisions()
 	res.ClosureMismatches = int(r.mismatches.Load())
 	seenBytes := 0
@@ -635,7 +541,7 @@ func (r *run[C]) finalize() Result {
 		seenBytes += t.bytes()
 	}
 	r.tel.SetGauge(telemetry.EngineGaugeSeenBytes, int64(seenBytes))
-	res.Frontier = len(r.frontierItems())
+	res.Frontier = r.frontier()
 	switch {
 	case res.Violation != nil:
 		res.Verdict = VerdictViolated
@@ -647,37 +553,23 @@ func (r *run[C]) finalize() Result {
 	return res
 }
 
-// frontierItems returns the configurations admitted but not fully
-// expanded, deduplicated by fingerprint: the deques' remainders (minus
-// stale re-queues) plus panicked configurations. Only called after
-// the workers have exited — it reads the pool and shards unlocked.
-func (r *run[C]) frontierItems() []item[C] {
-	seen := make(map[fingerprint.FP]bool)
-	var out []item[C]
-	add := func(it item[C]) {
-		if seen[it.fp] {
-			return
-		}
-		e := r.shardOf(it.fp).seen.find(it.fp)
-		if e == nil || e.term() {
-			return
-		}
-		seen[it.fp] = true
-		out = append(out, it)
-	}
+// frontier counts the configurations admitted but not fully expanded,
+// deduplicated by fingerprint: the deques' remainders (minus stale
+// re-queues) plus panicked configurations, which stay claimed but are
+// unexpanded work. Only called after the workers have exited — it
+// reads the pool and shards unlocked.
+func (r *run[C]) frontier() int {
+	open := make(map[fingerprint.FP]bool)
 	for i := range r.pool.deques {
 		d := &r.pool.deques[i]
 		for _, it := range d.items[d.head:] {
-			if e := r.shardOf(it.fp).seen.find(it.fp); e != nil && e.expanded() {
-				continue // stale re-queue
+			if e := r.shardOf(it.fp).seen.find(it.fp); e != nil && !e.term() && !e.expanded() {
+				open[it.fp] = true
 			}
-			add(it)
 		}
 	}
-	// Panicked configurations stay claimed in the live run (no retry),
-	// but they are unexpanded work: a resume retries them.
-	for _, it := range r.panicItems {
-		add(it)
+	for _, p := range r.panics {
+		open[p.FP] = true
 	}
-	return out
+	return len(open)
 }

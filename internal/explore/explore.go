@@ -48,12 +48,8 @@
 // The engine is resource-governed (budget.go): the context (the one
 // clock and cancel input), state and memory budgets all cut the search
 // at a safe point and yield a sound partial Result with a tri-state
-// Verdict; worker panics in model code are isolated per configuration
-// while the remaining shards finish in degraded mode; and a search can
-// periodically checkpoint its seen-set and frontier to disk and later
-// resume (checkpoint.go), provably reaching the same fixpoint as an
-// uninterrupted run — the relaxation fixpoint is monotone and
-// re-admission idempotent, so where the search stopped does not matter.
+// Verdict; and worker panics in model code are isolated per
+// configuration while the remaining shards finish in degraded mode.
 package explore
 
 import (
@@ -78,8 +74,7 @@ type Options struct {
 	// MaxConfigs bounds the number of distinct configurations
 	// explored; once reached, no further configurations are admitted,
 	// the search stops with StopMaxConfigs and the configuration whose
-	// expansion was rejected stays on the frontier (so a resumed run
-	// with a larger budget loses nothing). When the cap cuts a
+	// expansion was rejected stays on the frontier. When the cap cuts a
 	// parallel search, *which* configurations were admitted depends on
 	// scheduling, so Terminated and Depth (unlike Explored and
 	// Truncated) may vary between runs; use Workers 1 for a
@@ -139,8 +134,8 @@ type Options struct {
 	// Metrics, when non-nil, receives engine counters through
 	// per-worker telemetry cells — expansions, successors, admissions,
 	// fingerprint dedup hits, POR-pruned steps, pool claims and steals,
-	// parked time, checkpoint writes — plus live frontier,
-	// frontier-peak and max-depth gauges.
+	// parked time — plus live frontier, frontier-peak and max-depth
+	// gauges.
 	// Build it with telemetry.NewEngineRegistry; snapshot it during or
 	// after the search (the registry is safe for concurrent use and
 	// may be shared across searches, accumulating totals). When nil,
@@ -150,22 +145,11 @@ type Options struct {
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, receives structured JSONL trace records:
 	// search and worker lifecycle spans, periodic expansion-batch
-	// counter samples, and stop/checkpoint/panic instants. The stream
+	// counter samples, and stop/panic instants. The stream
 	// converts to Chrome trace_event format via `c11 trace`. Tracing
 	// is deliberately coarse (never per-successor), so it stays cheap
 	// on large searches. Nil disables it.
 	Tracer *telemetry.Tracer
-	// CheckpointPath, when non-empty, makes the engine write a
-	// checkpoint of the sharded seen-set and frontier to this path
-	// when the search ends (for whatever cause), atomically via a
-	// temp-file rename. With CheckpointEvery > 0 the engine also
-	// suspends periodically and snapshots mid-search. Resume continues
-	// a checkpointed search and provably reaches the same fixpoint as
-	// an uninterrupted run.
-	CheckpointPath string
-	// CheckpointEvery is the periodic checkpoint interval; zero means
-	// only the final checkpoint is written.
-	CheckpointEvery time.Duration
 
 	// CheckCollisions audits the fingerprints against the exact
 	// canonical string keys (model.Config.Key): every configuration
@@ -173,12 +157,10 @@ type Options struct {
 	// computed and recorded beside the seen-set, and distinct keys
 	// whose 128-bit fingerprints coincide are counted in
 	// Result.FingerprintCollisions. Deduplication itself stays by
-	// fingerprint, so the audited search (and its checkpoints) is the
-	// ordinary one. A checkpoint holds fingerprints, not keys, so a
-	// resumed audit covers the configurations fingerprinted after the
-	// restore. This is a debug mode: it pays the allocation-heavy key
-	// construction the fingerprints replaced, and building every
-	// candidate successor — duplicates included — to have a key.
+	// fingerprint, so the audited search is the ordinary one. This is a
+	// debug mode: it pays the allocation-heavy key construction the
+	// fingerprints replaced, and building every candidate successor —
+	// duplicates included — to have a key.
 	CheckCollisions bool
 	// CheckIncremental audits the model's incrementally maintained
 	// derived structures: at every admitted configuration
@@ -197,8 +179,7 @@ type Options struct {
 	// collect, when non-nil, observes every admitted configuration's
 	// fingerprint and whether it is terminated. Used by Audit to
 	// gather reachable sets; must be safe for concurrent use when
-	// Workers > 1. On Resume it is replayed over the checkpointed
-	// seen-set before exploration continues.
+	// Workers > 1.
 	collect func(fp fingerprint.FP, terminated bool)
 	// witness, when non-nil, receives the parent link of every
 	// admitted configuration. Only FindTrace sets it, on a serial
@@ -270,9 +251,6 @@ type Result struct {
 	// Panics holds one repro artifact per isolated worker panic; the
 	// rest of the search continued in degraded mode.
 	Panics []PanicRecord
-	// CheckpointErr reports a failure to write a requested checkpoint
-	// (the exploration result itself is unaffected).
-	CheckpointErr error
 	// FingerprintCollisions counts distinct canonical keys that
 	// shared a fingerprint; only populated under CheckCollisions.
 	FingerprintCollisions int

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +19,31 @@ func mpConfig() core.Config {
 		lang.SeqC(lang.AssignC("a", lang.XA("f")), lang.AssignC("b", lang.X("d"))),
 	}
 	return core.NewConfig(p, map[event.Var]event.Val{"d": 0, "f": 0, "a": 0, "b": 0})
+}
+
+// petersonProg is Peterson's mutual-exclusion algorithm in its correct
+// release-acquire form — the E13 workload, rebuilt here because the
+// litmus catalog sits above this package. Kept structurally identical
+// to litmus.Peterson.
+func petersonProg() (lang.Prog, map[event.Var]event.Val) {
+	thread := func(t int) lang.Com {
+		other := 3 - t
+		me := event.Var(fmt.Sprintf("flag%d", t))
+		you := event.Var(fmt.Sprintf("flag%d", other))
+		guard := lang.And(
+			lang.Eq(lang.XA(you), lang.B(true)),
+			lang.Eq(lang.X("turn"), lang.V(event.Val(other))),
+		)
+		return lang.SeqC(
+			lang.AssignC(me, lang.B(true)),
+			lang.SwapC("turn", event.Val(other)),
+			lang.WhileC(guard, lang.SkipC()),
+			lang.LabelC("cs", lang.SkipC()),
+			lang.AssignRelC(me, lang.B(false)),
+		)
+	}
+	return lang.Prog{thread(1), thread(2)},
+		map[event.Var]event.Val{"flag1": 0, "flag2": 0, "turn": 1}
 }
 
 func TestRunSerialBasics(t *testing.T) {
@@ -99,6 +125,37 @@ func TestPropertyViolationStopsSearch(t *testing.T) {
 	})
 	if res2.Violation == nil {
 		t.Fatal("parallel run missed the violation")
+	}
+}
+
+// TestPanickingPropertyRecordedOnce: a property that panics on one
+// configuration reached along several paths is called, and its panic
+// recorded, once — the first admission keeps the configuration in the
+// seen-set, so every later path to it is a dedup hit. The panic leaves
+// its parent claimed, so the search is degraded to BOUNDED, with no
+// violation.
+func TestPanickingPropertyRecordedOnce(t *testing.T) {
+	goal, found := FindTrace(mpConfig(), Options{}, func(c model.Config) bool { return c.Terminated() })
+	if !found {
+		t.Fatal("no terminated configuration")
+	}
+	target := goal.Configs[len(goal.Configs)-1].Fingerprint()
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			res := Run(mpConfig(), Options{
+				Workers: workers,
+				TypedProperty: func(c core.Config) bool {
+					if c.Fingerprint() == target {
+						panic("injected")
+					}
+					return true
+				},
+			})
+			if len(res.Panics) != 1 || res.Verdict != VerdictBounded || res.Violation != nil {
+				t.Fatalf("%d panics, verdict %v, violation %v; want 1, BOUNDED, none",
+					len(res.Panics), res.Verdict, res.Violation)
+			}
+		})
 	}
 }
 

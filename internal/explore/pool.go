@@ -223,12 +223,3 @@ func (p *pool[C]) stop() {
 	p.stopped.Store(true)
 	p.wakeAll()
 }
-
-// resume clears the stop flag after a checkpoint suspension; the
-// re-started workers drain the deques the suspension left behind
-// (pending == queued items again, since every in-flight item was
-// either completed or unclaimed and re-queued before the workers
-// exited).
-func (p *pool[C]) resume() {
-	p.stopped.Store(false)
-}

@@ -1,8 +1,6 @@
 package explore
 
 import (
-	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -114,31 +112,5 @@ func TestStealFromOneDeque(t *testing.T) {
 	}
 	if got, exp := snap.Counter("pool_claims"), snap.Counter("expansions")+snap.Counter("stale_claims"); got != exp {
 		t.Errorf("pool_claims = %d, want expansions + stale_claims = %d", got, exp)
-	}
-}
-
-// TestResumeDequesBudgetCut: a two-worker search cut by MaxConfigs
-// leaves items on both deques and in flight; its checkpoint holds them
-// all, and resuming it — its whole frontier lands on one deque —
-// reaches the uninterrupted fixpoint, serially and with two workers.
-func TestResumeDequesBudgetCut(t *testing.T) {
-	const n = 5
-	want, _ := runWriters(n, writersOpts(n, 1))
-	for _, workers := range []int{1, 2} {
-		t.Run(fmt.Sprintf("resume-workers=%d", workers), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "deques.ckpt")
-			cut := writersOpts(n, 2)
-			cut.MaxConfigs = want.Explored / 3
-			cut.CheckpointPath = path
-			res, _ := runWriters(n, cut)
-			if res.Stop != StopMaxConfigs || res.CheckpointErr != nil || res.Frontier == 0 {
-				t.Fatalf("cut run: stop=%v frontier=%d checkpoint err=%v", res.Stop, res.Frontier, res.CheckpointErr)
-			}
-			got, err := Resume(path, core.Model, writersOpts(n, workers))
-			if err != nil {
-				t.Fatalf("resume: %v", err)
-			}
-			sameFixpoint(t, "resumed", got, want)
-		})
 	}
 }

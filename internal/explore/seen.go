@@ -39,8 +39,7 @@ const (
 	depthShift = 2
 	// maxDepth is the deepest depth an entry can record. A search
 	// deeper than this would need over a billion admitted
-	// configurations on one path; decodeCheckpoint rejects deeper
-	// entries.
+	// configurations on one path.
 	maxDepth = 1<<(32-depthShift) - 1
 )
 
@@ -163,28 +162,6 @@ func (t *seenTable) grow() {
 			t.place(old[i].fp, old[i].e)
 		}
 	}
-}
-
-// remove deletes fp's slot and reports whether it was there. Later
-// slots of the probe run shift back into the hole (no tombstones), so
-// every remaining key stays reachable from its home slot.
-func (t *seenTable) remove(fp fingerprint.FP) bool {
-	i, ok := t.index(fp)
-	if !ok {
-		return false
-	}
-	mask := uint64(len(t.slots) - 1)
-	for j := (i + 1) & mask; t.slots[j].e.word&wordUsed != 0; j = (j + 1) & mask {
-		// The slot at j may fill the hole at i if i lies on its probe
-		// path, i.e. its home is no nearer to j than i is.
-		if home := t.slots[j].fp.Hi & mask; (j-home)&mask >= (j-i)&mask {
-			t.slots[i] = t.slots[j]
-			i = j
-		}
-	}
-	t.slots[i] = slot{}
-	t.n--
-	return true
 }
 
 // all yields every recorded fingerprint with its entry, for use in a

@@ -3,7 +3,6 @@ package explore
 import (
 	"bytes"
 	"encoding/json"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -105,23 +104,6 @@ func TestTelemetrySharedRegistryAccumulates(t *testing.T) {
 	}
 }
 
-// TestTelemetryCheckpointCounter: a checkpointing run counts its
-// writes.
-func TestTelemetryCheckpointCounter(t *testing.T) {
-	reg := telemetry.NewEngineRegistry()
-	p, vars := petersonProg()
-	res := Run(core.NewConfig(p, vars), Options{
-		MaxEvents: 8, Workers: 1, Metrics: reg,
-		CheckpointPath: filepath.Join(t.TempDir(), "ck.gob"),
-	})
-	if res.CheckpointErr != nil {
-		t.Fatal(res.CheckpointErr)
-	}
-	if got := reg.Total(telemetry.EngineCheckpointWrites); got != 1 {
-		t.Errorf("checkpoint_writes = %d, want 1 (the final checkpoint)", got)
-	}
-}
-
 // TestTelemetryTraceRoundTrip runs a traced search and requires the
 // stream to be schema-valid JSONL that converts to Chrome format.
 func TestTelemetryTraceRoundTrip(t *testing.T) {
@@ -176,7 +158,11 @@ func TestTelemetryZeroAllocOverhead(t *testing.T) {
 	// (map-growth and GC-assist timing), so measure each configuration
 	// several times and compare the minima: a real per-state cost
 	// would add hundreds of allocs on this workload (~500 states), far
-	// outside the noise band.
+	// outside the noise band. The searched path must hold no
+	// sync.Pool: under -race, Pool.Put drops a random quarter of what
+	// it is given, and the refills would jitter the count past the
+	// band (core's observed-write scratch is a stack buffer for that
+	// reason).
 	measure := func(opts Options) float64 {
 		best := testing.AllocsPerRun(5, func() {
 			opts := opts

@@ -9,7 +9,7 @@
 //     engine's per-configuration isolation and degraded-mode
 //     completion;
 //   - latency: artificial per-expansion delay, exercising wall-clock
-//     budgets and checkpoint suspensions under slow progress;
+//     budgets under slow progress;
 //   - allocation pressure: short-lived heap ballast, exercising the
 //     memory budget's MemStats watcher.
 //

@@ -147,27 +147,3 @@ func TestInjectionDoesNotInventViolations(t *testing.T) {
 		t.Fatal("degraded run reported PROVED")
 	}
 }
-
-func TestResumeAfterInjectedPanics(t *testing.T) {
-	// The end-to-end degradation story: an injected run checkpoints,
-	// and a resume without the injector finishes the search cleanly at
-	// the uninterrupted fixpoint.
-	want := explore.Run(workload(), explore.Options{Workers: 1})
-	path := t.TempDir() + "/faulted.ckpt"
-	res := explore.Run(workload(), explore.Options{
-		Workers:        1,
-		Hooks:          New(Spec{Seed: 1, PanicEvery: 6}),
-		CheckpointPath: path,
-	})
-	if len(res.Panics) == 0 || res.CheckpointErr != nil {
-		t.Fatalf("faulted run: %d panics, checkpoint err %v", len(res.Panics), res.CheckpointErr)
-	}
-	got, err := explore.Resume(path, core.Model, explore.Options{Workers: 1})
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if got.Verdict != explore.VerdictProved || got.Explored != want.Explored ||
-		got.Terminated != want.Terminated || got.Depth != want.Depth {
-		t.Fatalf("post-fault resume did not reach the clean fixpoint: %+v vs %+v", got, want)
-	}
-}

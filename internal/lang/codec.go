@@ -10,11 +10,11 @@ import (
 // This file inverts the signature encoding of sig.go. The encoding was
 // introduced purely for fingerprinting, but because it is prefix-free
 // and records every distinguishing field it doubles as a compact
-// serialization of residual programs — which the checkpoint layer
-// (internal/explore) needs to persist frontier configurations across
-// process restarts. The decoder is strict: any unknown tag, truncated
-// field, or out-of-range operator is an error, never a panic, so a
-// corrupted checkpoint fails loudly at load time.
+// serialization of residual programs — which the backends' snapshots
+// (the explorer's panic repro format) embed. The decoder is strict:
+// any unknown tag, truncated field, or out-of-range operator is an
+// error, never a panic, so a corrupted snapshot fails loudly at
+// restore time.
 
 func decodeUvarint(data []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(data)

@@ -23,7 +23,7 @@ import (
 // Aliasing. A Node and everything it returns (Prog, Steps) is shared
 // by every configuration carrying it and must never be mutated. Two
 // nodes of one Table are equal exactly when they are the same pointer;
-// nodes of different tables (a resumed search interns each restored
+// nodes of different tables (Model.Restore interns each restored
 // configuration into a fresh table) may describe the same program, so
 // identity across configurations is the signature — and, with the
 // memory state, the fingerprint — never the node pointer.

@@ -31,7 +31,7 @@ const (
 	sigUn
 	sigBin
 	// Appended after the original tag set (PR 8): decoding order is
-	// part of the checkpoint format, so new nodes extend, never renumber.
+	// part of the snapshot format, so new nodes extend, never renumber.
 	sigCas
 	sigIdxLoad
 )

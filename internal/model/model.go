@@ -33,7 +33,7 @@ import (
 // internal/explore instantiates its engine over, so no method here
 // mentions successors and the successor path never boxes. The
 // interface is the frontend seam for dispatch, traces, properties and
-// checkpoints. All methods must be safe for concurrent use (the engine
+// panic repro snapshots. All methods must be safe for concurrent use (the engine
 // calls them from multiple workers on shared configurations).
 type Config interface {
 	// Program returns the residual program. The explorer's
@@ -92,9 +92,11 @@ type Config interface {
 	// the configuration to buf and returns the extended slice. The
 	// blob starts with a backend tag and version byte and must restore
 	// (via the owning Model.Restore) to a configuration with the same
-	// Key and Fingerprint — the contract the explorer's checkpoint
-	// layer verifies at load time. Trace-only decoration (e.g. the
-	// label of the producing transition) need not survive.
+	// Key and Fingerprint, which the backends' FuzzRestore targets
+	// check. The explorer stores it as PanicRecord.Snapshot, the repro
+	// of a configuration whose expansion panicked. Trace-only
+	// decoration (e.g. the label of the producing transition) need not
+	// survive.
 	AppendSnapshot(buf []byte) []byte
 
 	// DeltaLabel renders the observable difference from prev — the

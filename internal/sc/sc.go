@@ -156,7 +156,10 @@ func (c Config) Program() lang.Prog { return c.node.Prog() }
 func (c Config) Progress() int { return 0 }
 
 // Key identifies the configuration exactly, for deduplication audits.
-func (c Config) Key() string { return c.node.Prog().String() + "\x00" + c.S.Signature() }
+// Like core.Config.Key, its program part is the interned node's
+// prefix-free binary signature, the program identity Fingerprint
+// hashes.
+func (c Config) Key() string { return c.node.Sig() + "\x00" + c.S.Signature() }
 
 // Fingerprint returns a 128-bit identity of the configuration: the
 // store's multiset hash combined with the binary program signature.

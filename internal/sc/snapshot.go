@@ -10,7 +10,9 @@ import (
 	"repro/internal/model"
 )
 
-// Snapshot support for the checkpoint layer (internal/explore). An SC
+// Snapshots are the panic repro format: the explorer stores one per
+// isolated worker panic as PanicRecord.Snapshot, and Model.Restore
+// rebuilds the offending configuration from it. An SC
 // configuration is just (program, store), so the serialization is the
 // residual program's signature followed by the store entries in sorted
 // variable order. The trace-only label of the producing write (wx/wv)

@@ -14,10 +14,10 @@ const (
 	// ones later deduplicated or suppressed without being built.
 	EngineSuccessors
 	// EngineAdmitted counts distinct configurations admitted to the
-	// seen set (== Result.Explored for a fresh run).
+	// seen set (== Result.Explored).
 	EngineAdmitted
 	// EngineTerminated counts admitted configurations with every
-	// thread terminated (== Result.Terminated for a fresh run).
+	// thread terminated (== Result.Terminated).
 	EngineTerminated
 	// EngineDedupHits counts successors that deduplicated against the
 	// fingerprint seen set.
@@ -43,8 +43,6 @@ const (
 	// EngineStaleClaims counts pool items that were already expanded
 	// at their best depth/sleep when claimed (stale re-queues).
 	EngineStaleClaims
-	// EngineCheckpointWrites counts checkpoints successfully written.
-	EngineCheckpointWrites
 	// EnginePanics counts worker panics isolated into PanicRecords.
 	EnginePanics
 
@@ -69,20 +67,19 @@ const (
 )
 
 var engineCounterNames = [numEngineCounters]string{
-	EngineExpansions:       "expansions",
-	EngineSuccessors:       "successors",
-	EngineAdmitted:         "states_admitted",
-	EngineTerminated:       "states_terminated",
-	EngineDedupHits:        "dedup_hits",
-	EngineRequeues:         "requeues",
-	EnginePORPruned:        "por_pruned_steps",
-	EngineBoundSuppressed:  "bound_suppressed",
-	EnginePoolClaims:       "pool_claims",
-	EnginePoolSteals:       "pool_steals",
-	EnginePoolWaitNS:       "pool_wait_ns",
-	EngineStaleClaims:      "stale_claims",
-	EngineCheckpointWrites: "checkpoint_writes",
-	EnginePanics:           "panics_isolated",
+	EngineExpansions:      "expansions",
+	EngineSuccessors:      "successors",
+	EngineAdmitted:        "states_admitted",
+	EngineTerminated:      "states_terminated",
+	EngineDedupHits:       "dedup_hits",
+	EngineRequeues:        "requeues",
+	EnginePORPruned:       "por_pruned_steps",
+	EngineBoundSuppressed: "bound_suppressed",
+	EnginePoolClaims:      "pool_claims",
+	EnginePoolSteals:      "pool_steals",
+	EnginePoolWaitNS:      "pool_wait_ns",
+	EngineStaleClaims:     "stale_claims",
+	EnginePanics:          "panics_isolated",
 }
 
 var engineGaugeNames = [numEngineGauges]string{

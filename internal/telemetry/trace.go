@@ -28,7 +28,7 @@ type Record struct {
 	// "counter" (a periodic sample carried in Args).
 	Type string `json:"type"`
 	// Name identifies the span/event ("search", "worker",
-	// "checkpoint", "stop", ...).
+	// "stop", "panic", ...).
 	Name string `json:"name"`
 	// Worker is the emitting worker id; -1 for engine-level records.
 	Worker int `json:"worker"`
