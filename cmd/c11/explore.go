@@ -39,8 +39,6 @@ func exploreCmd(fs *flag.FlagSet, s *session) func() int {
 		workers = fs.Int("workers", 0, "explorer parallelism (0 = GOMAXPROCS)")
 		por     = fs.Bool("por", true,
 			"partial-order reduction: explore commuting interleavings once (sleep sets + persistent-set heuristic)")
-		checkInc = fs.Bool("checkincremental", false,
-			"recompute the model's incrementally maintained structures from scratch at each configuration and count disagreements")
 		auditFl = fs.Bool("audit", false,
 			"self-audit: the unreduced search with the incremental and collision audits, diffed against a serial and a parallel reduced search — property verdicts, terminated states, reachability (zero divergences expected)")
 	)
@@ -58,10 +56,9 @@ func exploreCmd(fs *flag.FlagSet, s *session) func() int {
 		}
 
 		opts := explore.Options{
-			MaxEvents:        *maxEv,
-			Workers:          *workers,
-			POR:              *por,
-			CheckIncremental: *checkInc,
+			MaxEvents: *maxEv,
+			Workers:   *workers,
+			POR:       *por,
 		}
 		s.apply(&opts)
 
@@ -97,9 +94,6 @@ func exploreCmd(fs *flag.FlagSet, s *session) func() int {
 		fmt.Printf("model=%s explored %d configurations, %d terminated, depth %d, truncated=%v, por=%v\n",
 			m.Name(), res.Explored, res.Terminated, res.Depth, res.Truncated, *por)
 		fmt.Println(describe(res))
-		if *checkInc && audited("closure mismatches", res.ClosureMismatches) {
-			return exitViolation
-		}
 
 		if *racesFl {
 			if code := reportRaces(core.NewConfig(prog, f.Init), explore.Options{MaxEvents: *maxEv, Context: s.ctx}); code != exitProved {

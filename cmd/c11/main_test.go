@@ -27,6 +27,9 @@ func TestSubcommandExitCodes(t *testing.T) {
 		// -checkpoint is retired: an unknown flag on every subcommand.
 		{[]string{"verify", "-max", "8", "-audit", "-checkpoint", "x"}, exitInternal},
 		{[]string{"explore", "-f", "../../testdata/sb.lit", "-checkpor"}, exitInternal},
+		// -checkincremental is retired: -audit runs the incremental audit.
+		{[]string{"verify", "-max", "8", "-checkincremental"}, exitInternal},
+		{[]string{"explore", "-f", "../../testdata/sb.lit", "-checkincremental"}, exitInternal},
 		{[]string{"explore"}, exitInternal},
 		{[]string{"litmus", "-run", "SB", "-model", "all"}, exitProved},
 		{[]string{"litmus", "-f", "../../testdata/sb.lit", "-model", "all"}, exitProved},

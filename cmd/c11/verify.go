@@ -37,8 +37,6 @@ func verifyCmd(fs *flag.FlagSet, s *session) func() int {
 		workers = fs.Int("workers", 0, "explorer parallelism (0 = GOMAXPROCS)")
 		por     = fs.Bool("por", true,
 			"partial-order reduction: explore commuting interleavings once (the invariant sweep then covers the reduced state space; run -por=false for the full one)")
-		checkInc = fs.Bool("checkincremental", false,
-			"audit the model's incrementally maintained structures against from-scratch recomputation at every configuration")
 		auditFl = fs.Bool("audit", false,
 			"self-audit: the unreduced search with the incremental and collision audits, diffed against a serial and a parallel reduced search — invariant verdicts, terminated states, reachability (zero divergences expected)")
 	)
@@ -81,11 +79,10 @@ func verifyCmd(fs *flag.FlagSet, s *session) func() int {
 			}
 		}
 		opts := explore.Options{
-			MaxEvents:        *maxEv,
-			Workers:          *workers,
-			POR:              *por,
-			CheckIncremental: *checkInc,
-			Property:         property,
+			MaxEvents: *maxEv,
+			Workers:   *workers,
+			POR:       *por,
+			Property:  property,
 		}
 		s.apply(&opts)
 		if *auditFl {
@@ -96,9 +93,6 @@ func verifyCmd(fs *flag.FlagSet, s *session) func() int {
 		fmt.Printf("model=%s variant=%s bound=%d explored=%d depth=%d truncated=%v por=%v (%.2fs)\n",
 			m.Name(), *variant, *maxEv, res.Explored, res.Depth, res.Truncated, *por, time.Since(start).Seconds())
 		fmt.Println(describe(res))
-		if *checkInc && audited("closure mismatches", res.ClosureMismatches) {
-			return exitViolation
-		}
 
 		if res.Violation == nil {
 			if res.Verdict == explore.VerdictBounded {
@@ -164,11 +158,4 @@ func (s *session) audit(m model.Model, cfg model.Config, opts explore.Options) i
 		return exitBounded
 	}
 	return exitProved
-}
-
-// audited prints an audit's mismatch count under label and reports
-// whether it found any.
-func audited(label string, mismatches int) bool {
-	fmt.Printf("%s: %d\n", label, mismatches)
-	return mismatches > 0
 }

@@ -74,12 +74,11 @@
 //     stable (thread, position) renaming) are all maintained eagerly
 //     on each step.
 //
-// The from-scratch formulas survive as an audit:
-// explore.Options.CheckIncremental (flag -checkincremental on
-// c11 explore and c11 verify) recomputes every derived order at every
-// explored configuration and counts disagreements — expected zero,
-// asserted across the testdata litmus suite by
-// incremental_equivalence_test.go.
+// The from-scratch formulas survive as an audit: the unreduced search
+// of explore.Audit (flag -audit on c11 explore and c11 verify)
+// recomputes every derived order at every explored configuration and
+// counts disagreements — expected zero, asserted across the testdata
+// litmus suite by por_equivalence_test.go.
 //
 // # Partial-order reduction
 //

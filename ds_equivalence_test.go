@@ -33,6 +33,8 @@ func dsFiles(t *testing.T) map[string]*parser.File {
 	return out
 }
 
+// TestDSCheckPOR audits every DS program at its own bound, serial and
+// parallel. TestDSIncrementalEquivalence reads the same audits.
 func TestDSCheckPOR(t *testing.T) {
 	for name, f := range dsFiles(t) {
 		name, f := name, f
@@ -44,16 +46,8 @@ func TestDSCheckPOR(t *testing.T) {
 			}
 			cfg := core.NewConfig(prog, f.Init)
 			for _, workers := range []int{1, 8} {
-				a := explore.Audit(cfg, explore.Options{MaxEvents: f.MaxEvents, Workers: workers})
-				if !a.POR.SetsCompared || !a.Workers.SetsCompared {
-					t.Fatalf("workers=%d: audit did not compare fingerprint sets", workers)
-				}
-				if n := a.Divergences(); n != 0 {
-					t.Fatalf("workers=%d: %d divergences: %s", workers, n, a)
-				}
-				if a.Reduced.Explored > a.Full.Explored {
-					t.Fatalf("workers=%d: reduced explored more than full: %s", workers, a)
-				}
+				opts := explore.Options{MaxEvents: f.MaxEvents, Workers: workers}
+				requireCleanAudit(t, sharedAudit(t, cfg, opts), workers)
 			}
 		})
 	}
@@ -74,21 +68,15 @@ func TestDSCheckPORSC(t *testing.T) {
 			}
 			cfg := m.New(prog, f.Init)
 			for _, workers := range []int{1, 8} {
-				a := explore.Audit(cfg, explore.Options{Workers: workers})
-				if !a.POR.SetsCompared || !a.Workers.SetsCompared {
-					t.Fatalf("workers=%d: audit did not compare fingerprint sets", workers)
-				}
-				if n := a.Divergences(); n != 0 {
-					t.Fatalf("workers=%d: %d divergences: %s", workers, n, a)
-				}
-				if a.Reduced.Explored > a.Full.Explored {
-					t.Fatalf("workers=%d: reduced explored more than full: %s", workers, a)
-				}
+				requireCleanAudit(t, explore.Audit(cfg, explore.Options{Workers: workers}), workers)
 			}
 		})
 	}
 }
 
+// TestDSIncrementalEquivalence checks, on every DS program at its own
+// bound, serial and parallel, that the audited unreduced search counts
+// zero closure mismatches and explores exactly what a plain one does.
 func TestDSIncrementalEquivalence(t *testing.T) {
 	for name, f := range dsFiles(t) {
 		name, f := name, f
@@ -100,22 +88,8 @@ func TestDSIncrementalEquivalence(t *testing.T) {
 			}
 			cfg := core.NewConfig(prog, f.Init)
 			for _, workers := range []int{1, 8} {
-				plain := explore.Run(cfg, explore.Options{
-					MaxEvents: f.MaxEvents, Workers: workers,
-				})
-				audited := explore.Run(cfg, explore.Options{
-					MaxEvents: f.MaxEvents, Workers: workers, CheckIncremental: true,
-				})
-				if audited.ClosureMismatches != 0 {
-					t.Fatalf("workers=%d: %d closure mismatches", workers, audited.ClosureMismatches)
-				}
-				if plain.Explored != audited.Explored ||
-					plain.Terminated != audited.Terminated ||
-					plain.Depth != audited.Depth ||
-					plain.Truncated != audited.Truncated {
-					t.Fatalf("workers=%d: audit changed the exploration: %+v != %+v",
-						workers, plain, audited)
-				}
+				opts := explore.Options{MaxEvents: f.MaxEvents, Workers: workers}
+				requireIncrementalEquivalent(t, cfg, opts)
 			}
 		})
 	}

@@ -1,12 +1,12 @@
 package repro
 
 // Equivalence of the incremental derived-order engine with from-scratch
-// recomputation, across the whole testdata litmus suite: exploring with
-// CheckIncremental recomputes hb/eco/comb, the observability sets and
+// recomputation, across the whole testdata litmus suite: explore.Audit's
+// unreduced search recomputes hb/eco/comb, the observability sets and
 // the maintained indexes at every admitted configuration and compares
 // them with the inherited-and-extended values. The audit must count
-// zero mismatches, and the exploration statistics must be identical
-// with and without it — serially and (under -race, see CI) with
+// zero mismatches, and the audited search's statistics must equal a
+// plain unreduced search's — serially and (under -race, see CI) with
 // parallel workers, where closure rows are shared across them.
 
 import (
@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/explore"
+	"repro/internal/model"
 )
 
 // testdataConfigs parses every .lit program under testdata, through
@@ -38,27 +39,32 @@ func testdataConfigs(t *testing.T) map[string]core.Config {
 	return out
 }
 
+// requireIncrementalEquivalent fails unless the audit of cfg under
+// opts counted zero closure mismatches on its unreduced search and
+// that search explored exactly what a plain unreduced search under
+// the same options does: the self-checks observe the search, never
+// steer it.
+func requireIncrementalEquivalent(t *testing.T, cfg model.Config, opts explore.Options) {
+	t.Helper()
+	audited := sharedAudit(t, cfg, opts).Full
+	if audited.ClosureMismatches != 0 {
+		t.Fatalf("workers=%d: %d closure mismatches", opts.Workers, audited.ClosureMismatches)
+	}
+	plain := explore.Run(cfg, opts)
+	if plain.Explored != audited.Explored ||
+		plain.Terminated != audited.Terminated ||
+		plain.Depth != audited.Depth ||
+		plain.Truncated != audited.Truncated {
+		t.Fatalf("workers=%d: audit changed the exploration: %+v != %+v",
+			opts.Workers, plain, audited)
+	}
+}
+
 func TestIncrementalEquivalenceTestdata(t *testing.T) {
 	for name, cfg := range testdataConfigs(t) {
 		t.Run(name, func(t *testing.T) {
-			bound := 9
 			for _, workers := range []int{1, 8} {
-				plain := explore.Run(cfg, explore.Options{
-					MaxEvents: bound, Workers: workers,
-				})
-				audited := explore.Run(cfg, explore.Options{
-					MaxEvents: bound, Workers: workers, CheckIncremental: true,
-				})
-				if audited.ClosureMismatches != 0 {
-					t.Fatalf("workers=%d: %d closure mismatches", workers, audited.ClosureMismatches)
-				}
-				if plain.Explored != audited.Explored ||
-					plain.Terminated != audited.Terminated ||
-					plain.Depth != audited.Depth ||
-					plain.Truncated != audited.Truncated {
-					t.Fatalf("workers=%d: audit changed the exploration: %+v != %+v",
-						workers, plain, audited)
-				}
+				requireIncrementalEquivalent(t, cfg, explore.Options{MaxEvents: 9, Workers: workers})
 			}
 		})
 	}

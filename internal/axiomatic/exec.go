@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/bits"
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/fingerprint"
@@ -101,17 +100,6 @@ func (x Exec) Reads() []event.Tag {
 		}
 	}
 	return out
-}
-
-// WriteSet returns the set of write events as a bitset.
-func (x Exec) WriteSet() bits.Set {
-	w := bits.New(len(x.Events))
-	for i, e := range x.Events {
-		if e.IsWrite() {
-			w.Set(i)
-		}
-	}
-	return w
 }
 
 // Restrict returns the execution restricted to the event set E

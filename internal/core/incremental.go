@@ -33,7 +33,7 @@ package core
 // aliasing rules), and the others copy it. The scratch path
 // survives for root states and for the audit mode: AuditIncremental
 // recomputes everything from first principles and reports any
-// disagreement (explore.Options.CheckIncremental counts these; the
+// disagreement (explore.Audit's unreduced search counts these; the
 // expected count is zero).
 
 import (
@@ -210,7 +210,7 @@ func (s *State) deriveECOLocked(p *State) {
 // hb-predecessors, and their singleton rows sit inside hbP'[g]. The
 // reverse inclusion is hb-monotonicity again. The audit
 // (AuditIncremental) checks this derivation against the definitional
-// composition on every explored state under -checkincremental.
+// composition on every explored state under -audit.
 //
 // Old rows change only when g has eco-successors (w not mo-maximal):
 // those rows — K and its hb-successors — gain the bit g.
@@ -268,9 +268,8 @@ func rowOnlyClaim(c *relation.Claim, moSucc bits.Set) *relation.Claim {
 // AuditIncremental recomputes every derived order and maintained index
 // from first principles and compares them with the incrementally
 // maintained values, returning one description per mismatch. It is the
-// correctness guard behind explore.Options.CheckIncremental and the
-// -checkincremental flag of c11 explore and c11 verify; the expected
-// result is always empty.
+// correctness guard behind explore.Audit and the -audit flag of
+// c11 explore and c11 verify; the expected result is always empty.
 func (s *State) AuditIncremental() []string {
 	var bad []string
 	report := func(format string, args ...any) {

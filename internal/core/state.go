@@ -559,7 +559,7 @@ func (s *State) Signature() string {
 // the explorer deduplicates by it (a symmetry reduction the
 // operational semantics enables: a state is a C11 state, not an
 // interleaving) — through its 128-bit hash, Fingerprint, which the
-// CheckCollisions audit checks against this exact key.
+// collision audit of explore.Audit checks against this exact key.
 func (s *State) CanonicalSignature() string {
 	return fingerprint.Signature(s.Events(), s.RF(), s.mo)
 }

@@ -12,9 +12,9 @@ import (
 // and the contracts between them, every count expected to be zero.
 //
 //   - Full, the unreduced search at the given parallelism, runs the
-//     CheckIncremental and CheckCollisions audits, so its
-//     ClosureMismatches and FingerprintCollisions are the audit's
-//     first two counts.
+//     engine's self-checks (the incremental and fingerprint-collision
+//     audits), so its ClosureMismatches and FingerprintCollisions are
+//     the audit's first two counts.
 //   - POR is the reduction's contract, Full against Reduced (the
 //     serial reduced search): the property verdicts coincide — for
 //     properties that inspect arbitrary intermediate state an
@@ -104,7 +104,7 @@ func (a AuditReport) String() string {
 
 // Audit is the engine's one self-audit of a workload. It runs three
 // searches under opts: the unreduced search at opts.Workers with the
-// CheckIncremental and CheckCollisions audits on, the reduced search
+// incremental and collision audits on, the reduced search
 // serially, and the reduced search at opts.Workers (GOMAXPROCS when
 // that is ≤ 1); AuditReport describes what it compares. opts.POR is
 // ignored.
@@ -113,13 +113,12 @@ func Audit(c model.Config, opts Options) AuditReport {
 
 	fo := opts
 	fo.POR = false
-	fo.CheckIncremental, fo.CheckCollisions = true, true
+	fo.audit = true
 	fo.collect = full.observe
 
 	ro := opts
 	ro.POR = true
 	ro.Workers = 1
-	ro.CheckIncremental, ro.CheckCollisions = false, false
 	ro.collect = reduced.observe
 
 	po := ro
@@ -195,7 +194,7 @@ func (c *fpCollector) observe(fp fingerprint.FP, terminated bool) {
 	c.mu.Unlock()
 }
 
-// keyAudit is the CheckCollisions collector: it maps every fingerprint
+// keyAudit is the audit's collision collector: it maps every fingerprint
 // the search computes to the first exact canonical key seen with it,
 // and collects the distinct keys that later arrive under a fingerprint
 // already holding another. It has its own lock and sits beside the

@@ -108,16 +108,15 @@ func (v Verdict) String() string {
 	}
 }
 
-// Hooks observes the engine from the outside, build-tag-free. The one
-// call site is on the expansion path inside the worker's recover
-// scope, so a hook that panics exercises exactly the engine's panic
-// isolation — which is how internal/faultinject injects worker faults
-// without the engine importing it.
+// Hooks observes the engine from the outside, build-tag-free; tests
+// implement it to drive the degradation paths. The one call site is on
+// the expansion path inside the worker's recover scope, so a hook that
+// panics exercises exactly the engine's panic isolation.
 type Hooks interface {
 	// BeforeExpand runs after a configuration is claimed for expansion
 	// and before its successors are generated. It may sleep (latency
-	// injection), allocate (memory-pressure injection) or panic (fault
-	// injection). Called concurrently when Workers > 1.
+	// against a deadline or memory budget) or panic (fault injection).
+	// Called concurrently when Workers > 1.
 	BeforeExpand(fp fingerprint.FP, depth int)
 }
 
@@ -155,12 +154,8 @@ func (r *run[C]) stopWith(c StopCause) {
 	r.pool.stop()
 }
 
-func (o Options) memPoll() time.Duration {
-	if o.MemPoll > 0 {
-		return o.MemPoll
-	}
-	return 25 * time.Millisecond
-}
+// memPoll is the memory budget's runtime.MemStats polling interval.
+const memPoll = 25 * time.Millisecond
 
 // needMonitor reports whether any budget requires the watcher
 // goroutine; without one the engine spawns nothing extra.
@@ -184,7 +179,7 @@ func contextStop(ctx context.Context) StopCause {
 func (r *run[C]) monitor(done <-chan struct{}) {
 	var memC <-chan time.Time
 	if r.opts.MaxMemBytes > 0 {
-		tk := time.NewTicker(r.opts.memPoll())
+		tk := time.NewTicker(memPoll)
 		defer tk.Stop()
 		memC = tk.C
 	}

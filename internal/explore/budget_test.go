@@ -194,13 +194,13 @@ func TestPreCancelledContext(t *testing.T) {
 }
 
 func TestMemoryBudgetStop(t *testing.T) {
-	// Any live heap exceeds a 1-byte budget, so the first poll cuts the
-	// search; the latency hook keeps it alive until then.
+	// Any live heap exceeds a 1-byte budget, so the first poll (25ms)
+	// cuts the search; the latency hook keeps it alive well past then
+	// (the uncut search would sleep through dozens of expansions).
 	res := Run(mpConfig(), Options{
 		Workers:     1,
 		MaxMemBytes: 1,
-		MemPoll:     time.Millisecond,
-		Hooks:       sleepHook(time.Millisecond),
+		Hooks:       sleepHook(5 * time.Millisecond),
 	})
 	if res.Stop != StopMemory {
 		t.Fatalf("Stop = %v, want %v", res.Stop, StopMemory)
@@ -307,23 +307,40 @@ func TestPanicIsolationDegradedCompletion(t *testing.T) {
 }
 
 func TestPanicIsolationParallel(t *testing.T) {
-	// Panics from several workers at once: every one is isolated, no
-	// spurious PROVED, and the engine still quiesces.
+	// Panics from several workers at once: every one is isolated with
+	// a snapshot that restores to the panicking configuration, no
+	// spurious PROVED, and the engine still quiesces. Faults degrade
+	// coverage, never correctness: under a property that holds, the
+	// degraded run reports no violation.
 	var calls atomic.Int32
 	boom := hookFunc(func(fingerprint.FP, int) {
 		if calls.Add(1)%5 == 0 {
 			panic("periodic injected panic")
 		}
 	})
-	res := Run(mpConfig(), Options{Workers: 8, Hooks: boom})
-	if len(res.Panics) == 0 {
-		t.Fatal("expected at least one panic record")
-	}
-	if res.Verdict == VerdictProved {
-		t.Fatal("degraded run reported PROVED")
-	}
-	if res.Explored == 0 {
-		t.Fatal("degraded run explored nothing")
+	for _, prop := range []func(model.Config) bool{nil, func(model.Config) bool { return true }} {
+		res := Run(mpConfig(), Options{Workers: 8, Hooks: boom, Property: prop})
+		if len(res.Panics) == 0 {
+			t.Fatal("expected at least one panic record")
+		}
+		if res.Verdict == VerdictProved {
+			t.Fatal("degraded run reported PROVED")
+		}
+		if res.Violation != nil {
+			t.Fatalf("panics invented a violation: %+v", res)
+		}
+		if res.Explored == 0 {
+			t.Fatal("degraded run explored nothing")
+		}
+		for _, rec := range res.Panics {
+			c, err := core.Model.Restore(rec.Snapshot)
+			if err != nil {
+				t.Fatalf("panic snapshot does not restore: %v", err)
+			}
+			if c.Fingerprint() != rec.FP {
+				t.Fatalf("restored fingerprint %v != recorded %v", c.Fingerprint(), rec.FP)
+			}
+		}
 	}
 }
 

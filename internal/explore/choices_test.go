@@ -77,13 +77,13 @@ func TestDuplicatesAreNeverBuilt(t *testing.T) {
 	}
 }
 
-// TestPredictionAudit: under CheckIncremental every built
-// configuration's Fingerprint is compared with the prediction it was
-// deduplicated by, so a backend that predicts wrongly is reported —
-// once per build here, since every prediction is skewed — and under
-// CheckCollisions every candidate's Key is still audited.
+// TestPredictionAudit: under the audit every built configuration's
+// Fingerprint is compared with the prediction it was deduplicated by,
+// so a backend that predicts wrongly is reported — once per build
+// here, since every prediction is skewed — and every candidate's Key
+// is still audited.
 func TestPredictionAudit(t *testing.T) {
-	opts := Options{MaxEvents: 8, Workers: 1, CheckIncremental: true, CheckCollisions: true}
+	opts := Options{MaxEvents: 8, Workers: 1, audit: true}
 	var honest testBackend
 	want, _ := runCounting(&honest, opts)
 	if want.ClosureMismatches != 0 || want.FingerprintCollisions != 0 {

@@ -93,8 +93,8 @@ type run[C config[C]] struct {
 	tel    *telemetry.Registry
 	tracer *telemetry.Tracer
 
-	// keys is the CheckCollisions collector (nil otherwise); it sits
-	// beside the seen-set, never in it.
+	// keys is the audit's collision collector (nil otherwise); it
+	// sits beside the seen-set, never in it.
 	keys *keyAudit
 }
 
@@ -111,7 +111,7 @@ func runAs[C config[C]](c C, opts Options) Result {
 		tracer:   opts.Tracer,
 	}
 	r.pool.init(opts.workers(), opts.Metrics)
-	if opts.CheckCollisions {
+	if opts.audit {
 		r.keys = newKeyAudit()
 	}
 	if r.tracer != nil {
@@ -208,7 +208,7 @@ func (r *run[C]) admit(w *worker, cfg C, fp, parent fingerprint.FP, d int32, sle
 	if r.opts.collect != nil {
 		r.opts.collect(fp, term)
 	}
-	if r.opts.CheckIncremental {
+	if r.opts.audit {
 		if bad := cfg.AuditIncremental(); len(bad) > 0 {
 			r.mismatches.Add(int64(len(bad)))
 		}
@@ -306,12 +306,12 @@ func (r *run[C]) recordPanic(it item[C], d int32, v any) {
 }
 
 // build constructs the successor choice ch of step ps describes.
-// Under CheckIncremental it also audits the prediction: the built
+// Under the audit it also checks the prediction: the built
 // configuration's Fingerprint must equal the fingerprint the engine
 // deduplicated it by, and each disagreement counts as a mismatch.
 func (r *run[C]) build(parent C, ps lang.ProgStep, ch *model.Choice) C {
 	s := parent.Build(ps, *ch)
-	if r.opts.CheckIncremental && s.Fingerprint() != ch.FP {
+	if r.opts.audit && s.Fingerprint() != ch.FP {
 		r.mismatches.Add(1)
 	}
 	return s
@@ -402,8 +402,9 @@ func (r *run[C]) expand(w *worker, it item[C], d int32, sl threadMask) bool {
 // only if the entry must be re-queued. An unseen one is built and
 // handed to admit, which re-checks freshness — a worker that loses
 // the race between probe and admission pays one wasted build, not
-// a wrong answer. Under CheckCollisions every choice is built, since
-// the audit compares every candidate's Key. It reports admit's result.
+// a wrong answer. Under the audit every choice is built, since the
+// collision audit compares every candidate's Key. It reports admit's
+// result.
 func (r *run[C]) offer(w *worker, it item[C], ps lang.ProgStep, ch *model.Choice, d int32, sleep threadMask) bool {
 	if r.keys == nil {
 		sh := r.shardOf(ch.FP)

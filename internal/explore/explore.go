@@ -57,7 +57,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"time"
 
 	"repro/internal/fingerprint"
 	"repro/internal/model"
@@ -120,16 +119,14 @@ type Options struct {
 	// means no time budget.
 	Context context.Context
 	// MaxMemBytes, when positive, bounds the process heap: a watcher
-	// polls runtime.MemStats every MemPoll and stops the search with
+	// polls runtime.MemStats every 25ms and stops the search with
 	// StopMemory when HeapAlloc exceeds the bound. The bound is
 	// process-global and advisory (polling can overshoot by up to one
 	// interval of allocation).
 	MaxMemBytes uint64
-	// MemPoll is the MemStats polling interval; zero means 25ms.
-	MemPoll time.Duration
 	// Hooks, when non-nil, observes the engine on the expansion path
-	// (see Hooks); internal/faultinject implements it to inject worker
-	// panics, latency and allocation pressure.
+	// (see Hooks). Tests implement it to inject worker panics and
+	// latency.
 	Hooks Hooks
 	// Metrics, when non-nil, receives engine counters through
 	// per-worker telemetry cells — expansions, successors, admissions,
@@ -151,31 +148,19 @@ type Options struct {
 	// on large searches. Nil disables it.
 	Tracer *telemetry.Tracer
 
-	// CheckCollisions audits the fingerprints against the exact
-	// canonical string keys (model.Config.Key): every configuration
-	// the search fingerprints, fresh or duplicate, also has its key
-	// computed and recorded beside the seen-set, and distinct keys
-	// whose 128-bit fingerprints coincide are counted in
-	// Result.FingerprintCollisions. Deduplication itself stays by
-	// fingerprint, so the audited search is the ordinary one. This is a
-	// debug mode: it pays the allocation-heavy key construction the
-	// fingerprints replaced, and building every candidate successor —
-	// duplicates included — to have a key.
-	CheckCollisions bool
-	// CheckIncremental audits the model's incrementally maintained
-	// derived structures: at every admitted configuration
-	// model.Config.AuditIncremental recomputes them from first
-	// principles, and the number of disagreements accumulates in
-	// Result.ClosureMismatches. Under the RAR backend this restores
-	// the from-scratch Floyd–Warshall cost per state (hb/eco/comb
-	// closures, observability sets, indexes); under SC it re-hashes
-	// the store. It also audits the engine's fingerprint-first
-	// expansion: every configuration the engine builds must have the
-	// Fingerprint its backend predicted for it (the value it was
-	// deduplicated by), and each disagreement counts as a mismatch.
-	// The expected mismatch count is always zero.
-	CheckIncremental bool
-
+	// audit turns on the engine's self-checks; only Audit sets it, on
+	// its unreduced search. Every configuration the search
+	// fingerprints, fresh or duplicate, is built and has its exact
+	// canonical key (model.Config.Key) recorded beside the seen-set,
+	// and distinct keys whose fingerprints coincide are counted in
+	// Result.FingerprintCollisions; deduplication stays by
+	// fingerprint, so the audited search is the ordinary one. Every
+	// admitted configuration's incrementally maintained structures
+	// are recomputed from first principles
+	// (model.Config.AuditIncremental), and every built configuration's
+	// Fingerprint is checked against the prediction it was
+	// deduplicated by; disagreements count in Result.ClosureMismatches.
+	audit bool
 	// collect, when non-nil, observes every admitted configuration's
 	// fingerprint and whether it is terminated. Used by Audit to
 	// gather reachable sets; must be safe for concurrent use when
@@ -252,13 +237,13 @@ type Result struct {
 	// rest of the search continued in degraded mode.
 	Panics []PanicRecord
 	// FingerprintCollisions counts distinct canonical keys that
-	// shared a fingerprint; only populated under CheckCollisions.
+	// shared a fingerprint; filled only on Audit's Full search.
 	FingerprintCollisions int
 	// ClosureMismatches counts disagreements between the model's
 	// incrementally maintained structures and their from-scratch
 	// recomputation across all admitted configurations, plus built
-	// successors whose Fingerprint differs from its prediction; only
-	// populated under CheckIncremental.
+	// successors whose Fingerprint differs from its prediction;
+	// filled only on Audit's Full search.
 	ClosureMismatches int
 }
 

@@ -73,12 +73,13 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 
 func TestCheckCollisionsMatchesFastPath(t *testing.T) {
 	// The audited search must visit the same state space as the plain
-	// one, and the audit must find no collisions.
+	// one, and the audit must find no collisions or closure mismatches.
 	fast := Run(mpConfig(), Options{Workers: 1})
 	for _, workers := range []int{1, 8} {
-		slow := Run(mpConfig(), Options{Workers: workers, CheckCollisions: true})
-		if slow.FingerprintCollisions != 0 {
-			t.Fatalf("workers=%d: %d fingerprint collisions", workers, slow.FingerprintCollisions)
+		slow := Run(mpConfig(), Options{Workers: workers, audit: true})
+		if slow.FingerprintCollisions != 0 || slow.ClosureMismatches != 0 {
+			t.Fatalf("workers=%d: %d fingerprint collisions, %d closure mismatches",
+				workers, slow.FingerprintCollisions, slow.ClosureMismatches)
 		}
 		if slow.Explored != fast.Explored || slow.Terminated != fast.Terminated ||
 			slow.Depth != fast.Depth {

@@ -307,7 +307,7 @@ func Canonical(events []event.Event, rf, mo relation.Rel) FP {
 // "rf" and "mo" and each relation's pairs "(a,b)" over the events'
 // indices in that order, sorted. Executions share a Signature exactly
 // when they differ only in the interleaving that built them; it is the
-// slow path explore.Options.CheckCollisions audits the fingerprints
+// slow path explore.Audit's collision audit checks the fingerprints
 // against.
 func Signature(events []event.Event, rf, mo relation.Rel) string {
 	n := len(events)

@@ -89,9 +89,6 @@ type Report struct {
 	ReachedForbidden []string
 	Explored         int
 	Truncated        bool
-	// FingerprintCollisions reports the explorer's fingerprint audit;
-	// only populated when the run sets Options.CheckCollisions.
-	FingerprintCollisions int
 }
 
 // Pass reports whether every expectation held.
@@ -135,7 +132,6 @@ func (t *Test) RunModel(m model.Model, opts explore.Options) Report {
 	// A budget stop leaves the outcome set partial exactly like a bound
 	// cut does; expectations are then relative to what was explored.
 	rep.Truncated = res.Truncated || res.Stop != explore.StopNone
-	rep.FingerprintCollisions = res.FingerprintCollisions
 
 	rep.MissingAllowed, rep.ReachedForbidden = t.CheckOutcomes(m.Name(), rep.Outcomes)
 	return rep

@@ -79,7 +79,7 @@ type Config interface {
 	// maintained derived structures from first principles and returns
 	// one description per disagreement (nil when everything agrees,
 	// or when the model maintains nothing incrementally). Drives the
-	// engine's CheckIncremental debug mode.
+	// incremental audit of explore.Audit's unreduced search.
 	AuditIncremental() []string
 
 	// Summarise renders the final values of the observed variables as

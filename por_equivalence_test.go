@@ -17,6 +17,9 @@ package repro
 // chosen as a reducing singleton.
 
 import (
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -29,20 +32,72 @@ import (
 	"repro/internal/sc"
 )
 
+// requireCleanAudit fails unless the audit compared the fingerprint
+// sets, counted zero divergences — the incremental and collision
+// audits of its unreduced search included — and the reduced search
+// explored no more than the full.
+func requireCleanAudit(t *testing.T, a explore.AuditReport, workers int) {
+	t.Helper()
+	if !a.POR.SetsCompared || !a.Workers.SetsCompared {
+		t.Fatalf("workers=%d: audit did not compare fingerprint sets", workers)
+	}
+	if n := a.Divergences(); n != 0 {
+		t.Fatalf("workers=%d: %d divergences: %s", workers, n, a)
+	}
+	if a.Reduced.Explored > a.Full.Explored {
+		t.Fatalf("workers=%d: reduced search explored more than full: %s", workers, a)
+	}
+}
+
+// sharedAudits hands each RAR audit of a program from whichever of its
+// two tests asks first — the POR contract test and the incremental
+// equivalence test over the same programs — to the other, so one
+// `go test` run audits each program and worker count once between
+// them. An audit is handed over at most once: a test asking again
+// for its own audit (only one of the pair selected, -count > 1)
+// recomputes it.
+var sharedAudits = struct {
+	sync.Mutex
+	m map[string]sharedAuditEntry
+}{m: map[string]sharedAuditEntry{}}
+
+type sharedAuditEntry struct {
+	by string // the top-level test that ran the audit
+	a  explore.AuditReport
+}
+
+// sharedAudit returns explore.Audit(cfg, opts) for the calling
+// subtest's program, taking it over from the paired test if that test
+// already ran it.
+func sharedAudit(t *testing.T, cfg model.Config, opts explore.Options) explore.AuditReport {
+	t.Helper()
+	top, prog, _ := strings.Cut(t.Name(), "/")
+	key := fmt.Sprintf("%s max=%d workers=%d", prog, opts.MaxEvents, opts.Workers)
+	sharedAudits.Lock()
+	e, ok := sharedAudits.m[key]
+	if ok && e.by != top {
+		delete(sharedAudits.m, key)
+		sharedAudits.Unlock()
+		return e.a
+	}
+	sharedAudits.Unlock()
+	a := explore.Audit(cfg, opts)
+	sharedAudits.Lock()
+	sharedAudits.m[key] = sharedAuditEntry{by: top, a: a}
+	sharedAudits.Unlock()
+	return a
+}
+
+// TestCheckPORTestdata audits every testdata program at bound 9,
+// serial and parallel: the POR and workers contracts, the incremental
+// closures and the fingerprints. TestIncrementalEquivalenceTestdata
+// reads the same audits.
 func TestCheckPORTestdata(t *testing.T) {
 	for name, cfg := range testdataConfigs(t) {
 		t.Run(name, func(t *testing.T) {
 			for _, workers := range []int{1, 8} {
-				a := explore.Audit(cfg, explore.Options{MaxEvents: 9, Workers: workers})
-				if !a.POR.SetsCompared || !a.Workers.SetsCompared {
-					t.Fatalf("workers=%d: audit did not compare fingerprint sets", workers)
-				}
-				if n := a.Divergences(); n != 0 {
-					t.Fatalf("workers=%d: %d divergences: %s", workers, n, a)
-				}
-				if a.Reduced.Explored > a.Full.Explored {
-					t.Fatalf("workers=%d: reduced search explored more than full: %s", workers, a)
-				}
+				opts := explore.Options{MaxEvents: 9, Workers: workers}
+				requireCleanAudit(t, sharedAudit(t, cfg, opts), workers)
 			}
 		})
 	}
@@ -62,16 +117,7 @@ func TestCheckPORTestdataSC(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			scCfg := m.New(cfg.Program(), scInitOf(t, name))
 			for _, workers := range []int{1, 8} {
-				a := explore.Audit(scCfg, explore.Options{Workers: workers})
-				if !a.POR.SetsCompared || !a.Workers.SetsCompared {
-					t.Fatalf("workers=%d: audit did not compare fingerprint sets", workers)
-				}
-				if n := a.Divergences(); n != 0 {
-					t.Fatalf("workers=%d: %d divergences: %s", workers, n, a)
-				}
-				if a.Reduced.Explored > a.Full.Explored {
-					t.Fatalf("workers=%d: reduced explored more than full: %s", workers, a)
-				}
+				requireCleanAudit(t, explore.Audit(scCfg, explore.Options{Workers: workers}), workers)
 			}
 		})
 	}
