@@ -14,8 +14,6 @@
 //	             enumerated candidate executions (Theorem C.5)
 //	c11 fuzz     differentially fuzz the backends with generated
 //	             programs, or replay a corpus of reproducers
-//	c11 trace    convert a -trace JSONL search trace to Chrome
-//	             trace_event JSON
 //
 // Examples:
 //
@@ -24,7 +22,7 @@
 //	c11 litmus -model all
 //	c11 equiv -events 4 -vars 2
 //	c11 fuzz -seed 1 -n 500
-//	c11 trace -in search.jsonl -out search.json
+//	c11 explore -f testdata/sb.lit -trace search.json
 //
 // Every subcommand shares one startup and one exit path: the flags
 // are parsed, the profile and the telemetry the flags ask for are
@@ -75,17 +73,15 @@ type command struct {
 
 var commands = []command{
 	{"verify", "Machine-checks the paper's Peterson verification (invariants (4)-(10), Theorem 5.8).",
-		budgetFlags | profileFlags | telemetryFlags, verifyCmd},
+		statesFlag | profileFlags | telemetryFlags, verifyCmd},
 	{"explore", "Explores the bounded state space of a program under a pluggable memory model.",
-		budgetFlags | profileFlags | telemetryFlags, exploreCmd},
+		statesFlag | profileFlags | telemetryFlags, exploreCmd},
 	{"litmus", "Runs weak-memory litmus tests under a pluggable memory model.\nThe .lit file grammar accepted by -f is documented in docs/litmus-format.md\n(one worked example per file under testdata/).",
-		budgetFlags | profileFlags | telemetryFlags, litmusCmd},
+		statesFlag | profileFlags | telemetryFlags, litmusCmd},
 	{"equiv", "Checks Theorem C.5: Definitions 4.2 and C.3 agree on enumerated candidate executions.",
-		timeoutFlag | profileFlags, equivCmd},
+		profileFlags, equivCmd},
 	{"fuzz", "Differentially fuzzes the memory-model backends with generated litmus programs.\nAny failure is shrunk into a corpus reproducer.",
-		timeoutFlag | statesFlag | profileFlags | telemetryFlags, fuzzCmd},
-	{"trace", "Converts a -trace JSONL search trace into Chrome trace_event JSON.\nLoad the result in chrome://tracing or ui.perfetto.dev.",
-		0, traceCmd},
+		statesFlag | profileFlags | telemetryFlags, fuzzCmd},
 }
 
 func main() {
@@ -148,14 +144,9 @@ func run(args []string) int {
 		return fail(err)
 	}
 	defer stopTelemetry()
-	// The signal context is part of the time budget: a subcommand
-	// without one (trace) keeps the default signal behaviour.
-	s.ctx = context.Background()
-	if cmd.shared&timeoutFlag != 0 {
-		var release context.CancelFunc
-		s.ctx, release = s.budget.start()
-		defer release()
-	}
+	var release context.CancelFunc
+	s.ctx, release = s.budget.start()
+	defer release()
 	return body()
 }
 

@@ -38,8 +38,12 @@ func TestSubcommandExitCodes(t *testing.T) {
 		{[]string{"equiv", "-diff"}, exitInternal},
 		{[]string{"fuzz", "-seed", "1", "-n", "2", "-corpus", t.TempDir()}, exitProved},
 		{[]string{"fuzz", "-budget", "1s"}, exitInternal},
-		{[]string{"trace", "-in", "/nonexistent"}, exitInternal},
-		{[]string{"trace", "-timeout", "1s"}, exitInternal},
+		// trace is retired: -trace writes Chrome trace_event JSON itself.
+		{[]string{"trace"}, exitInternal},
+		// -max-mem is retired: -max-states is the one memory bound.
+		{[]string{"verify", "-max", "8", "-max-mem", "64"}, exitInternal},
+		{[]string{"explore", "-f", "../../testdata/sb.lit", "-max-mem", "64"}, exitInternal},
+		{[]string{"litmus", "-run", "SB", "-max-mem", "64"}, exitInternal},
 		{[]string{"frobnicate"}, exitInternal},
 		{nil, exitInternal},
 		{[]string{"help"}, exitProved},

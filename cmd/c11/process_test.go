@@ -3,11 +3,12 @@ package main
 // Child-process harness for the exit path: a real c11 process gets a
 // real SIGINT/SIGTERM mid-search and must cut the search like a budget
 // (exit 2, stop=cancelled) and flush its telemetry — a final progress
-// line, the -metrics summary and a complete, convertible trace file —
+// line, the -metrics summary and a complete, parseable trace file —
 // before the process exits.
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -17,17 +18,19 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
-// slowLit is a three-thread cross-coupled counter: at bound 22 the
-// RAR search runs for tens of seconds, so the child is reliably
-// mid-search when the signal lands.
+// slowLit is a four-thread cross-coupled counter: at bound 22 the RAR
+// search runs until it meets explore's default state cap of 2^20, for
+// about 2.5 s on a 2-vCPU machine, so the child is reliably mid-search
+// when the signal lands at 700 ms. (Without thread 4 the whole search
+// ends in about 0.7 s on the same machine, and the signal races the
+// normal exit.)
 const slowLit = `init x=0 y=0 g=0
 thread 1 { while (g == 0) { x := y + 1; } }
 thread 2 { while (g == 0) { y := x + 1; } }
 thread 3 { while (g == 0) { x := x + y; } }
+thread 4 { while (g == 0) { y := y + x; } }
 observe x y
 `
 
@@ -104,20 +107,30 @@ func interrupt(t *testing.T, cmd *exec.Cmd, after time.Duration, sig os.Signal) 
 	return -1, ""
 }
 
-// convertTrace parses the JSONL trace at path through the Chrome
-// converter, failing the test if it is truncated or malformed.
+// convertTrace reads the Chrome trace_event JSON at path and returns
+// it, failing the test unless the file is one complete JSON array of
+// events, each carrying ph and name (a closed trace, not one truncated
+// mid-record).
 func convertTrace(t *testing.T, path string) string {
 	t.Helper()
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("trace file: %v", err)
 	}
-	defer f.Close()
-	var out strings.Builder
-	if err := telemetry.ConvertChrome(f, &out); err != nil {
-		t.Fatalf("trace at %s does not convert: %v", path, err)
+	var events []struct {
+		Phase string         `json:"ph"`
+		Name  string         `json:"name"`
+		Args  map[string]any `json:"args"`
 	}
-	return out.String()
+	if err := json.Unmarshal(data, &events); err != nil {
+		t.Fatalf("trace at %s is not a JSON array: %v", path, err)
+	}
+	for i, ev := range events {
+		if ev.Phase == "" || ev.Name == "" {
+			t.Fatalf("trace event %d lacks ph or name: %+v", i, ev)
+		}
+	}
+	return string(data)
 }
 
 func TestFuzzSIGTERMExitsBounded(t *testing.T) {

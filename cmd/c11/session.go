@@ -18,17 +18,14 @@ import (
 )
 
 // shared selects the flag groups a subcommand shares with others. A
-// subcommand registers a group only where its flags act.
+// subcommand registers a group only where its flags act; -timeout acts
+// in every subcommand and is always registered.
 type shared uint8
 
 const (
-	timeoutFlag    shared = 1 << iota // -timeout
-	statesFlag                        // -max-states
-	memFlag                           // -max-mem
+	statesFlag     shared = 1 << iota // -max-states
 	profileFlags                      // -cpuprofile, -memprofile
 	telemetryFlags                    // -progress, -trace, -metrics
-
-	budgetFlags = timeoutFlag | statesFlag | memFlag
 )
 
 // budget is the resource-governance flag set.
@@ -39,8 +36,6 @@ type budget struct {
 	// maxStates bounds distinct configurations per search (0 = the
 	// subcommand's default).
 	maxStates int
-	// maxMemMB bounds the process heap in MiB, polled (0 = none).
-	maxMemMB int
 }
 
 // session is one subcommand invocation's shared state: the shared
@@ -61,20 +56,15 @@ type session struct {
 	tracer *telemetry.Tracer
 }
 
-// register installs the shared flags of the groups in set on fs.
+// register installs -timeout and the shared flags of the groups in set
+// on fs.
 func (s *session) register(fs *flag.FlagSet, set shared) {
 	b := &s.budget
-	if set&timeoutFlag != 0 {
-		fs.DurationVar(&b.timeout, "timeout", 0,
-			"wall-clock budget for the whole invocation; past it every search stops with a sound partial result (0 = none)")
-	}
+	fs.DurationVar(&b.timeout, "timeout", 0,
+		"wall-clock budget for the whole invocation; past it every search stops with a sound partial result (0 = none)")
 	if set&statesFlag != 0 {
 		fs.IntVar(&b.maxStates, "max-states", 0,
 			"state budget per search: distinct configurations admitted (0 = default)")
-	}
-	if set&memFlag != 0 {
-		fs.IntVar(&b.maxMemMB, "max-mem", 0,
-			"memory budget in MiB: the search stops when the polled heap exceeds it (0 = none)")
 	}
 	if set&profileFlags != 0 {
 		fs.StringVar(&s.cpuProfile, "cpuprofile", "",
@@ -86,7 +76,7 @@ func (s *session) register(fs *flag.FlagSet, set shared) {
 		fs.Var(progressFlag{&s.progress}, "progress",
 			"print live search progress to stderr every second; -progress=500ms sets the interval")
 		fs.StringVar(&s.tracePath, "trace", "",
-			"write a JSONL search trace (worker lifecycle, expansion batches, budget events) to this path; convert with c11 trace")
+			"write a Chrome trace_event JSON search trace (worker lifecycle, expansion batches, budget events) to this path")
 		fs.BoolVar(&s.metrics, "metrics", false,
 			"print the final engine metric counters and gauges to stderr when the run ends")
 	}
@@ -94,7 +84,7 @@ func (s *session) register(fs *flag.FlagSet, set shared) {
 
 // validate checks flag consistency after parsing.
 func (b budget) validate() error {
-	if b.maxStates < 0 || b.maxMemMB < 0 || b.timeout < 0 {
+	if b.maxStates < 0 || b.timeout < 0 {
 		return fmt.Errorf("budget flags must be non-negative")
 	}
 	return nil
@@ -114,8 +104,8 @@ func (b budget) start() (context.Context, context.CancelFunc) {
 	return ctx, func() { cancel(); stopSignals() }
 }
 
-// apply folds the time budget, the state and memory budgets and the
-// telemetry sinks into engine options. Subcommands
+// apply folds the time budget, the state budget and the telemetry
+// sinks into engine options. Subcommands
 // that run many searches (litmus) apply it to each; the registry then
 // accumulates across them.
 func (s *session) apply(o *explore.Options) {
@@ -124,9 +114,6 @@ func (s *session) apply(o *explore.Options) {
 	}
 	if s.budget.maxStates > 0 {
 		o.MaxConfigs = s.budget.maxStates
-	}
-	if s.budget.maxMemMB > 0 {
-		o.MaxMemBytes = uint64(s.budget.maxMemMB) << 20
 	}
 	if s.reg != nil {
 		o.Metrics = s.reg

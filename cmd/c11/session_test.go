@@ -26,9 +26,11 @@ func TestBudgetFlagParsing(t *testing.T) {
 		{name: "defaults", args: nil, want: budget{}},
 		{
 			name: "all budgets",
-			args: []string{"-timeout", "1500ms", "-max-states", "4096", "-max-mem", "256"},
-			want: budget{timeout: 1500 * time.Millisecond, maxStates: 4096, maxMemMB: 256},
+			args: []string{"-timeout", "1500ms", "-max-states", "4096"},
+			want: budget{timeout: 1500 * time.Millisecond, maxStates: 4096},
 		},
+		// -max-mem is retired: -max-states is the one memory bound.
+		{name: "max-mem retired", args: []string{"-max-mem", "256"}, bad: true},
 		// The checkpoint/resume flags are retired: unknown flags now.
 		{name: "checkpointing", args: []string{"-checkpoint", "s.ckpt", "-checkpoint-every", "2s"}, bad: true},
 		{name: "resume", args: []string{"-resume", "old.ckpt"}, bad: true},
@@ -40,7 +42,7 @@ func TestBudgetFlagParsing(t *testing.T) {
 			fs := flag.NewFlagSet("test", flag.ContinueOnError)
 			fs.SetOutput(io.Discard)
 			var s session
-			s.register(fs, budgetFlags)
+			s.register(fs, statesFlag)
 			err := fs.Parse(tc.args)
 			if tc.bad {
 				if err == nil {
@@ -66,9 +68,8 @@ func TestBudgetValidate(t *testing.T) {
 		ok   bool
 	}{
 		{name: "zero budget", b: budget{}, ok: true},
-		{name: "full budget", b: budget{timeout: time.Second, maxStates: 10, maxMemMB: 1}, ok: true},
+		{name: "full budget", b: budget{timeout: time.Second, maxStates: 10}, ok: true},
 		{name: "negative states", b: budget{maxStates: -1}, ok: false},
-		{name: "negative memory", b: budget{maxMemMB: -5}, ok: false},
 		{name: "negative timeout", b: budget{timeout: -time.Second}, ok: false},
 	}
 	for _, tc := range cases {
@@ -113,11 +114,6 @@ func TestBudgetApply(t *testing.T) {
 			want: explore.Options{MaxConfigs: 50},
 		},
 		{
-			name: "memory budget converts MiB to bytes",
-			b:    budget{maxMemMB: 3},
-			want: explore.Options{MaxMemBytes: 3 << 20},
-		},
-		{
 			name:     "timeout is copied through",
 			b:        budget{timeout: 7 * time.Second},
 			start:    true,
@@ -148,7 +144,6 @@ func TestBudgetApply(t *testing.T) {
 			}
 			s.apply(&got)
 			if got.MaxConfigs != want.MaxConfigs ||
-				got.MaxMemBytes != want.MaxMemBytes ||
 				got.Context != want.Context ||
 				got.MaxEvents != want.MaxEvents {
 				t.Fatalf("apply(%+v) on %+v:\n got %+v\nwant %+v", tc.b, tc.in, got, want)

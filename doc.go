@@ -44,7 +44,7 @@
 //	internal/vis         dot / ASCII execution diagrams
 //
 // The c11 command (cmd/c11: subcommands verify, explore, litmus,
-// equiv, fuzz and trace) and the programs under examples/ exercise
+// equiv and fuzz) and the programs under examples/ exercise
 // the public surface; bench_test.go at this root regenerates every experiment,
 // and PERF.md records the exploration hot-path numbers and how to
 // reproduce them. ARCHITECTURE.md is the top-to-bottom tour: the

@@ -77,27 +77,6 @@ func (s Set) Grow(n int) Set {
 	return t
 }
 
-// CopyFrom overwrites s with the contents of t. Both must have the same
-// capacity.
-func (s *Set) CopyFrom(t Set) {
-	if s.n != t.n {
-		panic("bits: CopyFrom capacity mismatch")
-	}
-	copy(s.words, t.words)
-}
-
-// LoadFrom overwrites s with the members of t; s must have capacity at
-// least t's. Words beyond t's are cleared.
-func (s *Set) LoadFrom(t Set) {
-	if s.n < t.n {
-		panic("bits: LoadFrom into smaller set")
-	}
-	copied := copy(s.words, t.words)
-	for i := copied; i < len(s.words); i++ {
-		s.words[i] = 0
-	}
-}
-
 // FromWords returns a set of capacity nbits backed by the given word
 // slice (not copied). The caller must supply at least ceil(nbits/64)
 // words; membership beyond nbits is undefined. This is the view

@@ -187,16 +187,6 @@ func TestForEachMembersAgree(t *testing.T) {
 	}
 }
 
-// CopyFrom resets the receiver: its previous members do not survive.
-func TestResetAndCopyFrom(t *testing.T) {
-	s := Of(64, 1, 2, 3)
-	t2 := Of(64, 9)
-	s.CopyFrom(t2)
-	if !equalInts(s.Members(), []int{9}) {
-		t.Fatalf("CopyFrom = %v", s.Members())
-	}
-}
-
 func TestString(t *testing.T) {
 	if got := Of(64, 2, 5).String(); got != "{2, 5}" {
 		t.Fatalf("String = %q", got)

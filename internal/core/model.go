@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/event"
 	"repro/internal/lang"
@@ -74,13 +73,13 @@ func (c Config) DeltaLabel(prev model.Config) string {
 // Summarise renders the final (mo-maximal) values of the observed
 // variables in the shared cross-model outcome format.
 func (c Config) Summarise(observe []event.Var) string {
-	var b strings.Builder
+	var b []byte
 	for _, x := range observe {
 		g, ok := c.S.Last(x)
 		if !ok {
 			continue
 		}
-		fmt.Fprintf(&b, "%s=%d;", x, c.S.Event(g).WrVal())
+		b = event.AppendOutcome(b, x, c.S.Event(g).WrVal())
 	}
-	return b.String()
+	return string(b)
 }

@@ -23,6 +23,18 @@ type Var string
 // suffice for every program in the paper (booleans are 0/1).
 type Val int
 
+// AppendOutcome appends the outcome entry "x=v;" — one observed
+// variable's final value — to buf and returns the extended slice. An
+// outcome key is the concatenation of its entries in observation
+// order; every backend's Summarise and the litmus outcome keys render
+// through it, and proof.ParseOutcomeKey is its inverse.
+func AppendOutcome(buf []byte, x Var, v Val) []byte {
+	buf = append(buf, x...)
+	buf = append(buf, '=')
+	buf = strconv.AppendInt(buf, int64(v), 10)
+	return append(buf, ';')
+}
+
 // Boolean values, used by flag variables in Peterson's algorithm.
 const (
 	False Val = 0

@@ -125,6 +125,14 @@ func TestEventLifting(t *testing.T) {
 	}
 }
 
+func TestAppendOutcome(t *testing.T) {
+	b := AppendOutcome(nil, "x", 1)
+	b = AppendOutcome(b, "y[0]", -2)
+	if got := string(b); got != "x=1;y[0]=-2;" {
+		t.Fatalf("AppendOutcome = %q", got)
+	}
+}
+
 func TestEventString(t *testing.T) {
 	e := Event{Tag: 4, Act: Rd("x", 0), TID: 1}
 	if got := e.String(); got != "1:rd(x,0)@g4" {

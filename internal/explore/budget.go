@@ -1,12 +1,12 @@
 package explore
 
 // Resource governance: every exploration can be bounded by its context
-// (the one clock and cancel input), a state budget and a memory
-// budget, and reports how (and whether) it was cut through a StopCause
-// and a tri-state Verdict. One atomic on the run, stop, carries the
-// signal: the first cause wins it (CAS from zero) and is never
-// overwritten, workers poll it between admissions, and Result.Stop
-// reports it.
+// (the one clock and cancel input, and the engine's only asynchronous
+// stop) and a state budget, and reports how (and whether) it was cut
+// through a StopCause and a tri-state Verdict. One atomic on the run,
+// stop, carries the signal: the first cause wins it (CAS from zero)
+// and is never overwritten, workers poll it between admissions, and
+// Result.Stop reports it.
 //
 // Soundness under a cut: a worker whose expansion is interrupted (by a
 // stop signal, a rejected admission, or a panic in model code) leaves
@@ -19,8 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"time"
 
 	"repro/internal/fingerprint"
 )
@@ -43,8 +41,6 @@ const (
 	// StopCancelled: Options.Context was cancelled for any other
 	// reason — an explicit cancel, a signal, a cancelled parent.
 	StopCancelled
-	// StopMemory: the heap exceeded MaxMemBytes.
-	StopMemory
 )
 
 func (c StopCause) String() string {
@@ -59,20 +55,18 @@ func (c StopCause) String() string {
 		return "deadline"
 	case StopCancelled:
 		return "cancelled"
-	case StopMemory:
-		return "memory"
 	default:
 		return fmt.Sprintf("StopCause(%d)", int32(c))
 	}
 }
 
 // TimingDependent reports whether the cause cuts the search at a
-// scheduling-dependent point (wall clock, cancellation, memory
-// pressure), making per-run statistics non-reproducible. A MaxConfigs
+// scheduling-dependent point (wall clock, cancellation), making
+// per-run statistics non-reproducible. A MaxConfigs
 // cut is not timing-dependent: it always rejects exactly the same
 // admission count, so Explored and Truncated stay comparable.
 func (c StopCause) TimingDependent() bool {
-	return c == StopDeadline || c == StopCancelled || c == StopMemory
+	return c == StopDeadline || c == StopCancelled
 }
 
 // Verdict is the tri-state outcome of a bounded search.
@@ -89,7 +83,7 @@ const (
 	// configuration is real and replayable regardless of any budget.
 	VerdictViolated
 	// VerdictBounded: a resource budget (deadline, cancellation,
-	// memory, MaxConfigs) cut the search, or worker panics degraded
+	// MaxConfigs) cut the search, or worker panics degraded
 	// it, before the space was exhausted; the absence of a violation
 	// is inconclusive.
 	VerdictBounded
@@ -115,7 +109,7 @@ func (v Verdict) String() string {
 type Hooks interface {
 	// BeforeExpand runs after a configuration is claimed for expansion
 	// and before its successors are generated. It may sleep (latency
-	// against a deadline or memory budget) or panic (fault injection).
+	// against a deadline) or panic (fault injection).
 	// Called concurrently when Workers > 1.
 	BeforeExpand(fp fingerprint.FP, depth int)
 }
@@ -154,15 +148,6 @@ func (r *run[C]) stopWith(c StopCause) {
 	r.pool.stop()
 }
 
-// memPoll is the memory budget's runtime.MemStats polling interval.
-const memPoll = 25 * time.Millisecond
-
-// needMonitor reports whether any budget requires the watcher
-// goroutine; without one the engine spawns nothing extra.
-func (r *run[C]) needMonitor() bool {
-	return r.opts.Context != nil || r.opts.MaxMemBytes > 0
-}
-
 // contextStop is the stop cause of a done context: StopDeadline for
 // an expired deadline (context.DeadlineExceeded), StopCancelled for
 // any other end — an explicit cancel, a signal, a cancelled parent.
@@ -171,36 +156,4 @@ func contextStop(ctx context.Context) StopCause {
 		return StopDeadline
 	}
 	return StopCancelled
-}
-
-// monitor watches the budgets and converts the first exhaustion into a
-// stop signal. It runs while the workers do and exits when done
-// closes.
-func (r *run[C]) monitor(done <-chan struct{}) {
-	var memC <-chan time.Time
-	if r.opts.MaxMemBytes > 0 {
-		tk := time.NewTicker(memPoll)
-		defer tk.Stop()
-		memC = tk.C
-	}
-	var ctxC <-chan struct{}
-	if r.opts.Context != nil {
-		ctxC = r.opts.Context.Done()
-	}
-	for {
-		select {
-		case <-done:
-			return
-		case <-ctxC:
-			r.stopWith(contextStop(r.opts.Context))
-			ctxC = nil
-		case <-memC:
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc > r.opts.MaxMemBytes {
-				r.stopWith(StopMemory)
-				memC = nil
-			}
-		}
-	}
 }

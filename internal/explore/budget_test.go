@@ -193,23 +193,6 @@ func TestPreCancelledContext(t *testing.T) {
 	}
 }
 
-func TestMemoryBudgetStop(t *testing.T) {
-	// Any live heap exceeds a 1-byte budget, so the first poll (25ms)
-	// cuts the search; the latency hook keeps it alive well past then
-	// (the uncut search would sleep through dozens of expansions).
-	res := Run(mpConfig(), Options{
-		Workers:     1,
-		MaxMemBytes: 1,
-		Hooks:       sleepHook(5 * time.Millisecond),
-	})
-	if res.Stop != StopMemory {
-		t.Fatalf("Stop = %v, want %v", res.Stop, StopMemory)
-	}
-	if res.Verdict != VerdictBounded {
-		t.Fatalf("Verdict = %v, want %v", res.Verdict, VerdictBounded)
-	}
-}
-
 func TestBudgetCutResultIsSound(t *testing.T) {
 	// Coverage accounting of a partial result: every admitted
 	// configuration is either fully expanded, non-expandable, or on the
@@ -363,10 +346,9 @@ func TestGenerousBudgetsDoNotCut(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
 	res := Run(mpConfig(), Options{
-		Workers:     1,
-		MaxConfigs:  1 << 20,
-		MaxMemBytes: 1 << 40,
-		Context:     ctx,
+		Workers:    1,
+		MaxConfigs: 1 << 20,
+		Context:    ctx,
 	})
 	if res.Verdict != VerdictProved || res.Stop != StopNone {
 		t.Fatalf("Verdict = %v, Stop = %v", res.Verdict, res.Stop)
@@ -379,7 +361,7 @@ func TestGenerousBudgetsDoNotCut(t *testing.T) {
 func TestStopCauseStrings(t *testing.T) {
 	for c, want := range map[StopCause]string{
 		StopNone: "none", StopViolation: "violation", StopMaxConfigs: "max-configs",
-		StopDeadline: "deadline", StopCancelled: "cancelled", StopMemory: "memory",
+		StopDeadline: "deadline", StopCancelled: "cancelled",
 	} {
 		if c.String() != want {
 			t.Fatalf("%d.String() = %q, want %q", c, c.String(), want)

@@ -20,6 +20,7 @@ package explore
 // engine builds only the successors it keeps (see offer).
 
 import (
+	"context"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -486,18 +487,17 @@ func (r *run[C]) work(id int) {
 	}
 }
 
-// execute drains the pool until quiescence or a stop. The budget
-// monitor (if any budget is set) runs alongside the workers.
+// execute drains the pool until quiescence or a stop. A done context
+// stops the search through the same first-wins stopWith as every
+// other cause.
 func (r *run[C]) execute() {
-	if ctx := r.opts.Context; ctx != nil && ctx.Err() != nil {
-		// Already spent: cut before any worker starts, so even a
-		// search too short for the monitor to catch reports it.
-		r.stopWith(contextStop(ctx))
-	}
-	if r.needMonitor() {
-		monDone := make(chan struct{})
-		defer close(monDone)
-		go r.monitor(monDone)
+	if ctx := r.opts.Context; ctx != nil {
+		if ctx.Err() != nil {
+			// Already spent: cut before any worker starts, so even a
+			// search too short to see the callback reports it.
+			r.stopWith(contextStop(ctx))
+		}
+		defer context.AfterFunc(ctx, func() { r.stopWith(contextStop(ctx)) })()
 	}
 	n := len(r.pool.deques)
 	if n == 1 {

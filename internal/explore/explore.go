@@ -46,8 +46,8 @@
 // serially without reduction and recording parent links.
 //
 // The engine is resource-governed (budget.go): the context (the one
-// clock and cancel input), state and memory budgets all cut the search
-// at a safe point and yield a sound partial Result with a tri-state
+// clock and cancel input) and the state budget cut the search at a
+// safe point and yield a sound partial Result with a tri-state
 // Verdict; and worker panics in model code are isolated per
 // configuration while the remaining shards finish in degraded mode.
 package explore
@@ -118,12 +118,6 @@ type Options struct {
 	// the wall clock with context.WithTimeout or WithDeadline. Nil
 	// means no time budget.
 	Context context.Context
-	// MaxMemBytes, when positive, bounds the process heap: a watcher
-	// polls runtime.MemStats every 25ms and stops the search with
-	// StopMemory when HeapAlloc exceeds the bound. The bound is
-	// process-global and advisory (polling can overshoot by up to one
-	// interval of allocation).
-	MaxMemBytes uint64
 	// Hooks, when non-nil, observes the engine on the expansion path
 	// (see Hooks). Tests implement it to inject worker panics and
 	// latency.
@@ -140,10 +134,9 @@ type Options struct {
 	// nil-check branches: zero added allocations, enforced by the
 	// perfgate CI job.
 	Metrics *telemetry.Registry
-	// Tracer, when non-nil, receives structured JSONL trace records:
+	// Tracer, when non-nil, receives Chrome trace_event records:
 	// search and worker lifecycle spans, periodic expansion-batch
-	// counter samples, and stop/panic instants. The stream
-	// converts to Chrome trace_event format via `c11 trace`. Tracing
+	// counter samples, and stop/panic instants. Tracing
 	// is deliberately coarse (never per-successor), so it stays cheap
 	// on large searches. Nil disables it.
 	Tracer *telemetry.Tracer

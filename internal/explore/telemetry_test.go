@@ -105,41 +105,44 @@ func TestTelemetrySharedRegistryAccumulates(t *testing.T) {
 }
 
 // TestTelemetryTraceRoundTrip runs a traced search and requires the
-// stream to be schema-valid JSONL that converts to Chrome format.
+// closed trace to be one Chrome trace_event JSON array with balanced
+// search and worker spans.
 func TestTelemetryTraceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	tr := telemetry.NewTracer(&buf)
 	petersonRun(t, Options{MaxEvents: 10, Workers: 2, POR: true, Tracer: tr})
-	if err := tr.Flush(); err != nil {
+	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	var events []struct {
+		Phase string         `json:"ph"`
+		Name  string         `json:"name"`
+		Args  map[string]any `json:"args"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatalf("trace is not a JSON array: %v", err)
+	}
+	open := map[string]int{}
 	var names []string
-	for i, line := range lines {
-		var rec telemetry.Record
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("trace line %d is not valid JSON: %v", i+1, err)
+	for _, ev := range events {
+		names = append(names, ev.Phase+":"+ev.Name)
+		switch ev.Phase {
+		case "B":
+			open[ev.Name]++
+		case "E":
+			open[ev.Name]--
 		}
-		names = append(names, rec.Type+":"+rec.Name)
 	}
 	joined := strings.Join(names, " ")
-	for _, want := range []string{"begin:search", "begin:worker", "end:worker", "end:search"} {
+	for _, want := range []string{"B:search", "B:worker", "E:worker", "E:search"} {
 		if !strings.Contains(joined, want) {
-			t.Errorf("trace lacks %q record; got %s", want, joined)
+			t.Errorf("trace lacks a %q event; got %s", want, joined)
 		}
 	}
-	var chrome bytes.Buffer
-	if err := telemetry.ConvertChrome(bytes.NewReader(buf.Bytes()), &chrome); err != nil {
-		t.Fatalf("Chrome conversion failed: %v", err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(chrome.Bytes(), &doc); err != nil {
-		t.Fatalf("Chrome trace is not valid JSON: %v", err)
-	}
-	if len(doc.TraceEvents) != len(lines) {
-		t.Errorf("Chrome trace has %d events for %d records", len(doc.TraceEvents), len(lines))
+	for name, n := range open {
+		if n != 0 {
+			t.Errorf("%d unbalanced %q spans", n, name)
+		}
 	}
 }
 

@@ -45,18 +45,22 @@ func TestCheckOneUnreducedSearchPerModel(t *testing.T) {
 	if rep := Check(p.File, CheckOpts{MaxEvents: p.Bound + 1, Workers: 2, Tracer: tr}); rep.Failure != nil {
 		t.Fatalf("seed 1 failed %s", rep.Failure)
 	}
-	if err := tr.Flush(); err != nil {
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Phase string         `json:"ph"`
+		Name  string         `json:"name"`
+		Args  map[string]any `json:"args"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatal(err)
 	}
 	searches, unreduced := 0, 0
-	for dec := json.NewDecoder(&buf); dec.More(); {
-		var rec telemetry.Record
-		if err := dec.Decode(&rec); err != nil {
-			t.Fatal(err)
-		}
-		if rec.Type == "begin" && rec.Name == "search" {
+	for _, ev := range events {
+		if ev.Phase == "B" && ev.Name == "search" {
 			searches++
-			if rec.Args["por"] == false {
+			if ev.Args["por"] == false {
 				unreduced++
 			}
 		}

@@ -33,11 +33,11 @@ type Outcome map[event.Var]event.Val
 func (o Outcome) Key(observe []event.Var) string { return o.key(observe) }
 
 func (o Outcome) key(observe []event.Var) string {
-	var b strings.Builder
+	var b []byte
 	for _, x := range observe {
-		fmt.Fprintf(&b, "%s=%d;", x, o[x])
+		b = event.AppendOutcome(b, x, o[x])
 	}
-	return b.String()
+	return string(b)
 }
 
 // Test is one litmus test.

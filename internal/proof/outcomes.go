@@ -34,7 +34,7 @@ type OutcomeProp struct {
 	Violated func(o map[event.Var]event.Val) bool
 }
 
-// ParseOutcomeKey inverts the Summarise/Outcome.Key rendering
+// ParseOutcomeKey inverts the event.AppendOutcome rendering
 // "x=1;y[0]=2;" into an assignment map. Cell names pass through
 // verbatim — they are ordinary variables.
 func ParseOutcomeKey(key string) (map[event.Var]event.Val, error) {

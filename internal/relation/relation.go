@@ -141,17 +141,6 @@ func Identity(n int) Rel {
 	return r
 }
 
-// Full returns the complete relation over {0..n-1}.
-func Full(n int) Rel {
-	r := New(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			r.Add(i, j)
-		}
-	}
-	return r
-}
-
 // Size returns the carrier size n.
 func (r Rel) Size() int { return r.n }
 
@@ -498,20 +487,6 @@ func (r Rel) Count() int {
 // Successors returns R[{a}] as a fresh set.
 func (r Rel) Successors(a int) bits.Set { return r.Row(a).Clone() }
 
-// RestrictTo returns r ∩ (S × S).
-func (r Rel) RestrictTo(s bits.Set) Rel {
-	out := New(r.n)
-	masked := s.Grow(r.n)
-	for a := s.Next(0); a >= 0; a = s.Next(a + 1) {
-		if a >= r.n {
-			break
-		}
-		dst := out.Row(a)
-		dst.OrAnd(r.Row(a), masked)
-	}
-	return out
-}
-
 // FilterPairs returns the sub-relation of pairs satisfying keep.
 func (r Rel) FilterPairs(keep func(a, b int) bool) Rel {
 	out := New(r.n)
@@ -533,20 +508,6 @@ func (r Rel) WithoutIdentity() Rel {
 		out.Remove(i, i)
 	}
 	return out
-}
-
-// TotalOver reports whether r linearly orders the members of s:
-// for all distinct a, b in s, (a,b) ∈ r or (b,a) ∈ r.
-func (r Rel) TotalOver(s bits.Set) bool {
-	members := s.Members()
-	for i, a := range members {
-		for _, b := range members[i+1:] {
-			if !r.Has(a, b) && !r.Has(b, a) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Topological returns one linearization of r restricted to the members

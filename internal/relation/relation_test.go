@@ -37,10 +37,6 @@ func TestIdentityFull(t *testing.T) {
 	if id.Count() != 3 || !id.Has(0, 0) || !id.Has(2, 2) || id.Has(0, 1) {
 		t.Fatal("Identity wrong")
 	}
-	f := Full(3)
-	if f.Count() != 9 {
-		t.Fatalf("Full count = %d", f.Count())
-	}
 }
 
 func TestUnionIntersectSubtract(t *testing.T) {
@@ -187,10 +183,6 @@ func TestImagePreImage(t *testing.T) {
 
 func TestRestrictFilterWithoutID(t *testing.T) {
 	r := pairsRel(4, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{1, 1})
-	sub := r.RestrictTo(bits.Of(4, 1, 2))
-	if !sub.Equal(pairsRel(4, [2]int{1, 2}, [2]int{1, 1})) {
-		t.Fatalf("restrict = %v", sub)
-	}
 	f := r.FilterPairs(func(a, b int) bool { return a == b })
 	if !f.Equal(pairsRel(4, [2]int{1, 1})) {
 		t.Fatalf("filter = %v", f)
@@ -198,21 +190,6 @@ func TestRestrictFilterWithoutID(t *testing.T) {
 	noid := r.WithoutIdentity()
 	if noid.Has(1, 1) || noid.Count() != 3 {
 		t.Fatalf("withoutIdentity = %v", noid)
-	}
-}
-
-func TestTotalAndStrictOrder(t *testing.T) {
-	// 0 < 1 < 2 strict total order (transitively closed).
-	r := pairsRel(4, [2]int{0, 1}, [2]int{1, 2}, [2]int{0, 2})
-	s := bits.Of(4, 0, 1, 2)
-	if !r.TotalOver(s) {
-		t.Fatal("strict order misreported")
-	}
-	// Missing 0-2 pair: total fails after restriction? Actually TotalOver
-	// only checks comparability.
-	r2 := pairsRel(4, [2]int{0, 1}, [2]int{1, 2})
-	if r2.TotalOver(s) {
-		t.Fatal("incomparable pair missed")
 	}
 }
 

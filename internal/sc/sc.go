@@ -20,7 +20,6 @@ package sc
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/event"
 	"repro/internal/fingerprint"
@@ -120,11 +119,11 @@ func (s *State) Signature() string {
 		keys = append(keys, string(x))
 	}
 	sort.Strings(keys)
-	var b strings.Builder
+	var b []byte
 	for _, x := range keys {
-		fmt.Fprintf(&b, "%s=%d;", x, s.store[event.Var(x)])
+		b = event.AppendOutcome(b, event.Var(x), s.store[event.Var(x)])
 	}
-	return b.String()
+	return string(b)
 }
 
 // Config is a configuration (P, store) over the SC model. The program
@@ -279,13 +278,13 @@ func (c Config) DeltaLabel(prev model.Config) string {
 // Summarise renders the store values of the observed variables in the
 // shared cross-model outcome format.
 func (c Config) Summarise(observe []event.Var) string {
-	var b strings.Builder
+	var b []byte
 	for _, x := range observe {
 		v, ok := c.S.Read(x)
 		if !ok {
 			continue
 		}
-		fmt.Fprintf(&b, "%s=%d;", x, v)
+		b = event.AppendOutcome(b, x, v)
 	}
-	return b.String()
+	return string(b)
 }

@@ -1,8 +1,7 @@
 // Package telemetry is the observability layer of the checker: a
 // lock-free striped metrics registry the engine feeds (metrics.go), a
-// structured JSONL search tracer with a Chrome trace_event converter
-// (trace.go, chrome.go), and a live progress reporter for the CLIs
-// (progress.go).
+// search tracer that writes Chrome trace_event JSON (trace.go), and a
+// live progress reporter for the CLIs (progress.go).
 //
 // Everything is nil-safe by design: a nil *Registry, *Cell, *Tracer or
 // *Reporter accepts every method call and does nothing, so the engine

@@ -50,122 +50,105 @@ func golden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// emitFixture writes the representative trace used by both goldens:
-// a search span wrapping two worker spans, a checkpoint instant, a
-// counter sample and a stop instant.
+// emitFixture writes the representative trace the golden pins: a
+// search span wrapping two worker spans, a counter sample, a panic
+// instant and a stop instant.
 func emitFixture(tr *Tracer) {
 	tr.Begin("search", -1)
 	tr.Begin("worker", 0)
 	tr.Begin("worker", 1)
 	tr.Count("expansion_batch", 0, map[string]any{"expansions": 1024, "explored": 2048})
-	tr.Instant("checkpoint", -1, map[string]any{"entries": 512, "frontier": 7})
+	tr.Instant("panic", -1, map[string]any{"depth": 7, "err": "boom"})
 	tr.Instant("stop", -1, map[string]any{"cause": "deadline"})
 	tr.End("worker", 1, nil)
 	tr.End("worker", 0, nil)
 	tr.End("search", -1, map[string]any{"explored": 2048, "verdict": "BOUNDED"})
 }
 
-func TestTraceGoldenJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	tr := fixedClockTracer(&buf)
-	emitFixture(tr)
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
+// chromeDoc decodes a trace in the JSON Array Format.
+func chromeDoc(t *testing.T, data []byte) []map[string]any {
+	t.Helper()
+	var events []map[string]any
+	if err := json.Unmarshal(data, &events); err != nil {
+		t.Fatalf("trace is not a JSON array: %v\n%s", err, data)
 	}
-	// Schema check: every line decodes into a Record with the
-	// required fields.
-	for i, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var rec Record
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("line %d: %v", i+1, err)
-		}
-		if rec.Type == "" || rec.Name == "" {
-			t.Fatalf("line %d: missing type/name: %s", i+1, line)
-		}
-	}
-	golden(t, "trace.jsonl", buf.Bytes())
+	return events
 }
 
 func TestTraceGoldenChrome(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "trace.jsonl"))
-	if err != nil {
-		if *update {
-			// Regenerate the JSONL golden first, then convert it.
-			var buf bytes.Buffer
-			tr := fixedClockTracer(&buf)
-			emitFixture(tr)
-			if err := tr.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			data = buf.Bytes()
-		} else {
-			t.Fatalf("missing golden (run with -update): %v", err)
-		}
-	}
-	var out bytes.Buffer
-	if err := ConvertChrome(bytes.NewReader(data), &out); err != nil {
+	var buf bytes.Buffer
+	tr := fixedClockTracer(&buf)
+	emitFixture(tr)
+	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The conversion must be loadable Chrome trace format: a JSON
-	// object with a traceEvents array whose entries carry ph/ts/pid.
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
-		t.Fatalf("conversion is not valid JSON: %v", err)
-	}
-	if len(doc.TraceEvents) != 9 {
-		t.Fatalf("traceEvents = %d entries, want 9", len(doc.TraceEvents))
+	// Loadable Chrome trace format: an array of events carrying
+	// ph/ts/pid/tid, with balanced spans.
+	events := chromeDoc(t, buf.Bytes())
+	if len(events) != 9 {
+		t.Fatalf("trace has %d events, want 9", len(events))
 	}
 	begins, ends := 0, 0
-	for _, ev := range doc.TraceEvents {
+	for _, ev := range events {
 		switch ev["ph"] {
 		case "B":
 			begins++
 		case "E":
 			ends++
-		case "i", "C":
+		case "i":
+			if ev["s"] != "t" {
+				t.Errorf("instant %v is not thread-scoped", ev["name"])
+			}
+		case "C":
 		default:
 			t.Errorf("unexpected phase %v", ev["ph"])
 		}
-		if _, ok := ev["ts"]; !ok {
-			t.Error("event without ts")
+		for _, k := range []string{"ts", "pid", "tid"} {
+			if _, ok := ev[k]; !ok {
+				t.Errorf("event %v without %s", ev["name"], k)
+			}
 		}
 	}
 	if begins != 3 || ends != 3 {
 		t.Errorf("span balance: %d begins, %d ends", begins, ends)
 	}
-	golden(t, "trace_chrome.json", out.Bytes())
+	golden(t, "trace_chrome.json", buf.Bytes())
 }
 
-func TestConvertChromeRejectsUnknownType(t *testing.T) {
-	in := strings.NewReader(`{"ts_us":1,"type":"bogus","name":"x","worker":0}` + "\n")
-	if err := ConvertChrome(in, &bytes.Buffer{}); err == nil {
-		t.Fatal("unknown record type should be rejected")
-	}
-}
-
-func TestConvertChromeToleratesTruncatedTail(t *testing.T) {
-	// A killed process may leave a half-written last line; conversion
-	// keeps everything before it.
-	in := strings.NewReader(`{"ts_us":1,"type":"begin","name":"search","worker":-1}` + "\n" + `{"ts_us":2,"ty`)
-	var out bytes.Buffer
-	if err := ConvertChrome(in, &out); err != nil {
-		t.Fatalf("truncated tail should be tolerated: %v", err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+// A closed trace is one JSON array; a trace flushed but never closed —
+// the writer was killed — parses once the closing `]` is appended.
+func TestTraceClosedAndTruncated(t *testing.T) {
+	var buf bytes.Buffer
+	tr := fixedClockTracer(&buf)
+	tr.Begin("search", -1)
+	tr.Count("expansion_batch", 1, map[string]any{"explored": 9})
+	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.TraceEvents) != 1 {
-		t.Fatalf("traceEvents = %d, want 1", len(doc.TraceEvents))
+	if err := json.Unmarshal(buf.Bytes(), new([]any)); err == nil {
+		t.Fatal("an unclosed trace parsed as a complete array")
 	}
-	// But a malformed line in the middle is a real error.
-	in2 := strings.NewReader(`{"ts_us":2,"ty` + "\n" + `{"ts_us":1,"type":"begin","name":"search","worker":-1}` + "\n")
-	if err := ConvertChrome(in2, &bytes.Buffer{}); err == nil {
-		t.Fatal("mid-stream corruption should be rejected")
+	if events := chromeDoc(t, append(bytes.Clone(buf.Bytes()), ']')); len(events) != 2 {
+		t.Fatalf("truncated trace has %d events, want 2", len(events))
+	}
+	tr.End("search", -1, nil)
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr.End("search", -1, nil) // after Close: dropped
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if events := chromeDoc(t, buf.Bytes()); len(events) != 3 {
+		t.Fatalf("closed trace has %d events, want 3", len(events))
+	}
+}
+
+func TestTraceRejectsUnknownType(t *testing.T) {
+	tr := NewTracer(&bytes.Buffer{})
+	tr.Emit(Record{Type: "bogus", Name: "x"})
+	if tr.Err() == nil {
+		t.Fatal("unknown record type should be the tracer's error")
 	}
 }
 
