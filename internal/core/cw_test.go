@@ -90,7 +90,7 @@ func TestCoveredWritesCAS(t *testing.T) {
 	var success, failure int
 	for _, c := range collectConfigs(root, 100) {
 		checkCW(t, c.S, c.Key())
-		r, err := Model.Restore(c.AppendSnapshot(nil))
+		r, err := Model.Restore(p, c.AppendSnapshot(nil))
 		if err != nil {
 			t.Fatalf("%s: restore: %v", c.Key(), err)
 		}

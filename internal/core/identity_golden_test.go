@@ -26,10 +26,13 @@ const identityBound = 12
 // that must equal testdata/identity.golden. Equal fingerprints and
 // snapshot bytes are what keep panic repro snapshots and the
 // FuzzRestore seeds written by an older build restorable under a newer
-// one, so a representation change must pass this test unedited. When
-// the digest legitimately changes (a deliberate fingerprint or
-// snapshot format change, which also bumps the snapshot version), the
-// failure message prints the new value.
+// one, so a representation change must pass this test unedited. A
+// snapshot names its residual program by the lang steps that first
+// reached it from the root (lang.Node.AppendPath), so its bytes also
+// pin the serial search's order, but not the program's signature
+// encoding. When the digest legitimately changes (a deliberate
+// fingerprint or snapshot format change, which also bumps the snapshot
+// version), the failure message prints the new value.
 func TestIdentityGolden(t *testing.T) {
 	var digests [][sha256.Size]byte
 	configs := 0

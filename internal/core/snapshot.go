@@ -12,10 +12,12 @@ import (
 // Snapshots are the panic repro format: the explorer stores one per
 // isolated worker panic as PanicRecord.Snapshot, and Model.Restore
 // rebuilds the offending configuration from it. A RAR
-// configuration is serialised as its residual program plus a replay
-// script for its state: the initial valuation followed by every
-// non-initialising event in tag order, each recorded as (kind, thread,
-// variable, written value, observed write). Restore re-executes the
+// configuration is serialised as the path of lang steps that leads
+// from the search's root program to its residual program
+// (lang.Node.AppendPath) plus a replay script for its state: the
+// initial valuation followed by every non-initialising event in tag
+// order, each recorded as (kind, thread, variable, written value,
+// observed write). Restore re-executes the
 // script through the same Figure 3 step functions that built the state
 // originally — the rules are deterministic given the observed write,
 // so replay reconstructs the exact event graph, relations, indexes and
@@ -34,7 +36,7 @@ import (
 
 const (
 	snapshotTag     byte = 'R'
-	snapshotVersion byte = 1
+	snapshotVersion byte = 2
 )
 
 func appendSnapString(buf []byte, s string) []byte {
@@ -87,11 +89,12 @@ func (s *State) observedWrite(g event.Tag) (event.Tag, error) {
 	return event.Tag(best), nil
 }
 
-// AppendSnapshot appends a self-contained serialization of the
-// configuration (see the file comment for the format).
+// AppendSnapshot appends a serialization of the configuration that
+// Restore rebuilds given the root program (see the file comment for
+// the format).
 func (c Config) AppendSnapshot(buf []byte) []byte {
 	buf = append(buf, snapshotTag, snapshotVersion)
-	buf = append(buf, c.node.Sig()...)
+	buf = c.node.AppendPath(buf)
 	s := c.S
 	nInit := len(s.names)
 	buf = binary.AppendUvarint(buf, uint64(nInit))
@@ -120,9 +123,10 @@ func (c Config) AppendSnapshot(buf []byte) []byte {
 	return buf
 }
 
-// Restore rebuilds a configuration from a snapshot blob by replaying
-// its event script through the step functions.
-func (rarModel) Restore(data []byte) (model.Config, error) {
+// Restore rebuilds a configuration from a snapshot blob by walking its
+// program path from root and replaying its event script through the
+// step functions.
+func (rarModel) Restore(root lang.Prog, data []byte) (model.Config, error) {
 	if len(data) < 2 {
 		return nil, fmt.Errorf("core: snapshot too short")
 	}
@@ -132,7 +136,7 @@ func (rarModel) Restore(data []byte) (model.Config, error) {
 	if data[1] != snapshotVersion {
 		return nil, fmt.Errorf("core: unsupported snapshot version %d", data[1])
 	}
-	p, rest, err := lang.DecodeProgSig(data[2:])
+	node, rest, err := lang.NewTable().Intern(root).Walk(data[2:])
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot program: %w", err)
 	}
@@ -212,5 +216,5 @@ func (rarModel) Restore(data []byte) (model.Config, error) {
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("core: %d trailing bytes after snapshot", len(rest))
 	}
-	return Config{node: lang.NewTable().Intern(p), S: s}, nil
+	return Config{node: node, S: s}, nil
 }

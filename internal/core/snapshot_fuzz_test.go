@@ -8,10 +8,13 @@ import (
 	"repro/internal/litmus"
 )
 
-// FuzzRestore feeds arbitrary bytes to the RAR snapshot decoder.
-// Restore replays every decoded event through the Figure 3 step
-// functions, so this drives relation growth, the incremental closures
-// and the eager indexes on inputs no exploration would build. Corrupt
+// FuzzRestore feeds arbitrary bytes to the RAR snapshot decoder,
+// against the Peterson root program. Restore walks the snapshot's
+// (thread, value) path from the root, so this drives lang stepping
+// along arbitrary paths, and replays every decoded event through the
+// Figure 3 step functions, which drives relation growth, the
+// incremental closures and the eager indexes on inputs no exploration
+// would build. Corrupt
 // input must come back as an error — never a panic or a hang — and
 // anything accepted must be a sound state: it passes the incremental
 // audit, expands, and survives a snapshot round trip. The seed corpus
@@ -27,7 +30,7 @@ func FuzzRestore(f *testing.F) {
 		},
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := core.Model.Restore(data)
+		r, err := core.Model.Restore(p, data)
 		if err != nil {
 			return
 		}
@@ -36,7 +39,7 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("restored state fails the incremental audit: %v", msgs)
 		}
 		c.Successors()
-		again, err := core.Model.Restore(c.AppendSnapshot(nil))
+		again, err := core.Model.Restore(p, c.AppendSnapshot(nil))
 		if err != nil {
 			t.Fatalf("re-snapshot does not restore: %v", err)
 		}

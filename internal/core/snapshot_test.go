@@ -56,7 +56,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	for i, c := range cfgs {
 		blob := c.AppendSnapshot(nil)
-		r, err := Model.Restore(blob)
+		r, err := Model.Restore(p, blob)
 		if err != nil {
 			t.Fatalf("config %d: restore: %v", i, err)
 		}
@@ -80,7 +80,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotRoundTripSuccessors(t *testing.T) {
 	p, vars := snapshotProg()
 	for i, c := range collectConfigs(NewConfig(p, vars), 60) {
-		r, err := Model.Restore(c.AppendSnapshot(nil))
+		r, err := Model.Restore(p, c.AppendSnapshot(nil))
 		if err != nil {
 			t.Fatalf("config %d: restore: %v", i, err)
 		}
@@ -111,21 +111,21 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 		break
 	}
 	blob := c.AppendSnapshot(nil)
-	if _, err := Model.Restore(nil); err == nil {
+	if _, err := Model.Restore(p, nil); err == nil {
 		t.Fatal("empty blob restored without error")
 	}
-	if _, err := Model.Restore([]byte{'S', 1}); err == nil {
+	if _, err := Model.Restore(p, []byte{'S', snapshotVersion}); err == nil {
 		t.Fatal("wrong backend tag restored without error")
 	}
-	if _, err := Model.Restore([]byte{'R', 99}); err == nil {
+	if _, err := Model.Restore(p, []byte{'R', 99}); err == nil {
 		t.Fatal("unknown version restored without error")
 	}
 	for n := 0; n < len(blob); n++ {
-		if _, err := Model.Restore(blob[:n]); err == nil {
+		if _, err := Model.Restore(p, blob[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes restored without error", n)
 		}
 	}
-	if _, err := Model.Restore(append(append([]byte(nil), blob...), 0)); err == nil {
+	if _, err := Model.Restore(p, append(append([]byte(nil), blob...), 0)); err == nil {
 		t.Fatal("trailing garbage restored without error")
 	}
 }

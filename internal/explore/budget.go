@@ -116,10 +116,10 @@ type Hooks interface {
 
 // PanicRecord is the shrinkable repro artifact of one isolated worker
 // panic: the configuration being expanded when model code panicked.
-// Snapshot restores (via Model.Restore) to the offending
-// configuration, so `expand the restored config` reproduces a
-// deterministic panic; Program is its residual program for human eyes
-// and for the shrinker.
+// Snapshot restores (via Model.Restore, given the search's root
+// program) to the offending configuration, so `expand the restored
+// config` reproduces a deterministic panic; Program is its residual
+// program for human eyes and for the shrinker.
 type PanicRecord struct {
 	// FP is the fingerprint of the configuration whose expansion
 	// panicked.
@@ -129,7 +129,8 @@ type PanicRecord struct {
 	// Program renders the residual program.
 	Program string
 	// Snapshot is the configuration's binary snapshot
-	// (model.Config.AppendSnapshot).
+	// (model.Config.AppendSnapshot). It names the residual program by
+	// its path from the root program, so restoring it needs that root.
 	Snapshot []byte
 	// Err renders the recovered panic value.
 	Err string

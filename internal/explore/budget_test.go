@@ -254,7 +254,7 @@ func TestPanicIsolationRoot(t *testing.T) {
 	}
 	// The snapshot is the repro: it restores to the panicking
 	// configuration.
-	c, err := core.Model.Restore(rec.Snapshot)
+	c, err := core.Model.Restore(mpConfig().Program(), rec.Snapshot)
 	if err != nil {
 		t.Fatalf("panic snapshot does not restore: %v", err)
 	}
@@ -316,7 +316,7 @@ func TestPanicIsolationParallel(t *testing.T) {
 			t.Fatal("degraded run explored nothing")
 		}
 		for _, rec := range res.Panics {
-			c, err := core.Model.Restore(rec.Snapshot)
+			c, err := core.Model.Restore(mpConfig().Program(), rec.Snapshot)
 			if err != nil {
 				t.Fatalf("panic snapshot does not restore: %v", err)
 			}

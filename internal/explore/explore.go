@@ -7,7 +7,8 @@
 // programs with loops have unbounded executions (each loop iteration
 // appends read events), so exploration is bounded by the model's
 // Progress measure; within that bound the search is exhaustive. Under
-// SC the configuration space is finite and MaxConfigs alone bounds it.
+// SC MaxConfigs alone bounds it: the configuration space is finite
+// unless the program stores unboundedly many values (a counter loop).
 //
 // With Options.POR the search applies independence-based partial-order
 // reduction (por.go): a persistent-set heuristic expands only a subset

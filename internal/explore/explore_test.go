@@ -11,6 +11,7 @@ import (
 	"repro/internal/fingerprint"
 	"repro/internal/lang"
 	"repro/internal/model"
+	"repro/internal/sc"
 )
 
 func mpConfig() core.Config {
@@ -134,13 +135,10 @@ func TestPropertyViolationStopsSearch(t *testing.T) {
 // recorded, once — the first admission keeps the configuration in the
 // seen-set, so every later path to it is a dedup hit. The panic leaves
 // its parent claimed, so the search is degraded to BOUNDED, with no
-// violation.
+// violation. The record's snapshot, restored against the root program,
+// is the panicking configuration.
 func TestPanickingPropertyRecordedOnce(t *testing.T) {
-	goal, found := FindTrace(mpConfig(), Options{}, func(c model.Config) bool { return c.Terminated() })
-	if !found {
-		t.Fatal("no terminated configuration")
-	}
-	target := goal.Configs[len(goal.Configs)-1].Fingerprint()
+	target := terminatedFP(t, mpConfig())
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			res := Run(mpConfig(), Options{
@@ -152,11 +150,63 @@ func TestPanickingPropertyRecordedOnce(t *testing.T) {
 					return true
 				},
 			})
-			if len(res.Panics) != 1 || res.Verdict != VerdictBounded || res.Violation != nil {
-				t.Fatalf("%d panics, verdict %v, violation %v; want 1, BOUNDED, none",
-					len(res.Panics), res.Verdict, res.Violation)
-			}
+			checkOnePanic(t, res, core.Model, mpConfig().Program())
 		})
+	}
+}
+
+// TestPanickingPropertyRecordedOnceSC is TestPanickingPropertyRecordedOnce
+// under the sc backend, whose snapshot keeps no read history: the
+// residual program comes back from its path alone.
+func TestPanickingPropertyRecordedOnceSC(t *testing.T) {
+	root := mpConfig().Program()
+	vars := map[event.Var]event.Val{"d": 0, "f": 0, "a": 0, "b": 0}
+	target := terminatedFP(t, sc.NewConfig(root, vars))
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			res := Run(sc.NewConfig(root, vars), Options{
+				Workers: workers,
+				TypedProperty: func(c sc.Config) bool {
+					if c.Fingerprint() == target {
+						panic("injected")
+					}
+					return true
+				},
+			})
+			checkOnePanic(t, res, sc.Model, root)
+		})
+	}
+}
+
+// terminatedFP returns the fingerprint of a terminated configuration
+// reachable from root.
+func terminatedFP(t *testing.T, root model.Config) fingerprint.FP {
+	t.Helper()
+	goal, found := FindTrace(root, Options{}, func(c model.Config) bool { return c.Terminated() })
+	if !found {
+		t.Fatal("no terminated configuration")
+	}
+	return goal.Configs[len(goal.Configs)-1].Fingerprint()
+}
+
+// checkOnePanic checks res recorded one panic, degraded to BOUNDED
+// with no violation, and that the record's snapshot restores, against
+// the root program, to the configuration it names: the one whose
+// expansion admitted the panicking successor.
+func checkOnePanic(t *testing.T, res Result, m model.Model, root lang.Prog) {
+	t.Helper()
+	if len(res.Panics) != 1 || res.Verdict != VerdictBounded || res.Violation != nil {
+		t.Fatalf("%d panics, verdict %v, violation %v; want 1, BOUNDED, none",
+			len(res.Panics), res.Verdict, res.Violation)
+	}
+	rec := res.Panics[0]
+	c, err := m.Restore(root, rec.Snapshot)
+	if err != nil {
+		t.Fatalf("panic snapshot does not restore: %v", err)
+	}
+	if c.Fingerprint() != rec.FP || c.Program().String() != rec.Program {
+		t.Fatalf("restored %s with fingerprint %v, recorded %s with %v",
+			c.Program(), c.Fingerprint(), rec.Program, rec.FP)
 	}
 }
 

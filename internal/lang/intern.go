@@ -23,10 +23,16 @@ import (
 // Aliasing. A Node and everything it returns (Prog, Steps) is shared
 // by every configuration carrying it and must never be mutated. Two
 // nodes of one Table are equal exactly when they are the same pointer;
-// nodes of different tables (Model.Restore interns each restored
-// configuration into a fresh table) may describe the same program, so
-// identity across configurations is the signature — and, with the
-// memory state, the fingerprint — never the node pointer.
+// nodes of different tables (Model.Restore walks each restored
+// configuration's path in a fresh table) may describe the same
+// program, so identity across configurations is the signature — and,
+// with the memory state, the fingerprint — never the node pointer.
+//
+// Paths. The PROG rule is deterministic per thread up to the value
+// read, so the (thread, value) steps from the root name a residual
+// program. Next records on each node it interns the step that did so;
+// AppendPath writes that chain and Walk replays it, which is how panic
+// repro snapshots name their program.
 //
 // Concurrency. A Table is shared by every worker of a search. Reads of
 // a published node (its fields, a filled successor edge, a computed
@@ -83,6 +89,12 @@ type Node struct {
 	// first.
 	classes atomic.Pointer[classMemo]
 	term    bool
+	// from is the node whose step (thread fromT reading fromV) first
+	// interned this one, nil for a node Intern inserted. The links
+	// are written before the node is published and never change.
+	from  *Node
+	fromT event.Thread
+	fromV event.Val
 }
 
 // A Classifier sorts each thread's residual command into one of at
@@ -179,7 +191,8 @@ func carve[T any](slab *[]T, n int) []T {
 }
 
 // Intern returns the node of p, inserting it when the table has not
-// seen the program. p is copied; the caller may reuse it.
+// seen the program. p is copied; the caller may reuse it. A node
+// Intern inserts has the empty path: it is a root of AppendPath.
 func (tab *Table) Intern(p Prog) *Node {
 	tab.mu.Lock()
 	defer tab.mu.Unlock()
@@ -334,11 +347,58 @@ func (n *Node) fill(t event.Thread, sl *slot, k, v event.Val) *Node {
 		}
 		tab.steps = steps
 		to = tab.insert(p, buf, off, steps)
+		to.from, to.fromT, to.fromV = n, t, v
 	}
 	e := &carve(&tab.edgeSlab, 1)[0]
 	*e = edge{key: k, to: to, next: sl.edges.Load()}
 	sl.edges.Store(e)
 	return to
+}
+
+// AppendPath appends the steps that first interned n, root first: a
+// uvarint count, then each step's thread (uvarint) and value (varint).
+// Walk from the table's root replays it.
+func (n *Node) AppendPath(buf []byte) []byte {
+	var chain []*Node
+	for m := n; m.from != nil; m = m.from {
+		chain = append(chain, m)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(chain)))
+	for i := len(chain) - 1; i >= 0; i-- {
+		buf = binary.AppendUvarint(buf, uint64(chain[i].fromT))
+		buf = binary.AppendVarint(buf, int64(chain[i].fromV))
+	}
+	return buf
+}
+
+// Walk replays a path AppendPath wrote, stepping from n with Next, and
+// returns the node it reaches and the bytes after the path. A
+// truncated path, or a step of a thread n's program lacks or that has
+// terminated, is an error.
+func (n *Node) Walk(data []byte) (*Node, []byte, error) {
+	k, w := binary.Uvarint(data)
+	if w <= 0 {
+		return nil, nil, fmt.Errorf("lang: truncated path length")
+	}
+	data = data[w:]
+	// Each step takes at least two bytes; the check also keeps a
+	// corrupt count from asking for unbounded work.
+	if k > uint64(len(data))/2 {
+		return nil, nil, fmt.Errorf("lang: path of %d steps in %d bytes", k, len(data))
+	}
+	for i := uint64(0); i < k; i++ {
+		t, w := binary.Uvarint(data)
+		v, w2 := binary.Varint(data[max(w, 0):])
+		if w <= 0 || w2 <= 0 {
+			return nil, nil, fmt.Errorf("lang: truncated path step %d", i)
+		}
+		data = data[w+w2:]
+		if t == 0 || t > uint64(len(n.slots)) || n.slots[t-1].step == nil {
+			return nil, nil, fmt.Errorf("lang: path step %d: thread %d has no enabled step in %s", i, t, n.prog)
+		}
+		n = n.Next(event.Thread(t), event.Val(v))
+	}
+	return n, data, nil
 }
 
 // Audit recomputes everything the node memoises from its program alone

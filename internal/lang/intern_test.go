@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -265,5 +266,128 @@ func TestClassesOncePerNode(t *testing.T) {
 	}
 	if a.Sig() != string(AppendProgSig(nil, a.Prog())) || b.Sig() != string(AppendProgSig(nil, b.Prog())) {
 		t.Fatal("classes overwrote a signature")
+	}
+}
+
+// pathProg has a spin loop, a CAS, a read-driven counter loop and a
+// thread that terminates early, so random walks over it take every
+// step kind and revisit programs along different paths.
+func pathProg() Prog {
+	return Prog{
+		SeqC(AssignC("x", V(1)), WhileC(Eq(XA("y"), V(0)), SkipC()), AssignC("r", X("x"))),
+		SeqC(AssignRelC("y", V(1)), CasStmtC("x", V(1), V(2))),
+		WhileC(Ne(X("z"), V(3)), AssignC("z", Add(X("z"), V(1)))),
+		SkipC(),
+	}
+}
+
+// randomWalk takes up to steps random enabled steps from n, reading
+// values in 0..3, and returns the node it stops at.
+func randomWalk(n *Node, rng *rand.Rand, steps int) *Node {
+	for i := 0; i < steps && !n.Terminated(); i++ {
+		ps := n.Steps()[rng.IntN(len(n.Steps()))]
+		n = n.Next(ps.T, event.Val(rng.IntN(4)))
+	}
+	return n
+}
+
+// checkPath walks n's path from the root of a fresh table and checks it
+// reaches n's program and consumes exactly the path.
+func checkPath(t *testing.T, root Prog, n *Node) {
+	t.Helper()
+	path := n.AppendPath([]byte{0xee})[1:]
+	got, rest, err := NewTable().Intern(root).Walk(append(path, 0xaa))
+	if err != nil {
+		t.Errorf("walking the path of %s: %v", n.Prog(), err)
+		return
+	}
+	if got.Sig() != n.Sig() || len(rest) != 1 || rest[0] != 0xaa {
+		t.Errorf("path of %s reaches %s with %d bytes left", n.Prog(), got.Prog(), len(rest))
+	}
+}
+
+func TestPathWalkReachesNode(t *testing.T) {
+	root := pathProg()
+	n := NewTable().Intern(root)
+	if got := n.AppendPath(nil); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("root path %x, want the empty path", got)
+	}
+	checkPath(t, root, n)
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 200; i++ {
+		checkPath(t, root, randomWalk(n, rng, 30))
+	}
+	for _, tc := range nextCases() {
+		p := Prog{tc.c, AssignC("w", V(1))}
+		for _, v := range tc.vals {
+			checkPath(t, p, NewTable().Intern(p).Next(1, v).Next(2, 0))
+		}
+	}
+	// A node keeps the path that first interned it: thread 2 then 1
+	// reaches the program thread 1 then 2 did.
+	p := Prog{AssignC("x", V(1)), AssignC("y", V(1))}
+	a := NewTable().Intern(p)
+	first := a.Next(1, 0).Next(2, 0)
+	if second := a.Next(2, 0).Next(1, 0); second != first {
+		t.Fatal("two interleavings of independent writes reach distinct nodes")
+	}
+	if got, want := first.AppendPath(nil), []byte{2, 1, 0, 2, 0}; string(got) != string(want) {
+		t.Fatalf("path %x, want %x", got, want)
+	}
+}
+
+// TestWalkRejectsCorruption feeds Walk every kind of bad path: each
+// must come back as an error naming it, never a panic.
+func TestWalkRejectsCorruption(t *testing.T) {
+	root := Prog{AssignC("x", V(1)), SkipC()}
+	for _, tc := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"empty", "truncated path length", nil},
+		{"count exceeds bytes", "2 steps in 2 bytes", []byte{2, 1, 0}},
+		{"thread 0", "thread 0 has no enabled step", []byte{1, 0, 0}},
+		{"thread past program", "thread 3 has no enabled step", []byte{1, 3, 0}},
+		{"huge thread", "has no enabled step", []byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 0}},
+		{"terminated thread", "thread 2 has no enabled step", []byte{1, 2, 0}},
+		{"terminated after a step", "step 1: thread 1 has no enabled step", []byte{2, 1, 0, 1, 0}},
+		{"truncated thread", "truncated path step 0", []byte{1, 0x80, 0x80}},
+		{"truncated value", "truncated path step 0", []byte{1, 1, 0x80}},
+	} {
+		_, _, err := NewTable().Intern(root).Walk(tc.data)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	// Every strict prefix of a real path is truncated.
+	n := NewTable().Intern(pathProg())
+	path := randomWalk(n, rand.New(rand.NewPCG(3, 4)), 20).AppendPath(nil)
+	for k := 0; k < len(path); k++ {
+		if _, _, err := NewTable().Intern(pathProg()).Walk(path[:k]); err == nil {
+			t.Fatalf("path truncated to %d of %d bytes walked without error", k, len(path))
+		}
+	}
+}
+
+// TestNextPathParallel runs AppendPath while other goroutines fill
+// successors of the same table: every path must still walk, in a
+// fresh table, to the node it was read from. Run under -race.
+func TestNextPathParallel(t *testing.T) {
+	const goroutines = 8
+	root := pathProg()
+	for round := 0; round < 5; round++ {
+		n := NewTable().Intern(root)
+		var done sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			done.Add(1)
+			go func(g int) {
+				defer done.Done()
+				rng := rand.New(rand.NewPCG(uint64(round), uint64(g)))
+				for i := 0; i < 50; i++ {
+					checkPath(t, root, randomWalk(n, rng, 25))
+				}
+			}(g)
+		}
+		done.Wait()
 	}
 }

@@ -30,8 +30,6 @@ const (
 	sigLoad
 	sigUn
 	sigBin
-	// Appended after the original tag set (PR 8): decoding order is
-	// part of the snapshot format, so new nodes extend, never renumber.
 	sigCas
 	sigIdxLoad
 )
@@ -40,10 +38,9 @@ const (
 // the index bit marks a symbolically indexed store, whose index
 // expression is encoded between the variable and the right-hand side.
 const (
-	sigAssignRel   byte = 1
-	sigAssignNA    byte = 2
-	sigAssignIdx   byte = 4
-	sigAssignFlags byte = sigAssignRel | sigAssignNA | sigAssignIdx
+	sigAssignRel byte = 1
+	sigAssignNA  byte = 2
+	sigAssignIdx byte = 4
 )
 
 func appendString(buf []byte, s string) []byte {

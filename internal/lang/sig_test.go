@@ -52,15 +52,63 @@ func reachedPrograms(t *testing.T) []lang.Prog {
 	return progs
 }
 
+// handBuiltPrograms covers every node kind and operator, both
+// annotation flags on loads and assigns, nesting, and multi-thread
+// programs.
+func handBuiltPrograms() []lang.Prog {
+	return []lang.Prog{
+		{},
+		{lang.Skip{}},
+		{lang.AssignC("x", lang.V(1))},
+		{lang.AssignRelC("y", lang.Add(lang.X("x"), lang.V(2)))},
+		{lang.AssignNAC("d", lang.XNA("d"))},
+		{lang.SwapC("l", 1), lang.SwapC("l", -3)},
+		{lang.SeqC(lang.AssignC("x", lang.V(1)), lang.AssignRelC("y", lang.V(1)), lang.SkipC())},
+		{lang.IfC(lang.Eq(lang.XA("y"), lang.V(1)), lang.AssignC("a", lang.X("x")), lang.SkipC())},
+		{lang.WhileC(lang.Ne(lang.XA("f"), lang.V(0)), lang.AssignC("x", lang.Add(lang.X("x"), lang.V(1))))},
+		{lang.LabelC("cs", lang.AssignC("x", lang.V(7)))},
+		{
+			lang.SeqC(
+				lang.AssignC("x", lang.V(1)),
+				lang.WhileC(lang.Not(lang.And(lang.Eq(lang.X("a"), lang.V(0)), lang.Or(lang.X("b"), lang.Un{Op: lang.OpNeg, E: lang.V(5)}))),
+					lang.LabelC("body", lang.SeqC(lang.SwapC("m", 1), lang.AssignNAC("z", lang.XNA("z"))))),
+			),
+			lang.IfC(lang.Bin{Op: lang.OpLt, L: lang.X("i"), R: lang.Bin{Op: lang.OpSub, L: lang.V(10), R: lang.V(3)}},
+				lang.SeqC(lang.AssignRelC("y", lang.V(2)), lang.SkipC()),
+				lang.LabelC("else", lang.SkipC())),
+		},
+		// The array/CAS constructs: bare and branching CAS, a CAS on a
+		// symbolically indexed cell, symbolic loads in every annotation
+		// mix, and indexed assignments (a literal index canonicalises to
+		// a plain cell assignment through the constructors — both forms
+		// appear).
+		{lang.CasStmtC("x", lang.V(0), lang.V(1))},
+		{lang.CasC("top", lang.X("obs"), lang.Add(lang.X("obs"), lang.V(1)),
+			lang.AssignC("done", lang.V(1)), lang.AssignC("r", lang.XA("top")))},
+		{lang.CasAtC("slot", lang.X("i"), lang.V(0), lang.V(7), lang.SkipC(), lang.CasStmtC("slot", lang.V(1), lang.V(7)))},
+		{
+			lang.AssignC("r", lang.XAt("buf", lang.X("i"))),
+			lang.AssignC("s", lang.XAtA("buf", lang.Add(lang.X("i"), lang.V(1)))),
+			lang.AssignC("t", lang.XAtNA("buf", lang.X("j"))),
+		},
+		{
+			lang.AssignAtC("buf", lang.X("i"), lang.V(5)),
+			lang.AssignAtRelC("buf", lang.X("i"), lang.X("r")),
+			lang.AssignAtNAC("buf", lang.X("j"), lang.V(0)),
+			lang.AssignAtC("buf", lang.V(3), lang.V(9)), // canonicalises to buf[3] := 9
+		},
+	}
+}
+
 // TestProgSigInjective argues that AppendProgSig is injective, which
-// the fingerprint's program hash and the interned node's sig rely on,
-// beyond the hand-built programs TestProgSigRoundTrip decodes: over
-// every program reachedPrograms collects, distinct renderings
-// have distinct signatures, and no signature is a proper prefix of
-// another (the encoding is prefix-free, so a program's signature can
-// be followed by more data without ambiguity).
+// the fingerprint's program hash and the interned node's sig rely on:
+// over the hand-built programs and every program reachedPrograms
+// collects, distinct renderings have distinct signatures, and no
+// signature is a proper prefix of another (the encoding is
+// prefix-free, so a program's signature can be followed by more data
+// without ambiguity).
 func TestProgSigInjective(t *testing.T) {
-	progs := reachedPrograms(t)
+	progs := append(handBuiltPrograms(), reachedPrograms(t)...)
 	sigOf := map[string]string{} // rendering → signature
 	strOf := map[string]string{} // signature → rendering
 	for _, p := range progs {
@@ -93,5 +141,38 @@ func TestProgSigInjective(t *testing.T) {
 	mid := lang.While{Guard: lang.Ne(lang.XA("f"), lang.V(0)), Cur: lang.Ne(lang.V(1), lang.V(0)), Body: lang.SkipC()}
 	if string(lang.AppendProgSig(nil, lang.Prog{fresh})) == string(lang.AppendProgSig(nil, lang.Prog{mid})) {
 		t.Fatal("a loop mid-iteration shares the fresh loop's signature")
+	}
+}
+
+// TestSigDistinguishesArrayCells pins the cache-key property the
+// array naming scheme has to provide: distinct cells, distinct index
+// expressions, and a symbolic versus concretised access all encode to
+// distinct signatures — no pair of them may collide, or the
+// exploration caches would conflate their configurations.
+func TestSigDistinguishesArrayCells(t *testing.T) {
+	progs := map[string]lang.Prog{
+		"read-a1":        {lang.AssignC("r", lang.X(lang.Cell("a", 1)))},
+		"read-a11":       {lang.AssignC("r", lang.X(lang.Cell("a", 11)))},
+		"read-a111":      {lang.AssignC("r", lang.X(lang.Cell("a", 111)))},
+		"read-sym-i":     {lang.AssignC("r", lang.XAt("a", lang.X("i")))},
+		"read-sym-j":     {lang.AssignC("r", lang.XAt("a", lang.X("j")))},
+		"read-sym-acq":   {lang.AssignC("r", lang.XAtA("a", lang.X("i")))},
+		"write-a1":       {lang.AssignAtC("a", lang.V(1), lang.V(1))},
+		"write-a11":      {lang.AssignAtC("a", lang.V(11), lang.V(1))},
+		"write-sym":      {lang.AssignAtC("a", lang.X("i"), lang.V(1))},
+		"cas-a1":         {lang.CasStmtC(lang.Cell("a", 1), lang.V(0), lang.V(1))},
+		"cas-a11":        {lang.CasStmtC(lang.Cell("a", 11), lang.V(0), lang.V(1))},
+		"cas-sym":        {lang.CasAtC("a", lang.X("i"), lang.V(0), lang.V(1), lang.SkipC(), lang.SkipC())},
+		"cas-branches":   {lang.CasC(lang.Cell("a", 1), lang.V(0), lang.V(1), lang.AssignC("d", lang.V(1)), lang.SkipC())},
+		"plain-var-a":    {lang.AssignC("r", lang.X("a"))},
+		"bracket-in-mid": {lang.AssignC("r", lang.X(lang.Cell("a[1]", 2)))}, // pathological nested name
+	}
+	seen := map[string]string{}
+	for name, p := range progs {
+		sig := string(lang.AppendProgSig(nil, p))
+		if prev, dup := seen[sig]; dup {
+			t.Errorf("programs %s and %s share a signature", prev, name)
+		}
+		seen[sig] = name
 	}
 }

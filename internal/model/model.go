@@ -47,8 +47,9 @@ type Config interface {
 	// from the initial one, in the units Options.MaxEvents bounds.
 	// The RAR backend counts events (each loop iteration appends read
 	// events, so exploration must be cut); an SC configuration is just
-	// (program, store) — a finite space — so the SC backend returns 0
-	// and is bounded by MaxConfigs alone.
+	// (program, store), finite unless the program stores unboundedly
+	// many values, so the SC backend returns 0 and is bounded by
+	// MaxConfigs alone.
 	Progress() int
 
 	// Terminated reports whether every thread has terminated.
@@ -88,10 +89,12 @@ type Config interface {
 	// the basis of differential model checking.
 	Summarise(observe []event.Var) string
 
-	// AppendSnapshot appends a self-contained binary serialization of
-	// the configuration to buf and returns the extended slice. The
-	// blob starts with a backend tag and version byte and must restore
-	// (via the owning Model.Restore) to a configuration with the same
+	// AppendSnapshot appends a binary serialization of the
+	// configuration to buf and returns the extended slice. The blob
+	// starts with a backend tag and version byte, names the residual
+	// program by its path from the search's root program
+	// (lang.Node.AppendPath), and must restore (via the owning
+	// Model.Restore, given that root) to a configuration with the same
 	// Key and Fingerprint, which the backends' FuzzRestore targets
 	// check. The explorer stores it as PanicRecord.Snapshot, the repro
 	// of a configuration whose expansion panicked. Trace-only
@@ -133,8 +136,11 @@ type Model interface {
 	// New pairs a program with an initial memory valuation.
 	New(p lang.Prog, vars map[event.Var]event.Val) Config
 	// Restore inverts Config.AppendSnapshot: it rebuilds the
-	// configuration a snapshot blob serialises. The whole blob must be
+	// configuration a snapshot blob serialises, walking the blob's
+	// program path from root, the root program of the search that
+	// wrote it (interned into a fresh table). The whole blob must be
 	// consumed; a blob produced by a different backend, a different
-	// format version, or corrupted in transit is an error.
-	Restore(data []byte) (Config, error)
+	// format version, or corrupted in transit is an error, and so is a
+	// path root cannot take.
+	Restore(root lang.Prog, data []byte) (Config, error)
 }

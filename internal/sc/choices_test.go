@@ -39,7 +39,8 @@ func checkChoices(c sc.Config) error {
 }
 
 // checkReachable runs checkChoices at every configuration a serial,
-// unreduced search of (p, vars) admits (SC spaces are finite).
+// unreduced search of (p, vars) admits (the catalog's SC spaces are
+// finite).
 func checkReachable(t *testing.T, name string, p lang.Prog, vars map[event.Var]event.Val) {
 	t.Helper()
 	var first error

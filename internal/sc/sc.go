@@ -11,9 +11,11 @@
 // disagreement, …).
 //
 // An SC configuration is (P, store): no event graph, no per-thread
-// views. Reads are deterministic (the current store value), so the
-// state space is finite whatever the program — Progress is constantly
-// zero and exploration is bounded by MaxConfigs alone. Annotations
+// views. Reads are deterministic (the current store value), but the
+// state space is finite only if the program stores finitely many
+// values: a counter loop reaches a new store each iteration. Progress
+// is constantly zero, so MaxConfigs alone bounds exploration, and
+// such a search ends BOUNDED at StopMaxConfigs. Annotations
 // (release/acquire/non-atomic) are irrelevant under SC.
 package sc
 
@@ -150,8 +152,8 @@ func (c Config) Node() *lang.Node { return c.node }
 func (c Config) Program() lang.Prog { return c.node.Prog() }
 
 // Progress is constantly zero: an SC configuration carries no growing
-// event set, the (program, store) space is finite, and exploration is
-// bounded by MaxConfigs alone.
+// event set, so exploration is bounded by MaxConfigs alone (see the
+// package comment for when the space is finite).
 func (c Config) Progress() int { return 0 }
 
 // Key identifies the configuration exactly, for deduplication audits.

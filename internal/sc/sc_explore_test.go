@@ -91,7 +91,7 @@ func TestPetersonSafeUnderSC(t *testing.T) {
 			t.Fatalf("workers=%d: mutual exclusion violated under SC", workers)
 		}
 		if res.Truncated {
-			t.Fatalf("workers=%d: SC state space must be finite, search truncated", workers)
+			t.Fatalf("workers=%d: Peterson's SC state space is finite, search truncated", workers)
 		}
 		if res.Explored == 0 || res.Terminated == 0 {
 			t.Fatalf("workers=%d: degenerate exploration %+v", workers, res)
@@ -112,6 +112,29 @@ func BenchmarkSCOutcomes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if len(tc.RunModel(sc.Model, explore.Options{}).Outcomes) == 0 {
 			b.Fatal("no outcomes")
+		}
+	}
+}
+
+// TestCounterLoopStopsAtMaxConfigs pins that an SC state space is not
+// finite in general: a counter loop reaches a new store each
+// iteration, and since Progress is constantly zero only MaxConfigs
+// ends the search, which is then BOUNDED and truncated; the event
+// bound of 1 does not act under SC.
+func TestCounterLoopStopsAtMaxConfigs(t *testing.T) {
+	p := lang.Prog{lang.WhileC(lang.Ne(lang.X("x"), lang.V(-1)), lang.AssignC("x", lang.Add(lang.X("x"), lang.V(1))))}
+	for _, workers := range []int{1, 2} {
+		res := explore.Run(sc.NewConfig(p, map[event.Var]event.Val{"x": 0}), explore.Options{
+			MaxEvents:  1,
+			MaxConfigs: 200,
+			Workers:    workers,
+		})
+		if res.Stop != explore.StopMaxConfigs || res.Verdict != explore.VerdictBounded || !res.Truncated {
+			t.Fatalf("workers=%d: stop %v, verdict %v, truncated %v; want max-configs, BOUNDED, truncated",
+				workers, res.Stop, res.Verdict, res.Truncated)
+		}
+		if res.Explored != 200 || res.Terminated != 0 {
+			t.Fatalf("workers=%d: explored %d, terminated %d; want 200 and 0", workers, res.Explored, res.Terminated)
 		}
 	}
 }

@@ -14,22 +14,24 @@ import (
 // isolated worker panic as PanicRecord.Snapshot, and Model.Restore
 // rebuilds the offending configuration from it. An SC
 // configuration is just (program, store), so the serialization is the
-// residual program's signature followed by the store entries in sorted
-// variable order. The trace-only label of the producing write (wx/wv)
-// deliberately does not survive — it is excluded from the fingerprint
-// for the same reason (see State), so a restored configuration is
-// fingerprint-identical to the original.
+// path of lang steps from the search's root program to the residual
+// program (lang.Node.AppendPath) followed by the store entries in
+// sorted variable order. The store keeps no read history, so the path
+// is what lets the residual program be rebuilt. The trace-only label
+// of the producing write (wx/wv) deliberately does not survive — it is
+// excluded from the fingerprint for the same reason (see State), so a
+// restored configuration is fingerprint-identical to the original.
 
 const (
 	snapshotTag     byte = 'S'
-	snapshotVersion byte = 1
+	snapshotVersion byte = 2
 )
 
-// AppendSnapshot appends a self-contained serialization of the
-// configuration.
+// AppendSnapshot appends a serialization of the configuration that
+// Restore rebuilds given the root program.
 func (c Config) AppendSnapshot(buf []byte) []byte {
 	buf = append(buf, snapshotTag, snapshotVersion)
-	buf = append(buf, c.node.Sig()...)
+	buf = c.node.AppendPath(buf)
 	keys := make([]string, 0, len(c.S.store))
 	for x := range c.S.store {
 		keys = append(keys, string(x))
@@ -44,8 +46,9 @@ func (c Config) AppendSnapshot(buf []byte) []byte {
 	return buf
 }
 
-// Restore rebuilds a configuration from a snapshot blob.
-func (scModel) Restore(data []byte) (model.Config, error) {
+// Restore rebuilds a configuration from a snapshot blob, walking its
+// program path from root.
+func (scModel) Restore(root lang.Prog, data []byte) (model.Config, error) {
 	if len(data) < 2 {
 		return nil, fmt.Errorf("sc: snapshot too short")
 	}
@@ -55,7 +58,7 @@ func (scModel) Restore(data []byte) (model.Config, error) {
 	if data[1] != snapshotVersion {
 		return nil, fmt.Errorf("sc: unsupported snapshot version %d", data[1])
 	}
-	p, rest, err := lang.DecodeProgSig(data[2:])
+	node, rest, err := lang.NewTable().Intern(root).Walk(data[2:])
 	if err != nil {
 		return nil, fmt.Errorf("sc: snapshot program: %w", err)
 	}
@@ -90,5 +93,5 @@ func (scModel) Restore(data []byte) (model.Config, error) {
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("sc: %d trailing bytes after snapshot", len(rest))
 	}
-	return Config{node: lang.NewTable().Intern(p), S: Init(vars)}, nil
+	return Config{node: node, S: Init(vars)}, nil
 }

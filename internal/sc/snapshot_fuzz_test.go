@@ -8,9 +8,11 @@ import (
 	"repro/internal/sc"
 )
 
-// FuzzRestore feeds arbitrary bytes to the SC snapshot decoder.
-// Corrupt input must come back as an error — never a panic or a hang —
-// and anything accepted must expand and survive a snapshot round trip.
+// FuzzRestore feeds arbitrary bytes to the SC snapshot decoder,
+// against the Peterson root program, so it drives lang stepping along
+// arbitrary (thread, value) paths from the root. Corrupt input must
+// come back as an error — never a panic or a hang — and anything
+// accepted must expand and survive a snapshot round trip.
 // The seed corpus is every state of the Peterson search (E13) under
 // the SC backend, which ignores the event bound.
 func FuzzRestore(f *testing.F) {
@@ -24,7 +26,7 @@ func FuzzRestore(f *testing.F) {
 		},
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := sc.Model.Restore(data)
+		r, err := sc.Model.Restore(p, data)
 		if err != nil {
 			return
 		}
@@ -32,7 +34,7 @@ func FuzzRestore(f *testing.F) {
 		for _, ps := range c.Node().Steps() {
 			c.AppendStepSuccessors(nil, ps)
 		}
-		again, err := sc.Model.Restore(c.AppendSnapshot(nil))
+		again, err := sc.Model.Restore(p, c.AppendSnapshot(nil))
 		if err != nil {
 			t.Fatalf("re-snapshot does not restore: %v", err)
 		}

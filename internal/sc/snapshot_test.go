@@ -24,7 +24,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			return
 		}
 		seen[c.Key()] = true
-		r, err := Model.Restore(c.AppendSnapshot(nil))
+		r, err := Model.Restore(p, c.AppendSnapshot(nil))
 		if err != nil {
 			t.Fatalf("restore: %v", err)
 		}
@@ -47,17 +47,18 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotRejectsCorruption(t *testing.T) {
-	c := Model.New(lang.Prog{lang.AssignC("x", lang.V(1))}, map[event.Var]event.Val{"x": 0})
+	p := lang.Prog{lang.AssignC("x", lang.V(1))}
+	c := Model.New(p, map[event.Var]event.Val{"x": 0})
 	blob := c.AppendSnapshot(nil)
-	if _, err := Model.Restore([]byte{'R', 1}); err == nil {
+	if _, err := Model.Restore(p, []byte{'R', snapshotVersion}); err == nil {
 		t.Fatal("wrong backend tag restored without error")
 	}
 	for n := 0; n < len(blob); n++ {
-		if _, err := Model.Restore(blob[:n]); err == nil {
+		if _, err := Model.Restore(p, blob[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes restored without error", n)
 		}
 	}
-	if _, err := Model.Restore(append(append([]byte(nil), blob...), 0)); err == nil {
+	if _, err := Model.Restore(p, append(append([]byte(nil), blob...), 0)); err == nil {
 		t.Fatal("trailing garbage restored without error")
 	}
 }

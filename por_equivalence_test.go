@@ -106,8 +106,8 @@ func TestCheckPORTestdata(t *testing.T) {
 // TestCheckPORTestdataSC is the same reduced-vs-full contract over
 // the SC backend: reduced ⊆ full reachability, identical terminated
 // sets and verdicts, zero divergences, on every testdata program,
-// serial and parallel. SC state spaces are finite, so no MaxEvents
-// bound is needed.
+// serial and parallel. The testdata programs' SC state spaces are
+// finite, so no MaxEvents bound is needed.
 func TestCheckPORTestdataSC(t *testing.T) {
 	m, err := backends.Get("sc")
 	if err != nil {
